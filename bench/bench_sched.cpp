@@ -32,33 +32,6 @@ struct Row {
   std::uint64_t calibrated_overhead;
 };
 
-struct PieceRow {
-  const char* policy;
-  int threads;
-  int pieces_requested;
-  int pieces;
-  int split_level;
-  std::size_t tasks;
-  double wall;
-  std::size_t steals;
-  std::size_t cross_piece_steals;
-  double imbalance;  // max/mean per-piece exec seconds (1 = perfect)
-};
-
-// Load imbalance across pieces: max piece exec time over the mean.
-// 1.0 means every piece carried the same work; only defined for >= 2
-// pieces with nonzero exec time.
-double piece_imbalance(const std::vector<pr::instr::PieceCounters>& pieces) {
-  if (pieces.size() < 2) return 1.0;
-  double total = 0, peak = 0;
-  for (const auto& p : pieces) {
-    total += p.exec_seconds;
-    peak = std::max(peak, p.exec_seconds);
-  }
-  if (total <= 0) return 1.0;
-  return peak / (total / static_cast<double>(pieces.size()));
-}
-
 std::string out_path(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0) return argv[i + 1];
@@ -67,8 +40,7 @@ std::string out_path(int argc, char** argv) {
 }
 
 void write_json(const char* path, int n, int digits,
-                const std::vector<Row>& rows,
-                const std::vector<PieceRow>& piece_rows) {
+                const std::vector<Row>& rows) {
   std::ofstream os(path);
   os << "{\n  \"bench\": \"sched\",\n  \"profile\": \""
      << prbench::bench_profile_id() << "\",\n  \"n\": " << n
@@ -88,20 +60,6 @@ void write_json(const char* path, int n, int digits,
        << ", \"queue_high_water\": " << r.high_water
        << ", \"calibrated_overhead\": " << r.calibrated_overhead << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"piece_rows\": [\n";
-  for (std::size_t i = 0; i < piece_rows.size(); ++i) {
-    const PieceRow& r = piece_rows[i];
-    os << "    {\"policy\": \"" << r.policy
-       << "\", \"threads\": " << r.threads
-       << ", \"pieces_requested\": " << r.pieces_requested
-       << ", \"pieces\": " << r.pieces
-       << ", \"split_level\": " << r.split_level
-       << ",\n     \"tasks\": " << r.tasks
-       << ", \"wall_seconds\": " << r.wall << ", \"steals\": " << r.steals
-       << ", \"cross_piece_steals\": " << r.cross_piece_steals
-       << ", \"piece_imbalance\": " << r.imbalance << "}"
-       << (i + 1 < piece_rows.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
 }
@@ -207,75 +165,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- TreePiece sweep: piece count x threads x policy at the finest
-  // grain.  Measures what the decomposition buys (and costs): cross-piece
-  // steal rate under stealing (tagged tasks only leave their home worker
-  // by being stolen) and per-piece load imbalance.  The pieces=1 rows are
-  // the no-regression guard: a single piece adds no tags and no boundary
-  // tasks, so they must track the main sweep's chunk-1 rows.
-  std::vector<PieceRow> piece_rows;
-  std::cout << "\n--- TreePiece sweep (grain: per-operation) ---\n";
-  pr::TextTable ptable({-9, 3, 4, 8, 7, 9, 7, 7, 7});
-  std::cout << ptable.row({"policy", "P", "pcs", "(eff/lv)", "tasks",
-                           "wall ms", "steals", "x-piece", "imbal"})
-            << "\n"
-            << ptable.rule() << "\n";
-  for (const auto& pc : policies) {
-    for (int threads : {2, 8}) {
-      for (int pieces : {1, 2, 4, 8}) {
-        pr::ParallelConfig par;
-        par.grain = pr::RemainderGrain::kPerOperation;
-        par.pool_policy = pc.policy;
-        par.num_threads = threads;
-        par.pieces.num_pieces = pieces;
-        pr::ParallelRunResult best;
-        for (int rep = 0; rep < repeats; ++rep) {
-          auto run = pr::find_real_roots_parallel(input.poly, cfg, par);
-          if (run.used_sequential_fallback) {
-            std::cerr << "unexpected fallback n=" << n << "\n";
-            return 1;
-          }
-          if (rep == 0 || run.pool.wall_seconds < best.pool.wall_seconds) {
-            best = std::move(run);
-          }
-        }
-        if (best.report.roots != reference_roots) {
-          std::cerr << "roots differ for pieces=" << pieces << " "
-                    << pc.name << " P=" << threads << "\n";
-          return 1;
-        }
-        piece_rows.push_back({pc.name, threads, pieces, best.num_pieces,
-                              best.split_level, best.trace.size(),
-                              best.pool.wall_seconds, best.pool.steals,
-                              best.pool.cross_piece_steals,
-                              piece_imbalance(best.pool.pieces)});
-        const PieceRow& r = piece_rows.back();
-        std::cout << ptable.row(
-                         {r.policy, std::to_string(threads),
-                          std::to_string(pieces),
-                          std::to_string(r.pieces) + "/" +
-                              std::to_string(r.split_level),
-                          std::to_string(r.tasks),
-                          pr::fixed(r.wall * 1e3, 2),
-                          std::to_string(r.steals),
-                          std::to_string(r.cross_piece_steals),
-                          pr::fixed(r.imbalance, 2)})
-                  << "\n";
-      }
-    }
-  }
-
   const std::string path = out_path(argc, argv);
-  write_json(path.c_str(), n, digits, rows, piece_rows);
-  std::cout << "\nwrote " << rows.size() << " rows + " << piece_rows.size()
-            << " piece rows to " << path << "\n"
+  write_json(path.c_str(), n, digits, rows);
+  std::cout << "\nwrote " << rows.size() << " rows to " << path << "\n"
             << "\nexpected: identical roots in every row; steals = 0 under "
                "central; chunk = 4\nshrinks the task count and the "
                "lock-wait totals at fine grain; lock waits\nconcentrate "
-               "in the central policy at P = 8.  Piece rows: pieces = 1 "
-               "adds no\ntags or boundary tasks (the no-regression row); "
-               "cross-piece steals only\nappear under stealing with >= 2 "
-               "pieces; imbalance grows with the piece\ncount as subtree "
-               "sizes diverge.\n";
+               "in the central policy at P = 8.\n";
   return 0;
 }

@@ -35,7 +35,6 @@ endfunction()
 expect_cli(2 stderr "invalid value for --threads" "x^2 - 2" --threads x)
 expect_cli(2 stderr "invalid value for --parallel" "x^2 - 2" --parallel x)
 expect_cli(2 stderr "invalid value for --digits" "x^2 - 2" --digits 12abc)
-expect_cli(2 stderr "invalid value for --pieces" "x^2 - 2" --pieces -3)
 # Out-of-range values are rejected the same way (never clamped).
 expect_cli(2 stderr "invalid value for --threads" "x^2 - 2" --threads 0)
 expect_cli(2 stderr "invalid value for --digits" "x^2 - 2" --digits 0)
@@ -48,6 +47,8 @@ expect_cli(2 stderr "missing value for --batch" --batch)
 expect_cli(2 stderr "missing value for --finder" "x^2 - 2" --finder)
 # Unknown options and mixed modes still diagnose cleanly.
 expect_cli(2 stderr "unknown option: --bogus" "x^2 - 2" --bogus)
+# A removed option is diagnosed like any unknown one.
+expect_cli(2 stderr "unknown option: --pieces" "x^2 - 2" --pieces 4)
 expect_cli(2 stderr "batch/serve mode" --serve "x^2 - 2")
 # Sanity: a well-formed invocation still succeeds.
 expect_cli(0 stdout "x_0 = " "x^2 - 2" --digits 12 --threads 2)

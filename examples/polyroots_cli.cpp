@@ -1,7 +1,7 @@
 // Command-line root finder.
 //
 //   $ example_polyroots_cli "x^3 - 2*x + 1" [--digits N] [--exact]
-//                           [--threads T] [--pieces P] [--stats]
+//                           [--threads T] [--stats]
 //   $ example_polyroots_cli --batch FILE [--digits N] [--threads T] [...]
 //   $ example_polyroots_cli --serve [--digits N] [--threads T] [...]
 //   $ example_polyroots_cli --calibrate [--quick] [--out FILE]
@@ -17,9 +17,7 @@
 // Single-shot mode parses the polynomial, finds all real roots, and
 // prints them as decimals (default), exact rational enclosures (--exact),
 // or with the per-phase instrumentation summary (--stats).  --threads
-// (alias --parallel) selects the task-parallel driver; --pieces shards
-// its interleaving tree into that many TreePieces (0 = one per thread)
-// and, with --stats, reports the per-piece task/steal/exec summary.
+// (alias --parallel) selects the task-parallel driver.
 //
 // --batch FILE routes one request line per file line ("-" = stdin)
 // through the RootService: duplicate lines collapse onto one computation,
@@ -59,8 +57,6 @@ void usage() {
       "  --exact       print exact rational enclosures ((k-1)/2^mu, k/2^mu]\n"
       "  --threads T   run the task-parallel driver with T threads\n"
       "                (--parallel T is accepted as an alias)\n"
-      "  --pieces P    shard the tree into P TreePieces (0 = one per\n"
-      "                thread; implies the parallel driver)\n"
       "  --finder F    isolation pipeline: \"paper\" (interleaving tree,\n"
       "                default) or \"radii\" (root-radii + Descartes + QIR;\n"
       "                accepts square-free inputs with complex roots)\n"
@@ -69,9 +65,8 @@ void usage() {
       "  --serve       read request lines from stdin, answer each\n"
       "                (service-backed: repeats hit the result cache)\n"
       "  --no-cache    disable the service result cache\n"
-      "  --stats       print the per-phase operation counters (plus the\n"
-      "                per-piece summary under the parallel driver, or\n"
-      "                the service counters in batch/serve mode)\n"
+      "  --stats       print the per-phase operation counters (or the\n"
+      "                service counters in batch/serve mode)\n"
       "  --calibrate   measure the dispatch crossovers on this host and\n"
       "                write a calibration profile (--out FILE overrides\n"
       "                $POLYROOTS_CALIBRATION, default\n"
@@ -80,8 +75,7 @@ void usage() {
       "examples:\n"
       "  example_polyroots_cli \"x^2 - 2\"\n"
       "  example_polyroots_cli \"x^3 - 6x^2 + 11x - 6\" --digits 40 --exact\n"
-      "  example_polyroots_cli \"x^4 - 10x^2 + 1\" --threads 4 --pieces 4 "
-      "--stats\n"
+      "  example_polyroots_cli \"x^4 - 10x^2 + 1\" --threads 4 --stats\n"
       "  example_polyroots_cli \"x^3 - 2\" --finder radii\n"
       "  example_polyroots_cli --batch requests.txt --threads 4 --stats\n";
 }
@@ -227,7 +221,6 @@ int main(int argc, char** argv) {
   const char* out_file = nullptr;
   const char* batch_file = nullptr;
   int threads = 0;
-  int pieces = -1;  // -1 = flag absent
   pr::FinderStrategy finder = pr::FinderStrategy::kPaper;
   const char* poly_text = nullptr;
 
@@ -258,9 +251,6 @@ int main(int argc, char** argv) {
       const char* flag = argv[i];
       threads = static_cast<int>(
           option_value(flag, option_arg(flag, argc, argv, i), 1, 1024));
-    } else if (std::strcmp(argv[i], "--pieces") == 0) {
-      pieces = static_cast<int>(option_value(
-          "--pieces", option_arg("--pieces", argc, argv, i), 0, 100000));
     } else if (argv[i][0] == '-' && argv[i][1] == '-') {
       std::cerr << "unknown option: " << argv[i] << "\n";
       usage();
@@ -273,7 +263,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (pieces >= 0 && threads <= 0) threads = 1;  // --pieces implies parallel
 
   // ---- calibration mode -------------------------------------------------
   if (calibrate) {
@@ -339,7 +328,6 @@ int main(int argc, char** argv) {
     pr::service::ServiceConfig scfg;
     scfg.finder = cfg;
     scfg.parallel.num_threads = threads > 0 ? threads : 1;
-    if (pieces >= 0) scfg.parallel.pieces.num_pieces = pieces;
     scfg.cache_enabled = !no_cache;
     pr::service::RootService service(scfg);
 
@@ -408,16 +396,11 @@ int main(int argc, char** argv) {
 
   pr::instr::reset_all();
   pr::RootReport report;
-  pr::ParallelRunResult prun;
-  bool ran_parallel = false;
   try {
     if (threads > 0) {
       pr::ParallelConfig pc;
       pc.num_threads = threads;
-      if (pieces >= 0) pc.pieces.num_pieces = pieces;
-      prun = pr::find_real_roots_parallel(p, cfg, pc);
-      report = prun.report;
-      ran_parallel = !prun.used_sequential_fallback;
+      report = pr::find_real_roots_parallel(p, cfg, pc).report;
     } else {
       report = pr::find_real_roots(p, cfg);
     }
@@ -449,15 +432,6 @@ int main(int argc, char** argv) {
   if (stats) {
     std::cout << "\n" << pr::instr::format(pr::instr::aggregate());
     print_kernel_stats();
-    if (ran_parallel) {
-      std::cout << "\npieces: " << prun.num_pieces
-                << "  (split level " << prun.split_level << ")\n"
-                << "steals: " << prun.pool.steals << "  cross-piece: "
-                << prun.pool.cross_piece_steals << "\n";
-      if (!prun.pool.pieces.empty()) {
-        std::cout << pr::instr::format_pieces(prun.pool.pieces);
-      }
-    }
   }
   return 0;
 }

@@ -8,12 +8,10 @@
 #include "core/scaled_point.hpp"
 #include "core/tree.hpp"
 #include "core/tree_builder.hpp"
-#include "core/tree_piece.hpp"
 #include "instr/phase.hpp"
 #include "isolate/isolate.hpp"
 #include "modular/modular_combine.hpp"
 #include "modular/modular_prs.hpp"
-#include "modular/ntt.hpp"
 #include "modular/tuning.hpp"
 #include "poly/bounds.hpp"
 #include "poly/remainder_sequence.hpp"
@@ -48,7 +46,7 @@ struct RunState {
   std::vector<std::vector<std::array<BigInt, 3>>> opstage;
 
   // Multimodular fast paths (see modular/): both engines expose split-phase
-  // APIs precisely so this driver can schedule their pieces as tasks.
+  // APIs precisely so this driver can schedule their stages as tasks.
   modular::ModularConfig modular;
   std::unique_ptr<modular::MultimodularPrs> mprs;
 
@@ -61,14 +59,6 @@ struct RunState {
     std::unique_ptr<modular::ModularCombine> mcombine;  // modular nodes only
   };
   std::vector<NodeScratch> scratch;
-
-  // TreePiece decomposition: the static node->piece assignment, the
-  // canopy's boundary mailboxes, and per-piece NTT table caches (index
-  // piece+1; index 0 serves the canopy's own combines) so pieces stop
-  // contending on the process-wide registry lock.
-  std::unique_ptr<TreePartition> partition;
-  std::unique_ptr<TreeCanopy> canopy;
-  std::vector<std::unique_ptr<modular::NttTableCache>> ntt_caches;
 
   explicit RunState(const Poly& p) : work(p), n(p.degree()), tree(p.degree()) {
     const auto un = static_cast<std::size_t>(n);
@@ -113,10 +103,8 @@ void finish_iteration(RunState& st, int i) {
 /// node's roots-marker (the final task).
 class GraphBuilder {
  public:
-  GraphBuilder(RunState& st, TaskGraph& g, const ParallelConfig& pc,
-               int piece_offset = 0, bool force_tags = false)
-      : st_(st), g_(g), pc_(pc), piece_offset_(piece_offset),
-        force_tags_(force_tags) {}
+  GraphBuilder(RunState& st, TaskGraph& g, const ParallelConfig& pc)
+      : st_(st), g_(g), pc_(pc) {}
 
   void build() {
     build_remainder_stage();
@@ -127,13 +115,6 @@ class GraphBuilder {
   RunState& st_;
   TaskGraph& g_;
   const ParallelConfig& pc_;
-  /// Shift applied to every piece tag, so co-staged trees sharing one
-  /// graph occupy disjoint piece-id ranges (distinct home workers).
-  int piece_offset_ = 0;
-  /// Tag tasks even at one effective piece: a lone tree suppresses the
-  /// tag to avoid pinning itself to a single worker, but co-scheduled
-  /// trees want exactly that affinity.
-  bool force_tags_ = false;
 
   int chunk_size() const { return std::max(1, pc_.grain_chunk); }
 
@@ -142,42 +123,9 @@ class GraphBuilder {
   // q_ready_[i] completes when Q_i, c_i, c_{i-1}, and the squared leading
   // coefficients for iteration i are valid, 1 <= i <= n-1.
   std::vector<TaskId> q_ready_;
-  // Per-tree-node completion tasks.  For piece roots the two "ready"
-  // tasks are the canopy-side kPieceRecv installs (the only way a piece
-  // result becomes visible above the boundary); poly_done_ is the
-  // piece-side publish the node's OWN root tasks hang off (they read
-  // node.poly, which never crosses the boundary).
+  // Per-tree-node completion tasks.
   std::vector<TaskId> t_ready_;      // polynomial (and T matrix) visible
   std::vector<TaskId> roots_ready_;  // roots vector visible
-  std::vector<TaskId> poly_done_;    // piece-side polynomial publish
-
-  /// Ownership tag for a node's tasks.  Tags are only worth their
-  /// affinity cost with >= 2 pieces: with one piece they would pin the
-  /// whole tree to worker 0 under the stealing policy.
-  std::int32_t node_piece(int idx) const {
-    const auto* part = st_.partition.get();
-    if (part == nullptr || (!force_tags_ && part->num_pieces() < 2)) return -1;
-    const int piece = part->piece_of(idx);
-    if (piece < 0) return -1;  // canopy stays untagged
-    return static_cast<std::int32_t>(piece_offset_ + piece);
-  }
-
-  /// Round-robin piece tag for stage-1 (pre-tree) task families.
-  std::int32_t stage1_piece(std::size_t i) const {
-    const auto* part = st_.partition.get();
-    if (part == nullptr || (!force_tags_ && part->num_pieces() < 2)) return -1;
-    return static_cast<std::int32_t>(piece_offset_) +
-           static_cast<std::int32_t>(i) %
-               static_cast<std::int32_t>(part->num_pieces());
-  }
-
-  /// NTT table cache for a node's combines (index 0 = canopy).
-  modular::NttTableCache* table_cache(int idx) const {
-    if (st_.ntt_caches.empty()) return nullptr;
-    const auto* part = st_.partition.get();
-    const int piece = part != nullptr ? part->piece_of(idx) : -1;
-    return st_.ntt_caches[static_cast<std::size_t>(piece + 1)].get();
-  }
 
   void make_quotient_task(int i) {
     RunState& st = st_;
@@ -213,20 +161,13 @@ class GraphBuilder {
     const int threads = std::max(1, pc_.num_threads);
 
     const auto waves =
-        st.modular.crt_wave_fanout != 0
-            ? st.modular.crt_wave_fanout
-            : modular::crt_wave_fanout_cap(modular::modular_tuning().crt,
-                                           threads);
+        modular::crt_wave_fanout_cap(modular::modular_tuning().crt, threads);
     const TaskId prep = g_.add(TaskKind::kModPrep, -1,
                                [&prs, waves] { prs.prepare_crt(waves); });
-    // The per-prime image (and CRT wave) tasks round-robin across the
-    // pieces: each piece's worker keeps revisiting the same residue
-    // classes, the pre-tree analogue of subtree ownership.
     for (std::size_t t = 0; t < prs.num_image_tasks(threads); ++t) {
       const TaskId img =
           g_.add(TaskKind::kPrimeImage, static_cast<std::int32_t>(t),
-                 [&prs, t, threads] { prs.run_image_batch(t, threads); },
-                 stage1_piece(t));
+                 [&prs, t, threads] { prs.run_image_batch(t, threads); });
       g_.add_edge(img, prep);
     }
     const TaskId publish = g_.add(TaskKind::kModPublish, -1, [&st] {
@@ -260,8 +201,7 @@ class GraphBuilder {
       for (std::size_t w = 0; w < waves; ++w) {
         const TaskId wt =
             g_.add(TaskKind::kModCrt, static_cast<std::int32_t>(w),
-                   [&prs, i, w] { prs.run_crt_wave(i, w); },
-                   stage1_piece(w));
+                   [&prs, i, w] { prs.run_crt_wave(i, w); });
         g_.add_edge(lp, wt);
         g_.add_edge(wt, fin);
       }
@@ -424,65 +364,8 @@ class GraphBuilder {
     const auto& order = st.tree.postorder();
     t_ready_.assign(st.tree.nodes().size(), -1);
     roots_ready_.assign(st.tree.nodes().size(), -1);
-    poly_done_.assign(st.tree.nodes().size(), -1);
-    for (int idx : order) {
-      build_node_poly_tasks(idx);
-      add_poly_boundary_tasks(idx);
-    }
-    for (int idx : order) {
-      build_node_root_tasks(idx);
-      add_roots_boundary_tasks(idx);
-    }
-  }
-
-  /// True when `idx` is a piece root whose results must cross to the
-  /// canopy (the tree root owns its results outright).
-  bool needs_boundary(int idx) const {
-    const auto* part = st_.partition.get();
-    return part != nullptr && part->is_piece_root(idx) &&
-           st_.tree.node(idx).parent >= 0;
-  }
-
-  /// kPieceSend/kPieceRecv pair moving the piece root's T matrix across
-  /// the boundary.  The send runs piece-side (tagged, so it stays on the
-  /// owning worker); the recv is canopy work.  Everything ABOVE the
-  /// boundary consumes t_ready_ = the recv; the node's own root tasks
-  /// keep consuming poly_done_ (node.poly stays piece-side).
-  void add_poly_boundary_tasks(int idx) {
-    if (!needs_boundary(idx)) return;
-    RunState& st = st_;
-    const int piece = st.partition->piece_of(idx);
-    const TaskId send = g_.add(
-        TaskKind::kPieceSend, idx,
-        [&st, idx, piece] {
-          send_poly_boundary(st.tree, idx, piece, st.canopy->inbox(piece));
-        },
-        node_piece(idx));
-    g_.add_edge(poly_done_[static_cast<std::size_t>(idx)], send);
-    const TaskId recv = g_.add(TaskKind::kPieceRecv, idx, [&st, idx, piece] {
-      recv_poly_boundary(st.tree, idx, st.canopy->inbox(piece));
-    });
-    g_.add_edge(send, recv);
-    t_ready_[static_cast<std::size_t>(idx)] = recv;
-  }
-
-  /// Same pair for the piece root's roots vector, after its roots marker.
-  void add_roots_boundary_tasks(int idx) {
-    if (!needs_boundary(idx)) return;
-    RunState& st = st_;
-    const int piece = st.partition->piece_of(idx);
-    const TaskId send = g_.add(
-        TaskKind::kPieceSend, idx,
-        [&st, idx, piece] {
-          send_roots_boundary(st.tree, idx, piece, st.canopy->inbox(piece));
-        },
-        node_piece(idx));
-    g_.add_edge(roots_ready_[static_cast<std::size_t>(idx)], send);
-    const TaskId recv = g_.add(TaskKind::kPieceRecv, idx, [&st, idx, piece] {
-      recv_roots_boundary(st.tree, idx, st.canopy->inbox(piece));
-    });
-    g_.add_edge(send, recv);
-    roots_ready_[static_cast<std::size_t>(idx)] = recv;
+    for (int idx : order) build_node_poly_tasks(idx);
+    for (int idx : order) build_node_root_tasks(idx);
   }
 
   /// Task completing when F_k and c_k are available; F_0/c_0 come from the
@@ -491,17 +374,11 @@ class GraphBuilder {
     return k <= 0 ? mark_[1] : mark_[static_cast<std::size_t>(std::max(k, 1))];
   }
 
-  void set_poly_tasks(int idx, TaskId publish) {
-    t_ready_[static_cast<std::size_t>(idx)] = publish;
-    poly_done_[static_cast<std::size_t>(idx)] = publish;
-  }
-
   void build_node_poly_tasks(int idx) {
     RunState& st = st_;
     Tree& tree = st.tree;
     TreeNode& nd = tree.node(idx);
     const int n = st.n;
-    const std::int32_t piece = node_piece(idx);
 
     if (nd.empty()) {
       const TaskId t = g_.add(TaskKind::kSetPoly, idx, [&st, idx] {
@@ -515,9 +392,9 @@ class GraphBuilder {
         node.t.e[1][0] = Poly{};
         node.t.e[1][1] = Poly::constant(sq);
         node.has_t = true;
-      }, piece);
+      });
       g_.add_edge(f_available(nd.i - 1), t);
-      set_poly_tasks(idx, t);
+      t_ready_[static_cast<std::size_t>(idx)] = t;
       return;
     }
     if (nd.spine(n)) {
@@ -526,9 +403,9 @@ class GraphBuilder {
         TreeNode& node = st.tree.node(idx);
         node.poly = st.rs.F[static_cast<std::size_t>(node.i - 1)];
         node.has_t = false;
-      }, piece);
+      });
       g_.add_edge(f_available(nd.i - 1), t);
-      set_poly_tasks(idx, t);
+      t_ready_[static_cast<std::size_t>(idx)] = t;
       return;
     }
     if (nd.leaf()) {
@@ -538,9 +415,9 @@ class GraphBuilder {
         node.t = t_leaf(st.rs, node.i);
         node.has_t = true;
         node.poly = node.t.at(1, 1);
-      }, piece);
+      });
       g_.add_edge(q_ready_[static_cast<std::size_t>(nd.i)], t);
-      set_poly_tasks(idx, t);
+      t_ready_[static_cast<std::size_t>(idx)] = t;
       return;
     }
 
@@ -566,7 +443,7 @@ class GraphBuilder {
           const PolyMat22& tl = st.tree.node(node.left).t;
           st.scratch[static_cast<std::size_t>(idx)].w.e[r][c] =
               PolyMat22::mul_entry(u, tl, r, c);
-        }, piece);
+        });
         g_.add_edge(left_ready, me1[r][c]);
         g_.add_edge(uk_ready, me1[r][c]);
       }
@@ -583,7 +460,7 @@ class GraphBuilder {
           const BigInt& cp = st.rs.c[static_cast<std::size_t>(k - 1)];
           node.t.e[r][c] = PolyMat22::mul_entry(tr, w, r, c)
                                .divexact_scalar(ck * ck * cp * cp);
-        }, piece);
+        });
         g_.add_edge(right_ready, me2[r][c]);
         g_.add_edge(me1[0][c], me2[r][c]);
         g_.add_edge(me1[1][c], me2[r][c]);
@@ -595,11 +472,11 @@ class GraphBuilder {
       node.poly = node.t.at(1, 1);
       check_internal(node.poly.degree() == node.length(),
                      "parallel COMPUTEPOLY: unexpected degree");
-    }, piece);
+    });
     for (int r = 0; r < 2; ++r) {
       for (int c = 0; c < 2; ++c) g_.add_edge(me2[r][c], publish);
     }
-    set_poly_tasks(idx, publish);
+    t_ready_[static_cast<std::size_t>(idx)] = publish;
   }
 
   /// Structural gate deciding at graph-build time (before any polynomial
@@ -630,17 +507,14 @@ class GraphBuilder {
   void build_modular_combine_tasks(int idx, int k, TaskId left_ready,
                                    TaskId right_ready, TaskId uk_ready) {
     RunState& st = st_;
-    const std::int32_t piece = node_piece(idx);
-    modular::NttTableCache* cache = table_cache(idx);
-    const TaskId prep = g_.add(TaskKind::kModPrep, idx, [&st, idx, k, cache] {
+    const TaskId prep = g_.add(TaskKind::kModPrep, idx, [&st, idx, k] {
       instr::PhaseScope phase(instr::Phase::kTreePoly);
       TreeNode& node = st.tree.node(idx);
-      auto mc = std::make_unique<modular::ModularCombine>(
-          st.tree.node(node.right).t, st.tree.node(node.left).t, st.rs, k,
-          st.modular);
-      mc->set_table_cache(cache);
-      st.scratch[static_cast<std::size_t>(idx)].mcombine = std::move(mc);
-    }, piece);
+      st.scratch[static_cast<std::size_t>(idx)].mcombine =
+          std::make_unique<modular::ModularCombine>(
+              st.tree.node(node.right).t, st.tree.node(node.left).t, st.rs, k,
+              st.modular);
+    });
     g_.add_edge(left_ready, prep);
     g_.add_edge(right_ready, prep);
     g_.add_edge(uk_ready, prep);
@@ -652,7 +526,7 @@ class GraphBuilder {
       const TaskId b = g_.add(TaskKind::kModBlock, idx, [&st, idx, w, width] {
         st.scratch[static_cast<std::size_t>(idx)].mcombine->run_images(
             static_cast<std::size_t>(w), static_cast<std::size_t>(width));
-      }, piece);
+      });
       g_.add_edge(prep, b);
       blocks.push_back(b);
     }
@@ -662,7 +536,7 @@ class GraphBuilder {
         entries[r][c] = g_.add(TaskKind::kModCrt, idx, [&st, idx, r, c] {
           st.scratch[static_cast<std::size_t>(idx)].mcombine
               ->reconstruct_entry(r, c);
-        }, piece);
+        });
         for (TaskId b : blocks) g_.add_edge(b, entries[r][c]);
       }
     }
@@ -681,24 +555,20 @@ class GraphBuilder {
       node.poly = node.t.at(1, 1);
       check_internal(node.poly.degree() == node.length(),
                      "modular COMPUTEPOLY: unexpected degree");
-    }, piece);
+    });
     for (int r = 0; r < 2; ++r) {
       for (int c = 0; c < 2; ++c) g_.add_edge(entries[r][c], publish);
     }
-    set_poly_tasks(idx, publish);
+    t_ready_[static_cast<std::size_t>(idx)] = publish;
   }
 
   void build_node_root_tasks(int idx) {
     RunState& st = st_;
     TreeNode& nd = st.tree.node(idx);
-    // The node's own root tasks read node.poly, which never leaves the
-    // piece -- they hang off the piece-side publish, NOT the boundary
-    // recv (a piece root's interval work must not wait for the canopy).
-    const TaskId poly_ready = poly_done_[static_cast<std::size_t>(idx)];
-    const std::int32_t piece = node_piece(idx);
+    const TaskId poly_ready = t_ready_[static_cast<std::size_t>(idx)];
 
     if (nd.empty()) {
-      const TaskId m = g_.add(TaskKind::kRootsMark, idx, {}, piece);
+      const TaskId m = g_.add(TaskKind::kRootsMark, idx, {});
       g_.add_edge(poly_ready, m);
       roots_ready_[static_cast<std::size_t>(idx)] = m;
       return;
@@ -708,7 +578,7 @@ class GraphBuilder {
         TreeNode& node = st.tree.node(idx);
         node.roots = {BigInt::cdiv(-(node.poly.coeff(0) << st.mu),
                                    node.poly.coeff(1))};
-      }, piece);
+      });
       g_.add_edge(poly_ready, t);
       roots_ready_[static_cast<std::size_t>(idx)] = t;
       return;
@@ -729,7 +599,7 @@ class GraphBuilder {
       for (auto& y : ys) sc.points.push_back(std::move(y));
       sc.points.push_back(st.bound_scaled);
       node.roots.assign(static_cast<std::size_t>(node.length()), BigInt());
-    }, piece);
+    });
     g_.add_edge(roots_ready_[static_cast<std::size_t>(nd.left)], sort);
     g_.add_edge(roots_ready_[static_cast<std::size_t>(nd.right)], sort);
 
@@ -745,13 +615,13 @@ class GraphBuilder {
         auto& sc = st.scratch[static_cast<std::size_t>(idx)];
         analyze_interleave_range(st.tree.node(idx).poly, sc.points, b, e,
                                  st.mu, sc.infos);
-      }, piece);
+      });
       g_.add_edge(sort, t);
       g_.add_edge(poly_ready, t);
       for (std::size_t j = b; j < e; ++j) prein[j] = t;
     }
 
-    const TaskId marker = g_.add(TaskKind::kRootsMark, idx, {}, piece);
+    const TaskId marker = g_.add(TaskKind::kRootsMark, idx, {});
     for (int i = 0; i < d; ++i) {
       const auto ui = static_cast<std::size_t>(i);
       const TaskId iv = g_.add(TaskKind::kInterval, idx, [&st, idx, i, ui] {
@@ -760,7 +630,7 @@ class GraphBuilder {
         node.roots[ui] = solve_one_interval(
             node.poly, i, sc.points[ui], sc.points[ui + 1], sc.infos[ui],
             sc.infos[ui + 1], st.mu, st.solver, &sc.stats[ui]);
-      }, piece);
+      });
       g_.add_edge(prein[ui], iv);
       if (prein[ui + 1] != prein[ui]) g_.add_edge(prein[ui + 1], iv);
       g_.add_edge(iv, marker);
@@ -786,20 +656,10 @@ struct StagedParallelRun::Impl {
 StagedParallelRun::StagedParallelRun() = default;
 StagedParallelRun::~StagedParallelRun() = default;
 
-int StagedParallelRun::num_pieces() const {
-  return impl_->state.partition->num_pieces();
-}
-
-int StagedParallelRun::split_level() const {
-  return impl_->state.partition->split_level();
-}
-
 std::unique_ptr<StagedParallelRun> stage_parallel_run(
     const Poly& p, const RootFinderConfig& config,
-    const ParallelConfig& parallel, TaskGraph& graph, int piece_tag_offset,
-    bool force_piece_tags) {
+    const ParallelConfig& parallel, TaskGraph& graph) {
   check_arg(parallel.grain_chunk >= 1, "stage_parallel_run: grain_chunk >= 1");
-  check_arg(piece_tag_offset >= 0, "stage_parallel_run: piece offset >= 0");
   const Poly work = p.primitive_part();
   check_arg(work.degree() >= 2,
             "stage_parallel_run: degree >= 2 (solve linear inputs directly)");
@@ -816,27 +676,6 @@ std::unique_ptr<StagedParallelRun> stage_parallel_run(
   impl.bound = root_bound_pow2(work);
   state.bound_scaled = BigInt::pow2(impl.bound + config.mu_bits);
 
-  // Resolve the TreePiece decomposition: 0 pieces = one per worker;
-  // explicit split levels are clamped to the tree's depth so a deep
-  // request on a shallow tree degrades instead of throwing.
-  {
-    check_arg(parallel.pieces.num_pieces >= 0,
-              "stage_parallel_run: num_pieces >= 0");
-    const int requested = parallel.pieces.num_pieces == 0
-                              ? std::max(1, parallel.num_threads)
-                              : parallel.pieces.num_pieces;
-    int level = parallel.pieces.split_level;
-    if (level >= state.tree.depth()) level = state.tree.depth() - 1;
-    state.partition =
-        std::make_unique<TreePartition>(state.tree, requested, level);
-    state.canopy = std::make_unique<TreeCanopy>(state.partition->num_pieces());
-    state.ntt_caches.resize(
-        static_cast<std::size_t>(state.partition->num_pieces()) + 1);
-    for (auto& c : state.ntt_caches) {
-      c = std::make_unique<modular::NttTableCache>();
-    }
-  }
-
   // Stage 1 goes multimodular only when both enabled and big enough; the
   // explicit sequential_remainder request keeps its one-task exact shape.
   if (state.modular.enabled && !parallel.sequential_remainder) {
@@ -844,8 +683,7 @@ std::unique_ptr<StagedParallelRun> stage_parallel_run(
     if (prs->worthwhile()) state.mprs = std::move(prs);
   }
 
-  GraphBuilder builder(state, graph, parallel, piece_tag_offset,
-                       force_piece_tags);
+  GraphBuilder builder(state, graph, parallel);
   builder.build();
   return run;
 }
@@ -854,10 +692,7 @@ RootReport finish_staged_run(StagedParallelRun& run) {
   StagedParallelRun::Impl& impl = *run.impl_;
   check_arg(!impl.finished, "finish_staged_run: already finished");
   impl.finished = true;
-  RunState& state = impl.state;
-  // Teardown invariant: every boundary message the pieces posted must
-  // have been consumed by a canopy recv task.
-  state.canopy->assert_drained();
+  const RunState& state = impl.state;
 
   RootReport report;
   report.mu = impl.mu;
@@ -892,8 +727,6 @@ ParallelRunResult find_real_roots_parallel(const Poly& p,
   TaskGraph graph;
   auto staged = stage_parallel_run(p, config, parallel, graph);
   graph.validate();
-  out.num_pieces = staged->num_pieces();
-  out.split_level = staged->split_level();
 
   TaskPool pool(parallel.num_threads, parallel.pool_policy);
   try {

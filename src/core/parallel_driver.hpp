@@ -21,7 +21,6 @@
 #include <memory>
 
 #include "core/root_finder.hpp"
-#include "core/tree_piece.hpp"
 #include "sched/task_pool.hpp"
 #include "sched/trace.hpp"
 
@@ -52,14 +51,6 @@ struct ParallelConfig {
   /// Section 3: "the implementation allows this stage to be executed
   /// sequentially, if so desired").
   bool sequential_remainder = false;
-  /// TreePiece decomposition (see core/tree_piece.hpp).  With more than
-  /// one piece, the tree below the split level is sharded into pieces
-  /// whose tasks carry ownership tags (piece-affine under the stealing
-  /// policy) and whose results cross to the canopy through boundary
-  /// messages; the per-prime image and CRT-wave tasks of the modular
-  /// stage 1 are round-robined across the pieces the same way.  Results
-  /// are bit-identical for every piece count.
-  PieceConfig pieces;
 };
 
 struct ParallelRunResult {
@@ -67,8 +58,6 @@ struct ParallelRunResult {
   TaskTrace trace;          ///< replayable DAG with per-task costs
   TaskPoolStats pool;
   bool used_sequential_fallback = false;  ///< repeated roots / non-normal
-  int num_pieces = 1;       ///< effective piece count of the run
-  int split_level = 0;      ///< effective split level of the run
 };
 
 /// Parallel equivalent of find_real_roots().  Inputs with repeated roots
@@ -90,17 +79,11 @@ class StagedParallelRun {
   StagedParallelRun& operator=(const StagedParallelRun&) = delete;
   ~StagedParallelRun();
 
-  /// Effective TreePiece count / split level of this run's tree (before
-  /// the stage-time piece-tag offset is applied).
-  int num_pieces() const;
-  int split_level() const;
-
  private:
   StagedParallelRun();
   friend std::unique_ptr<StagedParallelRun> stage_parallel_run(
       const Poly& p, const RootFinderConfig& config,
-      const ParallelConfig& parallel, TaskGraph& graph, int piece_tag_offset,
-      bool force_piece_tags);
+      const ParallelConfig& parallel, TaskGraph& graph);
   friend RootReport finish_staged_run(StagedParallelRun& run);
 
   struct Impl;
@@ -108,25 +91,16 @@ class StagedParallelRun {
 };
 
 /// Builds the full two-stage task graph for `p` into `graph` (which may
-/// already hold other runs' tasks).  Piece tags are shifted by
-/// `piece_tag_offset` so concurrent trees occupy disjoint piece-id ranges
-/// -- and therefore distinct home workers under the stealing policy.
-/// `force_piece_tags` tags tasks even when the tree has a single
-/// effective piece (a standalone run suppresses tags at one piece to
-/// avoid pinning the whole tree to worker 0; co-scheduled trees want the
-/// tag precisely for that affinity).  Preconditions: p.degree() >= 2
+/// already hold other runs' tasks).  Preconditions: p.degree() >= 2
 /// (callers solve the linear case directly, as find_real_roots does).
 /// A NonNormalSequence raised by the staged tasks (repeated roots,
 /// non-real roots) surfaces from TaskPool::run; the caller owns the
 /// sequential-fallback policy.
 std::unique_ptr<StagedParallelRun> stage_parallel_run(
     const Poly& p, const RootFinderConfig& config,
-    const ParallelConfig& parallel, TaskGraph& graph,
-    int piece_tag_offset = 0, bool force_piece_tags = false);
+    const ParallelConfig& parallel, TaskGraph& graph);
 
 /// Extracts the RootReport after the shared graph ran to completion.
-/// Also asserts every TreePiece boundary mailbox was drained (throws
-/// InternalError naming the piece otherwise).
 RootReport finish_staged_run(StagedParallelRun& run);
 
 }  // namespace pr

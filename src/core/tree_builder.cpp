@@ -131,44 +131,4 @@ void run_tree_sequential(Tree& tree, const RemainderSequence& rs,
   }
 }
 
-void run_tree_by_pieces(Tree& tree, const TreePartition& part,
-                        TreeCanopy& canopy, const RemainderSequence& rs,
-                        std::size_t mu, const BigInt& bound_scaled,
-                        const IntervalSolverConfig& config,
-                        IntervalStats* stats,
-                        const modular::ModularConfig* modular) {
-  check_arg(canopy.num_pieces() >= part.num_pieces(),
-            "run_tree_by_pieces: canopy too small for partition");
-  // Every piece runs to completion and hands its roots' results to the
-  // canopy through its mailbox -- the tree root (if it is a piece root)
-  // has no parent to hand anything to and keeps its state.
-  for (int piece = 0; piece < part.num_pieces(); ++piece) {
-    const auto& nodes = part.piece_nodes(piece);
-    for (int idx : nodes) compute_node_poly(tree, idx, rs, modular);
-    for (int idx : nodes) {
-      compute_node_roots(tree, idx, mu, bound_scaled, config, stats);
-    }
-    for (int idx : nodes) {
-      if (part.is_piece_root(idx) && tree.node(idx).parent >= 0) {
-        send_poly_boundary(tree, idx, piece, canopy.inbox(piece));
-        send_roots_boundary(tree, idx, piece, canopy.inbox(piece));
-      }
-    }
-  }
-  // Canopy: receive every boundary message, then run the shared top.
-  for (int idx : part.piece_roots()) {
-    const int piece = part.piece_of(idx);
-    if (tree.node(idx).parent < 0) continue;
-    recv_poly_boundary(tree, idx, canopy.inbox(piece));
-    recv_roots_boundary(tree, idx, canopy.inbox(piece));
-  }
-  for (int idx : part.canopy_nodes()) {
-    compute_node_poly(tree, idx, rs, modular);
-  }
-  for (int idx : part.canopy_nodes()) {
-    compute_node_roots(tree, idx, mu, bound_scaled, config, stats);
-  }
-  canopy.assert_drained();
-}
-
 }  // namespace pr

@@ -8,7 +8,6 @@
 #include "core/interval_solver.hpp"
 #include "core/interval_stage.hpp"
 #include "core/tree.hpp"
-#include "core/tree_piece.hpp"
 #include "modular/modular_config.hpp"
 #include "poly/remainder_sequence.hpp"
 
@@ -52,18 +51,5 @@ void run_tree_sequential(Tree& tree, const RemainderSequence& rs,
                          const IntervalSolverConfig& config,
                          IntervalStats* stats,
                          const modular::ModularConfig* modular = nullptr);
-
-/// Piece-ordered sequential driver: runs each TreePiece to completion
-/// (polynomials then roots over its postorder), posts every piece root's
-/// results to the canopy's mailboxes, then runs the canopy, receiving the
-/// boundary messages exactly where the parallel driver's kPieceRecv tasks
-/// would.  Bit-identical to run_tree_sequential for every partition --
-/// the reference the piece determinism tests compare against.
-void run_tree_by_pieces(Tree& tree, const TreePartition& part,
-                        TreeCanopy& canopy, const RemainderSequence& rs,
-                        std::size_t mu, const BigInt& bound_scaled,
-                        const IntervalSolverConfig& config,
-                        IntervalStats* stats,
-                        const modular::ModularConfig* modular = nullptr);
 
 }  // namespace pr

@@ -62,31 +62,4 @@ std::string format_workers(const std::vector<WorkerCounters>& workers) {
   return os.str();
 }
 
-PieceCounters& PieceCounters::operator+=(const PieceCounters& o) {
-  tasks += o.tasks;
-  stolen += o.stolen;
-  exec_seconds += o.exec_seconds;
-  return *this;
-}
-
-std::string format_pieces(const std::vector<PieceCounters>& pieces) {
-  TextTable table({-6, 9, 8, 11});
-  std::ostringstream os;
-  os << table.row({"piece", "tasks", "stolen", "exec-ms"}) << '\n'
-     << table.rule() << '\n';
-  PieceCounters total;
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    const auto& p = pieces[i];
-    total += p;
-    os << table.row({std::to_string(i), with_commas(p.tasks),
-                     with_commas(p.stolen), fixed_ms(p.exec_seconds)})
-       << '\n';
-  }
-  os << table.rule() << '\n'
-     << table.row({"total", with_commas(total.tasks),
-                   with_commas(total.stolen), fixed_ms(total.exec_seconds)})
-     << '\n';
-  return os.str();
-}
-
 }  // namespace pr::instr

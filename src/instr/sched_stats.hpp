@@ -42,20 +42,4 @@ WorkerCounters sum_workers(const std::vector<WorkerCounters>& workers);
 /// Renders the per-worker table plus a totals row.
 std::string format_workers(const std::vector<WorkerCounters>& workers);
 
-/// How one TreePiece's tasks fared across the run.  Unlike WorkerCounters
-/// these aggregate by *ownership* (which piece a task was tagged with),
-/// not by which worker happened to execute it, so they expose per-piece
-/// load imbalance and how often piece affinity was broken by a steal.
-struct PieceCounters {
-  std::size_t tasks = 0;        ///< tasks tagged with this piece
-  std::size_t stolen = 0;       ///< of those, executed via a steal
-  double exec_seconds = 0;      ///< total time inside this piece's tasks
-
-  PieceCounters& operator+=(const PieceCounters& o);
-};
-
-/// Renders the per-piece table plus a totals row.  Index 0 is piece 0;
-/// canopy (untagged) tasks are not included.
-std::string format_pieces(const std::vector<PieceCounters>& pieces);
-
 }  // namespace pr::instr

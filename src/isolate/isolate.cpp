@@ -91,7 +91,6 @@ BigInt cell_mu_approx(const Poly& stripped, const IsolatingCell& cell,
 
 void stage_cell_refinement(const IsolationRun& run,
                            const RootFinderConfig& config, TaskGraph& graph,
-                           int num_pieces, int piece_tag_offset,
                            std::vector<BigInt>& roots,
                            std::vector<QirStats>& stats) {
   const auto& cells = run.isolation.cells;
@@ -101,22 +100,14 @@ void stage_cell_refinement(const IsolationRun& run,
   const std::size_t mu = config.mu_bits;
   const QirConfig qir = config.isolate.qir;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    // Same pinning rule as the tree driver: tags are only worth their
-    // affinity with >= 2 pieces.
-    const std::int32_t piece =
-        num_pieces >= 2 ? static_cast<std::int32_t>(
-                              piece_tag_offset +
-                              static_cast<int>(i) % num_pieces)
-                        : -1;
     const IsolatingCell* cell = &cells[i];
     BigInt* root_out = &roots[i];
     QirStats* stat_out = &stats[i];
-    graph.add(
-        TaskKind::kRefine, static_cast<std::int32_t>(i),
-        [stripped, cell, mu, qir, root_out, stat_out] {
-          *root_out = cell_mu_approx(*stripped, *cell, mu, qir, stat_out);
-        },
-        piece);
+    graph.add(TaskKind::kRefine, static_cast<std::int32_t>(i),
+              [stripped, cell, mu, qir, root_out, stat_out] {
+                *root_out =
+                    cell_mu_approx(*stripped, *cell, mu, qir, stat_out);
+              });
   }
 }
 
@@ -190,15 +181,11 @@ ParallelRunResult find_real_roots_radii_parallel(
 
   // Isolation is inherently pre-parallel here (the cells are not known
   // until it finishes); the per-cell refinements are the parallel stage.
-  const int requested = parallel.pieces.num_pieces == 0
-                            ? std::max(1, parallel.num_threads)
-                            : parallel.pieces.num_pieces;
   const auto ncells = run.isolation.cells.size();
   std::vector<BigInt> roots(ncells);
   std::vector<QirStats> stats(ncells);
   TaskGraph graph;
-  stage_cell_refinement(run, config, graph, requested, 0, roots, stats);
-  out.num_pieces = requested;
+  stage_cell_refinement(run, config, graph, roots, stats);
 
   QirStats totals;
   if (!run.isolation.cells.empty()) {

@@ -6,8 +6,7 @@
 // squarefree decomposition), but without the all-real-roots requirement:
 // complex roots simply never produce cells.  Refinement of the isolated
 // cells is embarrassingly parallel, exposed as kRefine TaskGraph tasks so
-// the TaskPool, piece-affinity scheduling, and trace/simulator machinery
-// apply unchanged.
+// the TaskPool and trace/simulator machinery apply unchanged.
 #pragma once
 
 #include <cstddef>
@@ -44,15 +43,12 @@ BigInt cell_mu_approx(const Poly& stripped, const IsolatingCell& cell,
                       std::size_t mu, const QirConfig& config,
                       QirStats* stats);
 
-/// Stages one kRefine task per cell into `graph`.  Tasks are tagged
-/// round-robin with pieces [piece_tag_offset, piece_tag_offset +
-/// num_pieces) when num_pieces >= 2 (untagged otherwise, mirroring the
-/// tree driver's pinning rule).  `roots` and `stats` must be pre-sized to
-/// the cell count and outlive the graph's execution; entries are written
-/// positionally (cells are already sorted, so `roots` ends up sorted).
+/// Stages one kRefine task per cell into `graph`.  `roots` and `stats`
+/// must be pre-sized to the cell count and outlive the graph's execution;
+/// entries are written positionally (cells are already sorted, so `roots`
+/// ends up sorted).
 void stage_cell_refinement(const IsolationRun& run,
                            const RootFinderConfig& config, TaskGraph& graph,
-                           int num_pieces, int piece_tag_offset,
                            std::vector<BigInt>& roots,
                            std::vector<QirStats>& stats);
 

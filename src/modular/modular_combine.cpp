@@ -205,16 +205,12 @@ ModularCombine::ModularCombine(const PolyMat22& t_right,
   worthwhile_ = true;
 }
 
-NttTables& ModularCombine::tables_for(std::uint64_t p) {
-  return table_cache_ != nullptr ? table_cache_->for_prime(p)
-                                 : NttTables::for_prime(p);
-}
-
 void ModularCombine::run_image(std::size_t slot) {
   // The basis already built the field (Miller-Rabin per construction is
   // not free at hundreds of primes per combine).
   const PrimeField& f = basis_->field(slot);
-  if (use_ntt_combine_ && tables_for(f.prime()).max_size() >= ntt_size_) {
+  if (use_ntt_combine_ &&
+      NttTables::for_prime(f.prime()).max_size() >= ntt_size_) {
     // Every table prime supports 2^20-point transforms; the size check
     // only matters for forced test primes with small 2-adic order, which
     // fall through to the elementwise path below.
@@ -264,7 +260,7 @@ void ModularCombine::run_image(std::size_t slot) {
 
 void ModularCombine::run_image_ntt(std::size_t slot) {
   const PrimeField& f = basis_->field(slot);
-  NttTables& tables = tables_for(f.prime());
+  NttTables& tables = NttTables::for_prime(f.prime());
   const NttPlan& plan = tables.plan(ntt_size_);
   const std::size_t n = ntt_size_;
   LimbReducer red(f);

@@ -50,12 +50,6 @@ class ModularCombine {
 
   std::size_t num_primes() const { return primes_.size(); }
 
-  /// Routes NTT table lookups through a local cache instead of the
-  /// process-wide registry lock (see NttTableCache).  The cache must
-  /// outlive the combine; nullptr restores direct registry lookups.
-  /// Purely a contention change -- the tables are the same objects.
-  void set_table_cache(NttTableCache* cache) { table_cache_ = cache; }
-
   /// Computes the images for slots first, first+stride, first+2*stride, ...
   /// Distinct residue classes may run concurrently.
   void run_images(std::size_t first, std::size_t stride);
@@ -72,7 +66,6 @@ class ModularCombine {
   PolyMat22 take_result();
 
  private:
-  NttTables& tables_for(std::uint64_t p);
   void run_image(std::size_t slot);
   /// Fused frequency-domain image: one transform size N covers the whole
   /// chain T = R * (U * L) / s, so the twelve inputs are transformed once,
@@ -94,7 +87,6 @@ class ModularCombine {
   /// cyclic convolution is the linear one).
   bool use_ntt_combine_ = false;
   std::size_t ntt_size_ = 0;
-  NttTableCache* table_cache_ = nullptr;  ///< optional piece-local cache
 
   std::vector<std::uint64_t> primes_;
   /// s mod p per selected prime, Montgomery form -- a byproduct of the

@@ -65,13 +65,6 @@ struct ModularConfig {
   /// count.
   std::size_t crt_wave_min_work = 4096;
 
-  /// Explicit override for the per-level wave-task slot count.
-  /// 0 = auto: crt_wave_fanout_cap(modular_tuning().crt, threads) --
-  /// min(16, 2 * threads) at the compiled defaults, calibration can move
-  /// both factors.  The explicit knob remains the seam for piece-local
-  /// CRT waves and A/B runs.
-  std::size_t crt_wave_fanout = 0;
-
   /// After reconstruction, re-verify every image at one held-out prime
   /// (cost ~1/k of the total); a mismatch falls back to the exact path
   /// instead of surfacing a wrong result.

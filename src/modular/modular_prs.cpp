@@ -411,9 +411,7 @@ std::optional<RemainderSequence> compute_remainder_sequence_multimodular(
   // waves of one level overlap).
   TaskGraph g;
   const std::size_t waves =
-      cfg.crt_wave_fanout != 0
-          ? cfg.crt_wave_fanout
-          : crt_wave_fanout_cap(modular_tuning().crt, threads);
+      crt_wave_fanout_cap(modular_tuning().crt, threads);
   const TaskId prep = g.add(TaskKind::kModPrep, -1,
                             [&prs, waves] { prs.prepare_crt(waves); });
   for (std::size_t t = 0; t < prs.num_image_tasks(threads); ++t) {

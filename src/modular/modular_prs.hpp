@@ -32,8 +32,8 @@
 // look bad) or when the optional held-out-prime check fails.
 //
 // The slot API (run_image / prepare_crt / run_crt) exists so the parallel
-// driver can schedule each piece as a task; the one-call wrapper drives
-// the same pieces, on an internal pool when cfg.num_threads > 1.
+// driver can schedule each stage as a task; the one-call wrapper drives
+// the same stages, on an internal pool when cfg.num_threads > 1.
 #pragma once
 
 #include <atomic>

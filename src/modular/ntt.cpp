@@ -61,29 +61,6 @@ NttTables& NttTables::for_prime(std::uint64_t p) {
   return *slot;
 }
 
-NttTables& NttTableCache::for_prime(std::uint64_t p) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [prime, tables] : entries_) {
-      if (prime == p) return *tables;
-    }
-  }
-  // Miss: resolve against the registry OUTSIDE our own lock (the registry
-  // lock is the contended one; holding ours across it would chain them).
-  NttTables& tables = NttTables::for_prime(p);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [prime, cached] : entries_) {
-    if (prime == p) return *cached;  // raced with another hit-filler
-  }
-  entries_.emplace_back(p, &tables);
-  return tables;
-}
-
-std::size_t NttTableCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
 NttTables::NttTables(std::uint64_t p) : f_(PrimeField::trusted(p)) {
   check_arg(p > 2 && p < (1ull << 62),
             "NttTables: odd prime below 2^62 required");

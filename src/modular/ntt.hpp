@@ -86,28 +86,6 @@ class NttTables {
   std::vector<std::unique_ptr<NttPlan>> plans_;  // indexed by log2(n)
 };
 
-/// A local handle over the process-wide NttTables registry.
-///
-/// NttTables::for_prime serializes every caller on one global mutex; a
-/// TreePiece whose combines look tables up per prime per image would
-/// contend with every other piece on that lock.  Each piece instead owns
-/// one cache: the first lookup of a prime pays the registry lock, repeat
-/// lookups resolve against the piece-local list (its own mutex, so a
-/// piece's concurrent image blocks stay correct, but contention is
-/// confined within the piece).  Registry entries live for the process
-/// lifetime, so the cached pointers can never dangle.
-class NttTableCache {
- public:
-  /// Same contract as NttTables::for_prime, resolved locally when cached.
-  NttTables& for_prime(std::uint64_t p);
-  /// Distinct primes cached so far.
-  std::size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<std::pair<std::uint64_t, NttTables*>> entries_;
-};
-
 /// In-place forward/inverse transforms (natural order in and out).  `a`
 /// must hold exactly plan.n Montgomery residues of f; f must be the field
 /// the plan was built for.

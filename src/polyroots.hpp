@@ -33,7 +33,6 @@
 #include "core/scaled_point.hpp"              // IWYU pragma: export
 #include "core/tree.hpp"                      // IWYU pragma: export
 #include "core/tree_builder.hpp"              // IWYU pragma: export
-#include "core/tree_piece.hpp"                // IWYU pragma: export
 #include "gen/classic_polys.hpp"              // IWYU pragma: export
 #include "gen/hard_polys.hpp"                 // IWYU pragma: export
 #include "gen/matrix_polys.hpp"               // IWYU pragma: export

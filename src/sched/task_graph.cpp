@@ -36,20 +36,13 @@ const char* task_kind_name(TaskKind k) {
 }
 
 TaskId TaskGraph::add(TaskKind kind, std::int32_t tag,
-                      std::function<void()> fn, std::int32_t piece) {
+                      std::function<void()> fn) {
   Task t;
   t.fn = std::move(fn);
   t.kind = kind;
   t.tag = tag;
-  t.piece = piece;
   tasks_.push_back(std::move(t));
   return static_cast<TaskId>(tasks_.size() - 1);
-}
-
-std::int32_t TaskGraph::max_piece() const {
-  std::int32_t best = -1;
-  for (const auto& t : tasks_) best = std::max(best, t.piece);
-  return best;
 }
 
 void TaskGraph::add_edge(TaskId from, TaskId to) {

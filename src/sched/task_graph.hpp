@@ -40,8 +40,12 @@ enum class TaskKind : std::uint8_t {
   kModBlock,     ///< strided block of per-prime combine images
   kModCrt,       ///< reconstruct one chunk of coefficients by CRT
   kModPublish,   ///< finalize a multimodular result (or fall back to exact)
-  kPieceSend,    ///< package a TreePiece boundary result into a message
-  kPieceRecv,    ///< install a boundary message into the canopy's view
+  // Retired TreePiece boundary kinds: no graph builds them any more.
+  // They keep their slots because TaskTrace::save writes kinds as
+  // numbers (removing them would renumber kRefine and kGeneric in saved
+  // traces) and because callers may still name them in switches.
+  kPieceSend,
+  kPieceRecv,
   kRefine,       ///< refine one isolating cell (kRadii finder strategy)
   kGeneric,
 };
@@ -54,7 +58,6 @@ struct Task {
   std::function<void()> fn;       ///< the work (may be empty for markers)
   TaskKind kind = TaskKind::kGeneric;
   std::int32_t tag = -1;          ///< node index / iteration number
-  std::int32_t piece = -1;        ///< owning TreePiece (-1 = canopy/untagged)
   std::vector<TaskId> dependents; ///< edges out
   std::int32_t num_deps = 0;      ///< edges in (static count)
 
@@ -65,14 +68,7 @@ struct Task {
 class TaskGraph {
  public:
   /// Adds a task; returns its id.  fn may be empty (pure marker).
-  /// `piece` tags the task with its owning TreePiece; -1 means the task
-  /// belongs to no piece (canopy or pre-tree work) and is scheduled with
-  /// no affinity.
-  TaskId add(TaskKind kind, std::int32_t tag, std::function<void()> fn,
-             std::int32_t piece = -1);
-
-  /// Largest piece id tagged on any task, or -1 if no task is tagged.
-  std::int32_t max_piece() const;
+  TaskId add(TaskKind kind, std::int32_t tag, std::function<void()> fn);
 
   /// Declares that `to` cannot start before `from` completes.
   void add_edge(TaskId from, TaskId to);

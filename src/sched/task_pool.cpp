@@ -96,7 +96,7 @@ struct SharedState {
     wc.tasks += 1;
     wtimeline[static_cast<std::size_t>(self)].push_back(
         {id, self, seconds_between(epoch, start),
-         seconds_between(epoch, finish), t.piece});
+         seconds_between(epoch, finish)});
     tasks_run.fetch_add(1, std::memory_order_relaxed);
 
     batch.clear();
@@ -197,23 +197,11 @@ struct StealState : SharedState {
   std::atomic<int> idle_workers{0};
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> steals{0};
-  std::atomic<std::size_t> cross_piece_steals{0};
-  /// Per-piece count of tasks taken by a steal (indexed by piece id).
-  std::vector<std::atomic<std::size_t>> piece_stolen;
 
-  StealState(TaskGraph& g, int workers, std::int32_t num_pieces)
-      : SharedState(g, workers),
-        piece_stolen(static_cast<std::size_t>(std::max<std::int32_t>(
-            0, num_pieces))) {
+  StealState(TaskGraph& g, int workers) : SharedState(g, workers) {
     for (int i = 0; i < workers; ++i) {
       local.push_back(std::make_unique<Local>());
     }
-    for (auto& c : piece_stolen) c.store(0, std::memory_order_relaxed);
-  }
-
-  /// The worker that owns a piece's tasks.  Untagged tasks have no home.
-  int home_worker(std::int32_t piece) const {
-    return static_cast<int>(piece) % static_cast<int>(local.size());
   }
 
   bool try_pop_local(int self, TaskId& out, instr::WorkerCounters& wc) {
@@ -237,51 +225,22 @@ struct StealState : SharedState {
         lock.unlock();
         steals.fetch_add(1, std::memory_order_relaxed);
         wc.steals += 1;
-        // Piece-tagged tasks are always published to their home worker's
-        // deque, so a steal of a tagged task is by construction a
-        // cross-piece (affinity-breaking) transfer.
-        const std::int32_t piece = graph->task(out).piece;
-        if (piece >= 0) {
-          cross_piece_steals.fetch_add(1, std::memory_order_relaxed);
-          if (static_cast<std::size_t>(piece) < piece_stolen.size()) {
-            piece_stolen[static_cast<std::size_t>(piece)].fetch_add(
-                1, std::memory_order_relaxed);
-          }
-        }
         return true;
       }
     }
     return false;
   }
 
-  /// Appends ready tasks to one worker's deque under its lock.
-  void push_to(int target, const TaskId* first, std::size_t count,
-               instr::WorkerCounters& wc) {
-    auto& l = *local[static_cast<std::size_t>(target)];
-    auto lock = acquire(l.mutex, wc);
-    l.deque.insert(l.deque.end(), first, first + count);
-    wc.queue_high_water = std::max(wc.queue_high_water, l.deque.size());
-  }
-
-  /// Publishes a batch of ready tasks, routing each piece-tagged task to
-  /// its home worker's deque and untagged tasks to the publisher's own.
-  /// Consecutive tasks with the same destination are pushed under one
-  /// lock acquisition, preserving their relative order; then parked
-  /// workers are woken if there are any.
+  /// Publishes a batch of ready tasks onto the publisher's own deque
+  /// under one lock acquisition, then wakes parked workers if there are
+  /// any.
   void push_batch(int self, const std::vector<TaskId>& batch,
                   instr::WorkerCounters& wc) {
-    std::size_t i = 0;
-    while (i < batch.size()) {
-      const std::int32_t piece = graph->task(batch[i]).piece;
-      const int target = piece >= 0 ? home_worker(piece) : self;
-      std::size_t j = i + 1;
-      while (j < batch.size()) {
-        const std::int32_t p2 = graph->task(batch[j]).piece;
-        if ((p2 >= 0 ? home_worker(p2) : self) != target) break;
-        ++j;
-      }
-      push_to(target, batch.data() + i, j - i, wc);
-      i = j;
+    {
+      auto& l = *local[static_cast<std::size_t>(self)];
+      auto lock = acquire(l.mutex, wc);
+      l.deque.insert(l.deque.end(), batch.begin(), batch.end());
+      wc.queue_high_water = std::max(wc.queue_high_water, l.deque.size());
     }
     pushes.fetch_add(1, std::memory_order_seq_cst);
     if (idle_workers.load(std::memory_order_seq_cst) > 0) {
@@ -339,10 +298,8 @@ struct StealState : SharedState {
 };
 
 /// Merges per-worker timelines into completion order and fills the
-/// per-worker counter vector.  `num_pieces` sizes the per-piece
-/// aggregation (0 = no piece-tagged tasks, leaves stats.pieces empty).
-void collect_stats(SharedState& state, int workers, std::int32_t num_pieces,
-                   TaskPoolStats& stats) {
+/// per-worker counter vector.
+void collect_stats(SharedState& state, int workers, TaskPoolStats& stats) {
   stats.tasks_run = state.tasks_run.load(std::memory_order_relaxed);
   stats.workers = std::move(state.wstats);
   stats.timeline.workers = workers;
@@ -358,15 +315,6 @@ void collect_stats(SharedState& state, int workers, std::int32_t num_pieces,
               return a.finish != b.finish ? a.finish < b.finish
                                           : a.task < b.task;
             });
-  if (num_pieces > 0) {
-    stats.pieces.resize(static_cast<std::size_t>(num_pieces));
-    for (const auto& e : stats.timeline.entries) {
-      if (e.piece < 0 || e.piece >= num_pieces) continue;
-      auto& p = stats.pieces[static_cast<std::size_t>(e.piece)];
-      p.tasks += 1;
-      p.exec_seconds += e.finish - e.start;
-    }
-  }
 }
 
 }  // namespace
@@ -406,7 +354,6 @@ TaskPoolStats TaskPool::run(TaskGraph& graph) {
   // excluded from wall_seconds: it is graph bookkeeping, not scheduling,
   // and the speedup benches compare scheduler execution time only.
   Stopwatch setup_sw;
-  const std::int32_t num_pieces = graph.max_piece() + 1;
 
   if (policy_ == PoolPolicy::kCentralQueue) {
     CentralState state(graph, num_threads_);
@@ -427,27 +374,22 @@ TaskPoolStats TaskPool::run(TaskGraph& graph) {
     if (state.error) std::rethrow_exception(state.error);
     check_internal(state.tasks_run.load() == graph.size(),
                    "TaskPool: not every task ran");
-    collect_stats(state, num_threads_, num_pieces, stats);
+    collect_stats(state, num_threads_, stats);
     // Policy-dependent field: the central queue has no per-worker deques,
     // so nothing can ever be stolen -- the count is exactly 0 here and
     // meaningful only under kWorkStealing.
     stats.steals = 0;
-    stats.cross_piece_steals = 0;
   } else {
-    StealState state(graph, num_threads_, num_pieces);
+    StealState state(graph, num_threads_);
     {
-      // Piece-tagged initial tasks are seeded straight onto their home
-      // worker's deque; untagged ones round-robin for initial balance.
+      // Initial tasks round-robin across the deques for initial balance.
       int w = 0;
       for (TaskId id : graph.initial_tasks()) {
-        const std::int32_t piece = graph.task(id).piece;
-        const int target = piece >= 0 ? state.home_worker(piece) : w;
-        auto& l = *state.local[static_cast<std::size_t>(target)];
+        auto& l = *state.local[static_cast<std::size_t>(w)];
         l.deque.push_back(id);
-        auto& hw =
-            state.wstats[static_cast<std::size_t>(target)].queue_high_water;
+        auto& hw = state.wstats[static_cast<std::size_t>(w)].queue_high_water;
         hw = std::max(hw, l.deque.size());
-        if (piece < 0) w = (w + 1) % num_threads_;
+        w = (w + 1) % num_threads_;
       }
     }
     stats.setup_seconds = setup_sw.seconds();
@@ -465,14 +407,8 @@ TaskPoolStats TaskPool::run(TaskGraph& graph) {
     if (state.error) std::rethrow_exception(state.error);
     check_internal(state.tasks_run.load() == graph.size(),
                    "TaskPool: not every task ran");
-    collect_stats(state, num_threads_, num_pieces, stats);
+    collect_stats(state, num_threads_, stats);
     stats.steals = state.steals.load(std::memory_order_relaxed);
-    stats.cross_piece_steals =
-        state.cross_piece_steals.load(std::memory_order_relaxed);
-    for (std::size_t p = 0; p < stats.pieces.size(); ++p) {
-      stats.pieces[p].stolen =
-          state.piece_stolen[p].load(std::memory_order_relaxed);
-    }
   }
   return stats;
 }

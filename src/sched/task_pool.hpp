@@ -52,17 +52,8 @@ struct TaskPoolStats {
   /// only under PoolPolicy::kWorkStealing and always exactly 0 under the
   /// central queue, where no per-worker deque exists to steal from.
   std::size_t steals = 0;
-  /// Steals that crossed a TreePiece boundary: the stolen task was tagged
-  /// with a piece, so it sat on its home worker's deque and the thief
-  /// broke piece affinity to take it.  Untagged (canopy) tasks never
-  /// count.  Always 0 under the central queue.
-  std::size_t cross_piece_steals = 0;
   /// One entry per worker (worker 0 is the calling thread).
   std::vector<instr::WorkerCounters> workers;
-  /// One entry per piece id tagged in the graph (empty when the graph has
-  /// no piece-tagged tasks).  Aggregated by ownership, not by executing
-  /// worker; see instr::PieceCounters.
-  std::vector<instr::PieceCounters> pieces;
   /// Which worker ran which task, and when (seconds from the start of
   /// the execution phase).  Export to the trace layer / DES via
   /// calibrated_dispatch_overhead() (sim/des.hpp).
@@ -83,14 +74,6 @@ enum class PoolPolicy {
   /// Per-worker deques: a worker pushes ready tasks to its own deque,
   /// pops LIFO locally and steals FIFO from others when empty -- the
   /// modern alternative, included for the scheduling ablation.
-  ///
-  /// Piece affinity: a task tagged with a TreePiece (Task::piece >= 0) is
-  /// always published to its piece's home worker (piece % num_threads)
-  /// rather than the publisher's own deque, and piece-tagged initial
-  /// tasks are seeded the same way.  A piece's tasks therefore run on
-  /// their owning worker unless another worker runs dry and steals them
-  /// -- stealing is the only mechanism that crosses a piece boundary, and
-  /// every such crossing is counted in TaskPoolStats::cross_piece_steals.
   kWorkStealing,
 };
 

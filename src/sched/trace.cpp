@@ -140,10 +140,11 @@ TaskTrace TaskTrace::load(std::istream& is) {
   }
   const auto n = static_cast<std::size_t>(count);
 
+  // Append as we read: a header count is only a claim, and reserving it up
+  // front would let a few bytes of input demand gigabytes.
   TaskTrace tr;
-  tr.tasks.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    auto& t = tr.tasks[i];
+    auto& t = tr.tasks.emplace_back();
     std::istringstream ls(next_line(is, lineno, kWho));
     int kind = 0;
     long long ndeps = -1;
@@ -163,8 +164,8 @@ TaskTrace TaskTrace::load(std::istream& is) {
       malformed(kWho, lineno,
                 "negative dependent count " + std::to_string(ndeps));
     }
-    t.dependents.resize(static_cast<std::size_t>(ndeps));
-    for (auto& d : t.dependents) {
+    for (long long k = 0; k < ndeps; ++k) {
+      TaskId d = -1;
       if (!(ls >> d)) {
         malformed(kWho, lineno, "truncated dependent list");
       }
@@ -176,6 +177,7 @@ TaskTrace TaskTrace::load(std::istream& is) {
       if (static_cast<std::size_t>(d) == i) {
         malformed(kWho, lineno, "task depends on itself");
       }
+      t.dependents.push_back(d);
     }
     std::string rest;
     if (ls >> rest) {
@@ -225,7 +227,7 @@ void ExecutionTimeline::save(std::ostream& os) const {
   os.precision(9);
   for (const auto& e : entries) {
     os << e.task << ' ' << e.worker << ' ' << e.start << ' ' << e.finish
-       << ' ' << e.piece << '\n';
+       << '\n';
   }
 }
 
@@ -240,15 +242,13 @@ ExecutionTimeline ExecutionTimeline::load(std::istream& is) {
   }
   ExecutionTimeline tl;
   tl.workers = workers;
-  tl.entries.resize(static_cast<std::size_t>(count));
-  for (auto& e : tl.entries) {
+  for (long long i = 0; i < count; ++i) {
+    auto& e = tl.entries.emplace_back();
     std::istringstream ls(next_line(is, lineno, kWho));
     if (!(ls >> e.task >> e.worker >> e.start >> e.finish)) {
       malformed(kWho, lineno, "truncated entry (need task worker start "
                               "finish)");
     }
-    // Optional trailing piece id (absent in traces written before pieces).
-    if (!(ls >> e.piece)) e.piece = -1;
     if (e.task < 0) malformed(kWho, lineno, "negative task id");
     if (e.worker < 0 || e.worker >= workers) {
       malformed(kWho, lineno,

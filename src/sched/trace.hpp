@@ -45,7 +45,8 @@ struct TaskTrace {
   /// truncated lines, negative dependency counts, out-of-range or
   /// self-referential dependent ids, or dependency counts inconsistent
   /// with the listed edges -- throws InvalidArgument naming the offending
-  /// line.
+  /// line.  Tasks and dependents are appended as they are read, so memory
+  /// stays bounded by the input's length whatever counts it declares.
   static TaskTrace load(std::istream& is);
 
   /// Graphviz DOT rendering of the DAG (the paper's Fig. 3.2 dependency
@@ -61,7 +62,6 @@ struct TimelineEntry {
   std::int32_t worker = 0;
   double start = 0;
   double finish = 0;
-  std::int32_t piece = -1;  ///< owning TreePiece of the task (-1 = canopy)
 };
 
 /// Per-worker execution timeline of a real TaskPool run: which worker ran
@@ -82,11 +82,10 @@ struct ExecutionTimeline {
   /// Sum of task durations attributed to one worker.
   double busy_seconds_for(int worker) const;
 
-  /// Line-oriented serialization: "workers\n" then one
-  /// "task worker start finish piece" per line.  load() accepts lines
-  /// without the trailing piece field (older traces) and defaults it to
-  /// -1; otherwise it validates like TaskTrace::load and throws
-  /// InvalidArgument with line context.
+  /// Line-oriented serialization: a "workers entry-count" header, then
+  /// one "task worker start finish" line per entry.  load() validates
+  /// like TaskTrace::load, throws InvalidArgument with line context, and
+  /// likewise appends entries as it reads them.
   void save(std::ostream& os) const;
   static ExecutionTimeline load(std::istream& is);
 };

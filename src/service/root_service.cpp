@@ -402,9 +402,7 @@ std::vector<ServiceResult> RootService::run_batch(
   }
 
   // Phase 2: co-stage the cold trees in groups of max_batch_width onto
-  // one shared TaskGraph/TaskPool.  Piece tags are offset per tree (and
-  // forced for co-scheduled groups) so concurrent trees land on distinct
-  // TreePieces -- distinct home workers under the stealing policy.
+  // one shared TaskGraph/TaskPool.
   const std::size_t width = static_cast<std::size_t>(
       config_.max_batch_width < 1 ? 1 : config_.max_batch_width);
   for (std::size_t start = 0; start < cold.size(); start += width) {
@@ -413,15 +411,12 @@ std::vector<ServiceResult> RootService::run_batch(
     std::vector<std::unique_ptr<StagedParallelRun>> staged;
     bool shared_ok = true;
     try {
-      int piece_offset = 0;
       for (std::size_t i = 0; i < count; ++i) {
         Unit& u = *cold[start + i];
         RootFinderConfig cfg = config_.finder;
         cfg.mu_bits = u.req.mu_bits;
         staged.push_back(stage_parallel_run(u.req.canonical, cfg,
-                                            config_.parallel, graph,
-                                            piece_offset, count > 1));
-        piece_offset += staged.back()->num_pieces();
+                                            config_.parallel, graph));
       }
       graph.validate();
       TaskPool pool(config_.parallel.num_threads,

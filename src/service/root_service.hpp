@@ -10,9 +10,7 @@
 //       --> in-flight dedup (identical concurrent requests share one run)
 //       --> batched execution: every cache-missing tree of a batch is
 //           staged into ONE TaskGraph (core/parallel_driver's staged-run
-//           API) with offset TreePiece tags, so concurrent trees land on
-//           distinct pieces -- and therefore distinct home workers under
-//           the stealing policy -- and one TaskPool runs them all.
+//           API) and one TaskPool runs them all.
 //
 // Cache semantics (all results bit-identical to a per-call cold run):
 //   * full hit      -- same polynomial, same mu: the stored report.
@@ -49,9 +47,7 @@ struct ServiceConfig {
   /// Per-request solver settings; finder.mu_bits is the default precision
   /// for requests that do not specify their own.
   RootFinderConfig finder;
-  /// Shared-pool execution: thread count, queue policy, grain and
-  /// TreePiece decomposition (pieces per tree; batch staging offsets the
-  /// piece tags so co-scheduled trees stay disjoint).
+  /// Shared-pool execution: thread count, queue policy and grain.
   ParallelConfig parallel;
   bool cache_enabled = true;
   std::size_t cache_capacity = 1024;

@@ -516,12 +516,17 @@ TEST(ModularEndToEnd, RootReportsBitIdenticalAcrossThreads) {
     EXPECT_EQ(exact.roots, seq.roots) << "sequential, n=" << p.degree();
 
     ParallelConfig pc;
-    for (int threads : {1, 2, 8}) {
-      pc.num_threads = threads;
-      const auto par = find_real_roots_parallel(p, mod, pc);
-      EXPECT_FALSE(par.used_sequential_fallback) << "n=" << p.degree();
-      EXPECT_EQ(exact.roots, par.report.roots)
-          << "threads=" << threads << ", n=" << p.degree();
+    for (PoolPolicy policy :
+         {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
+      pc.pool_policy = policy;
+      for (int threads : {1, 2, 8}) {
+        pc.num_threads = threads;
+        const auto par = find_real_roots_parallel(p, mod, pc);
+        EXPECT_FALSE(par.used_sequential_fallback) << "n=" << p.degree();
+        EXPECT_EQ(exact.roots, par.report.roots)
+            << "threads=" << threads << ", n=" << p.degree() << ", policy="
+            << (policy == PoolPolicy::kCentralQueue ? "central" : "stealing");
+      }
     }
   }
 }

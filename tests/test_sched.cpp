@@ -381,6 +381,18 @@ TEST(Timeline, LoadRejectsMalformedInput) {
     std::stringstream ss("2 1\n0 0 2.0 1.0\n");  // finish before start
     EXPECT_THROW(ExecutionTimeline::load(ss), InvalidArgument);
   }
+  {
+    // A huge declared entry count must be rejected as truncated, not
+    // allocated up front (std::bad_alloc, or gigabytes before the error).
+    std::stringstream ss("2 100000000000000\n0 0 0.0 1.0\n");
+    try {
+      (void)ExecutionTimeline::load(ss);
+      FAIL() << "accepted a 10^14-entry header with one entry";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("line"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Trace, FromGraphAndBreakdown) {
@@ -535,6 +547,11 @@ TEST(Trace, LoadRejectsMalformedInput) {
   rejects("1\n1 99 0 0 0", "out-of-range task kind");
   rejects("1\n1 0 0 0", "truncated task record");
   rejects("1\n1 0 0 0 0 7", "trailing data on task record");
+  // Declared counts are claims, not allocation sizes: both must fail as
+  // truncated input instead of reserving memory for them.
+  rejects("100000000000000\n1 0 0 0 0", "10^14 task count");
+  rejects("2\n1 0 0 0 100000000000000 1\n1 0 0 1 0",
+          "10^14 dependent count");
   {
     // In-degree/edge mismatches are only detectable once the whole file is
     // read; the error names the inconsistent task instead of a line.

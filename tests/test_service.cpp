@@ -315,7 +315,11 @@ TEST(Service, ConcurrentIdenticalRequestsComputeOnce) {
 
 // --- service: batches -------------------------------------------------------
 
-TEST(Service, BatchReplayMatchesPerCallRuns) {
+// Co-staged run_batch trees share one TaskPool; both queueing policies
+// must leave every tree's report bit-identical to a per-call run.
+class ServicePolicies : public ::testing::TestWithParam<PoolPolicy> {};
+
+TEST_P(ServicePolicies, BatchReplayMatchesPerCallRuns) {
   // Mixed workload, >= 50% duplicates (the acceptance replay): results
   // must be positionally aligned and bit-identical to per-call runs.
   Prng rng(21);
@@ -327,7 +331,9 @@ TEST(Service, BatchReplayMatchesPerCallRuns) {
   for (int rep = 0; rep < 3; ++rep) {
     for (const auto& u : uniques) lines.push_back(u);
   }
-  RootService service(config_for(2, 40));
+  ServiceConfig cfg = config_for(4, 40);
+  cfg.parallel.pool_policy = GetParam();
+  RootService service(cfg);
   const auto results = service.run_batch(lines);
   ASSERT_EQ(results.size(), lines.size());
   RootFinderConfig cold_cfg;
@@ -344,6 +350,15 @@ TEST(Service, BatchReplayMatchesPerCallRuns) {
   EXPECT_GE(s.batch_runs, 1u);
   EXPECT_EQ(s.batch_staged, uniques.size());
 }
+
+INSTANTIATE_TEST_SUITE_P(BothPolicies, ServicePolicies,
+                         ::testing::Values(PoolPolicy::kCentralQueue,
+                                           PoolPolicy::kWorkStealing),
+                         [](const auto& param_info) {
+                           return param_info.param == PoolPolicy::kCentralQueue
+                                      ? std::string("Central")
+                                      : std::string("Stealing");
+                         });
 
 TEST(Service, BatchSplitsIntoWidthChunksAndRepeatsHit) {
   ServiceConfig cfg = config_for(4, 35);
