@@ -69,8 +69,8 @@ bool sequences_equal(const pr::RemainderSequence& a,
          a.c == b.c;
 }
 
-/// The tree-build stage in isolation: every T_{i,j} (and P_{i,j}) bottom-up,
-/// exactly as run_tree_sequential's first loop does.
+/// The tree-build stage in isolation: every T_{i,j} (and P_{i,j}) bottom-up
+/// in postorder, one compute_node_poly layer call per node.
 void build_tree_polys(const pr::Poly& p, const pr::RemainderSequence& rs,
                       const pr::modular::ModularConfig* modular) {
   pr::Tree tree(p.degree());

@@ -17,7 +17,8 @@
 // Single-shot mode parses the polynomial, finds all real roots, and
 // prints them as decimals (default), exact rational enclosures (--exact),
 // or with the per-phase instrumentation summary (--stats).  --threads
-// (alias --parallel) selects the task-parallel driver.
+// (alias --parallel) sets the task graph's thread count (default 1, where
+// the graph runs inline).
 //
 // --batch FILE routes one request line per file line ("-" = stdin)
 // through the RootService: duplicate lines collapse onto one computation,
@@ -55,7 +56,7 @@ void usage() {
       "       example_polyroots_cli --serve [options]\n"
       "  --digits N    output precision in decimal digits (default 20)\n"
       "  --exact       print exact rational enclosures ((k-1)/2^mu, k/2^mu]\n"
-      "  --threads T   run the task-parallel driver with T threads\n"
+      "  --threads T   run the task graph on T threads (default 1)\n"
       "                (--parallel T is accepted as an alias)\n"
       "  --finder F    isolation pipeline: \"paper\" (interleaving tree,\n"
       "                default) or \"radii\" (root-radii + Descartes + QIR;\n"
@@ -397,13 +398,9 @@ int main(int argc, char** argv) {
   pr::instr::reset_all();
   pr::RootReport report;
   try {
-    if (threads > 0) {
-      pr::ParallelConfig pc;
-      pc.num_threads = threads;
-      report = pr::find_real_roots_parallel(p, cfg, pc).report;
-    } else {
-      report = pr::find_real_roots(p, cfg);
-    }
+    pr::ParallelConfig pc;
+    pc.num_threads = threads > 0 ? threads : 1;
+    report = pr::find_real_roots_parallel(p, cfg, pc).report;
   } catch (const pr::Error& e) {
     std::cerr << "root finding failed: " << e.what() << "\n";
     return 1;

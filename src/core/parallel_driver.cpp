@@ -4,6 +4,7 @@
 #include <array>
 #include <memory>
 
+#include "baseline/sturm_finder.hpp"
 #include "core/interval_stage.hpp"
 #include "core/scaled_point.hpp"
 #include "core/tree.hpp"
@@ -15,16 +16,47 @@
 #include "modular/tuning.hpp"
 #include "poly/bounds.hpp"
 #include "poly/remainder_sequence.hpp"
+#include "poly/squarefree.hpp"
+#include "poly/sturm.hpp"
 #include "support/error.hpp"
 
 namespace pr {
 
 namespace {
 
-std::size_t ceil_log2_sz(std::size_t n) {
-  std::size_t b = 0;
-  while ((std::size_t{1} << b) < n) ++b;
-  return b;
+/// Strided per-prime image tasks per modular combine node.
+constexpr int kCombineImageTasks = 4;
+
+/// Raised by stage 1 when F_{i+1} vanishes: the input has repeated roots
+/// and the sequence is extended (Section 2.3).  A NonNormalSequence, so
+/// callers of stage_parallel_run see the documented type; the wrapper
+/// below tells it apart from a genuinely non-normal or non-real sequence.
+class ExtendedSequence : public NonNormalSequence {
+ public:
+  using NonNormalSequence::NonNormalSequence;
+};
+
+/// Sturm cross-check of a finished report (RootFinderConfig::validate):
+/// every root of the squarefree `work` is real and each group of equal
+/// values sits in a cell holding exactly that many roots.
+void validate_roots(const Poly& squarefree, const std::vector<BigInt>& roots,
+                    std::size_t mu) {
+  SturmChain chain(squarefree);
+  const int total = chain.distinct_real_roots();
+  check_internal(total == squarefree.degree(),
+                 "validate: input has non-real roots");
+  check_internal(static_cast<int>(roots.size()) == total,
+                 "validate: wrong number of roots returned");
+  std::size_t i = 0;
+  while (i < roots.size()) {
+    std::size_t jend = i + 1;
+    while (jend < roots.size() && roots[jend] == roots[i]) ++jend;
+    const BigInt lo = roots[i] - BigInt(1);
+    const int cnt = chain.count_half_open(lo, roots[i], mu);
+    check_internal(cnt == static_cast<int>(jend - i),
+                   "validate: cell does not contain its claimed roots");
+    i = jend;
+  }
 }
 
 /// All shared mutable state of one parallel run.  Every field is written
@@ -52,6 +84,8 @@ struct RunState {
 
   Tree tree;
   struct NodeScratch {
+    PolyMat22 u;                              // U_k (exact internal nodes)
+    BigInt s;                                 // c_k^2 c_{k-1}^2 (same)
     PolyMat22 w;                              // U_k * T_left
     std::vector<BigInt> points;               // sentinels + merged ys
     std::vector<InterleavePointInfo> infos;   // PREINTERVAL outputs
@@ -85,18 +119,31 @@ struct RunState {
 void finish_iteration(RunState& st, int i) {
   Poly next{std::move(st.fstage[static_cast<std::size_t>(i + 1)])};
   if (next.is_zero()) {
-    throw NonNormalSequence("repeated roots: F_" + std::to_string(i + 1) +
-                            " vanished");
+    throw ExtendedSequence("repeated roots: F_" + std::to_string(i + 1) +
+                           " vanished");
   }
   if (next.degree() != st.n - i - 1) {
-    throw NonNormalSequence("premature degree drop at F_" +
-                            std::to_string(i + 1));
+    // Same diagnostic as compute_remainder_sequence.
+    throw NonNormalSequence(
+        "remainder sequence is not normal (premature degree drop at F_" +
+        std::to_string(i + 1) + ": degree " + std::to_string(next.degree()) +
+        ", expected " + std::to_string(st.n - i - 1) + ")");
   }
   st.rs.c[static_cast<std::size_t>(i + 1)] = next.leading();
   st.rs.F[static_cast<std::size_t>(i + 1)] = std::move(next);
   if (i == st.n - 1 && real_root_count(st.rs) != st.n) {
     throw NonNormalSequence("input has non-real roots");
   }
+}
+
+/// Installs a whole stage-1 sequence computed by one task, with the same
+/// diagnostics finish_iteration raises one level at a time.
+void publish_sequence(RunState& st, RemainderSequence full) {
+  if (full.extended()) throw ExtendedSequence("repeated roots detected");
+  if (real_root_count(full) != st.n) {
+    throw NonNormalSequence("input has non-real roots");
+  }
+  st.rs = std::move(full);
 }
 
 /// Builds the whole task graph for one run.  Returns the id of the root
@@ -150,10 +197,9 @@ class GraphBuilder {
   /// fan out with no dependencies at all, a prep barrier builds the CRT
   /// basis, each reconstruction level chains prepare -> waves -> finish
   /// (levels sequential, the Garner dots within a level fanned out), and
-  /// one publish task installs the sequence (or recomputes exactly when
-  /// the engine declined -- the exact path owns the extended/non-normal
-  /// diagnostics, and its exceptions reach the caller's
-  /// sequential-fallback handler unchanged).
+  /// one publish task releases the engine and installs the sequence (or
+  /// recomputes exactly when the engine declined -- the exact path owns
+  /// the extended/non-normal diagnostics).
   void build_modular_remainder_stage() {
     RunState& st = st_;
     const int n = st.n;
@@ -172,23 +218,9 @@ class GraphBuilder {
     }
     const TaskId publish = g_.add(TaskKind::kModPublish, -1, [&st] {
       auto rs = st.mprs->finalize();
-      RemainderSequence full =
-          rs ? std::move(*rs) : compute_remainder_sequence(st.work);
-      if (full.extended()) {
-        throw NonNormalSequence("repeated roots detected");
-      }
-      if (real_root_count(full) != st.n) {
-        throw NonNormalSequence("input has non-real roots");
-      }
-      instr::PhaseScope phase(instr::Phase::kRemainder);
-      st.rs = std::move(full);
-      for (int i = 1; i <= st.n - 1; ++i) {
-        const auto ui = static_cast<std::size_t>(i);
-        st.q0[ui] = st.rs.Q[ui].coeff(0);
-        st.q1[ui] = st.rs.Q[ui].coeff(1);
-        st.ci_sq[ui] = st.rs.c[ui] * st.rs.c[ui];
-        st.cprev_sq[ui] = st.rs.c[ui - 1] * st.rs.c[ui - 1];
-      }
+      st.mprs.reset();
+      publish_sequence(st, rs ? std::move(*rs)
+                              : compute_remainder_sequence(st.work));
     });
     TaskId prev = prep;
     for (std::size_t l = 1; l <= prs.num_levels(); ++l) {
@@ -225,6 +257,18 @@ class GraphBuilder {
       return;
     }
 
+    if (pc_.sequential_remainder) {
+      // One task for the whole stage (the paper's run-time option).  It
+      // replaces all of st.rs, F_0 and F_1 included, so every tree task
+      // waits for it.
+      const TaskId all = g_.add(TaskKind::kCoeff, -1, [&st] {
+        publish_sequence(st, compute_remainder_sequence(st.work));
+      });
+      for (int k = 1; k <= n; ++k) mark_[static_cast<std::size_t>(k)] = all;
+      for (int i = 1; i <= n - 1; ++i) q_ready_[static_cast<std::size_t>(i)] = all;
+      return;
+    }
+
     const TaskId seed = g_.add(TaskKind::kSeed, 0, [&st] {
       instr::PhaseScope phase(instr::Phase::kRemainder);
       st.rs.F[0] = st.work;
@@ -233,31 +277,6 @@ class GraphBuilder {
       st.rs.c[1] = st.rs.F[1].leading();
     });
     mark_[1] = seed;
-
-    if (pc_.sequential_remainder) {
-      // One task for the whole stage (the paper's run-time option).
-      const TaskId all = g_.add(TaskKind::kCoeff, -1, [&st] {
-        const RemainderSequence full = compute_remainder_sequence(st.work);
-        if (full.extended()) {
-          throw NonNormalSequence("repeated roots detected");
-        }
-        if (real_root_count(full) != st.n) {
-          throw NonNormalSequence("input has non-real roots");
-        }
-        st.rs = full;
-        for (int i = 1; i <= st.n - 1; ++i) {
-          const auto ui = static_cast<std::size_t>(i);
-          st.q0[ui] = st.rs.Q[ui].coeff(0);
-          st.q1[ui] = st.rs.Q[ui].coeff(1);
-          st.ci_sq[ui] = st.rs.c[ui] * st.rs.c[ui];
-          st.cprev_sq[ui] = st.rs.c[ui - 1] * st.rs.c[ui - 1];
-        }
-      });
-      g_.add_edge(seed, all);
-      for (int k = 2; k <= n; ++k) mark_[static_cast<std::size_t>(k)] = all;
-      for (int i = 1; i <= n - 1; ++i) q_ready_[static_cast<std::size_t>(i)] = all;
-      return;
-    }
 
     for (int i = 1; i <= n - 1; ++i) {
       const auto ui = static_cast<std::size_t>(i);
@@ -346,9 +365,12 @@ class GraphBuilder {
             instr::PhaseScope phase(instr::Phase::kRemainder);
             const auto uidx = static_cast<std::size_t>(i);
             for (std::size_t uj = b; uj < e; ++uj) {
+              // f_{i,j-1} is zero for j == 0: no product, no addition
+              // (next_f_coeff counts the same operations).
               const auto& slots = st.opstage[uidx + 1][uj];
-              st.fstage[uidx + 1][uj] = BigInt::divexact(
-                  slots[0] + slots[1] - slots[2], st.cprev_sq[uidx]);
+              const BigInt num = uj > 0 ? slots[0] + slots[1] : slots[0];
+              st.fstage[uidx + 1][uj] =
+                  BigInt::divexact(num - slots[2], st.cprev_sq[uidx]);
             }
           });
           for (auto prod : prods) g_.add_edge(prod, comb);
@@ -421,45 +443,59 @@ class GraphBuilder {
       return;
     }
 
-    // Internal non-spine node: two matrix products, four entry tasks each
-    // (the paper's COMPUTEPOLY decomposition, Section 3.2).
+    // Internal non-spine node.  With modular arithmetic on, every such
+    // node gets the modular shape and ModularCombine::worthwhile() decides
+    // at run time, exactly as compute_node_poly does.
     const int k = nd.split;
     const TaskId left_ready = t_ready_[static_cast<std::size_t>(nd.left)];
     const TaskId right_ready = t_ready_[static_cast<std::size_t>(nd.right)];
     const TaskId uk_ready = q_ready_[static_cast<std::size_t>(k)];
-
-    if (modular_combine_gate(nd)) {
+    if (st.modular.enabled) {
       build_modular_combine_tasks(idx, k, left_ready, right_ready, uk_ready);
-      return;
+    } else {
+      build_exact_combine_tasks(idx, k, left_ready, right_ready, uk_ready);
     }
+  }
+
+  /// Exact COMPUTEPOLY (Section 3.2): a prep task forms U_k and
+  /// s = c_k^2 c_{k-1}^2 once, two matrix products run as four entry tasks
+  /// each, and the publish task divides by s -- the work of t_combine,
+  /// split across tasks.
+  void build_exact_combine_tasks(int idx, int k, TaskId left_ready,
+                                 TaskId right_ready, TaskId uk_ready) {
+    RunState& st = st_;
+    const TaskId prep = g_.add(TaskKind::kSetPoly, idx, [&st, idx, k] {
+      instr::PhaseScope phase(instr::Phase::kTreePoly);
+      auto& sc = st.scratch[static_cast<std::size_t>(idx)];
+      const BigInt& ck = st.rs.c[static_cast<std::size_t>(k)];
+      const BigInt& cp = st.rs.c[static_cast<std::size_t>(k - 1)];
+      sc.u = u_matrix(st.rs, k);
+      sc.s = ck * ck * cp * cp;
+    });
+    g_.add_edge(uk_ready, prep);
 
     TaskId me1[2][2];
     for (int r = 0; r < 2; ++r) {
       for (int c = 0; c < 2; ++c) {
-        me1[r][c] = g_.add(TaskKind::kMatEntry1, idx, [&st, idx, k, r, c] {
+        me1[r][c] = g_.add(TaskKind::kMatEntry1, idx, [&st, idx, r, c] {
           instr::PhaseScope phase(instr::Phase::kTreePoly);
-          TreeNode& node = st.tree.node(idx);
-          const PolyMat22 u = u_matrix(st.rs, k);
-          const PolyMat22& tl = st.tree.node(node.left).t;
-          st.scratch[static_cast<std::size_t>(idx)].w.e[r][c] =
-              PolyMat22::mul_entry(u, tl, r, c);
+          auto& sc = st.scratch[static_cast<std::size_t>(idx)];
+          const PolyMat22& tl = st.tree.node(st.tree.node(idx).left).t;
+          sc.w.e[r][c] = PolyMat22::mul_entry(sc.u, tl, r, c);
         });
         g_.add_edge(left_ready, me1[r][c]);
-        g_.add_edge(uk_ready, me1[r][c]);
+        g_.add_edge(prep, me1[r][c]);
       }
     }
     TaskId me2[2][2];
     for (int r = 0; r < 2; ++r) {
       for (int c = 0; c < 2; ++c) {
-        me2[r][c] = g_.add(TaskKind::kMatEntry2, idx, [&st, idx, k, r, c] {
+        me2[r][c] = g_.add(TaskKind::kMatEntry2, idx, [&st, idx, r, c] {
           instr::PhaseScope phase(instr::Phase::kTreePoly);
           TreeNode& node = st.tree.node(idx);
           const PolyMat22& tr = st.tree.node(node.right).t;
           const PolyMat22& w = st.scratch[static_cast<std::size_t>(idx)].w;
-          const BigInt& ck = st.rs.c[static_cast<std::size_t>(k)];
-          const BigInt& cp = st.rs.c[static_cast<std::size_t>(k - 1)];
-          node.t.e[r][c] = PolyMat22::mul_entry(tr, w, r, c)
-                               .divexact_scalar(ck * ck * cp * cp);
+          node.t.e[r][c] = PolyMat22::mul_entry(tr, w, r, c);
         });
         g_.add_edge(right_ready, me2[r][c]);
         g_.add_edge(me1[0][c], me2[r][c]);
@@ -467,7 +503,13 @@ class GraphBuilder {
       }
     }
     const TaskId publish = g_.add(TaskKind::kSetPoly, idx, [&st, idx] {
+      instr::PhaseScope phase(instr::Phase::kTreePoly);
       TreeNode& node = st.tree.node(idx);
+      auto& sc = st.scratch[static_cast<std::size_t>(idx)];
+      node.t = node.t.divexact_scalar(sc.s);
+      sc.u = PolyMat22{};
+      sc.w = PolyMat22{};
+      sc.s = BigInt();
       node.has_t = true;
       node.poly = node.t.at(1, 1);
       check_internal(node.poly.degree() == node.length(),
@@ -479,31 +521,11 @@ class GraphBuilder {
     t_ready_[static_cast<std::size_t>(idx)] = publish;
   }
 
-  /// Structural gate deciding at graph-build time (before any polynomial
-  /// exists) whether an internal node gets the modular combine task shape.
-  /// Deliberately coarse: coefficient bits of T_{i,j} entries grow like
-  /// length * bits(F_0), so estimate (len+2) * beta / 2 with beta =
-  /// 2*||F_0|| + 3*ceil(log2 n) + 2 and compare against min_combine_bits.
-  /// The prep task re-decides with the *exact* bound (worthwhile()); a
-  /// node that passes here but fails there just runs its no-op modular
-  /// tasks and combines exactly in the publish task.
-  bool modular_combine_gate(const TreeNode& nd) const {
-    const RunState& st = st_;
-    if (!st.modular.enabled) return false;
-    const int width = std::max(1, st.modular.tree_task_width);
-    if (nd.length() < 2 * width) return false;
-    const std::size_t beta =
-        2 * st.work.max_coeff_bits() +
-        3 * ceil_log2_sz(static_cast<std::size_t>(st.n) + 1) + 2;
-    const std::size_t estimate =
-        (static_cast<std::size_t>(nd.length()) + 2) * beta / 2;
-    return estimate >= st.modular.min_combine_bits;
-  }
-
-  /// Modular COMPUTEPOLY: prep (select primes from the exact bound) ->
-  /// width strided image-block tasks -> four per-entry CRT tasks ->
-  /// publish.  Every stage no-ops when prep found the combine not
-  /// worthwhile; publish then falls back to the exact t_combine inline.
+  /// Modular COMPUTEPOLY: prep (bound and prime selection) -> strided
+  /// image-block tasks -> one reconstruction task, which builds the CRT
+  /// basis and frees it with the image rows before returning -> publish.
+  /// Every modular stage no-ops when prep found the combine not
+  /// worthwhile; publish then runs the exact t_combine inline.
   void build_modular_combine_tasks(int idx, int k, TaskId left_ready,
                                    TaskId right_ready, TaskId uk_ready) {
     RunState& st = st_;
@@ -519,46 +541,33 @@ class GraphBuilder {
     g_.add_edge(right_ready, prep);
     g_.add_edge(uk_ready, prep);
 
-    const int width = std::max(1, st.modular.tree_task_width);
-    std::vector<TaskId> blocks;
-    blocks.reserve(static_cast<std::size_t>(width));
-    for (int w = 0; w < width; ++w) {
-      const TaskId b = g_.add(TaskKind::kModBlock, idx, [&st, idx, w, width] {
+    const TaskId crt = g_.add(TaskKind::kModCrt, idx, [&st, idx] {
+      st.scratch[static_cast<std::size_t>(idx)].mcombine->reconstruct();
+    });
+    for (int w = 0; w < kCombineImageTasks; ++w) {
+      const TaskId b = g_.add(TaskKind::kModBlock, idx, [&st, idx, w] {
+        instr::PhaseScope phase(instr::Phase::kTreePoly);
         st.scratch[static_cast<std::size_t>(idx)].mcombine->run_images(
-            static_cast<std::size_t>(w), static_cast<std::size_t>(width));
+            static_cast<std::size_t>(w), kCombineImageTasks);
       });
       g_.add_edge(prep, b);
-      blocks.push_back(b);
-    }
-    TaskId entries[2][2];
-    for (int r = 0; r < 2; ++r) {
-      for (int c = 0; c < 2; ++c) {
-        entries[r][c] = g_.add(TaskKind::kModCrt, idx, [&st, idx, r, c] {
-          st.scratch[static_cast<std::size_t>(idx)].mcombine
-              ->reconstruct_entry(r, c);
-        });
-        for (TaskId b : blocks) g_.add_edge(b, entries[r][c]);
-      }
+      g_.add_edge(b, crt);
     }
     const TaskId publish = g_.add(TaskKind::kModPublish, idx, [&st, idx, k] {
+      instr::PhaseScope phase(instr::Phase::kTreePoly);
       TreeNode& node = st.tree.node(idx);
       auto& sc = st.scratch[static_cast<std::size_t>(idx)];
-      if (sc.mcombine->worthwhile()) {
-        node.t = sc.mcombine->take_result();
-      } else {
-        instr::PhaseScope phase(instr::Phase::kTreePoly);
-        node.t = t_combine(st.tree.node(node.right).t,
-                           st.tree.node(node.left).t, st.rs, k);
-      }
+      node.t = sc.mcombine->worthwhile()
+                   ? sc.mcombine->take_result()
+                   : t_combine(st.tree.node(node.right).t,
+                               st.tree.node(node.left).t, st.rs, k);
       sc.mcombine.reset();
       node.has_t = true;
       node.poly = node.t.at(1, 1);
       check_internal(node.poly.degree() == node.length(),
                      "modular COMPUTEPOLY: unexpected degree");
     });
-    for (int r = 0; r < 2; ++r) {
-      for (int c = 0; c < 2; ++c) g_.add_edge(entries[r][c], publish);
-    }
+    g_.add_edge(crt, publish);
     t_ready_[static_cast<std::size_t>(idx)] = publish;
   }
 
@@ -639,18 +648,75 @@ class GraphBuilder {
   }
 };
 
-}  // namespace
-
-/// All of one staged run's mutable state plus the report metadata that is
-/// fixed at stage time.
-struct StagedParallelRun::Impl {
+/// One run staged into a graph: all of its mutable state plus the report
+/// metadata fixed at stage time.  Tasks hold references into it, so it
+/// must stay in place until the graph has run.
+struct StagedRun {
   RunState state;
-  std::size_t mu = 0;
   std::size_t bound = 0;
   int degree = 0;  // of the original (pre-primitive-part) input
-  bool finished = false;
+  bool validate = false;
 
-  explicit Impl(const Poly& work) : state(work) {}
+  /// Stages `work` (primitive, degree >= 2) into `graph`.
+  StagedRun(const Poly& work, int input_degree, const RootFinderConfig& config,
+            const ParallelConfig& parallel, TaskGraph& graph)
+      : state(work),
+        bound(root_bound_pow2(work)),
+        degree(input_degree),
+        validate(config.validate) {
+    state.mu = config.mu_bits;
+    state.solver = config.solver;
+    state.modular = config.modular;
+    state.bound_scaled = BigInt::pow2(bound + config.mu_bits);
+    // Stage 1 goes multimodular only when both enabled and big enough;
+    // the explicit sequential_remainder request keeps its one-task exact
+    // shape.
+    if (state.modular.enabled && !parallel.sequential_remainder) {
+      auto prs =
+          std::make_unique<modular::MultimodularPrs>(work, state.modular);
+      if (prs->worthwhile()) state.mprs = std::move(prs);
+    }
+    GraphBuilder(state, graph, parallel).build();
+  }
+
+  /// The report, once the graph ran to completion.
+  RootReport report() const {
+    RootReport r;
+    r.mu = state.mu;
+    r.degree = degree;
+    r.distinct_roots = state.work.degree();
+    r.bound_pow2 = bound;
+    r.roots = state.tree.node(state.tree.root_index()).roots;
+    r.multiplicities.assign(r.roots.size(), 1);
+    for (const auto& sc : state.scratch) {
+      for (const auto& st : sc.stats) r.stats += st;
+    }
+    if (validate) validate_roots(state.work, r.roots, state.mu);
+    return r;
+  }
+};
+
+/// Stages `work` (primitive, degree >= 2) into a fresh graph and runs it
+/// on a pool of parallel.num_threads workers; TaskPool(1) executes inline
+/// on the caller.
+ParallelRunResult run_graph(const Poly& work, const RootFinderConfig& config,
+                            const ParallelConfig& parallel) {
+  TaskGraph graph;
+  StagedRun staged(work, work.degree(), config, parallel, graph);
+  graph.validate();
+  TaskPool pool(parallel.num_threads, parallel.pool_policy);
+  ParallelRunResult out;
+  out.pool = pool.run(graph);
+  out.report = staged.report();
+  out.trace = TaskTrace::from_graph(graph);
+  return out;
+}
+
+}  // namespace
+
+struct StagedParallelRun::Impl : StagedRun {
+  using StagedRun::StagedRun;
+  bool finished = false;
 };
 
 StagedParallelRun::StagedParallelRun() = default;
@@ -663,28 +729,9 @@ std::unique_ptr<StagedParallelRun> stage_parallel_run(
   const Poly work = p.primitive_part();
   check_arg(work.degree() >= 2,
             "stage_parallel_run: degree >= 2 (solve linear inputs directly)");
-
   auto run = std::unique_ptr<StagedParallelRun>(new StagedParallelRun());
-  run->impl_ = std::make_unique<StagedParallelRun::Impl>(work);
-  StagedParallelRun::Impl& impl = *run->impl_;
-  RunState& state = impl.state;
-  impl.mu = config.mu_bits;
-  impl.degree = p.degree();
-  state.mu = config.mu_bits;
-  state.solver = config.solver;
-  state.modular = config.modular;
-  impl.bound = root_bound_pow2(work);
-  state.bound_scaled = BigInt::pow2(impl.bound + config.mu_bits);
-
-  // Stage 1 goes multimodular only when both enabled and big enough; the
-  // explicit sequential_remainder request keeps its one-task exact shape.
-  if (state.modular.enabled && !parallel.sequential_remainder) {
-    auto prs = std::make_unique<modular::MultimodularPrs>(work, state.modular);
-    if (prs->worthwhile()) state.mprs = std::move(prs);
-  }
-
-  GraphBuilder builder(state, graph, parallel);
-  builder.build();
+  run->impl_ = std::make_unique<StagedParallelRun::Impl>(
+      work, p.degree(), config, parallel, graph);
   return run;
 }
 
@@ -692,19 +739,7 @@ RootReport finish_staged_run(StagedParallelRun& run) {
   StagedParallelRun::Impl& impl = *run.impl_;
   check_arg(!impl.finished, "finish_staged_run: already finished");
   impl.finished = true;
-  const RunState& state = impl.state;
-
-  RootReport report;
-  report.mu = impl.mu;
-  report.degree = impl.degree;
-  report.distinct_roots = state.work.degree();
-  report.bound_pow2 = impl.bound;
-  report.roots = state.tree.node(state.tree.root_index()).roots;
-  report.multiplicities.assign(report.roots.size(), 1);
-  for (const auto& sc : state.scratch) {
-    for (const auto& s : sc.stats) report.stats += s;
-  }
-  return report;
+  return impl.report();
 }
 
 ParallelRunResult find_real_roots_parallel(const Poly& p,
@@ -716,31 +751,64 @@ ParallelRunResult find_real_roots_parallel(const Poly& p,
   if (config.strategy == FinderStrategy::kRadii) {
     return isolate::find_real_roots_radii_parallel(p, config, parallel);
   }
+  const std::size_t mu = config.mu_bits;
   ParallelRunResult out;
 
-  if (p.primitive_part().degree() == 1) {
-    out.report = find_real_roots(p, config);
-    out.used_sequential_fallback = true;
-    return out;
-  }
-
-  TaskGraph graph;
-  auto staged = stage_parallel_run(p, config, parallel, graph);
-  graph.validate();
-
-  TaskPool pool(parallel.num_threads, parallel.pool_policy);
+  // Work on the primitive part; scaling by a positive rational constant
+  // changes no root.  Repeated roots are detected by the remainder
+  // sequence itself (it terminates early, Section 2.3); only then is a
+  // squarefree decomposition paid for: the graph reruns on the squarefree
+  // part (see DESIGN.md for why this realizes the paper's extended-
+  // sequence stage) and the factors give the multiplicities.
+  Poly work = p.primitive_part();
+  std::vector<SquarefreeFactor> factors;
+  bool reduced = false;
+  const auto reduce_to_squarefree = [&] {
+    factors = squarefree_decompose(work);
+    work = squarefree_part(work);
+    reduced = true;
+  };
+  bool from_graph = false;
   try {
-    out.pool = pool.run(graph);
+    while (work.degree() >= 2 && !from_graph) {
+      try {
+        out = run_graph(work, config, parallel);
+        from_graph = true;
+      } catch (const ExtendedSequence&) {
+        check_internal(!reduced,
+                       "squarefree input yielded an extended sequence");
+        reduce_to_squarefree();
+      }
+    }
+    if (!from_graph) {
+      // A linear input or squarefree part: one exact ceiling division.
+      out.report.roots = {BigInt::cdiv(-(work.coeff(0) << mu), work.coeff(1))};
+    }
   } catch (const NonNormalSequence&) {
-    // Repeated roots or a non-normal sequence: the sequential driver owns
-    // the squarefree/fallback logic.
-    out.report = find_real_roots(p, config);
-    out.used_sequential_fallback = true;
-    return out;
+    // A non-normal sequence or non-real roots: the tree algorithm does not
+    // apply, so the Sturm baseline answers (when allowed).
+    if (!config.allow_sturm_fallback) throw;
+    if (!reduced) reduce_to_squarefree();
+    out.report.used_sturm_fallback = true;
+    out.report.roots =
+        sturm_find_roots(work, mu, config.solver, &out.report.stats);
   }
-
-  out.report = finish_staged_run(*staged);
-  out.trace = TaskTrace::from_graph(graph);
+  out.used_sequential_fallback = !from_graph;
+  if (!from_graph) {
+    // StagedRun::report fills these in for graph runs.
+    out.report.mu = mu;
+    out.report.bound_pow2 = root_bound_pow2(work);
+    out.report.distinct_roots = work.degree();
+    if (config.validate) validate_roots(work, out.report.roots, mu);
+  }
+  out.report.degree = p.degree();
+  out.report.squarefree_reduced = reduced;
+  if (reduced) {
+    out.report.multiplicities =
+        detail::assign_multiplicities(out.report.roots, mu, factors);
+  } else {
+    out.report.multiplicities.assign(out.report.roots.size(), 1);
+  }
   return out;
 }
 

@@ -1,4 +1,4 @@
-// The task-parallel driver (Section 3 of the paper).
+// The root-finding pipeline as one task graph (Section 3 of the paper).
 //
 // Builds one task graph covering both stages of the algorithm --
 //   stage 1: the remainder/quotient sequence, parallelized across the
@@ -10,12 +10,20 @@
 //            (one task per root), with the dependency structure of
 //            Fig. 3.2 --
 // and executes it on a dynamic central-queue TaskPool with any number of
-// worker threads.  The execution also records a TaskTrace with
-// deterministic per-task costs, which the discrete-event simulator
-// (src/sim/) replays under arbitrary simulated processor counts.
+// worker threads; at one thread the pool runs it inline on the caller,
+// which is all find_real_roots does.  The execution also records a
+// TaskTrace with deterministic per-task costs, which the discrete-event
+// simulator (src/sim/) replays under arbitrary simulated processor counts.
 //
-// Results are bit-identical to the sequential driver for every thread
-// count: each task is a pure function of its dependencies' outputs.
+// find_real_roots_parallel wraps the graph with what lies outside the
+// paper's path: the primitive part, the linear case, the squarefree
+// reduction when stage 1 finds an extended sequence (the squarefree part
+// then runs on the graph), the Sturm fallback for non-normal or non-real
+// sequences, multiplicities, and RootFinderConfig::validate.
+//
+// Results and per-phase operation counts are identical for every thread
+// count, policy and grain: each task is a pure function of its
+// dependencies' outputs.
 #pragma once
 
 #include <memory>
@@ -56,13 +64,16 @@ struct ParallelConfig {
 struct ParallelRunResult {
   RootReport report;
   TaskTrace trace;          ///< replayable DAG with per-task costs
-  TaskPoolStats pool;
-  bool used_sequential_fallback = false;  ///< repeated roots / non-normal
+  TaskPoolStats pool;       ///< the execution that produced `trace`
+  /// True when no task graph produced this report: a linear input or
+  /// squarefree part, or the Sturm fallback.  `trace` is then empty.
+  bool used_sequential_fallback = false;
 };
 
-/// Parallel equivalent of find_real_roots().  Inputs with repeated roots
-/// or a non-normal remainder sequence are delegated to the sequential
-/// driver (the trace is then empty).
+/// Finds all real roots of p on parallel.num_threads workers.  Inputs
+/// with repeated roots run their squarefree part on the graph (the trace
+/// and pool stats describe that run); non-normal or non-real sequences
+/// take the Sturm fallback.  find_real_roots() is this at one thread.
 ParallelRunResult find_real_roots_parallel(const Poly& p,
                                            const RootFinderConfig& config,
                                            const ParallelConfig& parallel);
@@ -95,12 +106,14 @@ class StagedParallelRun {
 /// (callers solve the linear case directly, as find_real_roots does).
 /// A NonNormalSequence raised by the staged tasks (repeated roots,
 /// non-real roots) surfaces from TaskPool::run; the caller owns the
-/// sequential-fallback policy.
+/// squarefree and fallback policy (find_real_roots_parallel is the
+/// caller that implements it).
 std::unique_ptr<StagedParallelRun> stage_parallel_run(
     const Poly& p, const RootFinderConfig& config,
     const ParallelConfig& parallel, TaskGraph& graph);
 
-/// Extracts the RootReport after the shared graph ran to completion.
+/// Extracts the RootReport after the shared graph ran to completion, and
+/// runs the Sturm cross-check when config.validate was set.
 RootReport finish_staged_run(StagedParallelRun& run);
 
 }  // namespace pr

@@ -1,18 +1,8 @@
 #include "core/root_finder.hpp"
 
-#include <cmath>
-
-#include "baseline/sturm_finder.hpp"
+#include "core/parallel_driver.hpp"
 #include "core/scaled_point.hpp"
-#include "core/tree.hpp"
-#include "isolate/isolate.hpp"
-#include "core/tree_builder.hpp"
-#include "modular/modular_prs.hpp"
-#include "poly/bounds.hpp"
-#include "poly/remainder_sequence.hpp"
-#include "poly/squarefree.hpp"
 #include "poly/sturm.hpp"
-#include "support/error.hpp"
 
 namespace pr {
 
@@ -60,134 +50,8 @@ std::vector<unsigned> assign_multiplicities(
 
 }  // namespace detail
 
-namespace {
-
-void validate_roots(const Poly& squarefree, const std::vector<BigInt>& roots,
-                    std::size_t mu) {
-  SturmChain chain(squarefree);
-  const int total = chain.distinct_real_roots();
-  check_internal(total == squarefree.degree(),
-                 "validate: input has non-real roots");
-  check_internal(static_cast<int>(roots.size()) == total,
-                 "validate: wrong number of roots returned");
-  // Consecutive equal values share a cell; the cell must contain exactly
-  // that many roots.
-  std::size_t i = 0;
-  while (i < roots.size()) {
-    std::size_t jend = i + 1;
-    while (jend < roots.size() && roots[jend] == roots[i]) ++jend;
-    const BigInt lo = roots[i] - BigInt(1);
-    const int cnt = chain.count_half_open(lo, roots[i], mu);
-    check_internal(cnt == static_cast<int>(jend - i),
-                   "validate: cell does not contain its claimed roots");
-    i = jend;
-  }
-}
-
-}  // namespace
-
 RootReport RealRootFinder::find(const Poly& p) const {
-  check_arg(p.degree() >= 1, "RealRootFinder: degree must be >= 1");
-  if (config_.strategy == FinderStrategy::kRadii) {
-    return isolate::find_real_roots_radii(p, config_);
-  }
-  RootReport report;
-  report.mu = config_.mu_bits;
-  report.degree = p.degree();
-
-  // Work on the primitive part; scaling by a positive rational constant
-  // changes no root.
-  Poly work = p.primitive_part();
-
-  // Repeated roots are detected *by the remainder sequence itself* (the
-  // sequence terminates early, Section 2.3); only then do we pay for a
-  // squarefree decomposition, reduce to the squarefree part (see DESIGN.md
-  // for why this realizes the paper's extended-sequence stage) and keep
-  // the factor structure for multiplicity reporting.
-  std::vector<SquarefreeFactor> factors;
-  bool reduced = false;
-  bool fell_back = false;
-
-  const auto run_tree = [&](const Poly& q,
-                            const RemainderSequence& rs) {
-    Tree tree(q.degree());
-    const BigInt bound_scaled =
-        BigInt::pow2(report.bound_pow2 + config_.mu_bits);
-    run_tree_sequential(tree, rs, config_.mu_bits, bound_scaled,
-                        config_.solver, &report.stats, &config_.modular);
-    report.roots = tree.node(tree.root_index()).roots;
-  };
-  // The multimodular path never guesses: nullopt (too small, repeated
-  // roots, any irregularity) falls through to the exact computation, which
-  // also owns the extended-sequence and NonNormalSequence diagnostics.
-  const auto compute_rs = [&](const Poly& q) {
-    if (config_.modular.enabled) {
-      auto rs = modular::compute_remainder_sequence_multimodular(
-          q, config_.modular);
-      if (rs) return std::move(*rs);
-    }
-    return compute_remainder_sequence(q);
-  };
-  const auto reduce_to_squarefree = [&] {
-    factors = squarefree_decompose(work);
-    reduced = true;
-    work = squarefree_part(work);
-  };
-
-  if (work.degree() == 1) {
-    report.bound_pow2 = root_bound_pow2(work);
-    report.roots = {BigInt::cdiv(-(work.coeff(0) << config_.mu_bits),
-                                 work.coeff(1))};
-  } else {
-    try {
-      RemainderSequence rs = compute_rs(work);
-      if (rs.extended()) {
-        reduce_to_squarefree();
-        if (work.degree() == 1) {
-          report.bound_pow2 = root_bound_pow2(work);
-          report.roots = {BigInt::cdiv(-(work.coeff(0) << config_.mu_bits),
-                                       work.coeff(1))};
-          rs.F.clear();
-        } else {
-          rs = compute_rs(work);
-          check_internal(!rs.extended(),
-                         "squarefree input yielded an extended sequence");
-        }
-      }
-      if (report.roots.empty() && work.degree() >= 2) {
-        // The sequence doubles as a Sturm chain: reject inputs with
-        // complex roots before the tree stage, whose case analysis
-        // assumes every root real.
-        if (real_root_count(rs) != work.degree()) {
-          throw NonNormalSequence("input has non-real roots");
-        }
-        report.bound_pow2 = root_bound_pow2(work);
-        run_tree(work, rs);
-      }
-    } catch (const NonNormalSequence&) {
-      if (!config_.allow_sturm_fallback) throw;
-      fell_back = true;
-      if (!reduced) reduce_to_squarefree();
-      report.bound_pow2 = root_bound_pow2(work);
-      report.roots = sturm_find_roots(work, config_.mu_bits, config_.solver,
-                                      &report.stats);
-    }
-  }
-  report.squarefree_reduced = reduced;
-  report.used_sturm_fallback = fell_back;
-  report.distinct_roots = work.degree();
-
-  if (reduced) {
-    report.multiplicities =
-        detail::assign_multiplicities(report.roots, config_.mu_bits, factors);
-  } else {
-    report.multiplicities.assign(report.roots.size(), 1);
-  }
-
-  if (config_.validate) {
-    validate_roots(work, report.roots, config_.mu_bits);
-  }
-  return report;
+  return find_real_roots_parallel(p, config_, ParallelConfig{}).report;
 }
 
 RootReport find_real_roots(const Poly& p, RootFinderConfig config) {

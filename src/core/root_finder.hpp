@@ -6,6 +6,10 @@
 // Tiwari).  Repeated roots are reduced away by squarefree decomposition
 // and reported through per-root multiplicities; inputs whose remainder
 // sequence is not normal fall back to the Sturm baseline (configurable).
+//
+// There is one implementation: find_real_roots is find_real_roots_parallel
+// (core/parallel_driver.hpp) at one thread, whose task graph then runs
+// inline on the caller.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +39,8 @@ struct RootFinderConfig {
   /// baseline instead of throwing NonNormalSequence.
   bool allow_sturm_fallback = true;
   /// Cross-checks every returned cell against a Sturm count (expensive;
-  /// for tests and debugging).
+  /// for tests and debugging).  Applies to every entry point, including
+  /// RootService::run_batch's co-staged runs.
   bool validate = false;
   /// Multimodular fast paths (remainder sequence + tree combines); off by
   /// default, bit-identical results when enabled.
@@ -65,10 +70,10 @@ class RealRootFinder {
  public:
   explicit RealRootFinder(RootFinderConfig config = {}) : config_(config) {}
 
-  /// Finds all real roots of p.  Preconditions: p is non-constant and all
-  /// its roots are real (checked via a Sturm count when validate is on;
-  /// otherwise a violation surfaces as an exception from the internal
-  /// consistency checks).
+  /// Finds all real roots of p: find_real_roots_parallel at one thread.
+  /// Preconditions: p is non-constant and all its roots are real (checked
+  /// via a Sturm count when validate is on; otherwise a violation surfaces
+  /// as an exception from the internal consistency checks).
   RootReport find(const Poly& p) const;
 
   const RootFinderConfig& config() const { return config_; }

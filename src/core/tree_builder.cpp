@@ -118,17 +118,4 @@ void compute_node_roots(Tree& tree, int idx, std::size_t mu,
                                   stats);
 }
 
-void run_tree_sequential(Tree& tree, const RemainderSequence& rs,
-                         std::size_t mu, const BigInt& bound_scaled,
-                         const IntervalSolverConfig& config,
-                         IntervalStats* stats,
-                         const modular::ModularConfig* modular) {
-  for (int idx : tree.postorder()) {
-    compute_node_poly(tree, idx, rs, modular);
-  }
-  for (int idx : tree.postorder()) {
-    compute_node_roots(tree, idx, mu, bound_scaled, config, stats);
-  }
-}
-
 }  // namespace pr

@@ -1,8 +1,10 @@
 // Bottom-up computation of the tree polynomials (Sections 2.1 and 3.2) and
-// of the per-node root approximations.
+// of the per-node root approximations, one node at a time.
 //
-// These are the single units of work the parallel driver schedules as
-// tasks; the sequential driver simply runs them in postorder.
+// The task graph (core/parallel_driver) schedules the same steps split
+// into finer tasks; these one-node forms are the public layer calls a
+// caller replays in postorder to attribute time per layer outside the
+// graph (e2ebench, the tests' independent reference).
 #pragma once
 
 #include "core/interval_solver.hpp"
@@ -42,14 +44,5 @@ void compute_node_roots(Tree& tree, int idx, std::size_t mu,
                         const BigInt& bound_scaled,
                         const IntervalSolverConfig& config,
                         IntervalStats* stats);
-
-/// Sequential driver: computes every polynomial and every root vector in
-/// postorder; afterwards tree.node(tree.root_index()).roots holds the
-/// mu-approximations of the roots of F_0.
-void run_tree_sequential(Tree& tree, const RemainderSequence& rs,
-                         std::size_t mu, const BigInt& bound_scaled,
-                         const IntervalSolverConfig& config,
-                         IntervalStats* stats,
-                         const modular::ModularConfig* modular = nullptr);
 
 }  // namespace pr

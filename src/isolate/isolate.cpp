@@ -145,26 +145,6 @@ RootReport assemble_report(const IsolationRun& run,
   return report;
 }
 
-RootReport find_real_roots_radii(const Poly& p,
-                                 const RootFinderConfig& config) {
-  IsolationRun run = prepare_isolation(p, config);
-  std::vector<BigInt> roots;
-  QirStats totals;
-  if (run.work.degree() == 1) {
-    roots.push_back(linear_root(run.work, config.mu_bits));
-  } else {
-    roots.reserve(run.isolation.cells.size());
-    for (const auto& cell : run.isolation.cells) {
-      QirStats st;
-      roots.push_back(cell_mu_approx(run.isolation.stripped, cell,
-                                     config.mu_bits, config.isolate.qir,
-                                     &st));
-      totals += st;
-    }
-  }
-  return assemble_report(run, config, std::move(roots), totals);
-}
-
 ParallelRunResult find_real_roots_radii_parallel(
     const Poly& p, const RootFinderConfig& config,
     const ParallelConfig& parallel) {

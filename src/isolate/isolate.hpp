@@ -58,13 +58,9 @@ RootReport assemble_report(const IsolationRun& run,
                            const RootFinderConfig& config,
                            std::vector<BigInt> roots, const QirStats& qir);
 
-/// Sequential kRadii pipeline (RealRootFinder::find dispatches here).
-RootReport find_real_roots_radii(const Poly& p,
-                                 const RootFinderConfig& config);
-
-/// Parallel kRadii pipeline (find_real_roots_parallel dispatches here):
-/// sequential isolation, then the cell refinements run on a TaskPool.
-/// Bit-identical to the sequential pipeline for every thread count.
+/// The kRadii pipeline (find_real_roots_parallel dispatches here, and so
+/// find_real_roots at one thread): sequential isolation, then the cell
+/// refinements run on a TaskPool.  Bit-identical for every thread count.
 ParallelRunResult find_real_roots_radii_parallel(
     const Poly& p, const RootFinderConfig& config,
     const ParallelConfig& parallel);

@@ -195,20 +195,20 @@ ModularCombine::ModularCombine(const PolyMat22& t_right,
     if (f.is_zero(cki) || f.is_zero(cpi)) continue;
     have_bits += static_cast<std::size_t>(std::bit_width(p)) - 1;
     primes_.push_back(p);
+    fields_.push_back(f);
     s_imgs_.push_back(f.mul(f.mul(cki, cki), f.mul(cpi, cpi)));
   }
   if (primes_.size() < 3) return;
 
-  basis_ = std::make_unique<CrtBasis>(primes_);
   rows_.resize(primes_.size());
   instr::on_modular_primes(primes_.size());
   worthwhile_ = true;
 }
 
 void ModularCombine::run_image(std::size_t slot) {
-  // The basis already built the field (Miller-Rabin per construction is
-  // not free at hundreds of primes per combine).
-  const PrimeField& f = basis_->field(slot);
+  // The selection screen already built the field (Miller-Rabin per
+  // construction is not free at hundreds of primes per combine).
+  const PrimeField& f = fields_[slot];
   if (use_ntt_combine_ &&
       NttTables::for_prime(f.prime()).max_size() >= ntt_size_) {
     // Every table prime supports 2^20-point transforms; the size check
@@ -259,7 +259,7 @@ void ModularCombine::run_image(std::size_t slot) {
 }
 
 void ModularCombine::run_image_ntt(std::size_t slot) {
-  const PrimeField& f = basis_->field(slot);
+  const PrimeField& f = fields_[slot];
   NttTables& tables = NttTables::for_prime(f.prime());
   const NttPlan& plan = tables.plan(ntt_size_);
   const std::size_t n = ntt_size_;
@@ -328,9 +328,7 @@ void ModularCombine::run_images(std::size_t first, std::size_t stride) {
   for (std::size_t s = first; s < primes_.size(); s += stride) run_image(s);
 }
 
-void ModularCombine::reconstruct_entry(int r, int c) {
-  if (!worthwhile_) return;
-  instr::PhaseScope phase(instr::Phase::kTreePoly);
+void ModularCombine::reconstruct_entry(const CrtBasis& basis, int r, int c) {
   const std::size_t k = primes_.size();
   const auto idx = static_cast<std::size_t>(2 * r + c);
   const std::size_t count = len_[r][c];
@@ -347,17 +345,21 @@ void ModularCombine::reconstruct_entry(int r, int c) {
                      "ModularCombine: image row shorter than entry");
       std::copy_n(row.begin(), count, residues.begin() + s * count);
     }
-    basis_->reconstruct_batch(residues.data(), count, k, coeffs.data(),
-                              count);
+    basis.reconstruct_batch(residues.data(), count, k, coeffs.data(), count);
   }
   result_.e[r][c] = Poly(std::move(coeffs));
 }
 
 void ModularCombine::reconstruct() {
   if (!worthwhile_) return;
-  for (int r = 0; r < 2; ++r) {
-    for (int c = 0; c < 2; ++c) reconstruct_entry(r, c);
+  instr::PhaseScope phase(instr::Phase::kTreePoly);
+  {
+    const CrtBasis basis(primes_);
+    for (int r = 0; r < 2; ++r) {
+      for (int c = 0; c < 2; ++c) reconstruct_entry(basis, r, c);
+    }
   }
+  decltype(rows_)().swap(rows_);
 }
 
 PolyMat22 ModularCombine::take_result() {
@@ -389,13 +391,8 @@ std::optional<PolyMat22> modular_t_combine(const PolyMat22& t_right,
                            static_cast<std::int32_t>(s),
                            [&mc, s, width] { mc.run_images(s, width); }));
   }
-  for (int r = 0; r < 2; ++r) {
-    for (int c = 0; c < 2; ++c) {
-      const TaskId e = g.add(TaskKind::kModCrt, 2 * r + c,
-                             [&mc, r, c] { mc.reconstruct_entry(r, c); });
-      for (TaskId img : images) g.add_edge(img, e);
-    }
-  }
+  const TaskId crt = g.add(TaskKind::kModCrt, -1, [&mc] { mc.reconstruct(); });
+  for (TaskId img : images) g.add_edge(img, crt);
   g.validate();
   TaskPool pool(threads, PoolPolicy::kCentralQueue);
   pool.run(g);

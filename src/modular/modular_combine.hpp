@@ -13,14 +13,15 @@
 // is exact.  CRT with symmetric lift under that bound reproduces
 // t_combine() bit for bit.
 //
-// The split-phase API (run_images / reconstruct_entry) lets the parallel
-// driver schedule strided image blocks and the four entry reconstructions
-// as separate tasks; modular_t_combine() is the one-call form the
-// sequential tree builder uses.
+// The split-phase API (run_images / reconstruct) lets the parallel driver
+// schedule strided image blocks and one reconstruction as separate tasks;
+// modular_t_combine() is the one-call form compute_node_poly uses.  The
+// CRT basis -- O(k^2) words for k primes -- exists only inside
+// reconstruct(), which also frees the image rows before it returns, so a
+// combine holds its largest buffers for the span of one task.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -54,15 +55,12 @@ class ModularCombine {
   /// Distinct residue classes may run concurrently.
   void run_images(std::size_t first, std::size_t stride);
 
-  /// After *all* images: reconstructs entry (r, c) by CRT.  The four
-  /// entries may run concurrently.
-  void reconstruct_entry(int r, int c);
-
-  /// Inline form: all four entries, then the combine counter.
+  /// After *all* images: builds the CRT basis, reconstructs the four
+  /// entries, and releases the basis and the image rows.
   void reconstruct();
 
   /// The combined matrix, bit-identical to t_combine().  Call once, after
-  /// every entry was reconstructed.
+  /// reconstruct().
   PolyMat22 take_result();
 
  private:
@@ -72,6 +70,7 @@ class ModularCombine {
   /// both 2x2 products happen pointwise, and only the four result entries
   /// come back -- 16 transforms where the elementwise path needs ~48.
   void run_image_ntt(std::size_t slot);
+  void reconstruct_entry(const CrtBasis& basis, int r, int c);
 
   const PolyMat22& tr_;
   const PolyMat22& tl_;
@@ -89,19 +88,19 @@ class ModularCombine {
   std::size_t ntt_size_ = 0;
 
   std::vector<std::uint64_t> primes_;
+  std::vector<PrimeField> fields_;  // one per prime, from the selection screen
   /// s mod p per selected prime, Montgomery form -- a byproduct of the
   /// selection screen, so the image transforms never re-reduce the
   /// multi-thousand-bit s.
   std::vector<Zp> s_imgs_;
-  std::unique_ptr<CrtBasis> basis_;
   /// rows_[slot][2*r+c][j]: canonical residue of coeff j of entry (r,c).
   std::vector<std::vector<std::vector<std::uint64_t>>> rows_;
   PolyMat22 result_;
 };
 
-/// One-call driver: images (on cfg.num_threads pool workers when > 1) and
-/// reconstruction.  nullopt == not worthwhile; caller should run the exact
-/// t_combine.
+/// One-call driver: images (on cfg.num_threads pool workers when > 1),
+/// then reconstruction.  nullopt == not worthwhile; caller should run the
+/// exact t_combine.
 std::optional<PolyMat22> modular_t_combine(const PolyMat22& t_right,
                                            const PolyMat22& t_left,
                                            const RemainderSequence& rs, int k,

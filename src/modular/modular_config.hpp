@@ -42,10 +42,6 @@ struct ModularConfig {
   /// seam: off forces every floor-clearing combine onto the modular path.
   bool combine_cost_gate = true;
 
-  /// Strided per-prime image tasks the parallel driver schedules per
-  /// modular combine node.
-  int tree_task_width = 4;
-
   /// Route mod-p convolutions above the calibrated length cutoff through
   /// the NTT (modular/ntt.hpp).  Bit-identical either way; off pins every
   /// convolution to schoolbook (differential tests, cost-model A/B runs).

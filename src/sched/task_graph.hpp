@@ -28,17 +28,18 @@ enum class TaskKind : std::uint8_t {
   kCombineOp,    ///< the subtraction+division of Eq. 18 (per-op grain)
   kIterMark,     ///< F_{i+1} complete (synchronization marker)
   kMatEntry1,    ///< one entry of W = U_k * T_left
-  kMatEntry2,    ///< one entry of T_{i,j} = T_right * W / (c^2 c^2)
-  kSetPoly,      ///< publish P_{i,j} (T marker / spine F copy / leaf U_i)
+  kMatEntry2,    ///< one entry of T_right * W (publish divides by c^2 c^2)
+  kSetPoly,      ///< publish P_{i,j} (T marker / spine F copy / leaf U_i),
+                 ///< or form U_k and c_k^2 c_{k-1}^2 for an exact combine
   kSort,         ///< merge children's sorted roots
   kPreInterval,  ///< analyze one interleaving point
   kInterval,     ///< solve one interval problem
   kLinRoot,      ///< exact root of a linear node polynomial
   kRootsMark,    ///< node roots complete (synchronization marker)
   kPrimeImage,   ///< one per-prime modular image (PRS or combine)
-  kModPrep,      ///< build the CRT basis and partition the reconstruction
+  kModPrep,      ///< select primes / build the PRS basis / open a level
   kModBlock,     ///< strided block of per-prime combine images
-  kModCrt,       ///< reconstruct one chunk of coefficients by CRT
+  kModCrt,       ///< CRT: one wave of a PRS level, or a whole combine
   kModPublish,   ///< finalize a multimodular result (or fall back to exact)
   // Retired TreePiece boundary kinds: no graph builds them any more.
   // They keep their slots because TaskTrace::save writes kinds as

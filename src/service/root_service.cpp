@@ -252,12 +252,7 @@ RootReport RootService::cold_report(const Poly& canonical,
   RootFinderConfig cfg = config_.finder;
   cfg.mu_bits = mu_bits;
   cfg.strategy = strategy;
-  if (canonical.degree() >= 2 && config_.parallel.num_threads > 1) {
-    // Bit-identical to the sequential driver (and it owns the
-    // non-normal-sequence fallback policy).
-    return find_real_roots_parallel(canonical, cfg, config_.parallel).report;
-  }
-  return find_real_roots(canonical, cfg);
+  return find_real_roots_parallel(canonical, cfg, config_.parallel).report;
 }
 
 std::shared_ptr<RootService::Flight> RootService::join_or_create_flight(

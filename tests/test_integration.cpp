@@ -13,6 +13,7 @@
 #include "gen/classic_polys.hpp"
 #include "gen/matrix_polys.hpp"
 #include "instr/counters.hpp"
+#include "layer_replay.hpp"
 #include "poly/bounds.hpp"
 #include "poly/remainder_sequence.hpp"
 #include "poly/sturm.hpp"
@@ -34,7 +35,7 @@ TEST(Integration, EveryTreeLevelRootsInterleaveUpward) {
   Tree tree(input.poly.degree());
   const BigInt bound = BigInt::pow2(root_bound_pow2(input.poly) + mu);
   IntervalSolverConfig scfg;
-  run_tree_sequential(tree, rs, mu, bound, scfg, nullptr);
+  test::replay_tree(tree, rs, mu, bound, scfg, nullptr);
   for (const auto& nd : tree.nodes()) {
     if (nd.empty() || nd.length() < 2) continue;
     const auto& parent = nd.roots;
@@ -62,7 +63,7 @@ TEST(Integration, TreeRootsAgreeWithSturmOracleEverywhere) {
   Tree tree(input.poly.degree());
   const BigInt bound = BigInt::pow2(root_bound_pow2(input.poly) + mu);
   IntervalSolverConfig scfg;
-  run_tree_sequential(tree, rs, mu, bound, scfg, nullptr);
+  test::replay_tree(tree, rs, mu, bound, scfg, nullptr);
   // Not just the root node: every node's roots must be correct.
   IntervalSolverConfig cfg;
   for (const auto& nd : tree.nodes()) {
@@ -79,14 +80,16 @@ TEST(Integration, SequentialParallelAndBaselineAllAgree) {
     const std::size_t mu = 53;
     RootFinderConfig cfg;
     cfg.mu_bits = mu;
+    const auto ref = test::replay_layers(input.poly, cfg);
     const auto seq = find_real_roots(input.poly, cfg);
     ParallelConfig pc;
     pc.num_threads = 3;
     const auto par = find_real_roots_parallel(input.poly, cfg, pc);
     IntervalSolverConfig scfg;
     const auto base = sturm_find_roots(input.poly, mu, scfg, nullptr);
-    EXPECT_EQ(seq.roots, par.report.roots);
-    EXPECT_EQ(seq.roots, base);
+    test::expect_same_report(ref, seq, "find_real_roots");
+    test::expect_same_report(ref, par.report, "find_real_roots_parallel");
+    EXPECT_EQ(ref.roots, base);
   }
 }
 
@@ -200,7 +203,7 @@ TEST(Integration, RefineAfterParallelRun) {
   const auto run = find_real_roots_parallel(input.poly, lo_cfg, pc);
   RootFinderConfig hi_cfg;
   hi_cfg.mu_bits = 90;
-  const auto direct = find_real_roots(input.poly, hi_cfg);
+  const auto direct = test::replay_layers(input.poly, hi_cfg);
   EXPECT_EQ(refine_roots(input.poly, run.report.roots, 6, 90),
             direct.roots);
 }

@@ -8,6 +8,8 @@
 
 #include "gen/classic_polys.hpp"
 #include "gen/matrix_polys.hpp"
+#include "instr/counters.hpp"
+#include "layer_replay.hpp"
 #include "sim/des.hpp"
 #include "support/error.hpp"
 #include "support/prng.hpp"
@@ -25,21 +27,22 @@ class GrainModes : public ::testing::TestWithParam<RemainderGrain> {};
 
 TEST_P(GrainModes, MatchesSequentialBitForBit) {
   // Seed chosen so every generated charpoly is squarefree (small 0/1
-  // matrices frequently have repeated eigenvalues, which would divert the
-  // parallel driver to its sequential fallback).
+  // matrices frequently have repeated eigenvalues, which would send the
+  // squarefree part through a second graph run).
   Prng rng(99);
   for (int trial = 0; trial < 3; ++trial) {
     const auto input = paper_input(6 + 4 * trial, rng);
     const RootFinderConfig cfg = base_config(35);
-    const auto seq = find_real_roots(input.poly, cfg);
+    const auto ref = test::replay_layers(input.poly, cfg);
     ParallelConfig pc;
     pc.grain = GetParam();
     for (int threads : {1, 2, 4}) {
       pc.num_threads = threads;
       const auto par = find_real_roots_parallel(input.poly, cfg, pc);
       EXPECT_FALSE(par.used_sequential_fallback);
-      EXPECT_EQ(par.report.roots, seq.roots)
-          << "threads=" << threads << " n=" << input.poly.degree();
+      test::expect_same_report(ref, par.report,
+                               "threads=" + std::to_string(threads) +
+                                   " n=" + std::to_string(input.poly.degree()));
     }
   }
 }
@@ -126,10 +129,14 @@ TEST(ParallelDriver, SimulatedSpeedupGrowsWithProcessors) {
 }
 
 TEST(ParallelDriver, RepeatedRootsDelegateToSequential) {
+  // Stage 1 finds the extended sequence; the squarefree part then runs on
+  // the graph, so the trace describes that second run.
   const Poly p = poly_from_integer_roots({2, 2, 5});
   const auto run =
       find_real_roots_parallel(p, base_config(12), ParallelConfig{});
-  EXPECT_TRUE(run.used_sequential_fallback);
+  EXPECT_FALSE(run.used_sequential_fallback);
+  EXPECT_GT(run.trace.size(), 0u);
+  EXPECT_TRUE(run.report.squarefree_reduced);
   ASSERT_EQ(run.report.roots.size(), 2u);
   EXPECT_EQ(run.report.multiplicities, (std::vector<unsigned>{2, 1}));
 }
@@ -208,7 +215,7 @@ TEST(ParallelDriver, DeterministicAcrossPolicyThreadsAndChunks) {
   };
   const RootFinderConfig cfg = base_config(24);
   for (const auto& w : workloads) {
-    const auto ref = find_real_roots(w.poly, cfg);
+    const auto ref = test::replay_layers(w.poly, cfg);
     for (RemainderGrain grain :
          {RemainderGrain::kPerCoefficient, RemainderGrain::kPerOperation}) {
       for (PoolPolicy policy :
@@ -222,11 +229,13 @@ TEST(ParallelDriver, DeterministicAcrossPolicyThreadsAndChunks) {
             pc.grain_chunk = chunk;
             const auto run = find_real_roots_parallel(w.poly, cfg, pc);
             EXPECT_FALSE(run.used_sequential_fallback);
-            EXPECT_EQ(run.report.roots, ref.roots)
-                << w.name << " policy="
-                << (policy == PoolPolicy::kCentralQueue ? "central" : "steal")
-                << " threads=" << threads << " chunk=" << chunk;
-            EXPECT_EQ(run.report.multiplicities, ref.multiplicities) << w.name;
+            test::expect_same_report(
+                ref, run.report,
+                std::string(w.name) + " policy=" +
+                    (policy == PoolPolicy::kCentralQueue ? "central"
+                                                         : "steal") +
+                    " threads=" + std::to_string(threads) +
+                    " chunk=" + std::to_string(chunk));
           }
         }
       }
@@ -288,6 +297,151 @@ TEST(ParallelDriver, PerOperationGrainHasMoreTasks) {
   const auto runf = find_real_roots_parallel(input.poly, cfg, fine);
   EXPECT_GT(runf.trace.size(), runc.trace.size() + 100);
   EXPECT_EQ(runc.report.roots, runf.report.roots);
+}
+
+// Per-phase operation counts -- what the paper's Figs 2-7 read -- must
+// not depend on the thread count: the graph does exactly the arithmetic of
+// the layer replay, multimodular combine decisions included.
+TEST(ParallelDriver, PerPhaseCountsMatchLayerReplay) {
+  struct Case {
+    const char* name;
+    Poly poly;
+    RootFinderConfig cfg;
+  };
+  Prng rng(1234);
+  std::vector<Case> cases;
+  cases.push_back({"exact berkowitz-24", paper_input(24, rng).poly,
+                   base_config(53)});
+  RootFinderConfig mod = base_config(53);
+  mod.modular.enabled = true;
+  cases.push_back({"modular berkowitz-64", paper_input(64, rng).poly, mod});
+
+  const auto measure = [](const auto& solve) {
+    instr::reset_all();
+    solve();
+    return std::make_pair(instr::aggregate(), instr::modular_counts());
+  };
+  for (const auto& c : cases) {
+    const auto [want, want_mod] =
+        measure([&] { (void)test::replay_layers(c.poly, c.cfg); });
+    if (c.cfg.modular.enabled) {
+      EXPECT_GT(want_mod.combines, 0u) << c.name;
+    }
+    std::vector<ParallelConfig> configs(3);
+    configs[0].num_threads = 1;
+    configs[1].num_threads = 2;
+    configs[2].num_threads = 4;
+    if (!c.cfg.modular.enabled) {
+      // The paper's one-task stage 1 (it always runs the exact recurrence).
+      configs.push_back(configs[1]);
+      configs.back().sequential_remainder = true;
+    }
+    for (const ParallelConfig& pc : configs) {
+      const auto [got, got_mod] = measure(
+          [&] { (void)find_real_roots_parallel(c.poly, c.cfg, pc); });
+      const std::string run =
+          std::string(c.name) + " threads=" + std::to_string(pc.num_threads) +
+          (pc.sequential_remainder ? " sequential stage 1" : "");
+      for (std::size_t ph = 0; ph < instr::kNumPhases; ++ph) {
+        const auto& a = want.by_phase[ph];
+        const auto& b = got.by_phase[ph];
+        const std::string where =
+            run + " phase=" + instr::phase_name(static_cast<instr::Phase>(ph));
+        EXPECT_EQ(a.mul_count, b.mul_count) << where;
+        EXPECT_EQ(a.div_count, b.div_count) << where;
+        EXPECT_EQ(a.add_count, b.add_count) << where;
+        EXPECT_EQ(a.mul_bits, b.mul_bits) << where;
+        EXPECT_EQ(a.div_bits, b.div_bits) << where;
+        EXPECT_EQ(a.add_bits, b.add_bits) << where;
+      }
+      EXPECT_EQ(want_mod.combines, got_mod.combines) << run;
+    }
+  }
+}
+
+// Inputs off the paper's path -- repeated roots, non-normal sequences,
+// complex roots -- give the same full report through both entry points at
+// any thread count, and the same as the layer replay.
+TEST(ParallelDriver, FallbackInputsMatchAcrossEntryPoints) {
+  struct Case {
+    const char* name;
+    Poly poly;
+    RootFinderConfig cfg;
+  };
+  const Poly c2 = Poly{1, 0, 1};
+  RootFinderConfig validated = base_config(16);
+  validated.validate = true;
+  RootFinderConfig mod = base_config(53);
+  mod.modular.enabled = true;
+  Prng rng(5);
+  const Poly sq = random_jacobi_poly(8, 9, rng);
+  const std::vector<Case> cases = {
+      {"(x-1)^2 (x-2)^3 (x-5)", poly_from_integer_roots({1, 1, 2, 2, 2, 5}),
+       validated},
+      {"(x^2+1)^2 (x-1)", c2 * c2 * Poly{-1, 1}, base_config(24)},
+      {"(x-2)^3 (x^2+3)", poly_from_integer_roots({2, 2, 2}) * Poly{3, 0, 1},
+       base_config(12)},
+      {"(x^2+1)(x^2-2)(x^2-x-1)",
+       Poly{1, 0, 1} * Poly{-2, 0, 1} * Poly{-1, -1, 1}, base_config(40)},
+      {"x^4+1", Poly{1, 0, 0, 0, 1}, base_config(16)},
+      {"modular jacobi-8^2 x jacobi-40",
+       sq * sq * random_jacobi_poly(40, 9, rng), mod},
+  };
+  for (const auto& c : cases) {
+    const auto ref = test::replay_layers(c.poly, c.cfg);
+    test::expect_same_report(ref, find_real_roots(c.poly, c.cfg), c.name);
+    for (int threads : {1, 4}) {
+      ParallelConfig pc;
+      pc.num_threads = threads;
+      const auto run = find_real_roots_parallel(c.poly, c.cfg, pc);
+      test::expect_same_report(
+          ref, run.report,
+          std::string(c.name) + " threads=" + std::to_string(threads));
+      EXPECT_EQ(run.used_sequential_fallback, ref.used_sturm_fallback)
+          << c.name;
+    }
+  }
+}
+
+TEST(ParallelDriver, FallbackCanBeDisabledInBothEntryPoints) {
+  const Poly p{1, 0, 0, 0, 1};
+  RootFinderConfig cfg = base_config(10);
+  cfg.allow_sturm_fallback = false;
+  EXPECT_THROW(find_real_roots(p, cfg), NonNormalSequence);
+  for (int threads : {1, 4}) {
+    ParallelConfig pc;
+    pc.num_threads = threads;
+    EXPECT_THROW(find_real_roots_parallel(p, cfg, pc), NonNormalSequence);
+  }
+}
+
+// validate = true runs the Sturm cross-check wherever the graph finishes:
+// it costs the same extra multiplications at four threads as at one.
+TEST(ParallelDriver, ValidateRunsSturmCrossCheck) {
+  Prng rng(777);
+  const Poly p = paper_input(12, rng).poly;
+  const auto mults = [&](bool validate, int threads) {
+    RootFinderConfig cfg = base_config(40);
+    cfg.validate = validate;
+    ParallelConfig pc;
+    pc.num_threads = threads;
+    instr::reset_all();
+    (void)find_real_roots_parallel(p, cfg, pc);
+    return instr::aggregate().total().mul_count;
+  };
+  const auto extra_p1 = mults(true, 1) - mults(false, 1);
+  const auto extra_p4 = mults(true, 4) - mults(false, 4);
+  EXPECT_GT(extra_p4, 0u);
+  EXPECT_EQ(extra_p4, extra_p1);
+
+  RootFinderConfig cfg = base_config(40);
+  instr::reset_all();
+  (void)find_real_roots(p, cfg);
+  const auto plain = instr::aggregate().total().mul_count;
+  cfg.validate = true;
+  instr::reset_all();
+  (void)find_real_roots(p, cfg);
+  EXPECT_EQ(instr::aggregate().total().mul_count - plain, extra_p4);
 }
 
 }  // namespace

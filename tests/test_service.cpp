@@ -13,6 +13,7 @@
 #include "core/root_finder.hpp"
 #include "gen/classic_polys.hpp"
 #include "gen/matrix_polys.hpp"
+#include "instr/counters.hpp"
 #include "service/canonical.hpp"
 #include "service/result_cache.hpp"
 #include "support/error.hpp"
@@ -418,6 +419,28 @@ TEST(Service, BatchHandlesDegenerateAndInvalidLines) {
   EXPECT_EQ(s.batch_dedup, 1u);
   // The repeated-root tree poisoned its shared run: demoted, recovered.
   EXPECT_GE(s.batch_fallbacks, 1u);
+}
+
+TEST(Service, BatchHonorsValidate) {
+  // RootFinderConfig::validate reaches co-staged trees too: the Sturm
+  // cross-check shows up as extra counted multiplications.
+  Prng rng(21);
+  std::vector<std::string> lines;
+  for (int trial = 0; trial < 4; ++trial) {
+    lines.push_back(paper_input(5 + trial, rng).poly.to_string());
+  }
+  const auto mults = [&](bool validate) {
+    ServiceConfig cfg = config_for(4, 40);
+    cfg.finder.validate = validate;
+    RootService service(cfg);
+    instr::reset_all();
+    for (const auto& r : service.run_batch(lines)) {
+      EXPECT_TRUE(r.ok) << r.error;
+    }
+    EXPECT_EQ(service.stats().batch_staged, lines.size());
+    return instr::aggregate().total().mul_count;
+  };
+  EXPECT_GT(mults(true), mults(false));
 }
 
 // --- finder-strategy keying -------------------------------------------------
