@@ -3,19 +3,23 @@
 // Measures, per input degree:
 //   * prs:      the remainder-sequence stage alone (exact serial recurrence
 //               vs per-prime images + CRT at 1/2/8 threads);
-//   * tree:     the tree-build stage alone (every T_{i,j} combine, exact vs
-//               modular, over the same precomputed sequence);
+//   * tree:     the tree-build stage alone over the same precomputed
+//               sequence, one compute_node_poly call per node: exact
+//               T_{i,j} combines vs the modular three-term recurrence
+//               (one residue table and CRT basis per node); one row per
+//               input, since these calls run on the caller's thread;
 //   * stage:    prs + tree combined -- the part of the pipeline the
 //               multimodular subsystem accelerates;
 //   * pipeline: the full parallel root finder at equal thread counts with
-//               the subsystem off vs on;
+//               the subsystem off vs on (the graph shares one table and
+//               basis across the nodes);
 //   * *-ntt:    degree-128/256 ablation rows where both arms are modular
-//               and only this iteration's features (NTT, batching, CRT
-//               waves) differ (the exact pipeline is too slow to serve as
-//               a baseline at those degrees);
-//   * combine-ntt: a standalone fused-frequency-domain tree combine on
-//               long matrix entries with a small prime set -- the
-//               convolution-bound shape where the NTT carries the cost.
+//               and only image batching and the wave-parallel CRT of the
+//               remainder sequence differ (the exact pipeline is too slow
+//               to serve as a baseline at those degrees).  The name is
+//               historical: the NTT arm left with the matrix combine, and
+//               the tree stage, which uses neither feature, is timed once
+//               and shared by both stage-ntt arms.
 //
 // Every modular result is checked bit-identical against the exact one
 // before its timing is reported.  Writes BENCH_modular.json at the repo
@@ -28,8 +32,6 @@
 
 #include "bench_common.hpp"
 #include "core/tree_builder.hpp"
-#include "linalg/polymat22.hpp"
-#include "modular/modular_combine.hpp"
 
 namespace {
 
@@ -69,8 +71,8 @@ bool sequences_equal(const pr::RemainderSequence& a,
          a.c == b.c;
 }
 
-/// The tree-build stage in isolation: every T_{i,j} (and P_{i,j}) bottom-up
-/// in postorder, one compute_node_poly layer call per node.
+/// The tree-build stage in isolation: every P_{i,j} bottom-up in postorder,
+/// one compute_node_poly layer call per node.
 void build_tree_polys(const pr::Poly& p, const pr::RemainderSequence& rs,
                       const pr::modular::ModularConfig* modular) {
   pr::Tree tree(p.degree());
@@ -159,6 +161,11 @@ int main(int argc, char** argv) {
     const double exact_tree =
         timed_best(repeats, [&] { build_tree_polys(in.poly, rs, nullptr); });
 
+    // The one-node tree calls have no thread knob: one tree row.
+    const auto tree_cfg = modular_cfg(1);
+    const double mod_tree = timed_best(
+        repeats, [&] { build_tree_polys(in.poly, rs, &tree_cfg); });
+    emit({"tree", in.name, n, 1, exact_tree, mod_tree});
     for (int threads : {1, 2, 8}) {
       const auto mcfg = modular_cfg(threads);
       auto check = pr::modular::compute_remainder_sequence_multimodular(
@@ -170,10 +177,7 @@ int main(int argc, char** argv) {
       const double mod_prs = timed_best(repeats, [&] {
         pr::modular::compute_remainder_sequence_multimodular(in.poly, mcfg);
       });
-      const double mod_tree = timed_best(
-          repeats, [&] { build_tree_polys(in.poly, rs, &mcfg); });
       emit({"prs", in.name, n, threads, exact_prs, mod_prs});
-      emit({"tree", in.name, n, threads, exact_tree, mod_tree});
       emit({"stage", in.name, n, threads, exact_prs + exact_tree,
             mod_prs + mod_tree});
     }
@@ -205,19 +209,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- this-PR ablation at large degree -----------------------------------
+  // --- batching / CRT-wave ablation at large degree -----------------------
   // Degrees 128/256.  The exact pipeline is unaffordable as a baseline
-  // here; the "exact" column is the modular subsystem itself with this
-  // iteration's features disabled -- schoolbook convolutions, one task
-  // per image, inline (non-wave) CRT -- so these rows isolate what the
-  // NTT + batching + wave-parallel CRT buy together.  Honest finding,
-  // reproduced by these rows: on all-real-root (paper-shape) inputs the
-  // per-prime stage at degree >= 128 is dominated by input reduction and
-  // CRT reconstruction (prime counts in the thousands), NOT by
-  // convolutions, so the stage-level ratios hover near 1x on one core
-  // and the NTT's wins live in the kernel (BENCH_ntt.json) and in
-  // combine shapes with small prime sets (the combine-ntt rows below).
-  // Both variants are checked bit-identical before (or while) timed.
+  // here; the "exact" column is the modular subsystem itself with one
+  // task per image and inline (non-wave) CRT, so these rows isolate what
+  // image batching and the wave-parallel CRT of the remainder sequence
+  // buy.  Both variants are checked bit-identical before (or while) timed.
   std::vector<Input> big;
   {
     pr::Prng rng(0x17a);
@@ -226,7 +223,6 @@ int main(int argc, char** argv) {
   }
   const auto baseline_cfg = [&](int threads) {
     auto m = modular_cfg(threads);
-    m.use_ntt = false;
     m.batch_images = false;
     m.crt_wave_min_work = std::numeric_limits<std::size_t>::max();
     return m;
@@ -256,14 +252,10 @@ int main(int argc, char** argv) {
         pr::modular::compute_remainder_sequence_multimodular(in.poly, new_t);
       });
       emit({"prs-ntt", in.name, n, threads, old_prs, new_prs});
-      if (huge) continue;  // tree CRT at 256 is minutes per arm
-      const double old_tree = timed_best(
-          big_repeats, [&] { build_tree_polys(in.poly, *rs_new, &old_t); });
-      const double new_tree = timed_best(
+      if (huge) continue;  // one stage row is enough at 256
+      const double tree = timed_best(
           big_repeats, [&] { build_tree_polys(in.poly, *rs_new, &new_t); });
-      emit({"tree-ntt", in.name, n, threads, old_tree, new_tree});
-      emit({"stage-ntt", in.name, n, threads, old_prs + old_tree,
-            new_prs + new_tree});
+      emit({"stage-ntt", in.name, n, threads, old_prs + tree, new_prs + tree});
     }
 
     // Full pipeline, modular on in both arms, features off vs on.  The
@@ -305,63 +297,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- combine-ntt: the convolution-bound combine shape --------------------
-  // A fabricated unit-scalar combine (all c's 1, so the exact scalar
-  // division is trivial) with long matrix entries of ~44-bit coefficients:
-  // the induction bound needs only a handful of primes, so per-prime
-  // convolutions -- not reduction or CRT -- carry the cost.  Both arms are
-  // modular; only cfg.use_ntt differs, and both are checked bit-identical
-  // to the exact t_combine before timing.
-  {
-    pr::Prng rng(0xc0de);
-    const auto rand_poly = [&rng](int degree) {
-      std::vector<pr::BigInt> c(static_cast<std::size_t>(degree) + 1);
-      for (auto& x : c) x = pr::BigInt(rng.range(-(1LL << 44), 1LL << 44));
-      if (c.back().is_zero()) c.back() = pr::BigInt(1);
-      return pr::Poly(std::move(c));
-    };
-    const auto combine_cfg = [&](bool ntt) {
-      auto m = modular_cfg(1);
-      m.min_combine_bits = 1;
-      m.combine_cost_gate = false;
-      m.use_ntt = ntt;
-      return m;
-    };
-    for (int len : {128, 256}) {
-      pr::RemainderSequence rs;
-      rs.n = 3;
-      rs.nstar = 3;
-      rs.c.assign(4, pr::BigInt(1));
-      rs.Q.assign(3, pr::Poly());
-      rs.Q[2] = rand_poly(1);
-      pr::PolyMat22 tl, tr;
-      for (int r = 0; r < 2; ++r) {
-        for (int c = 0; c < 2; ++c) {
-          tl.at(r, c) = rand_poly(len - 1);
-          tr.at(r, c) = rand_poly(len - 1);
-        }
-      }
-      const auto off = combine_cfg(false);
-      const auto on = combine_cfg(true);
-      const auto ref = pr::modular::modular_t_combine(tr, tl, rs, 2, off);
-      const auto fast = pr::modular::modular_t_combine(tr, tl, rs, 2, on);
-      if (!ref || !fast || *ref != *fast ||
-          *ref != pr::t_combine(tr, tl, rs, 2)) {
-        std::cerr << "combine-ntt mismatch at entry length " << len << "\n";
-        return 1;
-      }
-      const int c_reps = full ? 20 : 8;
-      const double t_off = timed_best(c_reps, [&] {
-        pr::modular::modular_t_combine(tr, tl, rs, 2, off);
-      });
-      const double t_on = timed_best(c_reps, [&] {
-        pr::modular::modular_t_combine(tr, tl, rs, 2, on);
-      });
-      emit({"combine-ntt", "t-entries-" + std::to_string(len), len, 1, t_off,
-            t_on});
-    }
-  }
-
   // Volume counters for one representative run (largest input, serial).
   pr::instr::reset_modular();
   {
@@ -381,12 +316,8 @@ int main(int argc, char** argv) {
                "(one task per prime slot) while\nreconstruction is "
                "level-sequential (the induction bound chains levels);\n"
                "bad_primes and fallbacks both 0 on these inputs.\n"
-               "*-ntt rows compare this PR's features off vs on (both arms "
-               "modular):\non all-real-root inputs those stages are "
-               "reduction/CRT-bound, so near-1x\nis the honest expectation "
-               "on one core -- the NTT's win shows up in the\ncombine-ntt "
-               "rows (convolution-bound, expect >= 2x at entry length 256)\n"
-               "and in BENCH_ntt.json; thread columns only separate on "
-               "multi-core hosts.\n";
+               "*-ntt rows compare image batching and the wave-parallel "
+               "CRT off vs on\n(both arms modular); thread columns only "
+               "separate on multi-core hosts.\n";
   return 0;
 }

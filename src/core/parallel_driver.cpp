@@ -11,8 +11,8 @@
 #include "core/tree_builder.hpp"
 #include "instr/phase.hpp"
 #include "isolate/isolate.hpp"
-#include "modular/modular_combine.hpp"
 #include "modular/modular_prs.hpp"
+#include "modular/tree_poly.hpp"
 #include "modular/tuning.hpp"
 #include "poly/bounds.hpp"
 #include "poly/remainder_sequence.hpp"
@@ -24,8 +24,8 @@ namespace pr {
 
 namespace {
 
-/// Strided per-prime image tasks per modular combine node.
-constexpr int kCombineImageTasks = 4;
+/// Strided residue tasks per worker thread for the modular tree table.
+constexpr int kResidueTasksPerThread = 2;
 
 /// Raised by stage 1 when F_{i+1} vanishes: the input has repeated roots
 /// and the sequence is extended (Section 2.3).  A NonNormalSequence, so
@@ -81,6 +81,7 @@ struct RunState {
   // APIs precisely so this driver can schedule their stages as tasks.
   modular::ModularConfig modular;
   std::unique_ptr<modular::MultimodularPrs> mprs;
+  std::unique_ptr<modular::ModularTreePolys> mtree;
 
   Tree tree;
   struct NodeScratch {
@@ -90,7 +91,6 @@ struct RunState {
     std::vector<BigInt> points;               // sentinels + merged ys
     std::vector<InterleavePointInfo> infos;   // PREINTERVAL outputs
     std::vector<IntervalStats> stats;         // per-interval stats
-    std::unique_ptr<modular::ModularCombine> mcombine;  // modular nodes only
   };
   std::vector<NodeScratch> scratch;
 
@@ -386,8 +386,76 @@ class GraphBuilder {
     const auto& order = st.tree.postorder();
     t_ready_.assign(st.tree.nodes().size(), -1);
     roots_ready_.assign(st.tree.nodes().size(), -1);
+    if (st.modular.enabled) build_modular_tree_tasks();
     for (int idx : order) build_node_poly_tasks(idx);
     for (int idx : order) build_node_root_tasks(idx);
+  }
+
+  /// Modular tree polynomials (modular/tree_poly.hpp) for every internal
+  /// non-spine node, once stage 1 has published the whole sequence: one
+  /// set-up task (bounds and candidate primes), residue tasks strided over
+  /// the candidates, one publish task (bad-prime screen and CRT basis),
+  /// then one task per node -- the recurrence at each of its primes and a
+  /// single CRT of P_{i,j} -- and a last task that frees the table and the
+  /// basis.  Node tasks wait for nothing else: no children's T.  They are
+  /// released longest node first, so the largest CRTs start earliest.
+  void build_modular_tree_tasks() {
+    RunState& st = st_;
+    const int n = st.n;
+    std::vector<int> nodes;
+    for (int idx : st.tree.postorder()) {
+      const TreeNode& nd = st.tree.node(idx);
+      if (!nd.empty() && !nd.leaf() && !nd.spine(n)) nodes.push_back(idx);
+    }
+    if (nodes.empty()) return;
+    // The publish task releases its dependents in the order added.
+    std::stable_sort(nodes.begin(), nodes.end(), [&st](int a, int b) {
+      return st.tree.node(a).length() > st.tree.node(b).length();
+    });
+    std::vector<std::pair<int, int>> ranges;
+    for (int idx : nodes) {
+      ranges.emplace_back(st.tree.node(idx).i, st.tree.node(idx).j);
+    }
+    st.mtree = std::make_unique<modular::ModularTreePolys>(
+        st.rs, std::move(ranges), st.modular);
+    auto& table = *st.mtree;
+
+    const TaskId setup = g_.add(TaskKind::kModPrep, -1, [&table] {
+      instr::PhaseScope phase(instr::Phase::kTreePoly);
+      table.set_up();
+    });
+    g_.add_edge(mark_[static_cast<std::size_t>(n)], setup);
+    const TaskId publish = g_.add(TaskKind::kModPrep, -1, [&table] {
+      instr::PhaseScope phase(instr::Phase::kTreePoly);
+      table.publish();
+    });
+    const auto width = static_cast<std::size_t>(
+        kResidueTasksPerThread * std::max(1, pc_.num_threads));
+    for (std::size_t w = 0; w < width; ++w) {
+      const TaskId res = g_.add(
+          TaskKind::kPrimeImage, static_cast<std::int32_t>(w),
+          [&table, w, width] {
+            instr::PhaseScope phase(instr::Phase::kTreePoly);
+            table.compute_residues(w, width);
+          });
+      g_.add_edge(setup, res);
+      g_.add_edge(res, publish);
+    }
+    const TaskId release = g_.add(TaskKind::kModPublish, -1,
+                                  [&st] { st.mtree.reset(); });
+    for (std::size_t k = 0; k < nodes.size(); ++k) {
+      const int idx = nodes[k];
+      const TaskId t = g_.add(TaskKind::kModCrt, idx, [&st, &table, idx, k] {
+        instr::PhaseScope phase(instr::Phase::kTreePoly);
+        TreeNode& node = st.tree.node(idx);
+        node.poly = table.node_poly(k);
+        check_internal(node.poly.degree() == node.length(),
+                       "modular COMPUTEPOLY: unexpected degree");
+      });
+      g_.add_edge(publish, t);
+      g_.add_edge(t, release);
+      t_ready_[static_cast<std::size_t>(idx)] = t;
+    }
   }
 
   /// Task completing when F_k and c_k are available; F_0/c_0 come from the
@@ -443,18 +511,14 @@ class GraphBuilder {
       return;
     }
 
-    // Internal non-spine node.  With modular arithmetic on, every such
-    // node gets the modular shape and ModularCombine::worthwhile() decides
-    // at run time, exactly as compute_node_poly does.
+    // Internal non-spine node: with modular arithmetic on, its task came
+    // from build_modular_tree_tasks.
+    if (st.modular.enabled) return;
     const int k = nd.split;
     const TaskId left_ready = t_ready_[static_cast<std::size_t>(nd.left)];
     const TaskId right_ready = t_ready_[static_cast<std::size_t>(nd.right)];
     const TaskId uk_ready = q_ready_[static_cast<std::size_t>(k)];
-    if (st.modular.enabled) {
-      build_modular_combine_tasks(idx, k, left_ready, right_ready, uk_ready);
-    } else {
-      build_exact_combine_tasks(idx, k, left_ready, right_ready, uk_ready);
-    }
+    build_exact_combine_tasks(idx, k, left_ready, right_ready, uk_ready);
   }
 
   /// Exact COMPUTEPOLY (Section 3.2): a prep task forms U_k and
@@ -518,56 +582,6 @@ class GraphBuilder {
     for (int r = 0; r < 2; ++r) {
       for (int c = 0; c < 2; ++c) g_.add_edge(me2[r][c], publish);
     }
-    t_ready_[static_cast<std::size_t>(idx)] = publish;
-  }
-
-  /// Modular COMPUTEPOLY: prep (bound and prime selection) -> strided
-  /// image-block tasks -> one reconstruction task, which builds the CRT
-  /// basis and frees it with the image rows before returning -> publish.
-  /// Every modular stage no-ops when prep found the combine not
-  /// worthwhile; publish then runs the exact t_combine inline.
-  void build_modular_combine_tasks(int idx, int k, TaskId left_ready,
-                                   TaskId right_ready, TaskId uk_ready) {
-    RunState& st = st_;
-    const TaskId prep = g_.add(TaskKind::kModPrep, idx, [&st, idx, k] {
-      instr::PhaseScope phase(instr::Phase::kTreePoly);
-      TreeNode& node = st.tree.node(idx);
-      st.scratch[static_cast<std::size_t>(idx)].mcombine =
-          std::make_unique<modular::ModularCombine>(
-              st.tree.node(node.right).t, st.tree.node(node.left).t, st.rs, k,
-              st.modular);
-    });
-    g_.add_edge(left_ready, prep);
-    g_.add_edge(right_ready, prep);
-    g_.add_edge(uk_ready, prep);
-
-    const TaskId crt = g_.add(TaskKind::kModCrt, idx, [&st, idx] {
-      st.scratch[static_cast<std::size_t>(idx)].mcombine->reconstruct();
-    });
-    for (int w = 0; w < kCombineImageTasks; ++w) {
-      const TaskId b = g_.add(TaskKind::kModBlock, idx, [&st, idx, w] {
-        instr::PhaseScope phase(instr::Phase::kTreePoly);
-        st.scratch[static_cast<std::size_t>(idx)].mcombine->run_images(
-            static_cast<std::size_t>(w), kCombineImageTasks);
-      });
-      g_.add_edge(prep, b);
-      g_.add_edge(b, crt);
-    }
-    const TaskId publish = g_.add(TaskKind::kModPublish, idx, [&st, idx, k] {
-      instr::PhaseScope phase(instr::Phase::kTreePoly);
-      TreeNode& node = st.tree.node(idx);
-      auto& sc = st.scratch[static_cast<std::size_t>(idx)];
-      node.t = sc.mcombine->worthwhile()
-                   ? sc.mcombine->take_result()
-                   : t_combine(st.tree.node(node.right).t,
-                               st.tree.node(node.left).t, st.rs, k);
-      sc.mcombine.reset();
-      node.has_t = true;
-      node.poly = node.t.at(1, 1);
-      check_internal(node.poly.degree() == node.length(),
-                     "modular COMPUTEPOLY: unexpected degree");
-    });
-    g_.add_edge(crt, publish);
     t_ready_[static_cast<std::size_t>(idx)] = publish;
   }
 

@@ -42,7 +42,7 @@ struct RootFinderConfig {
   /// for tests and debugging).  Applies to every entry point, including
   /// RootService::run_batch's co-staged runs.
   bool validate = false;
-  /// Multimodular fast paths (remainder sequence + tree combines); off by
+  /// Multimodular fast paths (remainder sequence + tree polynomials); off by
   /// default, bit-identical results when enabled.
   modular::ModularConfig modular;
 };

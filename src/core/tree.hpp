@@ -9,8 +9,8 @@
 //
 // Right-spine nodes (j == n) take their polynomial directly from the
 // remainder sequence, P_{i,n} = F_{i-1} (Eq. 5 second case), and need no
-// T matrix; every other non-empty node computes T_{i,j} bottom-up and
-// reads P_{i,j} = T_{i,j}(2,2).
+// T matrix; on the exact path every other non-empty node computes T_{i,j}
+// bottom-up and reads P_{i,j} = T_{i,j}(2,2).
 #pragma once
 
 #include <cstddef>
@@ -36,6 +36,10 @@ struct TreeNode {
 
   // Filled in by the builder:
   PolyMat22 t;                 ///< T_{i,j}; meaningful iff has_t
+  /// Set on leaves, empty nodes and exact internal nodes.  Spine nodes
+  /// never form T, and with modular arithmetic on neither do internal
+  /// non-spine nodes: they take P_{i,j} from the three-term recurrence
+  /// (modular/tree_poly.hpp), so t stays empty and has_t false.
   bool has_t = false;
   Poly poly;                   ///< P_{i,j}
   std::vector<BigInt> roots;   ///< mu-scaled approximations, nondecreasing

@@ -5,7 +5,7 @@
 #include "core/interval_stage.hpp"
 #include "core/scaled_point.hpp"
 #include "instr/phase.hpp"
-#include "modular/modular_combine.hpp"
+#include "modular/tree_poly.hpp"
 #include "support/error.hpp"
 
 namespace pr {
@@ -56,19 +56,19 @@ void compute_node_poly(Tree& tree, int idx, const RemainderSequence& rs,
     nd.poly = nd.t.at(1, 1);
     return;
   }
-  const TreeNode& lc = tree.node(nd.left);
-  const TreeNode& rc = tree.node(nd.right);
-  check_internal(lc.has_t && rc.has_t,
-                 "compute_node_poly: children T not ready");
   if (modular != nullptr && modular->enabled) {
-    // nullopt == combine too small to amortize the CRT setup.
-    auto t = modular::modular_t_combine(rc.t, lc.t, rs, nd.split, *modular);
-    nd.t = t ? std::move(*t) : t_combine(rc.t, lc.t, rs, nd.split);
+    // Straight from the remainder sequence; T_{i,j} is never formed.
+    nd.poly = modular::modular_tree_poly(rs, nd.i, nd.j, *modular);
+    nd.has_t = false;
   } else {
+    const TreeNode& lc = tree.node(nd.left);
+    const TreeNode& rc = tree.node(nd.right);
+    check_internal(lc.has_t && rc.has_t,
+                   "compute_node_poly: children T not ready");
     nd.t = t_combine(rc.t, lc.t, rs, nd.split);
+    nd.has_t = true;
+    nd.poly = nd.t.at(1, 1);
   }
-  nd.has_t = true;
-  nd.poly = nd.t.at(1, 1);
   check_internal(nd.poly.degree() == nd.length(),
                  "compute_node_poly: unexpected P_{i,j} degree");
 }

@@ -4,7 +4,10 @@
 // The task graph (core/parallel_driver) schedules the same steps split
 // into finer tasks; these one-node forms are the public layer calls a
 // caller replays in postorder to attribute time per layer outside the
-// graph (e2ebench, the tests' independent reference).
+// graph (e2ebench, the tests' independent reference).  With modular
+// arithmetic on, the graph shares one residue table and CRT basis across
+// the internal non-spine nodes, where compute_node_poly builds a one-node
+// table; the polynomials and the OpCounts are the same either way.
 #pragma once
 
 #include "core/interval_solver.hpp"
@@ -17,9 +20,11 @@ namespace pr {
 
 /// Computes node.t (where applicable) and node.poly for one node, assuming
 /// its children are done.  The COMPUTEPOLY step of Section 3.2.
-/// When `modular` is non-null and enabled, internal-node combines whose
-/// coefficient bound clears modular->min_combine_bits run multimodularly
-/// (bit-identical result; see modular/modular_combine.hpp).
+/// When `modular` is non-null and enabled, an internal non-spine node
+/// takes its polynomial straight from the remainder sequence by the
+/// three-term recurrence modulo primes, with a one-node residue table and
+/// CRT basis (bit-identical result; see modular/tree_poly.hpp).  It then
+/// reads no child T, and its own t / has_t stay unset.
 void compute_node_poly(Tree& tree, int idx, const RemainderSequence& rs,
                        const modular::ModularConfig* modular = nullptr);
 

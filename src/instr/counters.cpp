@@ -176,8 +176,8 @@ void on_modular_primes(std::uint64_t count) {
   modular_atomics().primes_used.fetch_add(count, std::memory_order_relaxed);
 }
 
-void on_modular_image() {
-  modular_atomics().images.fetch_add(1, std::memory_order_relaxed);
+void on_modular_image(std::uint64_t count) {
+  modular_atomics().images.fetch_add(count, std::memory_order_relaxed);
 }
 
 void on_modular_bad_prime() {

@@ -120,26 +120,29 @@ void reset_all();
 // (they are not multi-precision operations; counting them would distort the
 // paper's counter validation).  The modular layer instead records its own
 // volume measures here: how many primes each reconstruction used, how many
-// per-prime images ran, how often a sampled prime was bad (leading
-// coefficient vanished mod p) and had to be replaced, the CRT output volume,
-// and how often the fast path abandoned an input to the exact path.
+// per-prime images ran, how often a sampled prime was bad (a PRS leading
+// coefficient vanished mod p and the prime was replaced, or the prime
+// divides a c_t the tree recurrence inverts and was skipped), the CRT
+// output volume, and how often the fast path abandoned an input to the
+// exact path.
 // Process-global atomics: cheap enough for per-value updates, and the
 // multimodular work is spread across pool threads anyway.
 
 struct ModularCounts {
-  std::uint64_t primes_used = 0;   ///< primes selected across all bases
-  std::uint64_t images = 0;        ///< per-prime PRS/combine images computed
-  std::uint64_t bad_primes = 0;    ///< primes replaced after lc vanished
+  std::uint64_t primes_used = 0;   ///< primes per PRS basis + per tree node
+  std::uint64_t images = 0;        ///< per-prime PRS/tree-node images computed
+  std::uint64_t bad_primes = 0;    ///< PRS primes replaced after lc
+                                   ///< vanished; tree primes skipped
   std::uint64_t crt_values = 0;    ///< coefficients reconstructed by CRT
   std::uint64_t crt_limbs = 0;     ///< total limbs of reconstructed values
-  std::uint64_t combines = 0;      ///< multimodular t_combine invocations
+  std::uint64_t combines = 0;      ///< multimodular tree-node polynomials
   std::uint64_t fallbacks = 0;     ///< fast-path runs abandoned to exact
   std::uint64_t ntt_transforms = 0;  ///< forward/inverse NTT passes run
   std::uint64_t ntt_points = 0;      ///< total transform points (sum of n)
 };
 
 void on_modular_primes(std::uint64_t count);
-void on_modular_image();
+void on_modular_image(std::uint64_t count = 1);
 void on_modular_bad_prime();
 void on_modular_crt(std::uint64_t values, std::uint64_t limbs);
 void on_modular_combine();

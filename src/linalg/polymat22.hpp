@@ -9,6 +9,14 @@
 //
 // with the Appendix-A convention c_0 = sign(lc(F_0)), so c_0^2 = 1.
 // The tree polynomial at node [i,j] (j < n) is P_{i,j} = T_{i,j}(2,2).
+//
+// Because T_{a,a-1} = c_{a-1}^2 I and the divisors telescope, every split
+// gives the same product form
+//
+//   T_{i,j} = U_j U_{j-1} ... U_i / (c_i^2 c_{i+1}^2 ... c_{j-1}^2),
+//
+// whose second column modular/tree_poly.hpp evaluates one factor at a
+// time -- a three-term recurrence for P_{i,j} that needs no child T.
 #pragma once
 
 #include "linalg/intmatrix.hpp"

@@ -41,11 +41,22 @@ CrtBasis::CrtBasis(std::vector<std::uint64_t> primes) {
     prefix_bits_[i + 1] = prefix_bits_[i] + fields_[i].floor_log2();
   }
 
+  // Prefix products as word x limbs sweeps (as in horner_limbs): building
+  // a basis is set-up, not arithmetic of the algorithm, so it reports
+  // nothing to the OpCounts.
   products_.assign(k + 1, BigInt(1));
   half_products_.assign(k + 1, BigInt());
+  std::vector<std::uint64_t> prod{1};
   for (std::size_t i = 0; i < k; ++i) {
-    products_[i + 1] =
-        products_[i] * BigInt(static_cast<unsigned long long>(primes[i]));
+    std::uint64_t carry = 0;
+    for (std::uint64_t& limb : prod) {
+      const unsigned __int128 t =
+          static_cast<unsigned __int128>(limb) * primes[i] + carry;
+      limb = static_cast<std::uint64_t>(t);
+      carry = static_cast<std::uint64_t>(t >> 64);
+    }
+    if (carry != 0) prod.push_back(carry);
+    products_[i + 1] = BigInt::from_limbs(prod.data(), prod.size(), false);
     half_products_[i + 1] = products_[i + 1] >> 1;
   }
 

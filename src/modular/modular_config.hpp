@@ -2,9 +2,12 @@
 //
 // The exact BigInt pipeline remains the default; the multimodular paths
 // are opt-in (enabled flag) and produce bit-identical results -- every
-// reconstruction is exact under a proven coefficient bound, and any
-// irregularity (repeated roots, exhausted prime replacements, a failed
-// held-out-prime check) abandons the fast path and recomputes exactly.
+// reconstruction is exact under a proven coefficient bound.  In the
+// remainder sequence any irregularity (repeated roots, exhausted prime
+// replacements, a failed held-out-prime check) abandons the fast path and
+// recomputes exactly; the tree polynomials have none to meet, since the
+// sequence is exact by then and a prime dividing one of the c_t they
+// invert is skipped.
 #pragma once
 
 #include <cstdint>
@@ -13,39 +16,22 @@
 namespace pr::modular {
 
 struct ModularConfig {
-  /// Master switch for both fast paths (remainder sequence and the
-  /// tree-stage matrix combines).  Off by default: the exact path is the
+  /// Master switch for both fast paths: the remainder sequence (above
+  /// min_degree) and every internal non-spine tree polynomial, which then
+  /// comes from the three-term recurrence modulo primes
+  /// (modular/tree_poly.hpp).  Off by default: the exact path is the
   /// verified baseline.
   bool enabled = false;
 
   /// Worker threads for the *standalone* multimodular remainder sequence
-  /// (compute_remainder_sequence_multimodular) and one-shot combines; the
-  /// parallel driver ignores this and schedules per-prime work on its own
-  /// pool.  1 = run inline.
+  /// (compute_remainder_sequence_multimodular); the parallel driver
+  /// ignores this and schedules per-prime work on its own pool.  1 = run
+  /// inline.
   int num_threads = 1;
 
   /// Degrees below this use the exact remainder sequence (word-sized
   /// coefficients do not amortize the CRT setup).
   int min_degree = 24;
-
-  /// A tree-node combine goes multimodular only when the bound on its
-  /// result coefficients is at least this many bits.  Deliberately low: a
-  /// node whose *result* is small can still carry an expensive exact
-  /// division by a huge s = c_k^2 c_{k-1}^2, which the modular path
-  /// sidesteps -- the cost gate below makes the real call.
-  std::size_t min_combine_bits = 1024;
-
-  /// Above the bit floor, a combine still goes multimodular only when a
-  /// word-multiply cost model says it beats the exact combine by a clear
-  /// margin (small matrices with huge scalars lose to the per-prime
-  /// reduction cost even when their coefficients are enormous).  Test
-  /// seam: off forces every floor-clearing combine onto the modular path.
-  bool combine_cost_gate = true;
-
-  /// Route mod-p convolutions above the calibrated length cutoff through
-  /// the NTT (modular/ntt.hpp).  Bit-identical either way; off pins every
-  /// convolution to schoolbook (differential tests, cost-model A/B runs).
-  bool use_ntt = true;
 
   /// Batch several per-prime PRS images into one TaskPool task when the
   /// per-image cost model says a single image is too small to amortize
@@ -68,7 +54,8 @@ struct ModularConfig {
 
   /// Test seam: moduli to try *before* the deterministic table (each must
   /// be an odd prime below 2^62).  Lets tests force a known-bad first
-  /// prime to exercise the replacement path.
+  /// prime to exercise the replacement path (remainder sequence) or the
+  /// skip (tree polynomials).
   std::vector<std::uint64_t> forced_primes;
 };
 

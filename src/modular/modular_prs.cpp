@@ -164,7 +164,7 @@ void MultimodularPrs::run_image(std::size_t slot) {
 
 std::size_t MultimodularPrs::image_batch(int threads) const {
   if (!cfg_.batch_images || eager_ == 0) return 1;
-  // Per-image cost in the word-multiply units of the combine gate: the
+  // Per-image cost in word-multiply units (one 64x64 MAC each): the
   // recurrence touches ~sum_d 12 d ~ 6 n^2 units of field MACs, one field
   // inverse per level (~150 units each), and the input reduction pays ~2
   // units per limb of every coefficient.  Batch until a task clears the

@@ -75,8 +75,8 @@ class MultimodularPrs {
 
   // --- image batching (cfg.batch_images) -----------------------------------
   // One task per prime is too fine below ~degree 40: a single image costs
-  // ~6 n^2 word multiplies, which rivals task dispatch (~2500 units, the
-  // combine gate's calibrated constant).  The driver asks for a batch
+  // ~6 n^2 word multiplies, which rivals task dispatch (~2500 units).
+  // The driver asks for a batch
   // size, schedules num_image_tasks() tasks, and each one images a
   // contiguous run of slots.  Purely a scheduling regrouping: the same
   // run_image calls happen in the same per-slot order within a batch.

@@ -14,7 +14,7 @@ namespace pr::modular {
 namespace {
 
 /// Plans above this length are never built: 2^22 points covers degree
-/// ~2M convolutions, far past anything the tree combines produce, and
+/// ~2M convolutions, far past anything the library's products need, and
 /// bounds the registry's memory (each plan is ~3n words).
 constexpr unsigned kMaxPlanLog2 = 22;
 

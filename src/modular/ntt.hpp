@@ -17,9 +17,11 @@
 //     over the data at the cache-unfriendly small strides).
 //   * ntt_mul / ntt_sqr -- PolyZp convolution entry points: zero-pad to the
 //     next power of two, transform, pointwise multiply, invert.  Falls back
-//     to schoolbook below a calibrated cutoff (same word-multiply units as
-//     the ModularCombine cost gate) or when the prime's 2-adic order cannot
-//     accommodate the convolution length (forced test primes).
+//     to schoolbook below a calibrated cutoff (in word-multiply units, one
+//     64x64 multiply-accumulate each) or when the prime's 2-adic order
+//     cannot accommodate the convolution length (forced test primes).  No
+//     pipeline stage convolves mod p; bench_ntt, the tests and the
+//     autotuner call these, and the plans also serve bigint/bigint_ntt.
 //
 // Determinism: all arithmetic is exact mod p, so ntt_mul is bit-identical
 // to PolyZp::mul_schoolbook -- the NTT changes the cost of a convolution,
@@ -92,8 +94,8 @@ class NttTables {
 void ntt_forward(std::vector<Zp>& a, const NttPlan& plan, const PrimeField& f);
 void ntt_inverse(std::vector<Zp>& a, const NttPlan& plan, const PrimeField& f);
 
-/// Per-butterfly charge of the cost model, in the word-multiply units of
-/// the ModularCombine gate (1 unit == one 64x64 multiply-accumulate).
+/// Per-butterfly charge of the cost model, in word-multiply units
+/// (1 unit == one 64x64 multiply-accumulate).
 /// The calibrated override from modular/tuning.hpp when one is set,
 /// else the compiled per-ISA default (3.0 with a vector kernel table
 /// active, 4.0 scalar).

@@ -25,9 +25,8 @@
 
 namespace pr::modular {
 
-/// Cost model of one mod-p NTT vs schoolbook convolution, in the
-/// word-multiply units of the ModularCombine gate (1 unit == one raw
-/// 64x64 multiply-accumulate).
+/// Cost model of one mod-p NTT vs schoolbook convolution, in word-multiply
+/// units (1 unit == one raw 64x64 multiply-accumulate).
 struct NttCostModel {
   /// Per-butterfly charge (one Montgomery multiply + two adds plus pass
   /// bookkeeping).  0 = auto: the per-ISA compiled default (3.0 when a

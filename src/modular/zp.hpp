@@ -59,7 +59,7 @@ class PrimeField {
   /// Construction without the Miller-Rabin certificate, for primes already
   /// known good (the deterministic table, or forced primes validated at
   /// config intake).  The check costs ~650 hardware-division mulmods; paid
-  /// once per prime per basis it dominated small combines.  Structural
+  /// once per prime per basis it dominated small CRT bases.  Structural
   /// requirements (odd, below 2^63) are still enforced; feeding a genuine
   /// composite breaks field arithmetic silently, so every call site must be
   /// able to name the validation it relies on.

@@ -47,10 +47,10 @@
 #include "model/mult_model.hpp"               // IWYU pragma: export
 #include "model/size_bounds.hpp"              // IWYU pragma: export
 #include "modular/crt.hpp"                    // IWYU pragma: export
-#include "modular/modular_combine.hpp"        // IWYU pragma: export
 #include "modular/modular_config.hpp"         // IWYU pragma: export
 #include "modular/modular_prs.hpp"            // IWYU pragma: export
 #include "modular/polyzp.hpp"                 // IWYU pragma: export
+#include "modular/tree_poly.hpp"              // IWYU pragma: export
 #include "modular/zp.hpp"                     // IWYU pragma: export
 #include "poly/bounds.hpp"                    // IWYU pragma: export
 #include "poly/poly.hpp"                      // IWYU pragma: export

@@ -36,11 +36,15 @@ enum class TaskKind : std::uint8_t {
   kInterval,     ///< solve one interval problem
   kLinRoot,      ///< exact root of a linear node polynomial
   kRootsMark,    ///< node roots complete (synchronization marker)
-  kPrimeImage,   ///< one per-prime modular image (PRS or combine)
-  kModPrep,      ///< select primes / build the PRS basis / open a level
-  kModBlock,     ///< strided block of per-prime combine images
-  kModCrt,       ///< CRT: one wave of a PRS level, or a whole combine
-  kModPublish,   ///< finalize a multimodular result (or fall back to exact)
+  kPrimeImage,   ///< per-prime PRS images, or tree-table residues
+  kModPrep,      ///< select primes / build the PRS basis / open a level,
+                 ///< or set up / publish the tree residue table and basis
+  kModBlock,     ///< retired combine-image block: no graph builds it;
+                 ///< it keeps its slot, like kPieceSend below
+  kModCrt,       ///< CRT: one wave of a PRS level, or one tree node's
+                 ///< polynomial (three-term recurrence + one CRT)
+  kModPublish,   ///< finalize a multimodular result (or fall back to
+                 ///< exact), or free the tree table
   // Retired TreePiece boundary kinds: no graph builds them any more.
   // They keep their slots because TaskTrace::save writes kinds as
   // numbers (removing them would renumber kRefine and kGeneric in saved

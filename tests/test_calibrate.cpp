@@ -328,12 +328,11 @@ TEST_F(CalibrateTest, ExtremeProfilesKeepRootReportsBitIdentical) {
   const auto input = paper_input(12, rng);
   RootFinderConfig cfg;
   cfg.mu_bits = 40;
-  // Route through the multimodular machinery so the mod-p NTT cutoff,
-  // the CRT wave model, and image batching all sit on the hot path.
+  // Route through the multimodular machinery so the CRT wave model and
+  // image batching sit on the hot path.  (No pipeline path convolves mod
+  // p any more, so the mod-p NTT cutoff is not on it.)
   cfg.modular.enabled = true;
   cfg.modular.min_degree = 2;
-  cfg.modular.min_combine_bits = 1;
-  cfg.modular.combine_cost_gate = false;
 
   cal::reset();
   const auto ref = find_real_roots(input.poly, cfg);

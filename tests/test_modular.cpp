@@ -1,7 +1,8 @@
 // The multimodular subsystem: word-sized prime fields, CRT reconstruction,
-// the multimodular remainder sequence and tree combine -- all proven
+// the multimodular remainder sequence and tree polynomials -- all proven
 // bit-identical to the exact BigInt paths -- plus BigInt::mod_u64 and the
-// mod-p verifier.
+// mod-p verifier.  The tree-polynomial recurrence has its own suite,
+// test_tree_poly.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,13 +11,11 @@
 
 #include "core/parallel_driver.hpp"
 #include "core/root_finder.hpp"
-#include "core/tree_builder.hpp"
 #include "gen/classic_polys.hpp"
 #include "gen/matrix_polys.hpp"
 #include "instr/counters.hpp"
-#include "linalg/polymat22.hpp"
+#include "instr/phase.hpp"
 #include "modular/crt.hpp"
-#include "modular/modular_combine.hpp"
 #include "modular/modular_prs.hpp"
 #include "modular/polyzp.hpp"
 #include "modular/zp.hpp"
@@ -230,6 +229,34 @@ TEST(CrtTest, PrimesForBitsIsMonotoneAndSufficient) {
   EXPECT_THROW(basis.primes_for_bits(100000), InternalError);
 }
 
+TEST(CrtTest, BasisSetupReportsNoOpCounts) {
+  // One run shares a basis across the task graph while the one-node layer
+  // call builds one per node, so set-up must not show in the per-phase
+  // operation counts.  (BigInt storage still allocates the prefix
+  // products; the allocation counters are outside the cost model.)
+  std::vector<std::uint64_t> primes;
+  for (std::size_t i = 0; i < 300; ++i) primes.push_back(modular::nth_modulus(i));
+  instr::reset_all();
+  const instr::PhaseCounts before = instr::aggregate();
+  {
+    instr::PhaseScope phase(instr::Phase::kTreePoly);
+    const CrtBasis basis(primes);
+    EXPECT_EQ(basis.size(), primes.size());
+  }
+  const instr::PhaseCounts after = instr::aggregate();
+  for (std::size_t ph = 0; ph < instr::kNumPhases; ++ph) {
+    const auto& a = before.by_phase[ph];
+    const auto& b = after.by_phase[ph];
+    const char* where = instr::phase_name(static_cast<instr::Phase>(ph));
+    EXPECT_EQ(a.mul_count, b.mul_count) << where;
+    EXPECT_EQ(a.div_count, b.div_count) << where;
+    EXPECT_EQ(a.add_count, b.add_count) << where;
+    EXPECT_EQ(a.mul_bits, b.mul_bits) << where;
+    EXPECT_EQ(a.div_bits, b.div_bits) << where;
+    EXPECT_EQ(a.add_bits, b.add_bits) << where;
+  }
+}
+
 TEST(CrtTest, PrsBoundDominatesActualCoefficients) {
   Prng rng(11);
   const Poly f0 = random_poly(20, 99, rng);
@@ -248,9 +275,7 @@ ModularConfig forced_on(int threads = 1) {
   ModularConfig cfg;
   cfg.enabled = true;
   cfg.num_threads = threads;
-  cfg.min_degree = 2;             // force the fast path even on small inputs
-  cfg.min_combine_bits = 1;       // same for the tree combines
-  cfg.combine_cost_gate = false;  // correctness tests, not a perf contest
+  cfg.min_degree = 2;  // force the fast path even on small inputs
   return cfg;
 }
 
@@ -390,97 +415,7 @@ TEST(MultimodularPrs, ImageBatchSizingCoversEverySlot) {
   EXPECT_EQ(unbatched.num_image_tasks(1), unbatched.num_slots());
 }
 
-// --- multimodular tree combine ----------------------------------------------
-
-TEST(ModularCombineTest, MatchesExactCombine) {
-  Prng rng(31);
-  // Mid-sequence leaves of a degree-32 input: their U matrices carry
-  // hundreds of coefficient bits, so every combine clears the >= 3 prime
-  // threshold once min_combine_bits is lowered.
-  const Poly f0 = random_poly(32, 60, rng);
-  const RemainderSequence rs = compute_remainder_sequence(f0);
-
-  const PolyMat22 t9 = t_leaf(rs, 9);
-  const PolyMat22 t11 = t_leaf(rs, 11);
-  const PolyMat22 t9_11 = t_combine(t11, t9, rs, 10);
-  const PolyMat22 t13 = t_leaf(rs, 13);
-  const PolyMat22 t15 = t_leaf(rs, 15);
-  const PolyMat22 t13_15 = t_combine(t15, t13, rs, 14);
-  const PolyMat22 t9_15 = t_combine(t13_15, t9_11, rs, 12);
-
-  const ModularConfig cfg = forced_on();
-  const auto m1 = modular::modular_t_combine(t11, t9, rs, 10, cfg);
-  ASSERT_TRUE(m1.has_value());
-  EXPECT_EQ(*m1, t9_11);
-  const auto m2 = modular::modular_t_combine(t13_15, t9_11, rs, 12, cfg);
-  ASSERT_TRUE(m2.has_value());
-  EXPECT_EQ(*m2, t9_15);
-  // Threaded one-shot form agrees too.
-  const auto m2t =
-      modular::modular_t_combine(t13_15, t9_11, rs, 12, forced_on(4));
-  ASSERT_TRUE(m2t.has_value());
-  EXPECT_EQ(*m2t, t9_15);
-}
-
-TEST(ModularCombineTest, FusedNttCombineMatchesExact) {
-  Prng rng(0xf00d);
-  // A fabricated combine with unit c's (s == 1, so the exact division is
-  // trivially exact) and ~90-coefficient entries: the structural output
-  // lengths clear the fused frequency-domain floor, so run_image_ntt
-  // carries the whole per-prime combine.
-  RemainderSequence rs;
-  rs.n = 3;
-  rs.nstar = 3;
-  rs.c.assign(4, BigInt(1));
-  rs.Q.assign(3, Poly());
-  rs.Q[2] = random_poly(1, 1LL << 44, rng);
-  const auto long_mat = [&rng] {
-    PolyMat22 m;
-    for (int r = 0; r < 2; ++r) {
-      for (int c = 0; c < 2; ++c) m.at(r, c) = random_poly(89, 1LL << 44, rng);
-    }
-    return m;
-  };
-  const PolyMat22 tl = long_mat();
-  const PolyMat22 tr = long_mat();
-  const PolyMat22 exact = t_combine(tr, tl, rs, 2);
-
-  ModularConfig cfg = forced_on();
-  instr::reset_modular();
-  const auto fused = modular::modular_t_combine(tr, tl, rs, 2, cfg);
-  ASSERT_TRUE(fused.has_value());
-  EXPECT_EQ(*fused, exact);
-  // 16 transforms per slot (12 forward + 4 inverse): proof the fused
-  // frequency-domain path actually carried the combine.
-  EXPECT_GE(instr::modular_counts().ntt_transforms, 16u);
-
-  cfg.use_ntt = false;  // schoolbook images must agree bit for bit
-  instr::reset_modular();
-  const auto elementwise = modular::modular_t_combine(tr, tl, rs, 2, cfg);
-  ASSERT_TRUE(elementwise.has_value());
-  EXPECT_EQ(*elementwise, exact);
-  EXPECT_EQ(instr::modular_counts().ntt_transforms, 0u);
-
-  // A forced low-2-adic prime caps its transform size below the plan, so
-  // that slot falls back to elementwise mid-flight while the other slots
-  // stay fused -- the mixed schedule still reconstructs exactly.
-  ModularConfig mixed = forced_on(4);
-  mixed.forced_primes = {kSmallPrime};
-  const auto m = modular::modular_t_combine(tr, tl, rs, 2, mixed);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(*m, exact);
-}
-
-TEST(ModularCombineTest, SmallCombineDeclines) {
-  Prng rng(32);
-  const Poly f0 = random_poly(8, 5, rng);
-  const RemainderSequence rs = compute_remainder_sequence(f0);
-  ModularConfig cfg = forced_on();
-  cfg.min_combine_bits = 1u << 20;  // nothing this small qualifies
-  EXPECT_FALSE(
-      modular::modular_t_combine(t_leaf(rs, 3), t_leaf(rs, 1), rs, 2, cfg)
-          .has_value());
-}
+// --- multimodular tree polynomials ------------------------------------------
 
 TEST(ModularCombineTest, SequentialTreeMatchesExactTree) {
   Prng rng(33);
