@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -191,6 +192,89 @@ void BM_ScaledHorner(benchmark::State& state) {
 }
 BENCHMARK(BM_ScaledHorner)->Arg(10)->Arg(30)->Arg(70);
 
+/// BM_SignProbe's inputs: a Jacobi-96 tree-node polynomial at mu 53 (the
+/// root's left child, a non-spine node of degree 48) with 64 random points
+/// of its root range and 64 points within two units of its roots, all at
+/// the interval solver's scale mu + 8.
+struct SignProbeCase {
+  pr::Poly poly;
+  std::vector<pr::BigInt> random_points;
+  std::vector<pr::BigInt> near_points;
+  std::size_t w = 0;
+};
+
+const SignProbeCase& sign_probe_case() {
+  static const SignProbeCase c = [] {
+    constexpr std::size_t kMu = 53;
+    pr::Prng rng(9);
+    const pr::Poly work = pr::random_jacobi_poly(96, 9, rng).primitive_part();
+    pr::modular::ModularConfig mod;
+    mod.enabled = true;
+    auto rs = pr::modular::compute_remainder_sequence_multimodular(work, mod);
+    if (!rs) rs = pr::compute_remainder_sequence(work);
+    pr::Tree tree(work.degree());
+    const pr::BigInt bound =
+        pr::BigInt::pow2(pr::root_bound_pow2(work) + kMu);
+    for (int idx : tree.postorder()) {
+      pr::compute_node_poly(tree, idx, *rs, &mod);
+    }
+    for (int idx : tree.postorder()) {
+      pr::compute_node_roots(tree, idx, kMu, bound, pr::IntervalSolverConfig{},
+                             nullptr, &mod);
+    }
+    const pr::TreeNode& node = tree.node(tree.node(tree.root_index()).left);
+    SignProbeCase out;
+    out.poly = node.poly;
+    out.w = kMu + 8;
+    const std::int64_t lo = node.roots.front().to_int64();
+    const std::int64_t hi = node.roots.back().to_int64();
+    for (int k = 0; k < 64; ++k) {
+      const pr::BigInt t(static_cast<long long>(rng.range(lo, hi)));
+      out.random_points.push_back(t << 8);
+      const pr::BigInt& r = node.roots[rng.below(node.roots.size())];
+      out.near_points.push_back((r << 8) +
+                                pr::BigInt(static_cast<long long>(k % 5) - 2));
+    }
+    return out;
+  }();
+  return c;
+}
+
+void BM_SignProbe(benchmark::State& state) {
+  // Exact sign_at_scaled (method 0) against certified_sign_scaled alone
+  // (1) and the filter with its exact fallback (2), at random (points 0)
+  // and near-root (1) points.  certified_share counts the probes the
+  // fixed-precision evaluation decided.
+  const SignProbeCase& c = sign_probe_case();
+  const auto method = state.range(0);
+  const auto& points = state.range(1) == 0 ? c.random_points : c.near_points;
+  std::size_t next = 0;
+  std::uint64_t certified = 0;
+  const pr::instr::OpCounts before = pr::instr::aggregate().total();
+  for (auto _ : state) {
+    const pr::BigInt& t = points[next];
+    next = (next + 1) % points.size();
+    if (method == 0) {
+      benchmark::DoNotOptimize(c.poly.sign_at_scaled(t, c.w));
+    } else if (method == 1) {
+      const std::optional<int> s = pr::certified_sign_scaled(c.poly, t, c.w);
+      certified += s.has_value() ? 1 : 0;
+      benchmark::DoNotOptimize(s);
+    } else {
+      benchmark::DoNotOptimize(pr::filtered_sign_scaled(c.poly, t, c.w));
+    }
+  }
+  report_allocs(state, before, pr::instr::aggregate().total());
+  if (method == 1) {
+    state.counters["certified_share"] = benchmark::Counter(
+        static_cast<double>(certified) /
+        static_cast<double>(state.iterations()));
+  }
+}
+BENCHMARK(BM_SignProbe)
+    ->ArgNames({"method", "near_root"})
+    ->ArgsProduct({{0, 1, 2}, {0, 1}});
+
 void BM_RemainderSequence(benchmark::State& state) {
   pr::Prng rng(5);
   const auto input = pr::paper_input(static_cast<std::size_t>(state.range(0)),
@@ -290,6 +374,13 @@ int main(int argc, char** argv) {
   // the active profile id into the JSON context.
   benchmark::AddCustomContext("calibration_profile",
                               prbench::bench_profile_id());
+  // The context's library_build_type describes the installed
+  // google-benchmark library; this records how polyroots was built.
+#ifdef NDEBUG
+  benchmark::AddCustomContext("polyroots_build", "optimized (NDEBUG)");
+#else
+  benchmark::AddCustomContext("polyroots_build", "debug (assertions on)");
+#endif
   if (benchmark::ReportUnrecognizedArguments(argn, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -5,6 +5,7 @@
 
 #include "core/scaled_point.hpp"
 #include "instr/phase.hpp"
+#include "poly/certified_sign.hpp"
 #include "support/error.hpp"
 
 namespace pr {
@@ -40,7 +41,7 @@ BigInt solve_isolated_interval(const Poly& p, const BigInt& lo,
                                const BigInt& hi, int s_lo, int s_hi,
                                std::size_t mu,
                                const IntervalSolverConfig& config,
-                               IntervalStats* stats) {
+                               IntervalStats* stats, bool certified_probes) {
   check_arg(lo < hi, "solve_isolated_interval: empty interval");
   check_arg(s_lo * s_hi == -1, "solve_isolated_interval: need a sign change");
   IntervalStats local;
@@ -73,7 +74,8 @@ BigInt solve_isolated_interval(const Poly& p, const BigInt& lo,
   const auto exact_hit = [&](const BigInt& t) { return ceil_shift(t, g); };
   const auto probe_sign = [&](const BigInt& t, std::uint64_t& counter) {
     counter += 1;
-    return p.sign_at_scaled(t, w);
+    return certified_probes ? filtered_sign_scaled(p, t, w)
+                            : p.sign_at_scaled(t, w);
   };
 
   // ---- Phase 1: double-exponential sieve (Section 2.2) ------------------

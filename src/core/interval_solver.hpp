@@ -14,10 +14,14 @@
 //      leaves the bracket or fails to shrink it falls back to a bisection
 //      step, so termination never depends on the Newton theory.
 //
-// All arithmetic is exact: points are integers at a working scale
-// w = mu + guard, and p is evaluated with the scaled Horner rule
-// (Poly::eval_scaled).  Pure-bisection and no-sieve modes exist for the
-// ablation bench (Eq. 38 vs Eq. 41).
+// Results are exact: points are integers at a working scale w = mu +
+// guard, and p is evaluated with the scaled Horner rule
+// (Poly::eval_scaled).  With modular arithmetic on, the sign-only probes
+// of the sieve and of bisection try a certified fixed-precision sign
+// first (poly/certified_sign.hpp) and fall back to the exact value; a
+// certified sign is the exact sign, so every decision is the same.
+// Newton and regula falsi always use the exact value.  Pure-bisection and
+// no-sieve modes exist for the ablation bench (Eq. 38 vs Eq. 41).
 #pragma once
 
 #include <cstddef>
@@ -64,10 +68,14 @@ struct IntervalSolverConfig {
 /// (lo/2^mu, hi/2^mu).  Preconditions: lo < hi; sign(p(lo/2^mu)) == s_lo,
 /// sign(p(hi/2^mu)) == s_hi, s_lo * s_hi == -1 (for a point that is itself
 /// a root of p, pass the appropriate one-sided sign).  `stats` may be null.
+/// `certified_probes` (ModularConfig::enabled on the pipeline's path)
+/// decides the sieve and bisection signs by certified_sign_scaled when it
+/// can: the same result and IntervalStats, lower bit-cost counters.
 BigInt solve_isolated_interval(const Poly& p, const BigInt& lo,
                                const BigInt& hi, int s_lo, int s_hi,
                                std::size_t mu,
                                const IntervalSolverConfig& config,
-                               IntervalStats* stats);
+                               IntervalStats* stats,
+                               bool certified_probes = false);
 
 }  // namespace pr

@@ -1,20 +1,29 @@
 #include "core/interval_stage.hpp"
 
+#include <optional>
+
 #include "instr/phase.hpp"
+#include "poly/certified_sign.hpp"
 #include "poly/sturm.hpp"
 #include "support/error.hpp"
 
 namespace pr {
 
 InterleavePointInfo analyze_interleave_point(const Poly& p, const BigInt& k,
-                                             std::size_t mu) {
+                                             std::size_t mu,
+                                             bool certified_probes) {
   instr::PhaseScope phase(instr::Phase::kPreInterval);
   InterleavePointInfo info;
-  info.sign_right_at = sign_right_limit(p, k, mu);
+  // A certified sign is nonzero, so it is also the right limit at k.
+  const std::optional<int> at_k =
+      certified_probes ? certified_sign_scaled(p, k, mu) : std::nullopt;
+  info.sign_right_at = at_k ? *at_k : sign_right_limit(p, k, mu);
   const BigInt km = k - BigInt(1);
-  info.sign_at_minus = p.sign_at_scaled(km, mu);
-  info.sign_right_at_minus =
-      info.sign_at_minus != 0 ? info.sign_at_minus : sign_right_limit(p, km, mu);
+  info.sign_at_minus = certified_probes ? filtered_sign_scaled(p, km, mu)
+                                        : p.sign_at_scaled(km, mu);
+  info.sign_right_at_minus = info.sign_at_minus != 0
+                                 ? info.sign_at_minus
+                                 : sign_right_limit(p, km, mu);
   return info;
 }
 
@@ -35,7 +44,7 @@ BigInt solve_one_interval(const Poly& p, int index, const BigInt& k_lo,
                           const InterleavePointInfo& info_lo,
                           const InterleavePointInfo& info_hi, std::size_t mu,
                           const IntervalSolverConfig& config,
-                          IntervalStats* stats) {
+                          IntervalStats* stats, bool certified_probes) {
   IntervalStats local;
   IntervalStats& st = stats ? *stats : local;
 
@@ -77,7 +86,8 @@ BigInt solve_one_interval(const Poly& p, int index, const BigInt& k_lo,
   //   left sign  = right-limit sign at k_lo (valid just right of k_lo),
   //   right sign = exact sign at k_hi - 1.
   return solve_isolated_interval(p, k_lo, hi_minus, info_lo.sign_right_at,
-                                 info_hi.sign_at_minus, mu, config, &st);
+                                 info_hi.sign_at_minus, mu, config, &st,
+                                 certified_probes);
 }
 
 std::vector<BigInt> solve_node_intervals(const Poly& p,
@@ -85,7 +95,8 @@ std::vector<BigInt> solve_node_intervals(const Poly& p,
                                          std::size_t mu,
                                          const BigInt& bound_scaled,
                                          const IntervalSolverConfig& config,
-                                         IntervalStats* stats) {
+                                         IntervalStats* stats,
+                                         bool certified_probes) {
   const int d = p.degree();
   check_arg(static_cast<int>(ys.size()) == d - 1,
             "solve_node_intervals: need d-1 interleaving points");
@@ -99,7 +110,7 @@ std::vector<BigInt> solve_node_intervals(const Poly& p,
 
   std::vector<InterleavePointInfo> infos(points.size());
   for (std::size_t j = 0; j < points.size(); ++j) {
-    infos[j] = analyze_interleave_point(p, points[j], mu);
+    infos[j] = analyze_interleave_point(p, points[j], mu, certified_probes);
   }
 
   // INTERVAL: one problem per root.
@@ -109,7 +120,7 @@ std::vector<BigInt> solve_node_intervals(const Poly& p,
     const auto j = static_cast<std::size_t>(i);
     roots.push_back(solve_one_interval(p, i, points[j], points[j + 1],
                                        infos[j], infos[j + 1], mu, config,
-                                       stats));
+                                       stats, certified_probes));
   }
   return roots;
 }

@@ -13,6 +13,14 @@
 // a root of P -- a real occurrence for, e.g., Wilkinson-style inputs with
 // integer roots.  See DESIGN.md "Known deviations".
 //
+// The trailing `certified_probes` flag carries ModularConfig::enabled:
+// when set, every sign-only probe (the pre-interval signs, the sieve and
+// bisection) is first decided by the certified fixed-precision sign of
+// poly/certified_sign.hpp and only an uncertified one is evaluated
+// exactly.  A certified nonzero sign at K is also its right limit.  The
+// results and IntervalStats are the same either way; only the
+// pre-interval, sieve and bisection bit-cost counters fall.
+//
 // The stage is split the same way the paper's task system splits it
 // (Section 3.2): analyze_interleave_point == one PREINTERVAL task,
 // solve_one_interval == one INTERVAL task.
@@ -39,7 +47,8 @@ struct InterleavePointInfo {
 
 /// PREINTERVAL task: evaluates P around the interleaving point K.
 InterleavePointInfo analyze_interleave_point(const Poly& p, const BigInt& k,
-                                             std::size_t mu);
+                                             std::size_t mu,
+                                             bool certified_probes = false);
 
 /// Number of roots of p that are <= the point t/2^mu, modulo 2, decided
 /// from the right-limit sign: sign(p(t^+)) == sign(p(-inf)) iff the count
@@ -55,7 +64,7 @@ BigInt solve_one_interval(const Poly& p, int index, const BigInt& k_lo,
                           const InterleavePointInfo& info_lo,
                           const InterleavePointInfo& info_hi, std::size_t mu,
                           const IntervalSolverConfig& config,
-                          IntervalStats* stats);
+                          IntervalStats* stats, bool certified_probes = false);
 
 /// Convenience sequential driver: runs the whole stage for one node.
 /// `ys` are the merged child approximations (size d-1), `bound_scaled` is
@@ -66,6 +75,7 @@ std::vector<BigInt> solve_node_intervals(const Poly& p,
                                          std::size_t mu,
                                          const BigInt& bound_scaled,
                                          const IntervalSolverConfig& config,
-                                         IntervalStats* stats);
+                                         IntervalStats* stats,
+                                         bool certified_probes = false);
 
 }  // namespace pr

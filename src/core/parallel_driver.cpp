@@ -637,7 +637,7 @@ class GraphBuilder {
       const TaskId t = g_.add(TaskKind::kPreInterval, idx, [&st, idx, b, e] {
         auto& sc = st.scratch[static_cast<std::size_t>(idx)];
         analyze_interleave_range(st.tree.node(idx).poly, sc.points, b, e,
-                                 st.mu, sc.infos);
+                                 st.mu, sc.infos, st.modular.enabled);
       });
       g_.add_edge(sort, t);
       g_.add_edge(poly_ready, t);
@@ -652,7 +652,8 @@ class GraphBuilder {
         auto& sc = st.scratch[static_cast<std::size_t>(idx)];
         node.roots[ui] = solve_one_interval(
             node.poly, i, sc.points[ui], sc.points[ui + 1], sc.infos[ui],
-            sc.infos[ui + 1], st.mu, st.solver, &sc.stats[ui]);
+            sc.infos[ui + 1], st.mu, st.solver, &sc.stats[ui],
+            st.modular.enabled);
       });
       g_.add_edge(prein[ui], iv);
       if (prein[ui + 1] != prein[ui]) g_.add_edge(prein[ui + 1], iv);

@@ -51,10 +51,12 @@ std::string scaled_to_string(const BigInt& a, std::size_t w, int digits) {
   BigInt q = floor_shift(scaled.negative() ? -scaled : scaled, w);
   std::string s = q.to_decimal();
   const auto d = static_cast<std::size_t>(digits);
-  if (s.size() <= d) s.insert(0, std::string(d + 1 - s.size(), '0'));
-  s.insert(s.size() - d, ".");
-  if (scaled.negative()) s.insert(0, "-");
-  return s;
+  if (s.size() <= d) s = std::string(d + 1 - s.size(), '0') + s;
+  std::string out = scaled.negative() ? "-" : "";
+  out.append(s, 0, s.size() - d);
+  out += '.';
+  out.append(s, s.size() - d, d);
+  return out;
 }
 
 double scaled_to_double(const BigInt& a, std::size_t w) {

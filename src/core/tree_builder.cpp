@@ -87,18 +87,20 @@ std::vector<BigInt> merge_child_roots(const Tree& tree, int idx) {
 void analyze_interleave_range(const Poly& p, const std::vector<BigInt>& points,
                               std::size_t begin, std::size_t end,
                               std::size_t mu,
-                              std::vector<InterleavePointInfo>& infos) {
+                              std::vector<InterleavePointInfo>& infos,
+                              bool certified_probes) {
   check_internal(end <= points.size() && end <= infos.size() && begin <= end,
                  "analyze_interleave_range: bad range");
   for (std::size_t j = begin; j < end; ++j) {
-    infos[j] = analyze_interleave_point(p, points[j], mu);
+    infos[j] = analyze_interleave_point(p, points[j], mu, certified_probes);
   }
 }
 
 void compute_node_roots(Tree& tree, int idx, std::size_t mu,
                         const BigInt& bound_scaled,
                         const IntervalSolverConfig& config,
-                        IntervalStats* stats) {
+                        IntervalStats* stats,
+                        const modular::ModularConfig* modular) {
   TreeNode& nd = tree.node(idx);
   if (nd.empty()) {
     nd.roots.clear();
@@ -114,8 +116,9 @@ void compute_node_roots(Tree& tree, int idx, std::size_t mu,
   check_internal(nd.poly.degree() == nd.length(),
                  "compute_node_roots: degree/length mismatch");
   std::vector<BigInt> ys = merge_child_roots(tree, idx);
+  const bool certified_probes = modular != nullptr && modular->enabled;
   nd.roots = solve_node_intervals(nd.poly, ys, mu, bound_scaled, config,
-                                  stats);
+                                  stats, certified_probes);
 }
 
 }  // namespace pr

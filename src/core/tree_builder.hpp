@@ -38,16 +38,22 @@ std::vector<BigInt> merge_child_roots(const Tree& tree, int idx);
 /// the grain-coarsened ("chunked") variant the parallel driver schedules
 /// when ParallelConfig::grain_chunk > 1 -- the same work, fewer
 /// dispatches.  Results are independent of the chunking.
+/// `certified_probes` as for analyze_interleave_point.
 void analyze_interleave_range(const Poly& p, const std::vector<BigInt>& points,
                               std::size_t begin, std::size_t end,
                               std::size_t mu,
-                              std::vector<InterleavePointInfo>& infos);
+                              std::vector<InterleavePointInfo>& infos,
+                              bool certified_probes = false);
 
 /// Computes node.roots for one node whose polynomial and children's roots
 /// are done (PREINTERVAL + INTERVAL steps).  `bound_scaled` = 2^(R+mu).
+/// When `modular` is non-null and enabled, the sign-only probes are
+/// certified first, as in the task graph (core/interval_stage.hpp): the
+/// same roots and stats, lower pre-interval/sieve/bisection bit costs.
 void compute_node_roots(Tree& tree, int idx, std::size_t mu,
                         const BigInt& bound_scaled,
                         const IntervalSolverConfig& config,
-                        IntervalStats* stats);
+                        IntervalStats* stats,
+                        const modular::ModularConfig* modular = nullptr);
 
 }  // namespace pr

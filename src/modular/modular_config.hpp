@@ -19,8 +19,12 @@ struct ModularConfig {
   /// Master switch for both fast paths: the remainder sequence (above
   /// min_degree) and every internal non-spine tree polynomial, which then
   /// comes from the three-term recurrence modulo primes
-  /// (modular/tree_poly.hpp).  Off by default: the exact path is the
-  /// verified baseline.
+  /// (modular/tree_poly.hpp).  It also selects the certified sign probes
+  /// of the interval stage: the pre-interval, sieve and bisection signs
+  /// try the fixed-precision certified_sign_scaled first and fall back to
+  /// the exact value (poly/certified_sign.hpp; same results, lower
+  /// bit-cost counters).  Off by default: the exact path is the verified
+  /// baseline.
   bool enabled = false;
 
   /// Worker threads for the *standalone* multimodular remainder sequence

@@ -19,28 +19,30 @@ int variations(const std::vector<int>& signs) {
   return count;
 }
 
-}  // namespace
-
-int sign_right_limit(const Poly& p, const BigInt& a, std::size_t w) {
-  Poly cur = p;
-  while (!cur.is_zero()) {
+/// Sign of the first non-vanishing derivative value p^(k)(a/2^w), times
+/// (-1)^k when `alternate`.  p is evaluated in place; derivatives are
+/// formed only after a zero sign.
+int first_nonzero_derivative_sign(const Poly& p, const BigInt& a,
+                                  std::size_t w, bool alternate) {
+  const int s0 = p.sign_at_scaled(a, w);
+  if (s0 != 0) return s0;
+  int flip = alternate ? -1 : 1;
+  for (Poly cur = p.derivative(); !cur.is_zero(); cur = cur.derivative()) {
     const int s = cur.sign_at_scaled(a, w);
-    if (s != 0) return s;
-    cur = cur.derivative();
+    if (s != 0) return flip * s;
+    if (alternate) flip = -flip;  // odd order flips the left-limit sign
   }
   return 0;
 }
 
+}  // namespace
+
+int sign_right_limit(const Poly& p, const BigInt& a, std::size_t w) {
+  return first_nonzero_derivative_sign(p, a, w, false);
+}
+
 int sign_left_limit(const Poly& p, const BigInt& a, std::size_t w) {
-  Poly cur = p;
-  int flip = 1;
-  while (!cur.is_zero()) {
-    const int s = cur.sign_at_scaled(a, w);
-    if (s != 0) return flip * s;
-    cur = cur.derivative();
-    flip = -flip;  // odd-order first nonzero derivative flips the sign
-  }
-  return 0;
+  return first_nonzero_derivative_sign(p, a, w, true);
 }
 
 SturmChain::SturmChain(const Poly& p) {

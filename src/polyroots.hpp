@@ -53,6 +53,7 @@
 #include "modular/tree_poly.hpp"              // IWYU pragma: export
 #include "modular/zp.hpp"                     // IWYU pragma: export
 #include "poly/bounds.hpp"                    // IWYU pragma: export
+#include "poly/certified_sign.hpp"            // IWYU pragma: export
 #include "poly/poly.hpp"                      // IWYU pragma: export
 #include "poly/newton_sums.hpp"               // IWYU pragma: export
 #include "poly/remainder_sequence.hpp"        // IWYU pragma: export

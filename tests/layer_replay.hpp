@@ -36,7 +36,7 @@ inline void replay_tree(Tree& tree, const RemainderSequence& rs,
                         const modular::ModularConfig* modular = nullptr) {
   for (int idx : tree.postorder()) compute_node_poly(tree, idx, rs, modular);
   for (int idx : tree.postorder()) {
-    compute_node_roots(tree, idx, mu, bound_scaled, solver, stats);
+    compute_node_roots(tree, idx, mu, bound_scaled, solver, stats, modular);
   }
 }
 

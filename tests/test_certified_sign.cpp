@@ -1,0 +1,278 @@
+// Certified fixed-precision signs (poly/certified_sign.hpp): a randomized
+// differential against the exact scaled Horner value, the certified share
+// on the tree-node polynomials the pipeline probes, and the gate in the
+// interval layer (modular arithmetic on: same reports, cheaper probes).
+#include "poly/certified_sign.hpp"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/root_finder.hpp"
+#include "core/tree.hpp"
+#include "gen/matrix_polys.hpp"
+#include "instr/counters.hpp"
+#include "layer_replay.hpp"
+#include "modular/modular_prs.hpp"
+#include "poly/bounds.hpp"
+#include "support/prng.hpp"
+
+namespace pr {
+namespace {
+
+/// Uniformly random magnitude with exactly `bits` bits, random sign.
+BigInt random_bigint(Prng& rng, std::size_t bits) {
+  if (bits == 0) return BigInt();
+  BigInt v = BigInt::pow2(bits - 1);  // force the top bit
+  for (std::size_t lo = 0; lo + 1 < bits; lo += 64) {
+    const std::size_t width = std::min<std::size_t>(64, bits - 1 - lo);
+    std::uint64_t word = rng.next();
+    if (width < 64) word &= (std::uint64_t{1} << width) - 1;
+    v += BigInt(static_cast<unsigned long long>(word)) << lo;
+  }
+  return rng.coin() ? -std::move(v) : v;
+}
+
+/// Degree-`degree` polynomial with about one zero coefficient in five and
+/// the others up to `max_bits` bits.
+Poly random_test_poly(Prng& rng, int degree, std::size_t max_bits) {
+  std::vector<BigInt> c;
+  for (int i = 0; i <= degree; ++i) {
+    const std::size_t bits = 1 + rng.below(max_bits);
+    c.push_back(rng.below(5) == 0 ? BigInt() : random_bigint(rng, bits));
+  }
+  if (c.back().is_zero()) c.back() = BigInt(rng.coin() ? 1 : -1);
+  return Poly(std::move(c));
+}
+
+/// Point numerators up to 127 bits, one in eight at 128-191 bits (beyond
+/// the working multiplier), zero included.
+BigInt random_point(Prng& rng) {
+  const std::size_t bits =
+      rng.below(8) == 0 ? 128 + rng.below(64) : rng.below(128);
+  return random_bigint(rng, bits);
+}
+
+/// Scales from 0 to 1024, half of them at limb and two-limb boundaries.
+std::size_t random_scale(Prng& rng) {
+  static const std::size_t kEdges[] = {0, 1, 63, 64, 65, 127, 128, 129, 1024};
+  return rng.coin() ? kEdges[rng.below(9)] : rng.below(1025);
+}
+
+struct Tally {
+  std::size_t probes = 0;
+  std::size_t certified = 0;
+  std::size_t zeros = 0;
+  double share() const {
+    return probes == 0 ? 0.0
+                       : static_cast<double>(certified) /
+                             static_cast<double>(probes);
+  }
+};
+
+/// One probe against the exact sign: a certified sign must equal it, and
+/// an exact zero must never be certified.
+void check_probe(const Poly& p, const BigInt& t, std::size_t w, Tally& tally) {
+  const int exact = p.sign_at_scaled(t, w);
+  const std::optional<int> got = certified_sign_scaled(p, t, w);
+  ++tally.probes;
+  if (exact == 0) ++tally.zeros;
+  const auto where = [&] {
+    return "degree " + std::to_string(p.degree()) + ", ||p|| " +
+           std::to_string(p.max_coeff_bits()) + " bits, t " + t.to_hex() +
+           ", w " + std::to_string(w);
+  };
+  if (got) {
+    ++tally.certified;
+    EXPECT_NE(exact, 0) << "certified an exact zero: " << where();
+    EXPECT_EQ(*got, exact) << where();
+  }
+  if (t.bit_length() > 128) {
+    EXPECT_FALSE(got.has_value()) << "|t| >= 2^128 must fall back: " << where();
+  }
+  EXPECT_EQ(filtered_sign_scaled(p, t, w), exact) << where();
+}
+
+/// The tree-node polynomials (degree >= 2) of `input` with their
+/// mu-scaled roots, computed as the pipeline does with modular arithmetic
+/// on.
+std::vector<std::pair<Poly, std::vector<BigInt>>> tree_nodes(
+    const Poly& input, std::size_t mu) {
+  modular::ModularConfig mod;
+  mod.enabled = true;
+  const Poly work = input.primitive_part();
+  std::optional<RemainderSequence> rs =
+      modular::compute_remainder_sequence_multimodular(work, mod);
+  if (!rs) rs = compute_remainder_sequence(work);
+  Tree tree(work.degree());
+  test::replay_tree(tree, *rs, mu, BigInt::pow2(root_bound_pow2(work) + mu),
+                    IntervalSolverConfig{}, nullptr, &mod);
+  std::vector<std::pair<Poly, std::vector<BigInt>>> out;
+  for (int idx : tree.postorder()) {
+    const TreeNode& nd = tree.node(idx);
+    if (!nd.empty() && nd.poly.degree() >= 2) {
+      out.emplace_back(nd.poly, nd.roots);
+    }
+  }
+  return out;
+}
+
+TEST(CertifiedSign, EdgeCases) {
+  EXPECT_FALSE(certified_sign_scaled(Poly(), BigInt(3), 5));
+  EXPECT_EQ(certified_sign_scaled(Poly::constant(-BigInt::pow2(5000)),
+                                  BigInt::pow2(127), 1024),
+            -1);
+  // |t| >= 2^128 always falls back, even where the sign is obvious.
+  EXPECT_FALSE(certified_sign_scaled(Poly{1, 1}, BigInt::pow2(128), 0));
+  EXPECT_EQ(certified_sign_scaled(Poly{1, 1}, BigInt::pow2(128) - 1, 0), 1);
+  EXPECT_EQ(certified_sign_scaled(Poly{1, 1}, -BigInt::pow2(128) + 2, 0), -1);
+  // t = 0: p(0) = a_0.
+  EXPECT_FALSE(certified_sign_scaled(Poly{0, 1}, BigInt(0), 9));
+  EXPECT_EQ(certified_sign_scaled(Poly{-1, 1}, BigInt(0), 9), -1);
+  // 4x^2 - 1: exact roots at -1/2 and 1/2 at any scale, and 2^-98 away
+  // from the root a value of about 2^-98, which certifies.
+  const Poly q{-1, 0, 4};
+  EXPECT_FALSE(certified_sign_scaled(q, BigInt(-1), 1));
+  EXPECT_FALSE(certified_sign_scaled(q, -BigInt::pow2(99), 100));
+  EXPECT_FALSE(certified_sign_scaled(q, BigInt::pow2(126), 127));
+  EXPECT_EQ(certified_sign_scaled(q, -BigInt::pow2(99) - BigInt(1), 100), 1);
+  EXPECT_EQ(certified_sign_scaled(q, BigInt::pow2(99) - BigInt(1), 100), -1);
+}
+
+TEST(CertifiedSign, RandomPolynomialsMatchTheExactSign) {
+  Prng rng(0xce57);
+  static const std::size_t kMaxBits[] = {8, 64, 130, 3000, 20000};
+  Tally tally;
+  for (int iter = 0; iter < 600; ++iter) {
+    const int degree = static_cast<int>(iter % 2 == 0 ? rng.below(3)
+                                                      : rng.below(129));
+    const Poly p = random_test_poly(rng, degree, kMaxBits[rng.below(5)]);
+    for (int k = 0; k < 4; ++k) {
+      const BigInt t = random_point(rng);
+      check_probe(p, t, random_scale(rng), tally);
+      check_probe(p, -t, random_scale(rng), tally);
+    }
+    check_probe(p, BigInt(0), random_scale(rng), tally);
+  }
+  EXPECT_GT(tally.certified, tally.probes / 2);
+}
+
+TEST(CertifiedSign, ExactDyadicRootsAreNeverCertified) {
+  // prod (2^a x - b) with b odd: the root b / 2^a is the exact point
+  // (b << (w - a)) / 2^w at every scale w >= a.  Some factors repeat.
+  Prng rng(0xd1ad);
+  Tally tally;
+  for (int iter = 0; iter < 150; ++iter) {
+    Poly p{1};
+    std::vector<std::pair<std::size_t, BigInt>> roots;
+    const int k = 1 + static_cast<int>(rng.below(12));
+    for (int i = 0; i < k; ++i) {
+      const std::size_t a = rng.below(41);
+      BigInt b = random_bigint(rng, 1 + rng.below(60));
+      if (b.is_even()) b += BigInt(1);
+      const Poly factor(std::vector<BigInt>{-b, BigInt::pow2(a)});
+      p *= factor;
+      if (rng.below(4) == 0) p *= factor;
+      roots.emplace_back(a, std::move(b));
+    }
+    for (const auto& [a, b] : roots) {
+      const std::size_t w = a + rng.below(90);
+      const BigInt t = b << (w - a);
+      check_probe(p, t, w, tally);
+      EXPECT_FALSE(certified_sign_scaled(p, t, w));
+      for (int delta : {-2, -1, 1, 2}) {
+        check_probe(p, t + BigInt(delta), w, tally);
+      }
+    }
+  }
+  EXPECT_GE(tally.zeros, 150u);
+}
+
+TEST(CertifiedSign, NearRootsOfTreeNodePolynomials) {
+  // Points within two units of the node roots, at the root scale mu and
+  // at the interval solver's scale mu + 8, for mu from 20 to 100.
+  Prng rng(41);
+  const std::vector<Poly> inputs = {random_jacobi_poly(24, 1000000, rng),
+                                    paper_input(16, rng).poly};
+  for (const Poly& input : inputs) {
+    for (std::size_t mu : {20u, 37u, 53u, 71u, 100u}) {
+      Tally tally;
+      for (const auto& [poly, roots] : tree_nodes(input, mu)) {
+        for (const BigInt& r : roots) {
+          for (int delta = -2; delta <= 2; ++delta) {
+            check_probe(poly, r + BigInt(delta), mu, tally);
+            check_probe(poly, (r << 8) + BigInt(delta), mu + 8, tally);
+          }
+        }
+      }
+      EXPECT_GT(tally.probes, 0u);
+    }
+  }
+}
+
+TEST(CertifiedSign, CertifiesMostJacobi96TreeNodeProbes) {
+  // A bound that silently always fell back would still be correct; the
+  // pipeline's saving needs it to certify.  Jacobi-96 (tree-large's
+  // input class) at mu 53: random points of each node's root range, and
+  // points within two units of its roots at the scales the pre-interval
+  // (w = 53) and interval (w = 61) tasks probe.
+  Prng rng(9);
+  const std::size_t mu = 53;
+  Tally random_pts, near_53, near_61;
+  for (const auto& [poly, roots] :
+       tree_nodes(random_jacobi_poly(96, 9, rng), mu)) {
+    ASSERT_TRUE(roots.front().fits_int64() && roots.back().fits_int64());
+    const std::int64_t lo = roots.front().to_int64();
+    const std::int64_t hi = roots.back().to_int64();
+    for (int k = 0; k < 10; ++k) {
+      const BigInt t(static_cast<long long>(rng.range(lo, hi)));
+      check_probe(poly, t, mu, random_pts);
+      const BigInt low_bits(static_cast<long long>(rng.below(256)));
+      check_probe(poly, (t << 8) + low_bits, mu + 8, random_pts);
+    }
+    for (const BigInt& r : roots) {
+      for (int delta = -2; delta <= 2; ++delta) {
+        check_probe(poly, r + BigInt(delta), mu, near_53);
+        check_probe(poly, (r << 8) + BigInt(delta), mu + 8, near_61);
+      }
+    }
+  }
+  EXPECT_GE(random_pts.share(), 0.99) << random_pts.probes << " probes";
+  EXPECT_GE(near_53.share(), 0.80) << near_53.probes << " probes";
+  EXPECT_GE(near_61.share(), 0.80) << near_61.probes << " probes";
+}
+
+TEST(CertifiedSign, ModularRunsKeepReportsAndCutProbeCosts) {
+  // The gate: with modular arithmetic on, the pre-interval, sieve and
+  // bisection probes go through the filter, so those phases' bit costs
+  // fall while every report field and Newton's counts stay the same.
+  Prng rng(17);
+  const Poly p = random_jacobi_poly(40, 9, rng);
+  RootFinderConfig exact_cfg;
+  exact_cfg.mu_bits = 53;
+  RootFinderConfig mod_cfg = exact_cfg;
+  mod_cfg.modular.enabled = true;
+  const auto run = [&p](const RootFinderConfig& cfg, RootReport& report) {
+    const instr::PhaseCounts before = instr::thread_counts();
+    report = find_real_roots(p, cfg);  // one thread: runs on the caller
+    return instr::thread_counts() - before;
+  };
+  RootReport exact, mod;
+  const instr::PhaseCounts ce = run(exact_cfg, exact);
+  const instr::PhaseCounts cm = run(mod_cfg, mod);
+  test::expect_same_report(exact, mod, "jacobi-40");
+  using instr::Phase;
+  for (Phase ph : {Phase::kPreInterval, Phase::kSieve, Phase::kBisect}) {
+    EXPECT_GT(ce[ph].bit_cost(), 0u) << instr::phase_name(ph);
+    EXPECT_LT(cm[ph].bit_cost(), ce[ph].bit_cost()) << instr::phase_name(ph);
+  }
+  EXPECT_EQ(cm[Phase::kNewton].mul_count, ce[Phase::kNewton].mul_count);
+  EXPECT_EQ(cm[Phase::kNewton].bit_cost(), ce[Phase::kNewton].bit_cost());
+}
+
+}  // namespace
+}  // namespace pr

@@ -109,7 +109,9 @@ TEST(RootRadii, AnnuliCountsAndContainment) {
     // inner/2^g <= |root| <= outer/2^g (outward dyadic rounding).
     EXPECT_LE(a.inner, BigInt(mags[i]) * scale);
     EXPECT_GE(a.outer, BigInt(mags[i]) * scale);
-    if (i > 0) EXPECT_LT(r.annuli[i - 1].outer, a.outer);
+    if (i > 0) {
+      EXPECT_LT(r.annuli[i - 1].outer, a.outer);
+    }
   }
   EXPECT_EQ(total, p.degree());
   EXPECT_GT(r.pellet_tests, 0);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "gen/matrix_polys.hpp"
 #include "instr/counters.hpp"
 #include "instr/phase.hpp"
+#include "layer_replay.hpp"
 #include "modular/crt.hpp"
 #include "modular/modular_prs.hpp"
 #include "modular/polyzp.hpp"
@@ -440,27 +442,36 @@ TEST(ModularEndToEnd, RootReportsBitIdenticalAcrossThreads) {
   inputs.push_back(paper_input(10, rng).poly);  // Berkowitz charpoly
   inputs.push_back(random_jacobi_poly(14, 6, rng));
 
+  // Full reports, IntervalStats included: at mu 24 the sign-only probes
+  // of the modular runs are certified, at mu 256 every point is wider
+  // than the certified evaluator's multiplier and falls back.
   for (const Poly& p : inputs) {
-    RootFinderConfig cfg;
-    cfg.mu_bits = 24;
-    const auto exact = find_real_roots(p, cfg);
+    for (std::size_t mu : {24u, 256u}) {
+      RootFinderConfig cfg;
+      cfg.mu_bits = mu;
+      const auto exact = find_real_roots(p, cfg);
+      const std::string where =
+          "n=" + std::to_string(p.degree()) + ", mu=" + std::to_string(mu);
 
-    RootFinderConfig mod = cfg;
-    mod.modular = forced_on();
-    const auto seq = find_real_roots(p, mod);
-    EXPECT_EQ(exact.roots, seq.roots) << "sequential, n=" << p.degree();
+      RootFinderConfig mod = cfg;
+      mod.modular = forced_on();
+      test::expect_same_report(exact, find_real_roots(p, mod),
+                               "sequential, " + where);
 
-    ParallelConfig pc;
-    for (PoolPolicy policy :
-         {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
-      pc.pool_policy = policy;
-      for (int threads : {1, 2, 8}) {
-        pc.num_threads = threads;
-        const auto par = find_real_roots_parallel(p, mod, pc);
-        EXPECT_FALSE(par.used_sequential_fallback) << "n=" << p.degree();
-        EXPECT_EQ(exact.roots, par.report.roots)
-            << "threads=" << threads << ", n=" << p.degree() << ", policy="
-            << (policy == PoolPolicy::kCentralQueue ? "central" : "stealing");
+      ParallelConfig pc;
+      for (PoolPolicy policy :
+           {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
+        pc.pool_policy = policy;
+        for (int threads : {1, 2, 8}) {
+          pc.num_threads = threads;
+          const auto par = find_real_roots_parallel(p, mod, pc);
+          EXPECT_FALSE(par.used_sequential_fallback) << where;
+          test::expect_same_report(
+              exact, par.report,
+              where + ", threads=" + std::to_string(threads) + ", policy=" +
+                  (policy == PoolPolicy::kCentralQueue ? "central"
+                                                       : "stealing"));
+        }
       }
     }
   }

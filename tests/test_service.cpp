@@ -204,8 +204,10 @@ TEST_P(ServiceThreads, RefineUpgradeOfReducedAndFallbackInputs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ServiceThreads, ::testing::Values(1, 2, 8),
-                         [](const auto& info) {
-                           return "T" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           std::string name = "T";
+                           name += std::to_string(param_info.param);
+                           return name;
                          });
 
 TEST(Service, SharedCellBlocksRefineUpgrade) {

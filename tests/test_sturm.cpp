@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "gen/classic_polys.hpp"
+#include "instr/counters.hpp"
 #include "support/prng.hpp"
 
 namespace pr {
@@ -76,6 +77,28 @@ TEST(Sturm, SignLimitsAtRepeatedRoot) {
   const Poly q = poly_from_integer_roots({1, 1, 1});
   EXPECT_GT(sign_right_limit(q, BigInt(1), 0), 0);
   EXPECT_LT(sign_left_limit(q, BigInt(1), 0), 0);
+}
+
+TEST(Sturm, NonzeroSignLimitAllocatesNoMoreThanOneEvaluation) {
+  // Multi-limb coefficients: a copy of p before the first evaluation
+  // would allocate one limb buffer per coefficient.
+  const BigInt big = BigInt::pow2(300) + BigInt(12345);
+  const Poly p({big, -big, BigInt(0), big * BigInt(3), -big});
+  const BigInt a(777);
+  const std::size_t w = 7;
+  ASSERT_NE(p.sign_at_scaled(a, w), 0);  // also warms the thread's scratch
+  const auto allocs = [] { return instr::thread_counts().total().alloc_count; };
+  const auto before = allocs();
+  (void)p.sign_at_scaled(a, w);
+  const auto one_eval = allocs() - before;
+  const auto mid = allocs();
+  const int right = sign_right_limit(p, a, w);
+  EXPECT_LE(allocs() - mid, one_eval);
+  const auto mid2 = allocs();
+  const int left = sign_left_limit(p, a, w);
+  EXPECT_LE(allocs() - mid2, one_eval);
+  EXPECT_EQ(right, p.sign_at_scaled(a, w));
+  EXPECT_EQ(left, right);
 }
 
 TEST(Sturm, VariationsAtInfinities) {
