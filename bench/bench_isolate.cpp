@@ -5,7 +5,7 @@
 // Three sections:
 //  * clustered squarefree inputs (all roots real, pathologically close):
 //    both strategies apply, so the wall-time columns are directly
-//    comparable at 1/2/8 threads.
+//    comparable at 1/2/4 threads.
 //  * Mignotte polynomials (mostly complex roots): outside the paper
 //    algorithm's domain, so the paper column is its Sturm-bisection
 //    fallback -- the radii column is the subsystem earning its keep.
@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   std::cout << "workload     n  threads  paper(s)  radii(s)  fallback\n";
   auto run_case = [&](const std::string& name, const pr::Poly& p, int n) {
-    for (const int threads : {1, 2, 8}) {
+    for (const int threads : {1, 2, 4}) {
       Row r;
       r.workload = name;
       r.n = n;

@@ -2,7 +2,7 @@
 //
 // Measures, per input degree:
 //   * prs:      the remainder-sequence stage alone (exact serial recurrence
-//               vs per-prime images + CRT at 1/2/8 threads);
+//               vs per-prime images + CRT at 1/2/4 threads);
 //   * tree:     the tree-build stage alone over the same precomputed
 //               sequence, one compute_node_poly call per node: exact
 //               T_{i,j} combines vs the modular three-term recurrence
@@ -13,13 +13,12 @@
 //   * pipeline: the full parallel root finder at equal thread counts with
 //               the subsystem off vs on (the graph shares one table and
 //               basis across the nodes);
-//   * *-ntt:    degree-128/256 ablation rows where both arms are modular
-//               and only image batching and the wave-parallel CRT of the
-//               remainder sequence differ (the exact pipeline is too slow
-//               to serve as a baseline at those degrees).  The name is
-//               historical: the NTT arm left with the matrix combine, and
-//               the tree stage, which uses neither feature, is timed once
-//               and shared by both stage-ntt arms.
+//   * *-batch-wave: degree-128/256 ablation rows where both arms are
+//               modular and only image batching and the wave-parallel CRT
+//               of the remainder sequence differ (the exact pipeline is
+//               too slow to serve as a baseline at those degrees).  The
+//               tree stage, which uses neither feature, is timed once and
+//               shared by both stage-batch-wave arms.
 //
 // Every modular result is checked bit-identical against the exact one
 // before its timing is reported.  Writes BENCH_modular.json at the repo
@@ -166,7 +165,7 @@ int main(int argc, char** argv) {
     const double mod_tree = timed_best(
         repeats, [&] { build_tree_polys(in.poly, rs, &tree_cfg); });
     emit({"tree", in.name, n, 1, exact_tree, mod_tree});
-    for (int threads : {1, 2, 8}) {
+    for (int threads : {1, 2, 4}) {
       const auto mcfg = modular_cfg(threads);
       auto check = pr::modular::compute_remainder_sequence_multimodular(
           in.poly, mcfg);
@@ -188,7 +187,7 @@ int main(int argc, char** argv) {
     pr::RootFinderConfig cfg_mod = cfg;
     cfg_mod.modular = modular_cfg(1);  // the driver schedules its own tasks
 
-    for (int threads : {1, 2, 8}) {
+    for (int threads : {1, 2, 4}) {
       pr::ParallelConfig par;
       par.num_threads = threads;
       const auto ref = pr::find_real_roots_parallel(in.poly, cfg, par);
@@ -230,7 +229,7 @@ int main(int argc, char** argv) {
   const int big_repeats = full ? 3 : 1;
   for (const auto& in : big) {
     const int n = in.poly.degree();
-    const bool huge = n >= 200;  // single-run, P=8-only cells
+    const bool huge = n >= 200;  // single-run, P=4-only cells
 
     const auto rs_new = pr::modular::compute_remainder_sequence_multimodular(
         in.poly, modular_cfg(1));
@@ -241,7 +240,7 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    for (int threads : {1, 8}) {
+    for (int threads : {1, 4}) {
       if (huge && threads == 1 && !full) continue;
       const auto old_t = baseline_cfg(threads);
       const auto new_t = modular_cfg(threads);
@@ -251,11 +250,12 @@ int main(int argc, char** argv) {
       const double new_prs = timed_best(big_repeats, [&] {
         pr::modular::compute_remainder_sequence_multimodular(in.poly, new_t);
       });
-      emit({"prs-ntt", in.name, n, threads, old_prs, new_prs});
+      emit({"prs-batch-wave", in.name, n, threads, old_prs, new_prs});
       if (huge) continue;  // one stage row is enough at 256
       const double tree = timed_best(
           big_repeats, [&] { build_tree_polys(in.poly, *rs_new, &new_t); });
-      emit({"stage-ntt", in.name, n, threads, old_prs + tree, new_prs + tree});
+      emit({"stage-batch-wave", in.name, n, threads, old_prs + tree,
+            new_prs + tree});
     }
 
     // Full pipeline, modular on in both arms, features off vs on.  The
@@ -265,7 +265,7 @@ int main(int argc, char** argv) {
     pipe_old.modular = baseline_cfg(1);
     pr::RootFinderConfig pipe_new = pipe_old;
     pipe_new.modular = modular_cfg(1);
-    for (int threads : {1, 8}) {
+    for (int threads : {1, 4}) {
       if (huge && threads == 1) continue;
       pr::ParallelConfig par;
       par.num_threads = threads;
@@ -293,7 +293,7 @@ int main(int argc, char** argv) {
                      pr::find_real_roots_parallel(in.poly, pipe_new, par);
                    }));
       }
-      emit({"pipeline-ntt", in.name, n, threads, old_pipe, new_pipe});
+      emit({"pipeline-batch-wave", in.name, n, threads, old_pipe, new_pipe});
     }
   }
 
@@ -316,8 +316,8 @@ int main(int argc, char** argv) {
                "(one task per prime slot) while\nreconstruction is "
                "level-sequential (the induction bound chains levels);\n"
                "bad_primes and fallbacks both 0 on these inputs.\n"
-               "*-ntt rows compare image batching and the wave-parallel "
-               "CRT off vs on\n(both arms modular); thread columns only "
-               "separate on multi-core hosts.\n";
+               "*-batch-wave rows compare image batching and the "
+               "wave-parallel CRT off vs on\n(both arms modular); thread "
+               "columns only separate on multi-core hosts.\n";
   return 0;
 }

@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
               << "\n"
               << table.rule() << "\n";
     for (const auto& pc : policies) {
-      for (int threads : {1, 2, 8}) {
+      for (int threads : {1, 2, 4}) {
         for (int chunk : {1, 4}) {
           pr::ParallelConfig par;
           par.grain = gc.grain;

@@ -1,6 +1,6 @@
 // RootService throughput bench: replaying a mixed request stream (>= 50%
 // duplicate queries, the workload the service layer exists for) through
-// run_batch at 1/2/8 threads, with the result cache on and off.
+// run_batch at 1/2/4 threads, with the result cache on and off.
 //
 // The cache-off rows are the ablation baseline: every request pays a
 // cold tree run, so the on/off ratio is the memoization + in-batch-dedup
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
             << "threads  cache  wall(s)    polys/s   misses  hits  dedup\n";
 
   std::vector<Row> rows;
-  for (const int threads : {1, 2, 8}) {
+  for (const int threads : {1, 2, 4}) {
     for (const bool cache : {true, false}) {
       pr::service::ServiceConfig cfg;
       cfg.finder.mu_bits = digits_to_bits(digits);

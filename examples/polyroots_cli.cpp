@@ -6,13 +6,13 @@
 //   $ example_polyroots_cli --serve [--digits N] [--threads T] [...]
 //   $ example_polyroots_cli --calibrate [--quick] [--out FILE]
 //
-// --calibrate microbenchmarks the dispatch-ladder crossovers on this
-// host (calibrate/autotune.hpp) and writes a calibration profile JSON to
+// --calibrate measures the CRT Garner digit cost on this host
+// (calibrate/autotune.hpp) and writes a calibration profile JSON to
 // --out, or to $POLYROOTS_CALIBRATION when set, or to
 // ./polyroots_calibration.json.  Every other mode loads the profile
 // named by $POLYROOTS_CALIBRATION at startup (falling back to compiled
 // defaults with a stderr diagnostic on any problem); profiles move only
-// dispatch crossovers, never results.
+// how reconstruction work is split into tasks, never results.
 //
 // Single-shot mode parses the polynomial, finds all real roots, and
 // prints them as decimals (default), exact rational enclosures (--exact),
@@ -68,11 +68,11 @@ void usage() {
       "  --no-cache    disable the service result cache\n"
       "  --stats       print the per-phase operation counters (or the\n"
       "                service counters in batch/serve mode)\n"
-      "  --calibrate   measure the dispatch crossovers on this host and\n"
+      "  --calibrate   measure the CRT digit cost on this host and\n"
       "                write a calibration profile (--out FILE overrides\n"
       "                $POLYROOTS_CALIBRATION, default\n"
       "                ./polyroots_calibration.json); --quick runs a\n"
-      "                coarse, fast grid\n"
+      "                shorter measurement\n"
       "examples:\n"
       "  example_polyroots_cli \"x^2 - 2\"\n"
       "  example_polyroots_cli \"x^3 - 6x^2 + 11x - 6\" --digits 40 --exact\n"
@@ -164,29 +164,19 @@ void print_kernel_stats() {
   for (const simd::Isa isa : simd::available_isas()) {
     std::cout << " " << simd::isa_name(isa);
   }
-  const auto d = pr::BigInt::mul_dispatch();
-  std::cout << "; POLYROOTS_SIMD caps the pick)\n"
-            << "bigint mul dispatch: schoolbook"
-            << (d.karatsuba ? " | karatsuba >= " +
-                                  std::to_string(d.karatsuba_threshold) +
-                                  " limbs"
-                            : "")
-            << (d.ntt ? " | ntt >= " + std::to_string(d.ntt_threshold) +
-                            " limbs"
-                      : "")
-            << "\n";
-  const auto fast = pr::MulDispatch::fast();
   const auto mt = pr::modular::modular_tuning();
-  std::cout << "calibration: " << pr::calibrate::active_profile_id()
+  std::cout << "; POLYROOTS_SIMD caps the pick)\n"
+            << "bigint mul: schoolbook"
+            << (pr::BigInt::karatsuba_enabled()
+                    ? " | karatsuba >= " +
+                          std::to_string(pr::BigInt::kKaratsubaThreshold) +
+                          " limbs"
+                    : "")
+            << "\n"
+            << "calibration: " << pr::calibrate::active_profile_id()
             << "  (POLYROOTS_CALIBRATION loads a profile)\n"
-            << "  fast() thresholds: karatsuba " << fast.karatsuba_threshold
-            << " limbs, ntt " << fast.ntt_threshold << " limbs\n"
-            << "  mod-p ntt: min operand " << mt.ntt.min_operand
-            << ", butterfly units "
-            << (mt.ntt.butterfly_units > 0.0
-                    ? std::to_string(mt.ntt.butterfly_units)
-                    : std::string("per-ISA default"))
-            << "\n";
+            << "  crt digit units: " << mt.crt_digit_units_linear << "*k + "
+            << mt.crt_digit_units_quadratic << "*k^2\n";
 }
 
 void print_service_stats(const pr::service::RootService& service) {
@@ -294,15 +284,6 @@ int main(int argc, char** argv) {
     pr::calibrate::apply(profile);
     std::cout << "\nwrote " << path << "  (profile "
               << pr::calibrate::profile_id(profile) << ")\n"
-              << "  karatsuba >= " << profile.karatsuba_threshold
-              << " limbs, bigint ntt >= " << profile.bigint_ntt_threshold
-              << " limbs\n"
-              << "  mod-p ntt >= " << profile.modular_ntt_min_operand
-              << " coefficients (butterfly units "
-              << (profile.ntt_butterfly_units > 0.0
-                      ? std::to_string(profile.ntt_butterfly_units)
-                      : std::string("per-ISA default"))
-              << ")\n"
               << "  crt digit units: " << profile.crt_digit_units_linear
               << "*k + " << profile.crt_digit_units_quadratic << "*k^2\n"
               << "export POLYROOTS_CALIBRATION=" << path

@@ -373,61 +373,4 @@ BigInt pow(const BigInt& base, unsigned exp) {
   return result;
 }
 
-void BigInt::set_mul_dispatch(const MulDispatch& d) {
-  // Release pairs with the acquire load at multiplication sites; see the
-  // contract on detail::mul_dispatch_word() in bigint_detail.hpp.
-  detail::mul_dispatch_word().store(detail::encode_mul_dispatch(d),
-                                    std::memory_order_release);
-}
-MulDispatch BigInt::mul_dispatch() {
-  return detail::decode_mul_dispatch(
-      detail::mul_dispatch_word().load(std::memory_order_acquire));
-}
-
-void BigInt::set_karatsuba_enabled(bool on) {
-  // Flag-only update that must not clobber a concurrently installed
-  // threshold/NTT configuration: compare-exchange on the packed word.
-  auto& word = detail::mul_dispatch_word();
-  std::uint64_t cur = word.load(std::memory_order_acquire);
-  std::uint64_t next;
-  do {
-    next = on ? (cur | 1ull) : (cur & ~1ull);
-  } while (!word.compare_exchange_weak(cur, next, std::memory_order_release,
-                                       std::memory_order_acquire));
-}
-bool BigInt::karatsuba_enabled() {
-  return (detail::mul_dispatch_word().load(std::memory_order_acquire) &
-          1ull) != 0;
-}
-
-MulDispatch MulDispatch::fast() {
-  const std::uint64_t w = detail::calibrated_mul_thresholds_word().load(
-      std::memory_order_acquire);
-  MulDispatch d;
-  d.karatsuba = true;
-  d.ntt = true;
-  d.karatsuba_threshold = static_cast<std::uint32_t>(w & 0xffff);
-  d.ntt_threshold = static_cast<std::uint32_t>((w >> 16) & 0xffff);
-  return d;
-}
-
-void BigInt::set_calibrated_mul_thresholds(std::uint32_t karatsuba,
-                                           std::uint32_t ntt) {
-  const std::uint64_t kc = detail::clamp_threshold(karatsuba);
-  const std::uint64_t nc = detail::clamp_threshold(ntt);
-  detail::calibrated_mul_thresholds_word().store(
-      detail::encode_calibrated_thresholds(kc, nc), std::memory_order_release);
-  // Move the live configuration's thresholds too, preserving its flag bits
-  // (same compare-exchange discipline as set_karatsuba_enabled): an
-  // enabled ladder follows the calibration, a schoolbook-only default is
-  // untouched in behaviour because thresholds are inert with flags off.
-  auto& word = detail::mul_dispatch_word();
-  std::uint64_t cur = word.load(std::memory_order_acquire);
-  std::uint64_t next;
-  do {
-    next = (cur & ~0xffff'ffff'0000ull) | (kc << 16) | (nc << 32);
-  } while (!word.compare_exchange_weak(cur, next, std::memory_order_release,
-                                       std::memory_order_acquire));
-}
-
 }  // namespace pr

@@ -44,50 +44,6 @@
 
 namespace pr {
 
-/// Multiplication-algorithm selection, applied globally through
-/// BigInt::set_mul_dispatch().  The whole configuration is published as ONE
-/// atomic word and decoded ONCE per multiplication, so a concurrent
-/// reconfiguration can never be observed half-applied (e.g. the Karatsuba
-/// flag from one configuration with the NTT threshold of another) -- the
-/// coherence bug the old standalone Karatsuba flag would have invited as
-/// soon as a second threshold existed.
-///
-/// Thresholds are in limbs of the *smaller* operand.  The ladder is
-/// schoolbook below karatsuba_threshold, Karatsuba between the two, and
-/// the three-prime NTT (bigint_ntt.hpp) above ntt_threshold for operands
-/// within a 3:1 length ratio (beyond that, Karatsuba's recursion splits
-/// the longer operand more cheaply than zero-padding a transform).
-/// Thresholds are clamped to [4, 65535] when stored (4 is the smallest
-/// value for which Karatsuba's size recurrence terminates; read the value
-/// back with BigInt::mul_dispatch() to observe the clamp).
-/// Defaults match the paper's cost model: everything off, schoolbook only.
-struct MulDispatch {
-  bool karatsuba = false;
-  bool ntt = false;
-  /// Smaller-operand limb count at/above which Karatsuba recurses.
-  std::uint32_t karatsuba_threshold = 24;
-  /// Smaller-operand limb count at/above which the NTT path engages;
-  /// default calibrated to the two-sided crossover measured by
-  /// bench_bigint_mul (the smallest size where the NTT wins by >= 5% at
-  /// that size AND every larger measured size -- one-sided local wins
-  /// produced a non-monotone pick once; see docs/BENCHMARKS.md).  With
-  /// the SIMD mod-p kernels the crossover sits at 128-256 limbs; 256
-  /// keeps a noise margin.  Deliberately a power of two: the NTT pads the
-  /// convolution to the next power of two, so sizes just above one pay
-  /// for a double-size transform and the crossover is not a smooth curve.
-  std::uint32_t ntt_threshold = 256;
-
-  /// Everything on at the calibrated thresholds: the fastest exact
-  /// configuration (used by the benches and the large-operand callers).
-  /// The thresholds come from the process-wide calibrated-thresholds word
-  /// (BigInt::set_calibrated_mul_thresholds) -- the compiled-in defaults
-  /// above until a calibration profile is applied.  Defined in
-  /// bigint.cpp.
-  static MulDispatch fast();
-
-  friend bool operator==(const MulDispatch&, const MulDispatch&) = default;
-};
-
 class BigInt {
  public:
   using Limb = std::uint64_t;
@@ -352,32 +308,18 @@ class BigInt {
 
   friend std::ostream& operator<<(std::ostream& os, const BigInt& v);
 
-  /// Publishes a complete multiplication-dispatch configuration (all
-  /// threads; release-published, decoded once per multiply -- see
-  /// MulDispatch and bigint_detail.hpp for the ordering contract).
-  /// Default: everything off (schoolbook, the paper's cost model).
-  static void set_mul_dispatch(const MulDispatch& d);
-  static MulDispatch mul_dispatch();
-
-  /// Enables/disables the Karatsuba multiplier, preserving the rest of the
-  /// dispatch configuration (compare-exchange on the packed word).
-  /// Equivalent to the pre-MulDispatch global flag.
+  /// Enables/disables the Karatsuba multiplier for all threads.  The
+  /// flag is published with release and read once per multiply with
+  /// acquire, so a toggle made before work is handed to pool threads is
+  /// visible to them.  Both multipliers produce identical limbs, so the
+  /// flag changes cost, never a value.  Default: off (schoolbook, the
+  /// paper's cost model).
   static void set_karatsuba_enabled(bool on);
   static bool karatsuba_enabled();
 
-  /// Installs host-calibrated dispatch thresholds (calibrate/).  Updates
-  /// the calibrated-thresholds word that MulDispatch::fast() reads AND
-  /// rewrites the thresholds of the live dispatch configuration while
-  /// preserving its flags (compare-exchange), so an already-enabled
-  /// Karatsuba/NTT ladder moves to the calibrated crossovers but the
-  /// schoolbook-only default stays schoolbook-only -- calibration moves
-  /// *when* a path fires, never *whether* one is enabled.  Thresholds
-  /// clamp to [4, 65535] like every other threshold store.
-  static void set_calibrated_mul_thresholds(std::uint32_t karatsuba,
-                                            std::uint32_t ntt);
-
-  /// Default limb count at/above which Karatsuba recursion is used when
-  /// enabled (MulDispatch::karatsuba_threshold overrides per config).
+  /// Smaller-operand limb count at/above which Karatsuba recurses when
+  /// enabled.  At least 4: the recursion maps an n-limb operand to halves
+  /// of ceil(n/2) + 1 limbs, which is smaller only for n > 3.
   static constexpr std::size_t kKaratsubaThreshold = 24;
 
  private:
@@ -414,8 +356,6 @@ class BigInt {
                          std::size_t bn, Scratch& s);
 
   static Scratch& tls_scratch();
-
-  friend class BigIntTestPeer;  // white-box unit tests
 };
 
 /// Free-function spellings of the fused kernels: addmul(a, b, c) is

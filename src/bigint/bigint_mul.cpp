@@ -1,34 +1,16 @@
 // BigInt multiplication: schoolbook (default, matching the paper's `mp`
-// cost model), Karatsuba, and the three-prime NTT (bigint_ntt.hpp), with
-// a single coherent MulDispatch configuration decoded once per multiply.
-// Schoolbook/Karatsuba products are computed into caller-provided
-// LimbStore/arena buffers, so steady-state multiplication performs no heap
-// allocation; the NTT path keeps its transform buffers in a per-thread
-// scratch of its own.
+// cost model) and Karatsuba, switched by one process-wide flag.  Products
+// are computed into caller-provided LimbStore/arena buffers, so
+// steady-state multiplication performs no heap allocation.
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 
 #include "bigint/bigint.hpp"
 #include "bigint/bigint_detail.hpp"
-#include "bigint/bigint_ntt.hpp"
 #include "instr/counters.hpp"
 
 namespace pr {
-
-namespace detail {
-
-std::atomic<std::uint64_t>& mul_dispatch_word() {
-  static std::atomic<std::uint64_t> word{encode_mul_dispatch(MulDispatch{})};
-  return word;
-}
-
-std::atomic<std::uint64_t>& calibrated_mul_thresholds_word() {
-  static std::atomic<std::uint64_t> word{encode_calibrated_thresholds(
-      MulDispatch{}.karatsuba_threshold, MulDispatch{}.ntt_threshold)};
-  return word;
-}
-
-}  // namespace detail
 
 namespace {
 
@@ -121,12 +103,18 @@ std::size_t trimmed_len(const Limb* p, std::size_t n) {
   return n;
 }
 
+constexpr std::size_t kThreshold = BigInt::kKaratsubaThreshold;
+static_assert(kThreshold >= 4, "Karatsuba needs operands of > 3 limbs");
+
+// Constant-initialized, so safe to read from static initializers too.
+std::atomic<bool> karatsuba_on{false};
+
 /// Arena limbs needed by kara_rec for operands of at most n limbs:
 /// each level consumes 4*(h+1) limbs (asum, bsum, z1) and recurses on
 /// operands of at most h+1 limbs.
-std::size_t kara_arena_bound(std::size_t n, std::size_t threshold) {
+std::size_t kara_arena_bound(std::size_t n) {
   std::size_t total = 0;
-  while (n >= threshold) {
+  while (n >= kThreshold) {
     const std::size_t h = (n + 1) / 2;
     total += 4 * (h + 1);
     n = h + 1;
@@ -135,11 +123,11 @@ std::size_t kara_arena_bound(std::size_t n, std::size_t threshold) {
 }
 
 /// r[0..an+bn) = a * b; r must be zero-filled.  tmp is arena space of at
-/// least kara_arena_bound(max(an, bn), threshold) limbs.
+/// least kara_arena_bound(max(an, bn)) limbs.
 void kara_rec(const Limb* a, std::size_t an, const Limb* b, std::size_t bn,
-              Limb* r, Limb* tmp, std::size_t threshold) {
+              Limb* r, Limb* tmp) {
   if (an == 0 || bn == 0) return;
-  if (std::min(an, bn) < threshold) {
+  if (std::min(an, bn) < kThreshold) {
     mul_acc_schoolbook(a, an, b, bn, r);
     return;
   }
@@ -155,15 +143,15 @@ void kara_rec(const Limb* a, std::size_t an, const Limb* b, std::size_t bn,
   Limb* next = tmp + 4 * (h + 1);
 
   // z0 into r[0..alo+blo), z2 into r[2h..an+bn); the gap stays zero.
-  kara_rec(a, alo, b, blo, r, next, threshold);
+  kara_rec(a, alo, b, blo, r, next);
   if (ahi != 0 && bhi != 0) {
-    kara_rec(a + alo, ahi, b + blo, bhi, r + 2 * h, next, threshold);
+    kara_rec(a + alo, ahi, b + blo, bhi, r + 2 * h, next);
   }
 
   const std::size_t asn = add_spans(a, alo, a + alo, ahi, asum);
   const std::size_t bsn = add_spans(b, blo, b + blo, bhi, bsum);
   std::memset(z1, 0, (asn + bsn) * sizeof(Limb));
-  kara_rec(asum, asn, bsum, bsn, z1, next, threshold);
+  kara_rec(asum, asn, bsum, bsn, z1, next);
 
   // z1 -= z0, z1 -= z2 (subtrahend spans trimmed so they never exceed z1).
   sub_span(z1, r, trimmed_len(r, alo + blo));
@@ -175,6 +163,14 @@ void kara_rec(const Limb* a, std::size_t an, const Limb* b, std::size_t bn,
 }
 
 }  // namespace
+
+void BigInt::set_karatsuba_enabled(bool on) {
+  karatsuba_on.store(on, std::memory_order_release);
+}
+
+bool BigInt::karatsuba_enabled() {
+  return karatsuba_on.load(std::memory_order_acquire);
+}
 
 void BigInt::mul_mag(const Limb* a, std::size_t an, const Limb* b,
                      std::size_t bn, detail::LimbStore& out,
@@ -193,24 +189,12 @@ void BigInt::mul_mag(const Limb* a, std::size_t an, const Limb* b,
     if (hi != 0) out[1] = hi;
     return;
   }
-  // ONE acquire load decodes the whole dispatch configuration -- flags and
-  // thresholds stay mutually consistent for this multiply even under a
-  // concurrent set_mul_dispatch (the contract on mul_dispatch_word()).
-  const MulDispatch d = detail::decode_mul_dispatch(
-      detail::mul_dispatch_word().load(std::memory_order_acquire));
-  const std::size_t lo = std::min(an, bn);
-  const std::size_t hi = std::max(an, bn);
-  // NTT wants near-balanced operands: zero-padding the transform to cover
-  // a much longer operand costs more than Karatsuba's recursive splitting,
-  // so the frequency-domain rung is gated to a 3:1 length ratio.
-  if (d.ntt && lo >= d.ntt_threshold && hi <= 3 * lo &&
-      detail::ntt_mul_available(an, bn)) {
-    detail::mul_ntt_mag(a, an, b, bn, out);
-  } else if (d.karatsuba && lo >= d.karatsuba_threshold) {
-    const std::size_t need = kara_arena_bound(hi, d.karatsuba_threshold);
+  if (std::min(an, bn) >= kThreshold &&
+      karatsuba_on.load(std::memory_order_acquire)) {
+    const std::size_t need = kara_arena_bound(std::max(an, bn));
     if (arena.size() < need) arena.resize(need);
     out.assign(an + bn, 0);
-    kara_rec(a, an, b, bn, out.data(), arena.data(), d.karatsuba_threshold);
+    kara_rec(a, an, b, bn, out.data(), arena.data());
   } else {
     out.assign(an + bn, 0);
     mul_acc_schoolbook(a, an, b, bn, out.data());

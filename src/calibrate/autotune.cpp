@@ -1,7 +1,6 @@
 #include "calibrate/autotune.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -9,11 +8,8 @@
 #include <ostream>
 #include <vector>
 
-#include "bigint/bigint.hpp"
 #include "modular/crt.hpp"
-#include "modular/ntt.hpp"
 #include "modular/polyzp.hpp"
-#include "modular/tuning.hpp"
 #include "modular/zp.hpp"
 #include "support/prng.hpp"
 
@@ -22,10 +18,6 @@ namespace pr::calibrate {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Minimum relative win for a crossover: the faster rung must beat the
-/// slower by 5% at the candidate size and every larger measured size.
-constexpr double kWinMargin = 0.05;
 
 double timed_best(int repeats, const std::function<void()>& body) {
   double best = 1e100;
@@ -38,200 +30,12 @@ double timed_best(int repeats, const std::function<void()>& body) {
   return best;
 }
 
-BigInt random_bigint(std::size_t limbs, Prng& rng) {
-  std::vector<std::uint64_t> l(limbs);
-  for (auto& x : l) x = rng.next();
-  if (l.back() == 0) l.back() = 1;
-  return BigInt::from_limbs(l.data(), limbs, /*negative=*/false);
-}
-
 modular::PolyZp random_polyzp(std::size_t len, const modular::PrimeField& f,
                               Prng& rng) {
   std::vector<modular::Zp> c(len);
   for (auto& z : c) z = f.from_u64(rng.next());
   if (f.to_u64(c.back()) == 0) c.back() = f.from_u64(1);
   return modular::PolyZp(std::move(c));
-}
-
-/// Two-sided crossover: smallest sizes[i] where fast_ns beats slow_ns by
-/// kWinMargin at i AND at every j > i.  0 when no such size exists.
-std::size_t two_sided_crossover(const std::vector<std::size_t>& sizes,
-                                const std::vector<double>& slow_ns,
-                                const std::vector<double>& fast_ns) {
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    bool wins_from_here = true;
-    for (std::size_t j = i; j < sizes.size(); ++j) {
-      if (!(fast_ns[j] <= slow_ns[j] * (1.0 - kWinMargin))) {
-        wins_from_here = false;
-        break;
-      }
-    }
-    if (wins_from_here) return sizes[i];
-  }
-  return 0;
-}
-
-/// Time `iters` BigInt products under a forced dispatch configuration.
-double time_bigint_mul(const BigInt& a, const BigInt& b,
-                       const MulDispatch& cfg, std::size_t iters,
-                       int repeats) {
-  BigInt::set_mul_dispatch(cfg);
-  volatile std::uint64_t sink = 0;
-  const double t = timed_best(repeats, [&] {
-    for (std::size_t i = 0; i < iters; ++i) {
-      sink = sink + (a * b).bit_length();
-    }
-  });
-  (void)sink;
-  return t / static_cast<double>(iters) * 1e9;
-}
-
-MulDispatch only_schoolbook() { return MulDispatch{}; }
-MulDispatch only_karatsuba() {
-  MulDispatch d;
-  d.karatsuba = true;
-  d.karatsuba_threshold = 4;
-  return d;
-}
-MulDispatch only_ntt() {
-  MulDispatch d;
-  d.ntt = true;
-  d.ntt_threshold = 4;
-  return d;
-}
-
-void log_row(std::ostream* log, std::size_t n, double slow, double fast,
-             const char* slow_name, const char* fast_name) {
-  if (log == nullptr) return;
-  *log << "    " << n << ": " << slow_name << " " << slow << " ns, "
-       << fast_name << " " << fast << " ns (ratio " << slow / fast << ")\n";
-}
-
-/// Measures the schoolbook->Karatsuba and Karatsuba->NTT crossovers of
-/// the BigInt ladder.  Caller saves/restores the dispatch word.
-void tune_bigint(const AutotuneOptions& opt, Prng& rng,
-                 CalibrationProfile& p) {
-  // --- schoolbook vs Karatsuba ---------------------------------------
-  const std::vector<std::size_t> kara_sizes =
-      opt.quick ? std::vector<std::size_t>{8, 16, 24, 32, 48}
-                : std::vector<std::size_t>{8, 12, 16, 20, 24, 28, 32, 40,
-                                           48, 64};
-  if (opt.log) *opt.log << "  schoolbook vs Karatsuba (limbs)\n";
-  std::vector<double> school_ns;
-  std::vector<double> kara_ns;
-  const std::size_t work = opt.quick ? (1u << 18) : (1u << 20);
-  for (const std::size_t n : kara_sizes) {
-    const BigInt a = random_bigint(n, rng);
-    const BigInt b = random_bigint(n, rng);
-    const std::size_t iters = std::max<std::size_t>(1, work / (n * n));
-    school_ns.push_back(
-        time_bigint_mul(a, b, only_schoolbook(), iters, opt.repeats));
-    kara_ns.push_back(
-        time_bigint_mul(a, b, only_karatsuba(), iters, opt.repeats));
-    log_row(opt.log, n, school_ns.back(), kara_ns.back(), "school", "kara");
-  }
-  const std::size_t kara_cross =
-      two_sided_crossover(kara_sizes, school_ns, kara_ns);
-  if (kara_cross != 0) {
-    p.karatsuba_threshold = static_cast<std::uint32_t>(kara_cross);
-  }
-
-  // --- Karatsuba vs NTT ----------------------------------------------
-  const std::vector<std::size_t> ntt_sizes =
-      opt.quick ? std::vector<std::size_t>{64, 128, 256, 512}
-                : std::vector<std::size_t>{32, 64, 96, 128, 192, 256, 384,
-                                           512, 768, 1024};
-  if (opt.log) *opt.log << "  Karatsuba vs 3-prime NTT (limbs)\n";
-  std::vector<double> kara2_ns;
-  std::vector<double> ntt_ns;
-  const std::size_t fast_work = opt.quick ? (1u << 13) : (1u << 15);
-  for (const std::size_t n : ntt_sizes) {
-    const BigInt a = random_bigint(n, rng);
-    const BigInt b = random_bigint(n, rng);
-    const std::size_t iters = std::max<std::size_t>(1, fast_work / n);
-    kara2_ns.push_back(
-        time_bigint_mul(a, b, only_karatsuba(), iters, opt.repeats));
-    ntt_ns.push_back(time_bigint_mul(a, b, only_ntt(), iters, opt.repeats));
-    log_row(opt.log, n, kara2_ns.back(), ntt_ns.back(), "kara", "ntt");
-  }
-  const std::size_t ntt_cross =
-      two_sided_crossover(ntt_sizes, kara2_ns, ntt_ns);
-  if (ntt_cross != 0) {
-    // The NTT pads the convolution to a power of two, so the true
-    // crossover curve is a staircase; snap up to the next power of two
-    // (the compiled default follows the same convention).
-    p.bigint_ntt_threshold = static_cast<std::uint32_t>(
-        std::bit_ceil(ntt_cross));
-  }
-}
-
-/// Measures the mod-p schoolbook->NTT crossover and back-fits the
-/// per-butterfly unit charge so the analytic ntt_profitable() model
-/// reproduces it.  Caller saves/restores the modular tuning.
-void tune_modular_ntt(const AutotuneOptions& opt, Prng& rng,
-                      CalibrationProfile& p) {
-  const modular::PrimeField f =
-      modular::PrimeField::trusted(modular::nth_modulus(0));
-  const std::vector<std::size_t> lens =
-      opt.quick ? std::vector<std::size_t>{8, 16, 24, 32, 48, 64}
-                : std::vector<std::size_t>{8, 12, 16, 20, 24, 28, 32, 40,
-                                           48, 64, 96, 128};
-  if (opt.log) *opt.log << "  mod-p schoolbook vs NTT (coefficients)\n";
-
-  // Forcing the NTT rung: drop the cost model's floor and butterfly
-  // charge so ntt_mul routes every measured length through the
-  // transform.  Restored by the caller along with the rest of the
-  // tuning.
-  modular::ModularTuning forced = modular::modular_tuning();
-  forced.ntt.min_operand = 4;
-  forced.ntt.butterfly_units = 0.001;
-
-  std::vector<double> school_ns;
-  std::vector<double> ntt_ns;
-  const std::size_t work = opt.quick ? (1u << 17) : (1u << 19);
-  for (const std::size_t n : lens) {
-    const modular::PolyZp a = random_polyzp(n, f, rng);
-    const modular::PolyZp b = random_polyzp(n, f, rng);
-    const std::size_t iters = std::max<std::size_t>(1, work / (n * n));
-    modular::reset_modular_tuning();
-    volatile std::uint64_t sink = 0;
-    school_ns.push_back(timed_best(opt.repeats, [&] {
-                          for (std::size_t i = 0; i < iters; ++i) {
-                            sink = sink +
-                                   a.mul_schoolbook(b, f).coeffs().size();
-                          }
-                        }) /
-                        static_cast<double>(iters) * 1e9);
-    modular::set_modular_tuning(forced);
-    ntt_ns.push_back(timed_best(opt.repeats, [&] {
-                       for (std::size_t i = 0; i < iters; ++i) {
-                         sink = sink + modular::ntt_mul(a, b, f)
-                                           .coeffs()
-                                           .size();
-                       }
-                     }) /
-                     static_cast<double>(iters) * 1e9);
-    (void)sink;
-    log_row(opt.log, n, school_ns.back(), ntt_ns.back(), "school", "ntt");
-  }
-  const std::size_t cross = two_sided_crossover(lens, school_ns, ntt_ns);
-  if (cross == 0) return;  // NTT never clearly wins: keep defaults.
-  p.modular_ntt_min_operand =
-      std::clamp<std::uint32_t>(static_cast<std::uint32_t>(cross), 4, 256);
-
-  // Back-fit the per-butterfly charge u from the measured crossover L:
-  // the model breaks even when 3 L^2 = 3 (0.5 n lg n u + n) + 3 n with
-  // n = bit_ceil(2L - 1), i.e. u = (3 L^2 - 6 n) / (1.5 n lg n).  A
-  // nonpositive solution means the crossover sits where transform
-  // overhead, not butterflies, dominates -- keep the per-ISA default
-  // (encoded as 0).
-  const double L = static_cast<double>(cross);
-  const double n = static_cast<double>(std::bit_ceil(2 * cross - 1));
-  const double lg = std::log2(n);
-  const double u = (3.0 * L * L - 6.0 * n) / (1.5 * n * lg);
-  if (u > 0.0) {
-    p.ntt_butterfly_units = std::clamp(u, 0.25, 16.0);
-  }
 }
 
 /// Fits the per-value Garner digit cost units(k) = a k + b k^2 from
@@ -250,8 +54,7 @@ void tune_crt(const AutotuneOptions& opt, Prng& rng, CalibrationProfile& p) {
   const std::size_t unit_iters = opt.quick ? 32 : 128;
   const double unit_ns = timed_best(opt.repeats, [&] {
                            for (std::size_t i = 0; i < unit_iters; ++i) {
-                             sink = sink +
-                                    ua.mul_schoolbook(ub, f).coeffs().size();
+                             sink = sink + ua.mul(ub, f).coeffs().size();
                            }
                          }) /
                          static_cast<double>(unit_iters) * 1e9 /
@@ -330,21 +133,10 @@ void tune_crt(const AutotuneOptions& opt, Prng& rng, CalibrationProfile& p) {
 CalibrationProfile autotune(const AutotuneOptions& opt) {
   CalibrationProfile p;
   p.key = host_profile_key();
-
-  // Everything below forces dispatch rungs; snapshot the global state it
-  // perturbs and restore unconditionally at the end.
-  const MulDispatch saved_dispatch = BigInt::mul_dispatch();
-  const modular::ModularTuning saved_tuning = modular::modular_tuning();
-
   Prng rng(0xca11b8a7e);
   if (opt.log) *opt.log << "calibrating (" << (opt.quick ? "quick" : "full")
                         << ", best of " << opt.repeats << ")\n";
-  tune_bigint(opt, rng, p);
-  tune_modular_ntt(opt, rng, p);
   tune_crt(opt, rng, p);
-
-  BigInt::set_mul_dispatch(saved_dispatch);
-  modular::set_modular_tuning(saved_tuning);
   return p;
 }
 

@@ -1,34 +1,16 @@
-// Host autotuner: measures the dispatch-ladder crossovers on the machine
-// it runs on and emits a CalibrationProfile.
+// Host autotuner: measures the modular subsystem's Garner digit cost on
+// the machine it runs on and emits a CalibrationProfile.
 //
-// What is measured (docs/TUNING.md derives the formulas):
+// What is measured (docs/TUNING.md derives the formula): batched Garner
+// reconstruction at several prime counts, converted to word-multiply
+// units against a schoolbook mod-p convolution of known model cost, and
+// least-squares fitted to units(k) = a*k + b*k^2 per value
+// (crt_digit_units_linear / _quadratic).
 //
-//   * schoolbook vs Karatsuba BigInt products  -> karatsuba_threshold
-//   * Karatsuba vs three-prime NTT products    -> bigint_ntt_threshold
-//   * schoolbook vs NTT mod-p convolutions     -> modular_ntt_min_operand
-//                                                 and ntt_butterfly_units
-//                                                 (fitted so the analytic
-//                                                 model reproduces the
-//                                                 measured crossover)
-//   * batched Garner reconstruction at several
-//     prime counts                             -> crt_digit_units_linear /
-//                                                 _quadratic (a least-
-//                                                 squares fit of the
-//                                                 units(k) = a*k + b*k^2
-//                                                 per-value digit cost)
-//
-// Crossovers are TWO-SIDED: the reported threshold is the smallest
-// measured size where the faster rung wins by at least kWinMargin both at
-// that size and at every larger measured size.  A one-sided local win
-// must not move a threshold -- that produced a non-monotone dispatch band
-// once (docs/BENCHMARKS.md) -- and the CI calibration leg asserts the
-// resulting thresholds are ladder-ordered.
-//
-// The autotuner perturbs process-global dispatch state (it forces ladder
-// rungs to time them) but restores every word it touched before
-// returning; it is not safe to run concurrently with timing-sensitive
-// work, which is why it lives behind an explicit --calibrate mode rather
-// than running at startup.
+// The autotuner changes no tuning state (its reconstructions do add to
+// the modular counters); it lives behind an explicit --calibrate mode
+// rather than running at startup because it takes seconds and its timings
+// are disturbed by concurrent work.
 #pragma once
 
 #include <iosfwd>
@@ -40,18 +22,15 @@ namespace pr::calibrate {
 struct AutotuneOptions {
   /// Best-of repeats per timed cell (higher = less noise, slower).
   int repeats = 3;
-  /// Smaller size grids and fewer iterations: seconds instead of tens of
-  /// seconds, at the price of coarser thresholds.  The test suite's
-  /// smoke mode.
+  /// Fewer prime counts and iterations: faster, at the price of a
+  /// noisier fit.  The test suite's smoke mode.
   bool quick = false;
   /// Stream a human-readable measurement table while running.
   std::ostream* log = nullptr;
 };
 
-/// Runs every microbenchmark and returns the measured profile, keyed by
-/// host_profile_key().  Fields the autotuner does not measure
-/// (crt_units_per_wave, fan-out caps, batch_min_task_units) keep their
-/// compiled-in defaults.
+/// Runs the microbenchmark and returns the measured profile, keyed by
+/// host_profile_key().
 CalibrationProfile autotune(const AutotuneOptions& opt = {});
 
 }  // namespace pr::calibrate

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <string>
 
-#include "bigint/bigint.hpp"
 #include "modular/tuning.hpp"
 #include "support/error.hpp"
 
@@ -26,17 +25,9 @@ std::string& active_id_storage() {
 }  // namespace
 
 void apply(const CalibrationProfile& p) {
-  BigInt::set_calibrated_mul_thresholds(p.karatsuba_threshold,
-                                        p.bigint_ntt_threshold);
   modular::ModularTuning t;
-  t.ntt.butterfly_units = p.ntt_butterfly_units;
-  t.ntt.min_operand = p.modular_ntt_min_operand;
-  t.crt.digit_units_linear = p.crt_digit_units_linear;
-  t.crt.digit_units_quadratic = p.crt_digit_units_quadratic;
-  t.crt.units_per_wave = p.crt_units_per_wave;
-  t.crt.max_fanout = p.crt_max_fanout;
-  t.crt.fanout_per_thread = p.crt_fanout_per_thread;
-  t.batch.min_task_units = p.batch_min_task_units;
+  t.crt_digit_units_linear = p.crt_digit_units_linear;
+  t.crt_digit_units_quadratic = p.crt_digit_units_quadratic;
   modular::set_modular_tuning(t);
   const std::string id = profile_id(p);
   const std::lock_guard<std::mutex> lock(id_mutex());

@@ -4,11 +4,11 @@
 // RootService construction, the benches): exactly once per process it
 // checks the POLYROOTS_CALIBRATION environment variable and, when it
 // names a readable profile whose key matches this host, installs the
-// profile's thresholds.  EVERY failure mode -- unreadable file,
+// profile's cost coefficients.  EVERY failure mode -- unreadable file,
 // malformed JSON, version mismatch, key mismatch -- degrades to the
 // compiled-in defaults with a one-line stderr diagnostic; a calibration
 // problem must never stop a root computation, because profiles only move
-// crossover points of bit-identical paths (see calibrate/profile.hpp).
+// how work is split, never its result (see calibrate/profile.hpp).
 #pragma once
 
 #include <string>
@@ -17,11 +17,10 @@
 
 namespace pr::calibrate {
 
-/// Installs a profile: BigInt calibrated thresholds
-/// (BigInt::set_calibrated_mul_thresholds) plus the modular tuning store
-/// (modular::set_modular_tuning).  Values are clamped by those setters;
-/// no key check here -- callers that measured or constructed the profile
-/// themselves (the autotuner, the tests) apply it directly.
+/// Installs a profile into the modular tuning store
+/// (modular::set_modular_tuning, which clamps the values).  No key check
+/// here -- callers that measured or constructed the profile themselves
+/// (the autotuner, the tests) apply it directly.
 void apply(const CalibrationProfile& p);
 
 /// Back to the compiled-in defaults (applies a default-constructed

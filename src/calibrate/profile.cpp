@@ -1,6 +1,7 @@
 #include "calibrate/profile.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -84,7 +85,9 @@ double parse_double(const std::string& who, std::size_t lineno,
 std::uint32_t parse_u32(const std::string& who, std::size_t lineno,
                         const KeyValue& kv) {
   const double v = parse_double(who, lineno, kv);
-  if (v < 0 || v > 4294967295.0 ||
+  // Range first: converting a NaN or out-of-range double to an integer is
+  // undefined behaviour.
+  if (!std::isfinite(v) || v < 0 || v > 4294967295.0 ||
       v != static_cast<double>(static_cast<std::uint64_t>(v))) {
     malformed(who, lineno,
               "key \"" + kv.key + "\" expects a nonnegative integer, got '" +
@@ -95,11 +98,10 @@ std::uint32_t parse_u32(const std::string& who, std::size_t lineno,
 
 void append_number(std::ostringstream& os, double v) {
   // Round-trippable doubles; integral values print without an exponent so
-  // the file stays hand-editable.
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      v >= -1e15 && v <= 1e15) {
-    os << static_cast<long long>(v);
-    if (v == static_cast<long long>(v)) os << ".0";
+  // the file stays hand-editable.  Range first, as in parse_u32.
+  if (v >= -1e15 && v <= 1e15 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
+    os << static_cast<long long>(v) << ".0";
   } else {
     os.precision(17);
     os << v;
@@ -149,26 +151,11 @@ std::string to_json(const CalibrationProfile& p) {
   os << "  \"cpu\": \"" << p.key.cpu << "\",\n";
   os << "  \"isa\": \"" << p.key.isa << "\",\n";
   os << "  \"build\": \"" << p.key.build << "\",\n";
-  os << "  \"karatsuba_threshold\": " << p.karatsuba_threshold << ",\n";
-  os << "  \"bigint_ntt_threshold\": " << p.bigint_ntt_threshold << ",\n";
-  os << "  \"ntt_butterfly_units\": ";
-  append_number(os, p.ntt_butterfly_units);
-  os << ",\n";
-  os << "  \"modular_ntt_min_operand\": " << p.modular_ntt_min_operand
-     << ",\n";
   os << "  \"crt_digit_units_linear\": ";
   append_number(os, p.crt_digit_units_linear);
   os << ",\n";
   os << "  \"crt_digit_units_quadratic\": ";
   append_number(os, p.crt_digit_units_quadratic);
-  os << ",\n";
-  os << "  \"crt_units_per_wave\": ";
-  append_number(os, p.crt_units_per_wave);
-  os << ",\n";
-  os << "  \"crt_max_fanout\": " << p.crt_max_fanout << ",\n";
-  os << "  \"crt_fanout_per_thread\": " << p.crt_fanout_per_thread << ",\n";
-  os << "  \"batch_min_task_units\": ";
-  append_number(os, p.batch_min_task_units);
   os << "\n}\n";
   return os.str();
 }
@@ -198,16 +185,8 @@ CalibrationProfile from_json(const std::string& text, const std::string& who) {
       "cpu",
       "isa",
       "build",
-      "karatsuba_threshold",
-      "bigint_ntt_threshold",
-      "ntt_butterfly_units",
-      "modular_ntt_min_operand",
       "crt_digit_units_linear",
       "crt_digit_units_quadratic",
-      "crt_units_per_wave",
-      "crt_max_fanout",
-      "crt_fanout_per_thread",
-      "batch_min_task_units",
   };
   const auto mark = [&missing](const std::string& key) {
     for (auto it = missing.begin(); it != missing.end(); ++it) {
@@ -251,26 +230,10 @@ CalibrationProfile from_json(const std::string& text, const std::string& who) {
       p.key.isa = parse_string(who, lineno, kv);
     } else if (kv.key == "build") {
       p.key.build = parse_string(who, lineno, kv);
-    } else if (kv.key == "karatsuba_threshold") {
-      p.karatsuba_threshold = parse_u32(who, lineno, kv);
-    } else if (kv.key == "bigint_ntt_threshold") {
-      p.bigint_ntt_threshold = parse_u32(who, lineno, kv);
-    } else if (kv.key == "ntt_butterfly_units") {
-      p.ntt_butterfly_units = parse_double(who, lineno, kv);
-    } else if (kv.key == "modular_ntt_min_operand") {
-      p.modular_ntt_min_operand = parse_u32(who, lineno, kv);
     } else if (kv.key == "crt_digit_units_linear") {
       p.crt_digit_units_linear = parse_double(who, lineno, kv);
     } else if (kv.key == "crt_digit_units_quadratic") {
       p.crt_digit_units_quadratic = parse_double(who, lineno, kv);
-    } else if (kv.key == "crt_units_per_wave") {
-      p.crt_units_per_wave = parse_double(who, lineno, kv);
-    } else if (kv.key == "crt_max_fanout") {
-      p.crt_max_fanout = parse_u32(who, lineno, kv);
-    } else if (kv.key == "crt_fanout_per_thread") {
-      p.crt_fanout_per_thread = parse_u32(who, lineno, kv);
-    } else if (kv.key == "batch_min_task_units") {
-      p.batch_min_task_units = parse_double(who, lineno, kv);
     }
   }
   if (!closed) {

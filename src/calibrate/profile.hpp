@@ -1,21 +1,20 @@
-// Persisted calibration profiles for the dispatch ladder.
+// Persisted calibration profiles.
 //
 // A CalibrationProfile is the serializable record of one host
-// calibration run (calibrate/autotune.hpp): every runtime-tunable
-// crossover and cost-model constant of the dispatch ladder, keyed by the
-// host it was measured on.  The key matters because every value in the
-// profile is a *speed* statement about specific silicon: a Karatsuba
-// crossover measured on one microarchitecture, or under AVX-512 kernels,
+// calibration run (calibrate/autotune.hpp): the runtime-tunable cost
+// coefficients of the modular subsystem (modular/tuning.hpp), keyed by
+// the host they were measured on.  The key matters because every value
+// in the profile is a *speed* statement about specific silicon: a Garner
+// digit cost measured on one microarchitecture, or under AVX-512 kernels,
 // is meaningless under another, so loading checks the key and falls back
 // to the compiled-in defaults on any mismatch (calibrate/calibrate.hpp).
 //
 // Determinism contract (the reason profiles are safe to share and safe
-// to get wrong): every profile field moves only *when* a dispatch path
-// fires, never *what* it computes.  All multipliers, the mod-p NTT, and
-// the CRT wave fan-out are bit-identical along every path, so a stale,
-// corrupt, or adversarial profile can cost time but can never change a
-// RootReport.  That is also why the loader's failure mode is "diagnose
-// and fall back", not "abort".
+// to get wrong): every profile field moves only *how many* CRT wave tasks
+// share a reconstruction, never *what* it computes, so a stale, corrupt,
+// or adversarial profile can cost time but can never change a RootReport.
+// That is also why the loader's failure mode is "diagnose and fall back",
+// not "abort".
 //
 // The on-disk format is a flat JSON object, one "key": value pair per
 // line (the writer emits exactly this shape; the reader accepts any
@@ -48,47 +47,21 @@ struct ProfileKey {
 /// the compiler version baked in at build time.
 ProfileKey host_profile_key();
 
-/// One complete calibration: every runtime-tunable constant of the
-/// dispatch ladder.  Field defaults are the compiled-in values, so a
-/// default-constructed profile applied via calibrate::apply() is a
-/// no-op in behaviour.
+/// One complete calibration: every runtime-tunable constant.  Field
+/// defaults are the compiled-in values, so a default-constructed profile
+/// applied via calibrate::apply() is a no-op in behaviour.
 struct CalibrationProfile {
   /// Format version; load() rejects files written by any other version
   /// rather than guessing at field semantics.
-  static constexpr int kVersion = 1;
+  static constexpr int kVersion = 2;
 
   int version = kVersion;
   ProfileKey key;
 
-  // --- BigInt multiplication ladder (bigint/bigint.hpp) ---------------
-  /// Smaller-operand limb count at/above which Karatsuba recurses.
-  std::uint32_t karatsuba_threshold = 24;
-  /// Smaller-operand limb count at/above which the three-prime NTT
-  /// engages (kept a power of two: the transform pads to one, so the
-  /// crossover curve is a staircase, not smooth).
-  std::uint32_t bigint_ntt_threshold = 256;
-
-  // --- Mod-p convolutions (modular/ntt.hpp, modular/tuning.hpp) -------
-  /// Per-butterfly charge of the NTT cost model in word-multiply units;
-  /// 0 keeps the compiled per-ISA default (3.0 vector / 4.0 scalar).
-  double ntt_butterfly_units = 0.0;
-  /// Operand length floor below which ntt_profitable() never fires.
-  std::uint32_t modular_ntt_min_operand = 16;
-
-  // --- CRT wave model (modular/tuning.hpp) ----------------------------
-  /// Garner digit cost per value: linear * k + quadratic * k^2 units.
+  /// Garner digit cost per value: linear * k + quadratic * k^2 units at
+  /// prime count k (modular/tuning.hpp).
   double crt_digit_units_linear = 2.0;
   double crt_digit_units_quadratic = 1.0;
-  /// Model units of Garner work worth one wave task.
-  double crt_units_per_wave = 16384.0;
-  /// Wave-slot cap: min(max_fanout, fanout_per_thread * threads).
-  std::uint32_t crt_max_fanout = 16;
-  std::uint32_t crt_fanout_per_thread = 2;
-
-  // --- Image batching (modular/tuning.hpp) ----------------------------
-  /// Cost-model floor (word-multiply units) below which per-prime PRS
-  /// images are batched into one task.
-  double batch_min_task_units = 20000.0;
 
   friend bool operator==(const CalibrationProfile&,
                          const CalibrationProfile&) = default;

@@ -206,8 +206,7 @@ class GraphBuilder {
     auto& prs = *st.mprs;
     const int threads = std::max(1, pc_.num_threads);
 
-    const auto waves =
-        modular::crt_wave_fanout_cap(modular::modular_tuning().crt, threads);
+    const auto waves = modular::crt_wave_fanout_cap(threads);
     const TaskId prep = g_.add(TaskKind::kModPrep, -1,
                                [&prs, waves] { prs.prepare_crt(waves); });
     for (std::size_t t = 0; t < prs.num_image_tasks(threads); ++t) {

@@ -162,7 +162,6 @@ struct ModularAtomics {
   std::atomic<std::uint64_t> combines{0};
   std::atomic<std::uint64_t> fallbacks{0};
   std::atomic<std::uint64_t> ntt_transforms{0};
-  std::atomic<std::uint64_t> ntt_points{0};
 };
 
 ModularAtomics& modular_atomics() {
@@ -198,12 +197,6 @@ void on_modular_fallback() {
   modular_atomics().fallbacks.fetch_add(1, std::memory_order_relaxed);
 }
 
-void on_modular_ntt(std::uint64_t transforms, std::uint64_t points) {
-  auto& m = modular_atomics();
-  m.ntt_transforms.fetch_add(transforms, std::memory_order_relaxed);
-  m.ntt_points.fetch_add(points, std::memory_order_relaxed);
-}
-
 ModularCounts modular_counts() {
   const auto& m = modular_atomics();
   ModularCounts c;
@@ -215,7 +208,6 @@ ModularCounts modular_counts() {
   c.combines = m.combines.load(std::memory_order_relaxed);
   c.fallbacks = m.fallbacks.load(std::memory_order_relaxed);
   c.ntt_transforms = m.ntt_transforms.load(std::memory_order_relaxed);
-  c.ntt_points = m.ntt_points.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -229,7 +221,6 @@ void reset_modular() {
   m.combines.store(0, std::memory_order_relaxed);
   m.fallbacks.store(0, std::memory_order_relaxed);
   m.ntt_transforms.store(0, std::memory_order_relaxed);
-  m.ntt_points.store(0, std::memory_order_relaxed);
 }
 
 void reset_all() {

@@ -137,8 +137,9 @@ struct ModularCounts {
   std::uint64_t crt_limbs = 0;     ///< total limbs of reconstructed values
   std::uint64_t combines = 0;      ///< multimodular tree-node polynomials
   std::uint64_t fallbacks = 0;     ///< fast-path runs abandoned to exact
-  std::uint64_t ntt_transforms = 0;  ///< forward/inverse NTT passes run
-  std::uint64_t ntt_points = 0;      ///< total transform points (sum of n)
+  /// Always 0: no stage runs a number-theoretic transform any more.  Kept
+  /// because the end-to-end benchmark reports it.
+  std::uint64_t ntt_transforms = 0;
 };
 
 void on_modular_primes(std::uint64_t count);
@@ -147,9 +148,6 @@ void on_modular_bad_prime();
 void on_modular_crt(std::uint64_t values, std::uint64_t limbs);
 void on_modular_combine();
 void on_modular_fallback();
-/// One NTT pass (forward or inverse) of `points` elements; `transforms` is
-/// normally 1 but lets a fused caller report a batch in one update.
-void on_modular_ntt(std::uint64_t transforms, std::uint64_t points);
 
 /// Snapshot of the modular counters.
 ModularCounts modular_counts();

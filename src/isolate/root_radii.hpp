@@ -2,8 +2,8 @@
 // arXiv:1501.05386).
 //
 // The estimator applies N Dandelin-Graeffe root-squaring iterations to the
-// input -- all arithmetic exact BigInt, so polynomial products ride the
-// MulDispatch ladder (schoolbook / Karatsuba / NTT) -- and then certifies
+// input -- all arithmetic exact BigInt (schoolbook, or Karatsuba when
+// enabled) -- and then certifies
 // dyadic split radii of the iterate with exact Pellet tests:
 //
 //   |b_k| t^k > sum_{i != k} |b_i| t^i   at   t = 2^e

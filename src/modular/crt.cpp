@@ -163,21 +163,6 @@ BigInt CrtBasis::reconstruct(const std::uint64_t* residues,
   return x;
 }
 
-void CrtBasis::reconstruct_limbs_batch(const std::uint64_t* residues,
-                                       std::size_t rstride, std::size_t k,
-                                       std::uint64_t* limbs,
-                                       std::size_t count) const {
-  if (count == 0) return;
-  thread_local std::vector<std::uint64_t> digits;
-  digits.resize(k * count);
-  garner_digits_batch(residues, rstride, k, digits.data(), count, count);
-  for (std::size_t c = 0; c < count; ++c) {
-    std::uint64_t* out = limbs + c * k;
-    const std::size_t used = horner_limbs(digits.data() + c, count, k, out);
-    for (std::size_t i = used; i < k; ++i) out[i] = 0;
-  }
-}
-
 void CrtBasis::reconstruct_batch(const std::uint64_t* residues,
                                  std::size_t rstride, std::size_t k,
                                  BigInt* out, std::size_t count) const {
@@ -197,17 +182,6 @@ void CrtBasis::reconstruct_batch(const std::uint64_t* residues,
     instr::on_modular_crt(1, x.limb_count());
     out[c] = std::move(x);
   }
-}
-
-void CrtBasis::reconstruct_limbs(const std::uint64_t* residues, std::size_t k,
-                                 std::uint64_t* limbs) const {
-  check_internal(k >= 1 && k <= fields_.size(),
-                 "CrtBasis::reconstruct_limbs: bad prime count");
-  thread_local std::vector<std::uint64_t> digits;
-  digits.resize(k);
-  garner_digits(residues, k, digits.data());
-  const std::size_t used = horner_limbs(digits.data(), 1, k, limbs);
-  for (std::size_t i = used; i < k; ++i) limbs[i] = 0;
 }
 
 PrsBound::PrsBound(const Poly& f0, const Poly& f1) {

@@ -28,9 +28,8 @@
 // the product exceeds 2^{bits+2} (one bit for sign, one for slack).
 //
 // The bit accounting uses each prime's actual floor(log2 p) (prefix sums
-// below), never an assumed magnitude, so it survived the table switch to
-// NTT-friendly primes (p == 1 mod 2^20, zp.hpp) unchanged: those primes
-// still all exceed 2^61 for any realistic prefix, each contributing 61
+// below), never an assumed magnitude; the table primes (p == 1 mod 2^20,
+// zp.hpp) all exceed 2^61 for any realistic prefix, each contributing 61
 // guaranteed bits.
 #pragma once
 
@@ -62,15 +61,6 @@ class CrtBasis {
   /// and residues are canonical (non-Montgomery) values.  Thread-safe.
   BigInt reconstruct(const std::uint64_t* residues, std::size_t k) const;
 
-  /// Unsigned raw-limb reconstruction: writes the unique x in [0, M_k)
-  /// matching the residues to limbs[0..k) (little-endian, zero-padded --
-  /// x < M_k < 2^{64k} always fits).  No symmetric lift and no BigInt, so
-  /// per-value callers that assemble many small reconstructions (the
-  /// BigInt NTT multiply recovers one convolution coefficient per output
-  /// limb position) pay zero allocations.  Thread-safe.
-  void reconstruct_limbs(const std::uint64_t* residues, std::size_t k,
-                         std::uint64_t* limbs) const;
-
   /// Batched Garner digit extraction over `count` independent residue
   /// systems sharing this basis, in the interleaved prime-major layout:
   /// residues[j * rstride + c] is the canonical residue of value c mod
@@ -83,12 +73,6 @@ class CrtBasis {
                            std::size_t k, std::uint64_t* digits,
                            std::size_t dstride, std::size_t count) const;
 
-  /// Batched reconstruct_limbs: value c's limbs land at limbs[c * k ..
-  /// c * k + k).  Same layout contract as garner_digits_batch.
-  void reconstruct_limbs_batch(const std::uint64_t* residues,
-                               std::size_t rstride, std::size_t k,
-                               std::uint64_t* limbs, std::size_t count) const;
-
   /// Batched symmetric reconstruct: out[c] receives the unique
   /// representative in (-M_k/2, M_k/2) of value c.  Same layout contract
   /// as garner_digits_batch; bit-identical to count calls of
@@ -98,7 +82,7 @@ class CrtBasis {
 
  private:
   // Garner mixed-radix digit extraction (digits[0..k)) and the fused
-  // Horner limb assembly shared by both reconstruction flavors;
+  // Horner limb assembly shared by the single and batched forms;
   // horner_limbs returns the number of limbs written (<= k).  The digit
   // stream may be strided (batch layouts store digit i of a value at
   // digits[i * stride]).

@@ -40,13 +40,13 @@ struct ModularConfig {
   /// Batch several per-prime PRS images into one TaskPool task when the
   /// per-image cost model says a single image is too small to amortize
   /// dispatch (below ~degree 40).  Purely a scheduling change; the task
-  /// work floor comes from the runtime tuning (modular/tuning.hpp).
+  /// work floor is kImageBatchMinTaskUnits (modular/tuning.hpp).
   bool batch_images = true;
 
   /// Fan the per-coefficient Garner dots of one CRT level out across the
   /// pool only when coefficient_count x prime_count clears this threshold
   /// (levels below it run the wave loop inline on one task).  Above it,
-  /// the per-level wave model (CrtWaveModel, modular/tuning.hpp) sizes
+  /// the per-level wave model (crt_level_waves, modular/tuning.hpp) sizes
   /// the fan-out to the level's Garner work, quadratic in its prime
   /// count.
   std::size_t crt_wave_min_work = 4096;

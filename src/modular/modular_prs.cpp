@@ -167,16 +167,15 @@ std::size_t MultimodularPrs::image_batch(int threads) const {
   // Per-image cost in word-multiply units (one 64x64 MAC each): the
   // recurrence touches ~sum_d 12 d ~ 6 n^2 units of field MACs, one field
   // inverse per level (~150 units each), and the input reduction pays ~2
-  // units per limb of every coefficient.  Batch until a task clears the
-  // tuning's min_task_units (task dispatch is ~2500 units; the floor is
-  // calibration-overridable, modular/tuning.hpp), but keep at least ~2
-  // tasks per worker so batching never serializes a wide pool.
-  const double min_task_units = modular_tuning().batch.min_task_units;
+  // units per limb of every coefficient.  Batch until a task clears
+  // kImageBatchMinTaskUnits (task dispatch is ~2500 units;
+  // modular/tuning.hpp), but keep at least ~2 tasks per worker so
+  // batching never serializes a wide pool.
   const double dn = static_cast<double>(n_);
   const double in_limbs = static_cast<double>(f0_.max_coeff_bits() / 64 + 1);
   const double cost =
       6.0 * dn * dn + 150.0 * dn + 2.0 * (2.0 * dn + 2.0) * in_limbs;
-  auto batch = static_cast<std::size_t>(min_task_units / cost) + 1;
+  auto batch = static_cast<std::size_t>(kImageBatchMinTaskUnits / cost) + 1;
   const auto workers = static_cast<std::size_t>(std::max(1, threads));
   const std::size_t cap = std::max<std::size_t>(1, eager_ / (2 * workers));
   return std::min(std::max<std::size_t>(1, batch), cap);
@@ -274,7 +273,7 @@ void MultimodularPrs::prepare_level(int i) {
   // coefficient positions.
   level_waves_ =
       cnt * lvl_k_ >= cfg_.crt_wave_min_work
-          ? crt_level_waves(modular_tuning().crt, cnt, lvl_k_,
+          ? crt_level_waves(modular_tuning(), cnt, lvl_k_,
                             std::min(wave_width_, cnt))
           : 1;
 }
@@ -410,8 +409,7 @@ std::optional<RemainderSequence> compute_remainder_sequence_multimodular(
   // finish (levels stay sequential through the chain's edges; only the
   // waves of one level overlap).
   TaskGraph g;
-  const std::size_t waves =
-      crt_wave_fanout_cap(modular_tuning().crt, threads);
+  const std::size_t waves = crt_wave_fanout_cap(threads);
   const TaskId prep = g.add(TaskKind::kModPrep, -1,
                             [&prs, waves] { prs.prepare_crt(waves); });
   for (std::size_t t = 0; t < prs.num_image_tasks(threads); ++t) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "modular/ntt.hpp"
 #include "support/error.hpp"
 
 namespace pr::modular {
@@ -38,12 +37,6 @@ PolyZp PolyZp::sub(const PolyZp& o, const PrimeField& f) const {
 }
 
 PolyZp PolyZp::mul(const PolyZp& o, const PrimeField& f) const {
-  return ntt_mul(*this, o, f);
-}
-
-PolyZp PolyZp::sqr(const PrimeField& f) const { return ntt_sqr(*this, f); }
-
-PolyZp PolyZp::mul_schoolbook(const PolyZp& o, const PrimeField& f) const {
   if (is_zero() || o.is_zero()) return PolyZp();
   std::vector<Zp> c(c_.size() + o.c_.size() - 1, Zp{0});
   for (std::size_t i = 0; i < c_.size(); ++i) {

@@ -41,15 +41,8 @@ class PolyZp {
 
   PolyZp add(const PolyZp& o, const PrimeField& f) const;
   PolyZp sub(const PolyZp& o, const PrimeField& f) const;
-  /// Product: NTT above the calibrated cutoff (modular/ntt.hpp),
-  /// schoolbook below it.  Bit-identical either way -- the dispatch
-  /// depends only on operand lengths, never on thread count or data.
+  /// Schoolbook product.
   PolyZp mul(const PolyZp& o, const PrimeField& f) const;
-  /// The quadratic convolution, bypassing the NTT dispatch (differential
-  /// tests, and the fallback for primes with small 2-adic order).
-  PolyZp mul_schoolbook(const PolyZp& o, const PrimeField& f) const;
-  /// this * this (saves one forward transform on the NTT path).
-  PolyZp sqr(const PrimeField& f) const;
   PolyZp scaled(Zp s, const PrimeField& f) const;
   PolyZp derivative(const PrimeField& f) const;
   Zp eval(Zp x, const PrimeField& f) const;

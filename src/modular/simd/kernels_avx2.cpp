@@ -1,100 +1,138 @@
-// AVX2 kernel table: 4 x 64-bit lanes over the ymm Montgomery primitives
-// (x86_mont.hpp).  Compiled with -mavx2 by the build (only on x86-64 with
-// POLYROOTS_DISABLE_SIMD off); selected at runtime only when cpuid
-// reports AVX2.  Every loop runs the vector body over whole 4-lane groups
-// and delegates the remainder to the scalar reference -- identical
-// per-lane formulas, so the seam cannot change a value.
+// AVX2 kernel table: 4 x 64-bit lanes.  Compiled with -mavx2 by the
+// build (only on x86-64 with POLYROOTS_DISABLE_SIMD off); selected at
+// runtime only when cpuid reports AVX2.  Every loop runs the vector body
+// over whole 4-lane groups and delegates the remainder to the scalar
+// reference -- identical per-lane formulas, so the seam cannot change a
+// value.
+//
+// AVX2 has no 64x64->128 lane multiply, so wide products are assembled
+// from vpmuludq 32x32->64 partials -- the classic 4-partial decomposition.
+// Every Montgomery routine below mirrors the scalar formulas exactly:
+// same reduction, same single conditional subtract, so lane k of any
+// vector result equals the scalar result on lane k's inputs bit for bit.
+// Comparisons exploit the field invariants: residues are < p < 2^63 and
+// every pre-subtract sum is < 2p < 2^63, so SIGNED vpcmpgtq is a valid
+// unsigned comparison there.  The genuinely unsigned compares (carry
+// detection on full 64-bit words) go through a sign-bias XOR.
+#include <immintrin.h>
+
 #include <cstddef>
 #include <cstdint>
 
-#include "modular/simd/mont_scalar.hpp"
 #include "modular/simd/simd.hpp"
-#include "modular/simd/x86_mont.hpp"
 
 namespace pr::modular::simd {
 
 namespace {
 
-void ntt_level_avx2(Zp* a, std::size_t n, std::size_t h, const Zp* tw,
-                    const MontCtx& f) {
-  if (h < 4) {
-    scalar_kernels().ntt_level(a, n, h, tw, f);
-    return;
-  }
-  const YmmField yf(f);
-  for (std::size_t i0 = 0; i0 < n; i0 += 2 * h) {
-    Zp* lo = a + i0;
-    Zp* hi = a + i0 + h;
-    for (std::size_t j = 0; j + 4 <= h; j += 4) {
-      const __m256i u = y_load(lo + j);
-      const __m256i w = y_load(tw + h + j);
-      const __m256i v = y_montmul(y_load(hi + j), w, yf);
-      y_store(lo + j, y_addmod(u, v, yf));
-      y_store(hi + j, y_submod(u, v, yf));
-    }
-    for (std::size_t j = h & ~std::size_t{3}; j < h; ++j) {
-      s_butterfly(lo[j].v, hi[j].v, tw[h + j].v, f);
-    }
-  }
+struct YmmField {
+  __m256i p;
+  __m256i ninv;
+
+  explicit YmmField(const MontCtx& f)
+      : p(_mm256_set1_epi64x(static_cast<long long>(f.p))),
+        ninv(_mm256_set1_epi64x(static_cast<long long>(f.ninv))) {}
+};
+
+inline __m256i y_load(const Zp* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+inline __m256i y_load_u64(const std::uint64_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+inline void y_store_u64(std::uint64_t* p, __m256i v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
 }
 
-void radix4_first_avx2(Zp* a, std::size_t n, Zp im, const MontCtx& f) {
-  const YmmField yf(f);
-  const __m256i imv = _mm256_set1_epi64x(static_cast<long long>(im.v));
-  std::size_t i0 = 0;
-  for (; i0 + 16 <= n; i0 += 16) y_radix4_block16(a + i0, imv, yf);
-  if (i0 < n) scalar_kernels().radix4_first(a + i0, n - i0, im, f);
+/// All-ones lanes where a < b as unsigned 64-bit (sign-bias trick; the
+/// bias constant is hoisted out of every loop by the compiler).
+inline __m256i y_ucmp_lt(__m256i a, __m256i b) {
+  const __m256i sign =
+      _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ull));
+  return _mm256_cmpgt_epi64(_mm256_xor_si256(b, sign),
+                            _mm256_xor_si256(a, sign));
 }
 
-void pointwise_mul_avx2(Zp* dst, const Zp* b, std::size_t n,
-                        const MontCtx& f) {
-  const YmmField yf(f);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    y_store(dst + i, y_montmul(y_load(dst + i), y_load(b + i), yf));
-  }
-  for (; i < n; ++i) dst[i].v = s_montmul(dst[i].v, b[i].v, f);
+/// Low 64 bits of a * b per lane.
+inline __m256i y_mullo64(__m256i a, __m256i b) {
+  const __m256i cross = _mm256_add_epi64(
+      _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)),
+      _mm256_mul_epu32(_mm256_srli_epi64(a, 32), b));
+  return _mm256_add_epi64(_mm256_mul_epu32(a, b),
+                          _mm256_slli_epi64(cross, 32));
 }
 
-void pointwise_sqr_avx2(Zp* a, std::size_t n, const MontCtx& f) {
-  const YmmField yf(f);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x = y_load(a + i);
-    y_store(a + i, y_montmul(x, x, yf));
-  }
-  for (; i < n; ++i) a[i].v = s_montmul(a[i].v, a[i].v, f);
+/// Full 128-bit product per lane: returns the low halves, writes the high
+/// halves to *hi.
+inline __m256i y_mul64_lohi(__m256i a, __m256i b, __m256i* hi) {
+  const __m256i lomask = _mm256_set1_epi64x(0xffffffffll);
+  const __m256i a_hi = _mm256_srli_epi64(a, 32);
+  const __m256i b_hi = _mm256_srli_epi64(b, 32);
+  const __m256i ll = _mm256_mul_epu32(a, b);
+  const __m256i lh = _mm256_mul_epu32(a, b_hi);
+  const __m256i hl = _mm256_mul_epu32(a_hi, b);
+  const __m256i hh = _mm256_mul_epu32(a_hi, b_hi);
+  // cross: (ll >> 32) + lo32(lh) + lo32(hl), at most 34 bits -- no carry
+  // out of the 64-bit lane.
+  const __m256i cross = _mm256_add_epi64(
+      _mm256_srli_epi64(ll, 32),
+      _mm256_add_epi64(_mm256_and_si256(lh, lomask),
+                       _mm256_and_si256(hl, lomask)));
+  *hi = _mm256_add_epi64(
+      hh, _mm256_add_epi64(_mm256_srli_epi64(lh, 32),
+                           _mm256_add_epi64(_mm256_srli_epi64(hl, 32),
+                                            _mm256_srli_epi64(cross, 32))));
+  return _mm256_or_si256(_mm256_slli_epi64(cross, 32),
+                         _mm256_and_si256(ll, lomask));
 }
 
-void scale_avx2(Zp* a, std::size_t n, Zp c, const MontCtx& f) {
-  const YmmField yf(f);
-  const __m256i cv = _mm256_set1_epi64x(static_cast<long long>(c.v));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    y_store(a + i, y_montmul(y_load(a + i), cv, yf));
-  }
-  for (; i < n; ++i) a[i].v = s_montmul(a[i].v, c.v, f);
+/// High 64 bits only (skips assembling the low word).
+inline __m256i y_mulhi64(__m256i a, __m256i b) {
+  const __m256i lomask = _mm256_set1_epi64x(0xffffffffll);
+  const __m256i a_hi = _mm256_srli_epi64(a, 32);
+  const __m256i b_hi = _mm256_srli_epi64(b, 32);
+  const __m256i ll = _mm256_mul_epu32(a, b);
+  const __m256i lh = _mm256_mul_epu32(a, b_hi);
+  const __m256i hl = _mm256_mul_epu32(a_hi, b);
+  const __m256i hh = _mm256_mul_epu32(a_hi, b_hi);
+  const __m256i cross = _mm256_add_epi64(
+      _mm256_srli_epi64(ll, 32),
+      _mm256_add_epi64(_mm256_and_si256(lh, lomask),
+                       _mm256_and_si256(hl, lomask)));
+  return _mm256_add_epi64(
+      hh, _mm256_add_epi64(_mm256_srli_epi64(lh, 32),
+                           _mm256_add_epi64(_mm256_srli_epi64(hl, 32),
+                                            _mm256_srli_epi64(cross, 32))));
 }
 
-void from_u64_avx2(const std::uint64_t* in, Zp* out, std::size_t n,
-                   const MontCtx& f) {
-  const YmmField yf(f);
-  const __m256i r2 = _mm256_set1_epi64x(static_cast<long long>(f.r2));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    y_store(out + i, y_montmul(y_load_u64(in + i), r2, yf));
-  }
-  for (; i < n; ++i) out[i].v = s_montmul(in[i], f.r2, f);
+/// u - p where u >= p, else u (u < 2p < 2^63: signed compare is exact).
+inline __m256i y_condsub(__m256i u, const YmmField& f) {
+  const __m256i keep = _mm256_cmpgt_epi64(f.p, u);  // u < p
+  return _mm256_sub_epi64(u, _mm256_andnot_si256(keep, f.p));
 }
 
-void to_u64_avx2(const Zp* in, std::uint64_t* out, std::size_t n,
-                 const MontCtx& f) {
-  const YmmField yf(f);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    y_store_u64(out + i, y_redc64(y_load(in + i), yf));
-  }
-  for (; i < n; ++i) out[i] = s_redc(in[i].v, f);
+/// Montgomery product redc(a * b): canonical when a * b < p * 2^64 (one
+/// canonical operand suffices), matching s_montmul lane for lane.
+inline __m256i y_montmul(__m256i a, __m256i b, const YmmField& f) {
+  __m256i hi;
+  const __m256i lo = y_mul64_lohi(a, b, &hi);
+  const __m256i m = y_mullo64(lo, f.ninv);
+  const __m256i h2 = y_mulhi64(m, f.p);
+  // (lo + low64(m * p)) is 0 mod 2^64 by construction, so its carry-out
+  // is exactly (lo != 0).
+  const __m256i lz = _mm256_cmpeq_epi64(lo, _mm256_setzero_si256());
+  const __m256i carry = _mm256_andnot_si256(lz, _mm256_set1_epi64x(1));
+  const __m256i u = _mm256_add_epi64(_mm256_add_epi64(hi, h2), carry);
+  return y_condsub(u, f);
+}
+
+/// redc of a 64-bit value t (montmul with an implicit second operand 1).
+inline __m256i y_redc64(__m256i t, const YmmField& f) {
+  const __m256i m = y_mullo64(t, f.ninv);
+  const __m256i h2 = y_mulhi64(m, f.p);
+  const __m256i tz = _mm256_cmpeq_epi64(t, _mm256_setzero_si256());
+  const __m256i carry = _mm256_andnot_si256(tz, _mm256_set1_epi64x(1));
+  return y_condsub(_mm256_add_epi64(h2, carry), f);
 }
 
 void garner_stage_avx2(const std::uint64_t* digits, std::size_t stride,
@@ -190,12 +228,7 @@ void acc192_dot_avx2(const std::uint64_t* a, const Zp* b, std::size_t n,
 }  // namespace
 
 const Kernels& avx2_kernels() {
-  static const Kernels k = {
-      Isa::kAvx2,        ntt_level_avx2, radix4_first_avx2,
-      pointwise_mul_avx2, pointwise_sqr_avx2, scale_avx2,
-      from_u64_avx2,     to_u64_avx2,    garner_stage_avx2,
-      acc192_dot_avx2,
-  };
+  static const Kernels k = {Isa::kAvx2, garner_stage_avx2, acc192_dot_avx2};
   return k;
 }
 

@@ -1,19 +1,14 @@
 // AVX-512 kernel table: 8 x 64-bit lanes (F/DQ/VL/BW).  Same structure as
 // the AVX2 table with three upgrades: native 64-bit low products
 // (vpmullq), mask-register conditional arithmetic instead of blend
-// masks, and unsigned compares without the sign-bias trick.  Butterfly
-// levels with h == 4 (a zmm cannot span the block half) fall back to the
-// ymm path shared with the AVX2 TU; h < 4 and loop tails go to scalar.
-// Runtime selection requires avx512f+dq+vl+bw, which implies AVX2, so
-// the ymm helpers are always executable here.
+// masks, and unsigned compares without the sign-bias trick.  Loop tails
+// go to the scalar reference.
 #include <immintrin.h>
 
 #include <cstddef>
 #include <cstdint>
 
-#include "modular/simd/mont_scalar.hpp"
 #include "modular/simd/simd.hpp"
-#include "modular/simd/x86_mont.hpp"
 
 namespace pr::modular::simd {
 
@@ -33,9 +28,6 @@ inline __m512i z_load(const Zp* p) {
 }
 inline __m512i z_load_u64(const std::uint64_t* p) {
   return _mm512_loadu_si512(reinterpret_cast<const void*>(p));
-}
-inline void z_store(Zp* p, __m512i v) {
-  _mm512_storeu_si512(reinterpret_cast<void*>(p), v);
 }
 inline void z_store_u64(std::uint64_t* p, __m512i v) {
   _mm512_storeu_si512(reinterpret_cast<void*>(p), v);
@@ -67,16 +59,6 @@ inline __m512i z_condsub(__m512i u, const ZmmField& f) {
   return _mm512_mask_sub_epi64(u, ge, u, f.p);
 }
 
-inline __m512i z_addmod(__m512i a, __m512i b, const ZmmField& f) {
-  return z_condsub(_mm512_add_epi64(a, b), f);
-}
-
-inline __m512i z_submod(__m512i a, __m512i b, const ZmmField& f) {
-  const __mmask8 lt = _mm512_cmplt_epu64_mask(a, b);
-  const __m512i d = _mm512_sub_epi64(a, b);
-  return _mm512_mask_add_epi64(d, lt, d, f.p);
-}
-
 /// Montgomery product redc(a * b), matching s_montmul lane for lane.
 inline __m512i z_montmul(__m512i a, __m512i b, const ZmmField& f) {
   const __m512i lo = _mm512_mullo_epi64(a, b);
@@ -98,102 +80,6 @@ inline __m512i z_redc64(__m512i t, const ZmmField& f) {
   const __m512i u =
       _mm512_mask_add_epi64(h2, nz, h2, _mm512_set1_epi64(1));
   return z_condsub(u, f);
-}
-
-void ntt_level_avx512(Zp* a, std::size_t n, std::size_t h, const Zp* tw,
-                      const MontCtx& f) {
-  if (h < 4) {
-    scalar_kernels().ntt_level(a, n, h, tw, f);
-    return;
-  }
-  if (h < 8) {
-    // One ymm spans the h == 4 half-blocks exactly.
-    const YmmField yf(f);
-    for (std::size_t i0 = 0; i0 < n; i0 += 2 * h) {
-      const __m256i u = y_load(a + i0);
-      const __m256i w = y_load(tw + h);
-      const __m256i v = y_montmul(y_load(a + i0 + h), w, yf);
-      y_store(a + i0, y_addmod(u, v, yf));
-      y_store(a + i0 + h, y_submod(u, v, yf));
-    }
-    return;
-  }
-  const ZmmField zf(f);
-  for (std::size_t i0 = 0; i0 < n; i0 += 2 * h) {
-    Zp* lo = a + i0;
-    Zp* hi = a + i0 + h;
-    for (std::size_t j = 0; j + 8 <= h; j += 8) {
-      const __m512i u = z_load(lo + j);
-      const __m512i w = z_load(tw + h + j);
-      const __m512i v = z_montmul(z_load(hi + j), w, zf);
-      z_store(lo + j, z_addmod(u, v, zf));
-      z_store(hi + j, z_submod(u, v, zf));
-    }
-    for (std::size_t j = h & ~std::size_t{7}; j < h; ++j) {
-      s_butterfly(lo[j].v, hi[j].v, tw[h + j].v, f);
-    }
-  }
-}
-
-void radix4_first_avx512(Zp* a, std::size_t n, Zp im, const MontCtx& f) {
-  // Groups of four are ymm territory (the transpose keeps whole groups in
-  // 256-bit rows); reuse the shared pass.
-  const YmmField yf(f);
-  const __m256i imv = _mm256_set1_epi64x(static_cast<long long>(im.v));
-  std::size_t i0 = 0;
-  for (; i0 + 16 <= n; i0 += 16) y_radix4_block16(a + i0, imv, yf);
-  if (i0 < n) scalar_kernels().radix4_first(a + i0, n - i0, im, f);
-}
-
-void pointwise_mul_avx512(Zp* dst, const Zp* b, std::size_t n,
-                          const MontCtx& f) {
-  const ZmmField zf(f);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    z_store(dst + i, z_montmul(z_load(dst + i), z_load(b + i), zf));
-  }
-  for (; i < n; ++i) dst[i].v = s_montmul(dst[i].v, b[i].v, f);
-}
-
-void pointwise_sqr_avx512(Zp* a, std::size_t n, const MontCtx& f) {
-  const ZmmField zf(f);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i x = z_load(a + i);
-    z_store(a + i, z_montmul(x, x, zf));
-  }
-  for (; i < n; ++i) a[i].v = s_montmul(a[i].v, a[i].v, f);
-}
-
-void scale_avx512(Zp* a, std::size_t n, Zp c, const MontCtx& f) {
-  const ZmmField zf(f);
-  const __m512i cv = _mm512_set1_epi64(static_cast<long long>(c.v));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    z_store(a + i, z_montmul(z_load(a + i), cv, zf));
-  }
-  for (; i < n; ++i) a[i].v = s_montmul(a[i].v, c.v, f);
-}
-
-void from_u64_avx512(const std::uint64_t* in, Zp* out, std::size_t n,
-                     const MontCtx& f) {
-  const ZmmField zf(f);
-  const __m512i r2 = _mm512_set1_epi64(static_cast<long long>(f.r2));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    z_store(out + i, z_montmul(z_load_u64(in + i), r2, zf));
-  }
-  for (; i < n; ++i) out[i].v = s_montmul(in[i], f.r2, f);
-}
-
-void to_u64_avx512(const Zp* in, std::uint64_t* out, std::size_t n,
-                   const MontCtx& f) {
-  const ZmmField zf(f);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    z_store_u64(out + i, z_redc64(z_load(in + i), zf));
-  }
-  for (; i < n; ++i) out[i] = s_redc(in[i].v, f);
 }
 
 void garner_stage_avx512(const std::uint64_t* digits, std::size_t stride,
@@ -283,12 +169,8 @@ void acc192_dot_avx512(const std::uint64_t* a, const Zp* b, std::size_t n,
 }  // namespace
 
 const Kernels& avx512_kernels() {
-  static const Kernels k = {
-      Isa::kAvx512,         ntt_level_avx512, radix4_first_avx512,
-      pointwise_mul_avx512, pointwise_sqr_avx512, scale_avx512,
-      from_u64_avx512,      to_u64_avx512,    garner_stage_avx512,
-      acc192_dot_avx512,
-  };
+  static const Kernels k = {Isa::kAvx512, garner_stage_avx512,
+                            acc192_dot_avx512};
   return k;
 }
 

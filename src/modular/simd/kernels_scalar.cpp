@@ -1,70 +1,41 @@
 // Portable kernel table: the reference implementation of every SIMD
-// kernel, built from the shared scalar Montgomery primitives.  This is
-// the table the differential suite compares every vector ISA against,
-// and the fallback `active()` resolves to on non-x86 hosts, under
+// kernel.  This is the table the differential suite compares every vector
+// ISA against, the one the vector kernels hand their loop tails to, and
+// the fallback `active()` resolves to on non-x86 hosts, under
 // POLYROOTS_DISABLE_SIMD, or when cpuid denies the vector TUs.
 #include <cstddef>
 #include <cstdint>
 
-#include "modular/simd/mont_scalar.hpp"
 #include "modular/simd/simd.hpp"
 
 namespace pr::modular::simd {
 
 namespace {
 
-void ntt_level_scalar(Zp* a, std::size_t n, std::size_t h, const Zp* tw,
-                      const MontCtx& f) {
-  for (std::size_t i0 = 0; i0 < n; i0 += 2 * h) {
-    for (std::size_t j = 0; j < h; ++j) {
-      s_butterfly(a[i0 + j].v, a[i0 + j + h].v, tw[h + j].v, f);
-    }
-  }
+// PrimeField's private redc/mont_mul formulas (zp.hpp documents the
+// derivation), restated over the plain-word MontCtx.
+
+/// Montgomery reduction of a 128-bit value t (t < p * 2^64 for a
+/// canonical result; larger t still matches PrimeField::redc exactly,
+/// which is all the fold path needs).
+std::uint64_t s_redc(unsigned __int128 t, const MontCtx& f) {
+  const std::uint64_t m = static_cast<std::uint64_t>(t) * f.ninv;
+  const std::uint64_t u = static_cast<std::uint64_t>(
+      (t + static_cast<unsigned __int128>(m) * f.p) >> 64);
+  return u >= f.p ? u - f.p : u;
 }
 
-void radix4_first_scalar(Zp* a, std::size_t n, Zp im, const MontCtx& f) {
-  for (std::size_t i0 = 0; i0 < n; i0 += 4) {
-    const std::uint64_t a0 = a[i0].v, a1 = a[i0 + 1].v;
-    const std::uint64_t a2 = a[i0 + 2].v, a3 = a[i0 + 3].v;
-    const std::uint64_t b0 = s_add(a0, a1, f);
-    const std::uint64_t b1 = s_sub(a0, a1, f);
-    const std::uint64_t b2 = s_add(a2, a3, f);
-    const std::uint64_t b3 = s_montmul(im.v, s_sub(a2, a3, f), f);
-    a[i0].v = s_add(b0, b2, f);
-    a[i0 + 2].v = s_sub(b0, b2, f);
-    a[i0 + 1].v = s_add(b1, b3, f);
-    a[i0 + 3].v = s_sub(b1, b3, f);
-  }
+std::uint64_t s_montmul(std::uint64_t a, std::uint64_t b, const MontCtx& f) {
+  return s_redc(static_cast<unsigned __int128>(a) * b, f);
 }
 
-void pointwise_mul_scalar(Zp* dst, const Zp* b, std::size_t n,
-                          const MontCtx& f) {
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i].v = s_montmul(dst[i].v, b[i].v, f);
-  }
-}
-
-void pointwise_sqr_scalar(Zp* a, std::size_t n, const MontCtx& f) {
-  for (std::size_t i = 0; i < n; ++i) {
-    a[i].v = s_montmul(a[i].v, a[i].v, f);
-  }
-}
-
-void scale_scalar(Zp* a, std::size_t n, Zp c, const MontCtx& f) {
-  for (std::size_t i = 0; i < n; ++i) a[i].v = s_montmul(a[i].v, c.v, f);
-}
-
-void from_u64_scalar(const std::uint64_t* in, Zp* out, std::size_t n,
-                     const MontCtx& f) {
-  // montmul(x, r2) with x < 2^64 arbitrary: t = x * r2 < 2^64 * p, so the
-  // REDC output is canonical after one conditional subtract -- the same
-  // residue PrimeField::from_u64 produces via x % p first.
-  for (std::size_t i = 0; i < n; ++i) out[i].v = s_montmul(in[i], f.r2, f);
-}
-
-void to_u64_scalar(const Zp* in, std::uint64_t* out, std::size_t n,
-                   const MontCtx& f) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = s_redc(in[i].v, f);
+/// PrimeField::fold192_shr64 restated: canonical residue of
+/// (carry * 2^128 + hi * 2^64 + lo) / 2^64  (mod p).
+std::uint64_t s_fold192_shr64(std::uint64_t lo, std::uint64_t hi,
+                              std::uint64_t carry, const MontCtx& f) {
+  const unsigned __int128 u =
+      (static_cast<unsigned __int128>(carry) << 64) + hi + s_redc(lo, f);
+  return s_montmul(s_redc(u, f), f.r2, f);
 }
 
 void garner_stage_scalar(const std::uint64_t* digits, std::size_t stride,
@@ -91,12 +62,8 @@ void acc192_dot_scalar(const std::uint64_t* a, const Zp* b, std::size_t n,
 }  // namespace
 
 const Kernels& scalar_kernels() {
-  static const Kernels k = {
-      Isa::kScalar,        ntt_level_scalar, radix4_first_scalar,
-      pointwise_mul_scalar, pointwise_sqr_scalar, scale_scalar,
-      from_u64_scalar,     to_u64_scalar,    garner_stage_scalar,
-      acc192_dot_scalar,
-  };
+  static const Kernels k = {Isa::kScalar, garner_stage_scalar,
+                            acc192_dot_scalar};
   return k;
 }
 

@@ -1,15 +1,14 @@
 // Runtime-dispatched SIMD kernels for the mod-p arithmetic layer.
 //
-// Every inner loop of the modular subsystem -- NTT butterfly levels, the
-// fused radix-4 first pass, pointwise frequency-domain products, batch
-// Montgomery conversions, the Garner mixed-radix digit stage, and the
-// Acc192 dot products behind LimbReducer -- funnels through the Kernels
-// function table defined here.  Three implementations exist:
+// The two inner loops of CRT reconstruction and residue reduction -- the
+// Garner mixed-radix digit stage and the Acc192 dot products behind
+// LimbReducer -- funnel through the Kernels function table defined here.
+// Three implementations exist:
 //
 //   * scalar  -- portable C++, always compiled, bit-for-bit the reference
 //                semantics (identical formulas to PrimeField/Acc192);
 //   * avx2    -- 4 x 64-bit lanes; 64x64->128 products are assembled from
-//                vpmuludq 32-bit partials (x86_mont.hpp);
+//                vpmuludq 32-bit partials;
 //   * avx512  -- 8 x 64-bit lanes (F/DQ/VL/BW), with mask-register
 //                conditional subtracts and vpmullq low products.
 //
@@ -50,38 +49,6 @@ const char* isa_name(Isa isa);
 /// Montgomery context of the prime every residue belongs to.
 struct Kernels {
   Isa isa = Isa::kScalar;
-
-  /// One radix-2 butterfly level over the whole n-point array (n a power
-  /// of two, 1 <= h < n, h a power of two): for every block start i0
-  /// (step 2h) and j < h,
-  ///   u = a[i0+j];  v = montmul(a[i0+j+h], tw[h+j]);
-  ///   a[i0+j] = u + v;  a[i0+j+h] = u - v   (both mod p, canonical).
-  void (*ntt_level)(Zp* a, std::size_t n, std::size_t h, const Zp* tw,
-                    const MontCtx& f);
-
-  /// The fused first two butterfly levels (twiddles 1 and {1, im}, where
-  /// im is the primitive 4th root of unity): for every group of four
-  ///   b0 = a0+a1, b1 = a0-a1, b2 = a2+a3, b3 = im*(a2-a3)
-  ///   out = {b0+b2, b1+b3, b0-b2, b1-b3}.
-  /// Requires n % 4 == 0.
-  void (*radix4_first)(Zp* a, std::size_t n, Zp im, const MontCtx& f);
-
-  /// dst[i] = montmul(dst[i], b[i]) for i < n.
-  void (*pointwise_mul)(Zp* dst, const Zp* b, std::size_t n,
-                        const MontCtx& f);
-  /// a[i] = montmul(a[i], a[i]) for i < n.
-  void (*pointwise_sqr)(Zp* a, std::size_t n, const MontCtx& f);
-  /// a[i] = montmul(a[i], c) for i < n (inverse-transform scaling).
-  void (*scale)(Zp* a, std::size_t n, Zp c, const MontCtx& f);
-
-  /// out[i] = canonical Montgomery residue of in[i] (an arbitrary 64-bit
-  /// word): montmul(in[i], r2).  Identical value to
-  /// PrimeField::from_u64(in[i]) -- the canonical residue is unique.
-  void (*from_u64)(const std::uint64_t* in, Zp* out, std::size_t n,
-                   const MontCtx& f);
-  /// out[i] = canonical (non-Montgomery) value of in[i]: redc(in[i].v).
-  void (*to_u64)(const Zp* in, std::uint64_t* out, std::size_t n,
-                 const MontCtx& f);
 
   /// Garner digit stage j over `count` independent reconstructions laid
   /// out column-per-value: digits[i * stride + c] is digit i of value c

@@ -42,8 +42,8 @@ bool cpu_has(Isa isa) {
     case Isa::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
     case Isa::kAvx512:
-      // The zmm TU leans on DQ (vpmullq), VL (ymm forms in the shared
-      // radix-4 pass), and BW alongside the foundation.
+      // The zmm TU is compiled with F/DQ/VL/BW (vpmullq is DQ), so the
+      // compiler may use any of the four there.
       return __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx512dq") != 0 &&
              __builtin_cpu_supports("avx512vl") != 0 &&

@@ -8,21 +8,13 @@ namespace pr::modular {
 
 namespace {
 
-/// One atomic per field: tuning is published once at startup, so no
+/// One atomic per coefficient: tuning is published once at startup, so no
 /// cross-field coherence is required (a torn read can only pair one
-/// tuning's crossover with another's -- both are valid speed choices).
+/// tuning's linear term with another's quadratic term -- both valid speed
+/// choices).
 struct Store {
-  // Default member initializers mirror ModularTuning's defaults (a
-  // static_assert-style duplication the round-trip test pins down).
-  std::atomic<double> ntt_butterfly_units{NttCostModel{}.butterfly_units};
-  std::atomic<std::uint32_t> ntt_min_operand{NttCostModel{}.min_operand};
-  std::atomic<double> crt_lin{CrtWaveModel{}.digit_units_linear};
-  std::atomic<double> crt_quad{CrtWaveModel{}.digit_units_quadratic};
-  std::atomic<double> crt_units_per_wave{CrtWaveModel{}.units_per_wave};
-  std::atomic<std::uint32_t> crt_max_fanout{CrtWaveModel{}.max_fanout};
-  std::atomic<std::uint32_t> crt_fanout_per_thread{
-      CrtWaveModel{}.fanout_per_thread};
-  std::atomic<double> batch_min_task_units{ImageBatchModel{}.min_task_units};
+  std::atomic<double> lin{ModularTuning{}.crt_digit_units_linear};
+  std::atomic<double> quad{ModularTuning{}.crt_digit_units_quadratic};
 };
 
 Store& store() {
@@ -30,9 +22,9 @@ Store& store() {
   return s;
 }
 
-double clamp_units(double v, double lo, double hi) {
-  if (!std::isfinite(v) || v < lo) return lo;
-  return std::min(v, hi);
+double clamp_units(double v) {
+  if (!std::isfinite(v) || v < 0.0) return 0.0;
+  return std::min(v, 1024.0);
 }
 
 }  // namespace
@@ -40,60 +32,34 @@ double clamp_units(double v, double lo, double hi) {
 ModularTuning modular_tuning() {
   const Store& s = store();
   ModularTuning t;
-  t.ntt.butterfly_units = s.ntt_butterfly_units.load(std::memory_order_relaxed);
-  t.ntt.min_operand = s.ntt_min_operand.load(std::memory_order_relaxed);
-  t.crt.digit_units_linear = s.crt_lin.load(std::memory_order_relaxed);
-  t.crt.digit_units_quadratic = s.crt_quad.load(std::memory_order_relaxed);
-  t.crt.units_per_wave = s.crt_units_per_wave.load(std::memory_order_relaxed);
-  t.crt.max_fanout = s.crt_max_fanout.load(std::memory_order_relaxed);
-  t.crt.fanout_per_thread =
-      s.crt_fanout_per_thread.load(std::memory_order_relaxed);
-  t.batch.min_task_units =
-      s.batch_min_task_units.load(std::memory_order_relaxed);
+  t.crt_digit_units_linear = s.lin.load(std::memory_order_relaxed);
+  t.crt_digit_units_quadratic = s.quad.load(std::memory_order_relaxed);
   return t;
 }
 
 void set_modular_tuning(const ModularTuning& t) {
   Store& s = store();
-  s.ntt_butterfly_units.store(clamp_units(t.ntt.butterfly_units, 0.0, 64.0),
-                              std::memory_order_relaxed);
-  s.ntt_min_operand.store(std::clamp<std::uint32_t>(t.ntt.min_operand, 4,
-                                                    1u << 16),
-                          std::memory_order_relaxed);
-  s.crt_lin.store(clamp_units(t.crt.digit_units_linear, 0.0, 1024.0),
-                  std::memory_order_relaxed);
-  s.crt_quad.store(clamp_units(t.crt.digit_units_quadratic, 0.0, 1024.0),
-                   std::memory_order_relaxed);
-  s.crt_units_per_wave.store(clamp_units(t.crt.units_per_wave, 256.0, 1e12),
-                             std::memory_order_relaxed);
-  s.crt_max_fanout.store(std::clamp<std::uint32_t>(t.crt.max_fanout, 1, 4096),
-                         std::memory_order_relaxed);
-  s.crt_fanout_per_thread.store(
-      std::clamp<std::uint32_t>(t.crt.fanout_per_thread, 1, 64),
-      std::memory_order_relaxed);
-  s.batch_min_task_units.store(clamp_units(t.batch.min_task_units, 256.0, 1e12),
-                               std::memory_order_relaxed);
+  s.lin.store(clamp_units(t.crt_digit_units_linear),
+              std::memory_order_relaxed);
+  s.quad.store(clamp_units(t.crt_digit_units_quadratic),
+               std::memory_order_relaxed);
 }
 
 void reset_modular_tuning() { set_modular_tuning(ModularTuning{}); }
 
-std::size_t crt_wave_fanout_cap(const CrtWaveModel& m, int threads) {
+std::size_t crt_wave_fanout_cap(int threads) {
   const auto t = static_cast<std::size_t>(std::max(1, threads));
-  const auto per_thread = static_cast<std::size_t>(
-      std::max<std::uint32_t>(1, m.fanout_per_thread));
-  const auto cap =
-      static_cast<std::size_t>(std::max<std::uint32_t>(1, m.max_fanout));
-  return std::min(cap, per_thread * t);
+  return std::min(kCrtMaxFanout, kCrtFanoutPerThread * t);
 }
 
-std::size_t crt_level_waves(const CrtWaveModel& m, std::size_t cnt,
+std::size_t crt_level_waves(const ModularTuning& t, std::size_t cnt,
                             std::size_t k, std::size_t cap) {
   if (cap <= 1 || cnt == 0) return 1;
   const auto dk = static_cast<double>(k);
   const double units = static_cast<double>(cnt) *
-                       (m.digit_units_linear * dk +
-                        m.digit_units_quadratic * dk * dk);
-  const double waves = units / std::max(256.0, m.units_per_wave);
+                       (t.crt_digit_units_linear * dk +
+                        t.crt_digit_units_quadratic * dk * dk);
+  const double waves = units / kCrtUnitsPerWave;
   if (waves <= 1.0) return 1;
   if (waves >= static_cast<double>(cap)) return cap;
   return static_cast<std::size_t>(waves);

@@ -1,6 +1,5 @@
 #include "modular/zp.hpp"
 
-#include <bit>
 #include <mutex>
 #include <vector>
 
@@ -59,41 +58,22 @@ bool is_prime_u64(std::uint64_t n) {
   return true;
 }
 
-std::uint64_t find_two_adic_witness(std::uint64_t p) {
-  check_arg(p > 2 && (p & 1) != 0, "find_two_adic_witness: p must be odd");
-  const std::uint64_t e = (p - 1) >> 1;
-  for (std::uint64_t a = 2;; ++a) {
-    // Euler's criterion: a^((p-1)/2) is +1 for residues, -1 for
-    // non-residues.  Half of Z_p^* is non-residues, so the scan is short
-    // (and deterministic: smallest witness, independent of any RNG).
-    if (powmod_u64(a, e, p) == p - 1) return a;
-  }
-}
-
-NttModulus nth_modulus_info(std::size_t i) {
+std::uint64_t nth_modulus(std::size_t i) {
   // Candidates walk k * 2^20 + 1 downward from the largest value below
-  // 2^62; only the congruence class 1 mod 2^20 is eligible, so every
-  // accepted prime supports transforms up to length 2^20.  The scan is
-  // purely value-determined -- no randomness, no dependence on call order
-  // beyond the shared cursor under the lock.
+  // 2^62.  The scan is purely value-determined -- no randomness, no
+  // dependence on call order beyond the shared cursor under the lock.
   constexpr std::uint64_t kStep = 1ull << 20;
   static std::mutex mu;
-  static std::vector<NttModulus> table;
+  static std::vector<std::uint64_t> table;
   static std::uint64_t next_candidate = (1ull << 62) - kStep + 1;
   std::lock_guard<std::mutex> lock(mu);
   while (table.size() <= i) {
     while (!is_prime_u64(next_candidate)) next_candidate -= kStep;
-    NttModulus m;
-    m.p = next_candidate;
-    m.two_adic = static_cast<unsigned>(std::countr_zero(next_candidate - 1));
-    m.witness = find_two_adic_witness(next_candidate);
-    table.push_back(m);
+    table.push_back(next_candidate);
     next_candidate -= kStep;
   }
   return table[i];
 }
-
-std::uint64_t nth_modulus(std::size_t i) { return nth_modulus_info(i).p; }
 
 PrimeField::PrimeField(std::uint64_t p) : p_(p) {
   check_arg((p & 1) != 0 && p < (1ull << 63) && is_prime_u64(p),

@@ -9,12 +9,11 @@
 // The subsystem draws its moduli from a single deterministic table -- the
 // primes p == 1 (mod 2^20) immediately below 2^62, in decreasing order --
 // so any two runs (any thread count, any machine) agree on which prime
-// "slot i" denotes.  The congruence guarantees every table prime admits
-// radix-2 number-theoretic transforms up to length 2^20 (modular/ntt.hpp);
-// each entry also records v_2(p-1) and the smallest quadratic non-residue,
-// from which the NTT derives its roots of unity deterministically.
-// Primality is established by a deterministic Miller-Rabin check that is
-// exact for all 64-bit inputs.
+// "slot i" denotes.  The congruence once served number-theoretic
+// transforms; it stays because the table's values fix which primes every
+// run selects, and with them the modular counters.  Primality is
+// established by a deterministic Miller-Rabin check that is exact for all
+// 64-bit inputs.
 //
 // None of the operations here report to the instr OpCounts: field ops are
 // single-word arithmetic, not multi-precision operations, and counting them
@@ -198,35 +197,10 @@ class LimbReducer {
 /// Deterministic Miller-Rabin, exact for every n < 2^64.
 bool is_prime_u64(std::uint64_t n);
 
-/// One entry of the deterministic modulus table.  `two_adic` is
-/// s = v_2(p - 1) (>= 20 by construction: the table only admits
-/// p == 1 mod 2^20), and `witness` is the smallest a >= 2 with
-/// a^((p-1)/2) == -1 (mod p) -- a quadratic non-residue, so
-/// a^((p-1)/2^s) generates the full 2-Sylow subgroup of Z_p^*, which is
-/// exactly the root-of-unity supply a radix-2 NTT needs.  (A full
-/// primitive root would require factoring p - 1; the 2-Sylow generator is
-/// computable from the witness alone and is all the transforms use.)
-struct NttModulus {
-  std::uint64_t p = 0;
-  unsigned two_adic = 0;
-  std::uint64_t witness = 0;
-};
-
 /// The i-th modulus of the deterministic table: the primes p == 1
 /// (mod 2^20) below 2^62 in decreasing order (nth_modulus(0) is the
 /// largest such prime).  The table grows lazily and is safe to call from
 /// any thread.
 std::uint64_t nth_modulus(std::size_t i);
-
-/// Full table entry for slot i (prime, 2-adic order, non-residue witness).
-/// Returned by value: the lazily grown backing table may reallocate.
-NttModulus nth_modulus_info(std::size_t i);
-
-/// Smallest a >= 2 with a^((p-1)/2) == -1 (mod p), for an odd prime p.
-/// Deterministic and witness-search cheap (the first few integers contain
-/// a non-residue for every prime; Euler's criterion certifies it exactly).
-/// Used by the table generator and exposed so tests and the NTT layer can
-/// re-derive the stored witness independently.
-std::uint64_t find_two_adic_witness(std::uint64_t p);
 
 }  // namespace pr::modular

@@ -69,7 +69,7 @@ struct TimelineEntry {
 /// per-task bit costs) this lets the discrete-event simulator calibrate
 /// its dispatch-overhead knob against *measured* scheduler overhead
 /// instead of a guessed constant (see calibrated_dispatch_overhead in
-/// sim/des.hpp), and lets benches render Gantt-style worker activity.
+/// sim/des.hpp), and lets benches chart per-worker activity over time.
 struct ExecutionTimeline {
   int workers = 0;
   /// Entries in completion order (the order workers finished tasks).

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "support/error.hpp"
 #include "support/prng.hpp"
@@ -287,16 +289,108 @@ TEST(BigInt, KaratsubaMatchesSchoolbook) {
     }
     return rng.coin() ? -v : v;
   };
-  for (int iter = 0; iter < 20; ++iter) {
-    const BigInt a = random_wide(30 + static_cast<int>(rng.below(40)));
-    const BigInt b = random_wide(25 + static_cast<int>(rng.below(40)));
+  const auto check = [](const BigInt& a, const BigInt& b) {
     BigInt::set_karatsuba_enabled(false);
     const BigInt school = a * b;
     BigInt::set_karatsuba_enabled(true);
     const BigInt kara = a * b;
     BigInt::set_karatsuba_enabled(false);
-    EXPECT_EQ(school, kara);
+    EXPECT_EQ(school, kara) << a.limb_count() << " x " << b.limb_count()
+                            << " limbs";
+  };
+  for (int iter = 0; iter < 20; ++iter) {
+    const BigInt a = random_wide(30 + static_cast<int>(rng.below(40)));
+    const BigInt b = random_wide(25 + static_cast<int>(rng.below(40)));
+    check(a, b);
   }
+  // Shapes around kKaratsubaThreshold (24 limbs): just below it, one
+  // recursion level (24..47), two (48..95) and three (96..), and pairs
+  // more unbalanced than 3:1, where the shorter operand has no high half.
+  static_assert(BigInt::kKaratsubaThreshold == 24);
+  const std::pair<int, int> shapes[] = {
+      {23, 23}, {23, 100}, {24, 24}, {25, 31}, {47, 47}, {48, 48},
+      {49, 60}, {95, 95}, {96, 96}, {97, 130}, {24, 73}, {24, 100},
+      {25, 76}, {30, 200}, {40, 400}};
+  for (const auto& [an, bn] : shapes) {
+    const BigInt a = random_wide(an);
+    const BigInt b = random_wide(bn);
+    for (const BigInt& x : {a, -a}) {
+      for (const BigInt& y : {b, -b}) {
+        check(x, y);
+        check(y, x);
+      }
+    }
+  }
+  // Zero and one-limb operands stay off the Karatsuba path but must give
+  // the same products with the flag on.
+  const BigInt wide = random_wide(60);
+  for (const BigInt& small :
+       {BigInt(0), BigInt(1), BigInt(-1), BigInt(12345),
+        BigInt(static_cast<unsigned long long>(rng.next()))}) {
+    check(small, wide);
+    check(wide, small);
+    check(small, small);
+  }
+}
+
+// The BigIntNtt suite once also covered an NTT rung of the multiply
+// dispatch; the rung is gone and the suite now checks the remaining
+// schoolbook/Karatsuba switch through the public operator*.
+
+/// Restores the process-wide Karatsuba flag on scope exit, so a failing
+/// assertion cannot leak an enabled multiplier into later tests.
+struct KaratsubaGuard {
+  bool saved = BigInt::karatsuba_enabled();
+  ~KaratsubaGuard() { BigInt::set_karatsuba_enabled(saved); }
+};
+
+BigInt random_bigint(std::size_t limbs, bool negative, Prng& rng) {
+  std::vector<BigInt::Limb> l(limbs);
+  for (auto& x : l) x = rng.next();
+  if (!l.empty() && l.back() == 0) l.back() = 1;
+  return BigInt::from_limbs(l.data(), limbs, negative);
+}
+
+TEST(BigIntNtt, DispatchLadderSweep) {
+  // Every size from one limb through three Karatsuba recursion levels,
+  // with mixed signs and unequal lengths: schoolbook and Karatsuba must
+  // give the same product on each side of kKaratsubaThreshold.
+  KaratsubaGuard guard;
+  Prng rng(0x4321);
+  for (std::size_t n = 1; n <= 100; ++n) {
+    const BigInt a = random_bigint(n, (n % 2) != 0, rng);
+    const BigInt b = random_bigint(n + (n % 3), (n % 4) == 0, rng);
+    BigInt::set_karatsuba_enabled(false);
+    const BigInt ref = a * b;
+    BigInt::set_karatsuba_enabled(true);
+    EXPECT_EQ(a * b, ref) << n << " limbs";
+  }
+}
+
+TEST(BigIntNtt, SignZeroAndSingleLimbEdges) {
+  KaratsubaGuard guard;
+  Prng rng(0x9e3779b9);
+  // Above kKaratsubaThreshold, so these products recurse.
+  const BigInt x = random_bigint(30, false, rng);
+  const BigInt y = random_bigint(30, false, rng);
+  BigInt::set_karatsuba_enabled(false);
+  const BigInt xy = x * y;
+  BigInt::set_karatsuba_enabled(true);
+  EXPECT_EQ(x * y, xy);
+  EXPECT_TRUE((x * BigInt(0)).is_zero());
+  EXPECT_TRUE((BigInt(0) * x).is_zero());
+  EXPECT_EQ(x * BigInt(1), x);
+  EXPECT_EQ(x * BigInt(-1), -x);
+  EXPECT_EQ((-x) * y, -xy);
+  EXPECT_EQ(x * (-y), -xy);
+  EXPECT_EQ((-x) * (-y), xy);
+  // Single-limb times multi-limb stays on the schoolbook path (below the
+  // threshold) but must agree with the Karatsuba-enabled setting.
+  const BigInt s(12345);
+  BigInt::set_karatsuba_enabled(false);
+  const BigInt ref = s * x;
+  BigInt::set_karatsuba_enabled(true);
+  EXPECT_EQ(s * x, ref);
 }
 
 }  // namespace

@@ -83,7 +83,7 @@ TEST(ZpField, ModulusTableIsDistinctPrimesBelow2To62) {
     EXPECT_TRUE(modular::is_prime_u64(p)) << p;
     EXPECT_LT(p, 1ull << 62);
     EXPECT_GT(p, 1ull << 61);  // dense near the top of the range
-    // NTT-friendly by construction: 2-adic order >= 20.
+    // The table only admits p == 1 (mod 2^20).
     EXPECT_EQ(p % (1ull << 20), 1u) << p;
     for (std::uint64_t q : seen) EXPECT_NE(p, q);
     seen.push_back(p);
@@ -91,6 +91,37 @@ TEST(ZpField, ModulusTableIsDistinctPrimesBelow2To62) {
   // Deterministic: asking again returns the same primes.
   for (std::size_t i = 0; i < 32; ++i) {
     EXPECT_EQ(modular::nth_modulus(i), seen[i]);
+  }
+}
+
+TEST(ZpField, ModulusTableValuesArePinned) {
+  // Slot i must name the same prime in every build: prime selection, and
+  // with it every modular counter, depends on these values.
+  const std::uint64_t expected[64] = {
+      0x3ffffffffeb00001ull, 0x3ffffffffa000001ull, 0x3ffffffff9f00001ull,
+      0x3ffffffff9000001ull, 0x3ffffffff7b00001ull, 0x3ffffffff7600001ull,
+      0x3ffffffff6700001ull, 0x3ffffffff5e00001ull, 0x3ffffffff4f00001ull,
+      0x3ffffffff4600001ull, 0x3ffffffff3700001ull, 0x3ffffffff1b00001ull,
+      0x3ffffffff0c00001ull, 0x3fffffffece00001ull, 0x3fffffffeaf00001ull,
+      0x3fffffffea300001ull, 0x3fffffffea000001ull, 0x3fffffffe9a00001ull,
+      0x3fffffffe9500001ull, 0x3fffffffe5000001ull, 0x3fffffffe3b00001ull,
+      0x3fffffffe2b00001ull, 0x3fffffffe2900001ull, 0x3fffffffe2300001ull,
+      0x3fffffffdf900001ull, 0x3fffffffdf500001ull, 0x3fffffffdb600001ull,
+      0x3fffffffda100001ull, 0x3fffffffd9800001ull, 0x3fffffffd9000001ull,
+      0x3fffffffd6900001ull, 0x3fffffffd5900001ull, 0x3fffffffd3600001ull,
+      0x3fffffffd2a00001ull, 0x3fffffffd1800001ull, 0x3fffffffd1500001ull,
+      0x3fffffffce200001ull, 0x3fffffffcc000001ull, 0x3fffffffca800001ull,
+      0x3fffffffc9c00001ull, 0x3fffffffc9100001ull, 0x3fffffffc8d00001ull,
+      0x3fffffffc8800001ull, 0x3fffffffc8700001ull, 0x3fffffffc8200001ull,
+      0x3fffffffc7b00001ull, 0x3fffffffc7900001ull, 0x3fffffffc5d00001ull,
+      0x3fffffffc5200001ull, 0x3fffffffc4800001ull, 0x3fffffffc2e00001ull,
+      0x3fffffffc2d00001ull, 0x3fffffffc2500001ull, 0x3fffffffc2100001ull,
+      0x3fffffffc1f00001ull, 0x3fffffffc1600001ull, 0x3fffffffbcb00001ull,
+      0x3fffffffbc400001ull, 0x3fffffffbb300001ull, 0x3fffffffba900001ull,
+      0x3fffffffba100001ull, 0x3fffffffb9a00001ull, 0x3fffffffb9800001ull,
+      0x3fffffffb7c00001ull};
+  for (std::size_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(modular::nth_modulus(i), expected[i]) << "slot " << i;
   }
 }
 

@@ -1,11 +1,9 @@
 // Per-kernel SIMD microbenchmark: cycles (and ns) per element for the
-// three hot inner loops the modular subsystem spends its time in --
-// NTT butterfly levels, the LimbReducer Acc192 dot, and the batched
-// Garner digit stage -- on every kernel table this host can run (scalar,
-// avx2, avx512).  This is the calibration companion to bench_ntt /
-// bench_bigint_mul: those measure end-to-end products, this isolates the
-// kernels so a regression (or a miscalibrated ntt_butterfly_units) can
-// be attributed to one loop.
+// two kernels of the modular subsystem -- the LimbReducer Acc192 dot and
+// the batched Garner digit stage -- on every kernel table this host can
+// run (scalar, avx2, avx512).  bench_modular measures the stages end to
+// end; this isolates the kernels so a regression can be attributed to
+// one loop.
 //
 // Usage: simd_microbench [--n ELEMS] [--reps R]
 #include <chrono>
@@ -106,9 +104,8 @@ int main(int argc, char** argv) {
   const MontCtx ctx = f.ctx();
   pr::Prng rng(0x51d7);
 
-  std::vector<Zp> a(n), tw(n), b(n);
-  for (auto& x : a) x = f.from_u64(rng.next());
-  for (auto& x : tw) x = f.from_u64(rng.next());
+  std::vector<Zp> w(n), b(n);
+  for (auto& x : w) x = f.from_u64(rng.next());
   for (auto& x : b) x = f.from_u64(rng.next());
   std::vector<std::uint64_t> words(n);
   for (auto& x : words) x = rng.next();
@@ -126,16 +123,6 @@ int main(int argc, char** argv) {
     if (k == nullptr) continue;
     const char* name = simd::isa_name(isa);
 
-    // One mid-tree butterfly level (h = n/2: pure vector body, the level
-    // shape the transform spends most of its multiplies in).
-    {
-      std::vector<Zp> work = a;
-      const Cell c = run(reps, n / 2, ticks, [&] {
-        k->ntt_level(work.data(), n, n / 2, tw.data(), ctx);
-      });
-      print_cell("butterfly   ", name, c);
-    }
-
     // The LimbReducer fold core: Acc192 dot of raw limbs against the
     // Montgomery power-of-2^64 ladder.
     {
@@ -147,8 +134,8 @@ int main(int argc, char** argv) {
       print_cell("acc192 dot  ", name, c);
     }
 
-    // One Garner stage over n lanes with 3 prior digits -- the j = 3 row
-    // shape of the three-prime BigInt NTT reconstruction.
+    // One Garner stage over n lanes with 3 prior digits (the j = 3 row of
+    // a batched reconstruction).
     {
       const std::size_t j = 3;
       std::vector<std::uint64_t> digits(4 * n);
@@ -157,7 +144,7 @@ int main(int argc, char** argv) {
       for (auto& r : residues) r = rng.next() % f.prime();
       const Zp inv = f.from_u64(rng.next());
       const Cell c = run(reps, n, ticks, [&] {
-        k->garner_stage(digits.data(), n, j, tw.data(), inv, residues.data(),
+        k->garner_stage(digits.data(), n, j, w.data(), inv, residues.data(),
                         digits.data() + j * n, n, ctx);
       });
       print_cell("garner j=3  ", name, c);
