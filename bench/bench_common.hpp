@@ -22,17 +22,9 @@
 
 namespace prbench {
 
-/// Calibration-aware bench startup: installs the profile named by
-/// POLYROOTS_CALIBRATION (once per process, diagnostics to stderr) so
-/// measurements run under the same tuning a calibrated production run
-/// would use.  Call before the first timed work.
-inline void bench_startup() { pr::calibrate::startup(); }
-
-/// The id every BENCH_*.json stamps into its header: "defaults-<isa>"
-/// when no profile is active, else the loaded profile's hash id.  Makes
-/// rows from differently-tuned runs distinguishable after the fact.
+/// The id every BENCH_*.json stamps into its header: "defaults-<isa>",
+/// naming the mod-p kernel table the rows ran under.
 inline std::string bench_profile_id() {
-  bench_startup();
   return pr::calibrate::active_profile_id();
 }
 
@@ -83,9 +75,6 @@ inline pr::GeneratedInput input_for(int n, int trial) {
 }
 
 inline void print_header(const char* what, const char* paper_ref) {
-  // Every bench banner doubles as the calibration entry point: whatever
-  // profile POLYROOTS_CALIBRATION names is active for all timed work.
-  bench_startup();
   std::cout << "==============================================================="
                "=\n"
             << what << "\n"

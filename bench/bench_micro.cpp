@@ -370,8 +370,7 @@ int main(int argc, char** argv) {
   }
   int argn = static_cast<int>(args.size());
   benchmark::Initialize(&argn, args.data());
-  // Load POLYROOTS_CALIBRATION (if set) before any timed work and stamp
-  // the active profile id into the JSON context.
+  // Stamp the profile id (the active kernel table) into the JSON context.
   benchmark::AddCustomContext("calibration_profile",
                               prbench::bench_profile_id());
   // The context's library_build_type describes the installed

@@ -1,8 +1,12 @@
 // Multimodular fast paths vs the exact BigInt pipeline.
 //
 // Measures, per input degree:
-//   * prs:      the remainder-sequence stage alone (exact serial recurrence
-//               vs per-prime images + CRT at 1/2/4 threads);
+//   * prs:      the remainder-sequence stage alone: the exact serial
+//               recurrence vs the multimodular stage 1 on the task graph
+//               at 1/2/4 threads, timed from the start of a
+//               find_real_roots_parallel run to the stage-1 publish task
+//               (per-prime images, the leading-pair chain and one CRT task
+//               per level);
 //   * tree:     the tree-build stage alone over the same precomputed
 //               sequence, one compute_node_poly call per node: exact
 //               T_{i,j} combines vs the modular three-term recurrence
@@ -13,12 +17,11 @@
 //   * pipeline: the full parallel root finder at equal thread counts with
 //               the subsystem off vs on (the graph shares one table and
 //               basis across the nodes);
-//   * *-batch-wave: degree-128/256 ablation rows where both arms are
-//               modular and only image batching and the wave-parallel CRT
-//               of the remainder sequence differ (the exact pipeline is
-//               too slow to serve as a baseline at those degrees).  The
-//               tree stage, which uses neither feature, is timed once and
-//               shared by both stage-batch-wave arms.
+//   * *-batch:  degree-128/256 ablation rows where both arms are modular
+//               and only the batching of stage 1's image tasks differs
+//               (the exact pipeline is too slow to serve as a baseline at
+//               those degrees).  The tree stage, which batching does not
+//               touch, is timed once and shared by both stage-batch arms.
 //
 // Every modular result is checked bit-identical against the exact one
 // before its timing is reported.  Writes BENCH_modular.json at the repo
@@ -68,6 +71,46 @@ bool sequences_equal(const pr::RemainderSequence& a,
                      const pr::RemainderSequence& b) {
   return a.n == b.n && a.nstar == b.nstar && a.F == b.F && a.Q == b.Q &&
          a.c == b.c;
+}
+
+/// Wall seconds from the start of a graph run until its multimodular
+/// stage 1 published the sequence: the first kModPublish task to finish
+/// (the tree table's release is the only other one, and waits for it).
+double stage1_seconds(const pr::ParallelRunResult& run) {
+  double done = std::numeric_limits<double>::infinity();
+  for (const pr::TimelineEntry& e : run.pool.timeline.entries) {
+    const pr::TraceTask& t = run.trace.tasks[static_cast<std::size_t>(e.task)];
+    if (t.kind == pr::TaskKind::kModPublish && t.tag == -1) {
+      done = std::min(done, e.finish);
+    }
+  }
+  return done;
+}
+
+/// Best stage-1 span and best whole-run time over `repeats` graph runs,
+/// plus the last run's report for the bit-identity check.
+struct GraphTimes {
+  double stage1 = 1e100;
+  double pipeline = 1e100;
+  pr::RootReport report;
+  bool fell_back = false;
+};
+
+GraphTimes time_graph(int repeats, const pr::Poly& p,
+                      const pr::RootFinderConfig& cfg,
+                      const pr::ParallelConfig& par) {
+  GraphTimes best;
+  for (int r = 0; r < repeats; ++r) {
+    const auto t0 = Clock::now();
+    const auto run = pr::find_real_roots_parallel(p, cfg, par);
+    const auto t1 = Clock::now();
+    best.pipeline = std::min(
+        best.pipeline, std::chrono::duration<double>(t1 - t0).count());
+    best.stage1 = std::min(best.stage1, stage1_seconds(run));
+    best.report = run.report;
+    best.fell_back = run.used_sequential_fallback;
+  }
+  return best;
 }
 
 /// The tree-build stage in isolation: every P_{i,j} bottom-up in postorder,
@@ -126,10 +169,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto modular_cfg = [](int threads) {
+  const auto modular_cfg = [] {
     pr::modular::ModularConfig m;
     m.enabled = true;
-    m.num_threads = threads;
     return m;
   };
 
@@ -161,21 +203,23 @@ int main(int argc, char** argv) {
         timed_best(repeats, [&] { build_tree_polys(in.poly, rs, nullptr); });
 
     // The one-node tree calls have no thread knob: one tree row.
-    const auto tree_cfg = modular_cfg(1);
+    const auto mcfg = modular_cfg();
     const double mod_tree = timed_best(
-        repeats, [&] { build_tree_polys(in.poly, rs, &tree_cfg); });
+        repeats, [&] { build_tree_polys(in.poly, rs, &mcfg); });
     emit({"tree", in.name, n, 1, exact_tree, mod_tree});
-    for (int threads : {1, 2, 4}) {
-      const auto mcfg = modular_cfg(threads);
-      auto check = pr::modular::compute_remainder_sequence_multimodular(
-          in.poly, mcfg);
-      if (!check || !sequences_equal(*check, rs)) {
-        std::cerr << "modular sequence mismatch for " << in.name << "\n";
-        return 1;
-      }
-      const double mod_prs = timed_best(repeats, [&] {
+    auto check =
         pr::modular::compute_remainder_sequence_multimodular(in.poly, mcfg);
-      });
+    if (!check || !sequences_equal(*check, rs)) {
+      std::cerr << "modular sequence mismatch for " << in.name << "\n";
+      return 1;
+    }
+    pr::RootFinderConfig prs_cfg;
+    prs_cfg.mu_bits = digits_to_bits(4);
+    prs_cfg.modular = mcfg;
+    for (int threads : {1, 2, 4}) {
+      pr::ParallelConfig par;
+      par.num_threads = threads;
+      const double mod_prs = time_graph(repeats, in.poly, prs_cfg, par).stage1;
       emit({"prs", in.name, n, threads, exact_prs, mod_prs});
       emit({"stage", in.name, n, threads, exact_prs + exact_tree,
             mod_prs + mod_tree});
@@ -185,7 +229,7 @@ int main(int argc, char** argv) {
     pr::RootFinderConfig cfg;
     cfg.mu_bits = digits_to_bits(4);
     pr::RootFinderConfig cfg_mod = cfg;
-    cfg_mod.modular = modular_cfg(1);  // the driver schedules its own tasks
+    cfg_mod.modular = modular_cfg();
 
     for (int threads : {1, 2, 4}) {
       pr::ParallelConfig par;
@@ -208,92 +252,61 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- batching / CRT-wave ablation at large degree -----------------------
+  // --- image-batching ablation at large degree ----------------------------
   // Degrees 128/256.  The exact pipeline is unaffordable as a baseline
   // here; the "exact" column is the modular subsystem itself with one
-  // task per image and inline (non-wave) CRT, so these rows isolate what
-  // image batching and the wave-parallel CRT of the remainder sequence
-  // buy.  Both variants are checked bit-identical before (or while) timed.
+  // task per image, so these rows isolate what image batching buys.  The
+  // prs and pipeline columns come from the same graph runs (one per arm
+  // for the huge input), and both arms' roots are checked identical.
   std::vector<Input> big;
   {
     pr::Prng rng(0x17a);
     big.push_back({"jacobi-128", pr::random_jacobi_poly(128, 9, rng)});
     big.push_back({"jacobi-256", pr::random_jacobi_poly(256, 9, rng)});
   }
-  const auto baseline_cfg = [&](int threads) {
-    auto m = modular_cfg(threads);
-    m.batch_images = false;
-    m.crt_wave_min_work = std::numeric_limits<std::size_t>::max();
-    return m;
-  };
   const int big_repeats = full ? 3 : 1;
   for (const auto& in : big) {
     const int n = in.poly.degree();
     const bool huge = n >= 200;  // single-run, P=4-only cells
 
-    const auto rs_new = pr::modular::compute_remainder_sequence_multimodular(
-        in.poly, modular_cfg(1));
-    const auto rs_old = pr::modular::compute_remainder_sequence_multimodular(
-        in.poly, baseline_cfg(1));
-    if (!rs_new || !rs_old || !sequences_equal(*rs_new, *rs_old)) {
-      std::cerr << "ablation sequence mismatch for " << in.name << "\n";
-      return 1;
-    }
-
-    for (int threads : {1, 4}) {
-      if (huge && threads == 1 && !full) continue;
-      const auto old_t = baseline_cfg(threads);
-      const auto new_t = modular_cfg(threads);
-      const double old_prs = timed_best(big_repeats, [&] {
-        pr::modular::compute_remainder_sequence_multimodular(in.poly, old_t);
-      });
-      const double new_prs = timed_best(big_repeats, [&] {
-        pr::modular::compute_remainder_sequence_multimodular(in.poly, new_t);
-      });
-      emit({"prs-batch-wave", in.name, n, threads, old_prs, new_prs});
-      if (huge) continue;  // one stage row is enough at 256
-      const double tree = timed_best(
-          big_repeats, [&] { build_tree_polys(in.poly, *rs_new, &new_t); });
-      emit({"stage-batch-wave", in.name, n, threads, old_prs + tree,
-            new_prs + tree});
-    }
-
-    // Full pipeline, modular on in both arms, features off vs on.  The
-    // huge input times the verification runs themselves (one per arm).
     pr::RootFinderConfig pipe_old;
     pipe_old.mu_bits = digits_to_bits(4);
-    pipe_old.modular = baseline_cfg(1);
+    pipe_old.modular = modular_cfg();
+    pipe_old.modular.batch_images = false;
     pr::RootFinderConfig pipe_new = pipe_old;
-    pipe_new.modular = modular_cfg(1);
+    pipe_new.modular = modular_cfg();
+    double tree = 0.0;  // shared by both stage-batch arms
+    if (!huge) {
+      const auto rs = pr::modular::compute_remainder_sequence_multimodular(
+          in.poly, pipe_new.modular);
+      if (!rs) {
+        std::cerr << "ablation fell back to exact for " << in.name << "\n";
+        return 1;
+      }
+      tree = timed_best(big_repeats, [&] {
+        build_tree_polys(in.poly, *rs, &pipe_new.modular);
+      });
+    }
+
     for (int threads : {1, 4}) {
       if (huge && threads == 1) continue;
       pr::ParallelConfig par;
       par.num_threads = threads;
-      // The verification pass is itself the first timing sample of each
-      // arm (one run per arm is all the huge input gets).
-      auto t0 = Clock::now();
-      const auto ref = pr::find_real_roots_parallel(in.poly, pipe_old, par);
-      double old_pipe = std::chrono::duration<double>(Clock::now() - t0)
-                            .count();
-      t0 = Clock::now();
-      const auto fast = pr::find_real_roots_parallel(in.poly, pipe_new, par);
-      double new_pipe = std::chrono::duration<double>(Clock::now() - t0)
-                            .count();
-      if (ref.used_sequential_fallback || fast.used_sequential_fallback ||
-          ref.report.roots != fast.report.roots) {
+      const GraphTimes old_t = time_graph(big_repeats, in.poly, pipe_old, par);
+      const GraphTimes new_t = time_graph(big_repeats, in.poly, pipe_new, par);
+      if (old_t.fell_back || new_t.fell_back ||
+          old_t.report.roots != new_t.report.roots) {
         std::cerr << "ablation pipeline mismatch for " << in.name
                   << " P=" << threads << "\n";
         return 1;
       }
+      emit({"prs-batch", in.name, n, threads, old_t.stage1, new_t.stage1});
       if (!huge) {
-        old_pipe = std::min(old_pipe, timed_best(big_repeats, [&] {
-                     pr::find_real_roots_parallel(in.poly, pipe_old, par);
-                   }));
-        new_pipe = std::min(new_pipe, timed_best(big_repeats, [&] {
-                     pr::find_real_roots_parallel(in.poly, pipe_new, par);
-                   }));
+        emit({"stage-batch", in.name, n, threads, old_t.stage1 + tree,
+              new_t.stage1 + tree});
       }
-      emit({"pipeline-batch-wave", in.name, n, threads, old_pipe, new_pipe});
+      emit({"pipeline-batch", in.name, n, threads, old_t.pipeline,
+            new_t.pipeline});
     }
   }
 
@@ -301,7 +314,7 @@ int main(int argc, char** argv) {
   pr::instr::reset_modular();
   {
     const auto& in = inputs.back();
-    const auto mcfg = modular_cfg(1);
+    const auto mcfg = modular_cfg();
     auto rs = pr::modular::compute_remainder_sequence_multimodular(in.poly,
                                                                    mcfg);
     if (rs) build_tree_polys(in.poly, *rs, &mcfg);
@@ -312,12 +325,12 @@ int main(int argc, char** argv) {
   write_json(path.c_str(), rows, mc);
   std::cout << "\nwrote " << rows.size() << " rows to " << path << "\n"
             << "\nexpected: stage speedup >= 2x at every degree >= 64 and "
-               "equal thread count;\nthe prs image phase scales with threads "
-               "(one task per prime slot) while\nreconstruction is "
-               "level-sequential (the induction bound chains levels);\n"
+               "equal thread count;\nprs scales with threads: the images "
+               "and the per-level CRT tasks fan out,\nonly the leading-pair "
+               "chain is serial;\n"
                "bad_primes and fallbacks both 0 on these inputs.\n"
-               "*-batch-wave rows compare image batching and the "
-               "wave-parallel CRT off vs on\n(both arms modular); thread "
-               "columns only separate on multi-core hosts.\n";
+               "*-batch rows compare image batching off vs on (both arms "
+               "modular); thread\ncolumns only separate on multi-core "
+               "hosts.\n";
   return 0;
 }

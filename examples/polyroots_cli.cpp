@@ -4,15 +4,6 @@
 //                           [--threads T] [--stats]
 //   $ example_polyroots_cli --batch FILE [--digits N] [--threads T] [...]
 //   $ example_polyroots_cli --serve [--digits N] [--threads T] [...]
-//   $ example_polyroots_cli --calibrate [--quick] [--out FILE]
-//
-// --calibrate measures the CRT Garner digit cost on this host
-// (calibrate/autotune.hpp) and writes a calibration profile JSON to
-// --out, or to $POLYROOTS_CALIBRATION when set, or to
-// ./polyroots_calibration.json.  Every other mode loads the profile
-// named by $POLYROOTS_CALIBRATION at startup (falling back to compiled
-// defaults with a stderr diagnostic on any problem); profiles move only
-// how reconstruction work is split into tasks, never results.
 //
 // Single-shot mode parses the polynomial, finds all real roots, and
 // prints them as decimals (default), exact rational enclosures (--exact),
@@ -40,10 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "calibrate/autotune.hpp"
-#include "calibrate/calibrate.hpp"
 #include "modular/simd/simd.hpp"
-#include "modular/tuning.hpp"
 #include "polyroots.hpp"
 #include "service/root_service.hpp"
 
@@ -68,11 +56,6 @@ void usage() {
       "  --no-cache    disable the service result cache\n"
       "  --stats       print the per-phase operation counters (or the\n"
       "                service counters in batch/serve mode)\n"
-      "  --calibrate   measure the CRT digit cost on this host and\n"
-      "                write a calibration profile (--out FILE overrides\n"
-      "                $POLYROOTS_CALIBRATION, default\n"
-      "                ./polyroots_calibration.json); --quick runs a\n"
-      "                shorter measurement\n"
       "examples:\n"
       "  example_polyroots_cli \"x^2 - 2\"\n"
       "  example_polyroots_cli \"x^3 - 6x^2 + 11x - 6\" --digits 40 --exact\n"
@@ -164,7 +147,6 @@ void print_kernel_stats() {
   for (const simd::Isa isa : simd::available_isas()) {
     std::cout << " " << simd::isa_name(isa);
   }
-  const auto mt = pr::modular::modular_tuning();
   std::cout << "; POLYROOTS_SIMD caps the pick)\n"
             << "bigint mul: schoolbook"
             << (pr::BigInt::karatsuba_enabled()
@@ -172,11 +154,7 @@ void print_kernel_stats() {
                           std::to_string(pr::BigInt::kKaratsubaThreshold) +
                           " limbs"
                     : "")
-            << "\n"
-            << "calibration: " << pr::calibrate::active_profile_id()
-            << "  (POLYROOTS_CALIBRATION loads a profile)\n"
-            << "  crt digit units: " << mt.crt_digit_units_linear << "*k + "
-            << mt.crt_digit_units_quadratic << "*k^2\n";
+            << "\n";
 }
 
 void print_service_stats(const pr::service::RootService& service) {
@@ -207,9 +185,6 @@ int main(int argc, char** argv) {
   bool stats = false;
   bool serve = false;
   bool no_cache = false;
-  bool calibrate = false;
-  bool quick = false;
-  const char* out_file = nullptr;
   const char* batch_file = nullptr;
   int threads = 0;
   pr::FinderStrategy finder = pr::FinderStrategy::kPaper;
@@ -227,12 +202,6 @@ int main(int argc, char** argv) {
       serve = true;
     } else if (std::strcmp(argv[i], "--no-cache") == 0) {
       no_cache = true;
-    } else if (std::strcmp(argv[i], "--calibrate") == 0) {
-      calibrate = true;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      out_file = option_arg("--out", argc, argv, i);
     } else if (std::strcmp(argv[i], "--finder") == 0) {
       finder = finder_value(option_arg("--finder", argc, argv, i));
     } else if (std::strcmp(argv[i], "--batch") == 0) {
@@ -254,45 +223,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-
-  // ---- calibration mode -------------------------------------------------
-  if (calibrate) {
-    if (poly_text != nullptr || serve || batch_file != nullptr) {
-      std::cerr << "--calibrate is a standalone mode\n";
-      return 2;
-    }
-    pr::calibrate::AutotuneOptions opt;
-    opt.quick = quick;
-    opt.log = &std::cout;
-    const pr::calibrate::CalibrationProfile profile =
-        pr::calibrate::autotune(opt);
-    std::string path;
-    if (out_file != nullptr) {
-      path = out_file;
-    } else if (const char* env = std::getenv("POLYROOTS_CALIBRATION");
-               env != nullptr && *env != '\0') {
-      path = env;
-    } else {
-      path = "polyroots_calibration.json";
-    }
-    try {
-      pr::calibrate::save_profile(profile, path);
-    } catch (const pr::Error& e) {
-      std::cerr << e.what() << "\n";
-      return 1;
-    }
-    pr::calibrate::apply(profile);
-    std::cout << "\nwrote " << path << "  (profile "
-              << pr::calibrate::profile_id(profile) << ")\n"
-              << "  crt digit units: " << profile.crt_digit_units_linear
-              << "*k + " << profile.crt_digit_units_quadratic << "*k^2\n"
-              << "export POLYROOTS_CALIBRATION=" << path
-              << " to use it\n";
-    return 0;
-  }
-
-  // Install the persisted calibration (if any) before any arithmetic.
-  pr::calibrate::startup();
 
   pr::RootFinderConfig cfg;
   cfg.mu_bits = static_cast<std::size_t>(

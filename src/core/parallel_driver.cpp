@@ -13,7 +13,6 @@
 #include "isolate/isolate.hpp"
 #include "modular/modular_prs.hpp"
 #include "modular/tree_poly.hpp"
-#include "modular/tuning.hpp"
 #include "poly/bounds.hpp"
 #include "poly/remainder_sequence.hpp"
 #include "poly/squarefree.hpp"
@@ -194,26 +193,34 @@ class GraphBuilder {
   }
 
   /// Stage 1 on the multimodular engine: batched per-prime image tasks
-  /// fan out with no dependencies at all, a prep barrier builds the CRT
-  /// basis, each reconstruction level chains prepare -> waves -> finish
-  /// (levels sequential, the Garner dots within a level fanned out), and
-  /// one publish task releases the engine and installs the sequence (or
-  /// recomputes exactly when the engine declined -- the exact path owns
-  /// the extended/non-normal diagnostics).
+  /// and the held-out image fan out with no dependencies at all, a prep
+  /// task builds the CRT basis, a serial chain of one small task per level
+  /// sizes it from the leading pairs and reconstructs those, and each
+  /// level's task -- released as soon as the chain has sized it --
+  /// reconstructs the rest of that level independently of the others.
+  /// One publish task waits for every level, releases the engine and
+  /// installs the sequence (or recomputes exactly when the engine
+  /// declined -- the exact path owns the extended/non-normal diagnostics).
   void build_modular_remainder_stage() {
     RunState& st = st_;
     const int n = st.n;
     auto& prs = *st.mprs;
     const int threads = std::max(1, pc_.num_threads);
 
-    const auto waves = modular::crt_wave_fanout_cap(threads);
-    const TaskId prep = g_.add(TaskKind::kModPrep, -1,
-                               [&prs, waves] { prs.prepare_crt(waves); });
-    for (std::size_t t = 0; t < prs.num_image_tasks(threads); ++t) {
+    const TaskId prep =
+        g_.add(TaskKind::kModPrep, -1, [&prs] { prs.prepare_crt(); });
+    const std::size_t image_tasks = prs.num_image_tasks(threads);
+    for (std::size_t t = 0; t < image_tasks; ++t) {
       const TaskId img =
           g_.add(TaskKind::kPrimeImage, static_cast<std::int32_t>(t),
                  [&prs, t, threads] { prs.run_image_batch(t, threads); });
       g_.add_edge(img, prep);
+    }
+    if (st.modular.paranoid_check) {
+      const TaskId holdout =
+          g_.add(TaskKind::kPrimeImage, static_cast<std::int32_t>(image_tasks),
+                 [&prs] { prs.run_holdout(); });
+      g_.add_edge(holdout, prep);
     }
     const TaskId publish = g_.add(TaskKind::kModPublish, -1, [&st] {
       auto rs = st.mprs->finalize();
@@ -221,24 +228,25 @@ class GraphBuilder {
       publish_sequence(st, rs ? std::move(*rs)
                               : compute_remainder_sequence(st.work));
     });
+    // The chain's next step is each step's first dependent, so a worker
+    // that finishes a step with an empty queue carries the chain on.
+    std::vector<TaskId> chain;
     TaskId prev = prep;
     for (std::size_t l = 1; l <= prs.num_levels(); ++l) {
       const int i = static_cast<int>(l);
-      const TaskId lp = g_.add(TaskKind::kModPrep, i,
-                               [&prs, i] { prs.prepare_level(i); });
-      g_.add_edge(prev, lp);
-      const TaskId fin = g_.add(TaskKind::kModPublish, i,
-                                [&prs, i] { prs.finish_level(i); });
-      for (std::size_t w = 0; w < waves; ++w) {
-        const TaskId wt =
-            g_.add(TaskKind::kModCrt, static_cast<std::int32_t>(w),
-                   [&prs, i, w] { prs.run_crt_wave(i, w); });
-        g_.add_edge(lp, wt);
-        g_.add_edge(wt, fin);
-      }
-      prev = fin;
+      const TaskId step =
+          g_.add(TaskKind::kModPrep, i, [&prs, i] { prs.size_level(i); });
+      g_.add_edge(prev, step);
+      chain.push_back(step);
+      prev = step;
     }
-    g_.add_edge(prev, publish);
+    for (std::size_t l = 1; l <= prs.num_levels(); ++l) {
+      const int i = static_cast<int>(l);
+      const TaskId level = g_.add(TaskKind::kModCrt, i,
+                                  [&prs, i] { prs.reconstruct_level(i); });
+      g_.add_edge(chain[l - 1], level);
+      g_.add_edge(level, publish);
+    }
     for (int k = 1; k <= n; ++k) mark_[static_cast<std::size_t>(k)] = publish;
     for (int i = 1; i <= n - 1; ++i) {
       q_ready_[static_cast<std::size_t>(i)] = publish;

@@ -129,7 +129,8 @@ void reset_all();
 // multimodular work is spread across pool threads anyway.
 
 struct ModularCounts {
-  std::uint64_t primes_used = 0;   ///< primes per PRS basis + per tree node
+  std::uint64_t primes_used = 0;   ///< primes selected per PRS run + per
+                                   ///< tree node
   std::uint64_t images = 0;        ///< per-prime PRS/tree-node images computed
   std::uint64_t bad_primes = 0;    ///< PRS primes replaced after lc
                                    ///< vanished; tree primes skipped

@@ -55,6 +55,10 @@ class CrtBasis {
   /// product strictly exceeds 2^{bits+1}, covering the symmetric range
   /// [-2^bits, 2^bits]).  Throws InternalError if the basis is too small.
   std::size_t primes_for_bits(std::size_t bits) const;
+  /// True when the whole basis covers `bits` (primes_for_bits succeeds).
+  bool covers_bits(std::size_t bits) const {
+    return prefix_bits_.back() >= bits + 2;
+  }
 
   /// Reconstructs the unique x in (-M_k/2, M_k/2) with
   /// x == residues[j] (mod p_j) for j < k, where M_k = p_0*...*p_{k-1}

@@ -27,12 +27,6 @@ struct ModularConfig {
   /// baseline.
   bool enabled = false;
 
-  /// Worker threads for the *standalone* multimodular remainder sequence
-  /// (compute_remainder_sequence_multimodular); the parallel driver
-  /// ignores this and schedules per-prime work on its own pool.  1 = run
-  /// inline.
-  int num_threads = 1;
-
   /// Degrees below this use the exact remainder sequence (word-sized
   /// coefficients do not amortize the CRT setup).
   int min_degree = 24;
@@ -40,20 +34,13 @@ struct ModularConfig {
   /// Batch several per-prime PRS images into one TaskPool task when the
   /// per-image cost model says a single image is too small to amortize
   /// dispatch (below ~degree 40).  Purely a scheduling change; the task
-  /// work floor is kImageBatchMinTaskUnits (modular/tuning.hpp).
+  /// work floor is kImageBatchMinTaskUnits (modular/modular_prs.hpp).
   bool batch_images = true;
 
-  /// Fan the per-coefficient Garner dots of one CRT level out across the
-  /// pool only when coefficient_count x prime_count clears this threshold
-  /// (levels below it run the wave loop inline on one task).  Above it,
-  /// the per-level wave model (crt_level_waves, modular/tuning.hpp) sizes
-  /// the fan-out to the level's Garner work, quadratic in its prime
-  /// count.
-  std::size_t crt_wave_min_work = 4096;
-
-  /// After reconstruction, re-verify every image at one held-out prime
-  /// (cost ~1/k of the total); a mismatch falls back to the exact path
-  /// instead of surfacing a wrong result.
+  /// Check every reconstructed level against the image at one held-out
+  /// prime (cost ~1/k of the total); a mismatch, or a held-out image that
+  /// cannot be computed, falls back to the exact path instead of
+  /// surfacing an unchecked result.
   bool paranoid_check = true;
 
   /// Test seam: moduli to try *before* the deterministic table (each must

@@ -6,12 +6,16 @@
 
 #include "instr/counters.hpp"
 #include "instr/phase.hpp"
-#include "modular/tuning.hpp"
-#include "sched/task_graph.hpp"
-#include "sched/task_pool.hpp"
 #include "support/error.hpp"
 
 namespace pr::modular {
+
+namespace {
+
+/// Held-out candidates tried before the check is declared unable to run.
+constexpr int kHoldoutCandidates = 3;
+
+}  // namespace
 
 MultimodularPrs::MultimodularPrs(const Poly& f0, const ModularConfig& cfg)
     : cfg_(cfg),
@@ -36,11 +40,18 @@ MultimodularPrs::MultimodularPrs(const Poly& f0, const ModularConfig& cfg)
     slots_.push_back(std::move(s));
   }
   replacement_cap_ = 16 + static_cast<int>(slots_.size() / 4);
+  // Drawn here, after the slots, so the held-out primes do not depend on
+  // how concurrent image tasks happen to draw replacements.
+  if (cfg_.paranoid_check) {
+    for (int c = 0; c < kHoldoutCandidates; ++c) {
+      holdout_primes_.push_back(take_prime());
+    }
+  }
 
   // Eager-image prefix (see num_slots()): enough primes for ~60% of the
-  // Hadamard target plus a margin.  The induction bound of run_crt decides
-  // how many images are actually consumed; slots past the prefix are imaged
-  // inline only if it climbs that far.
+  // Hadamard target plus a margin.  The chain bound decides how many
+  // images are actually consumed; slots past the prefix are imaged inline
+  // only if it climbs that far.
   const std::size_t eager_bits = (target_bits * 3) / 5 + 128;
   std::size_t acc = 0;
   while (eager_ < slots_.size() && acc < eager_bits) {
@@ -162,14 +173,33 @@ void MultimodularPrs::run_image(std::size_t slot) {
   }
 }
 
+void MultimodularPrs::run_holdout() {
+  if (!cfg_.paranoid_check) return;
+  for (std::uint64_t p : holdout_primes_) {
+    if (fallback_.load(std::memory_order_acquire)) return;
+    holdout_.prime = p;
+    switch (compute_image(holdout_)) {
+      case ImageStatus::kOk:
+        holdout_.ok = true;
+        return;
+      case ImageStatus::kZeroRemainder:
+        latch_fallback();
+        return;
+      case ImageStatus::kBadPrime:
+        break;
+    }
+  }
+  // Every candidate was bad: a check that cannot run must not pass.
+  latch_fallback();
+}
+
 std::size_t MultimodularPrs::image_batch(int threads) const {
   if (!cfg_.batch_images || eager_ == 0) return 1;
   // Per-image cost in word-multiply units (one 64x64 MAC each): the
   // recurrence touches ~sum_d 12 d ~ 6 n^2 units of field MACs, one field
   // inverse per level (~150 units each), and the input reduction pays ~2
   // units per limb of every coefficient.  Batch until a task clears
-  // kImageBatchMinTaskUnits (task dispatch is ~2500 units;
-  // modular/tuning.hpp), but keep at least ~2 tasks per worker so
+  // kImageBatchMinTaskUnits, but keep at least ~2 tasks per worker so
   // batching never serializes a wide pool.
   const double dn = static_cast<double>(n_);
   const double in_limbs = static_cast<double>(f0_.max_coeff_bits() / 64 + 1);
@@ -193,201 +223,191 @@ void MultimodularPrs::run_image_batch(std::size_t task, int threads) {
   for (std::size_t s = first; s < last; ++s) run_image(s);
 }
 
-void MultimodularPrs::prepare_crt(std::size_t wave_width) {
-  wave_width_ = std::max<std::size_t>(1, wave_width);
-  if (fallback_.load(std::memory_order_acquire)) return;
+std::shared_ptr<const CrtBasis> MultimodularPrs::basis_over(
+    std::size_t count) const {
   std::vector<std::uint64_t> primes;
-  primes.reserve(slots_.size());
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    check_internal(s >= eager_ || slots_[s].ok,
+  primes.reserve(count);
+  for (std::size_t s = 0; s < count; ++s) primes.push_back(slots_[s].prime);
+  return std::make_shared<const CrtBasis>(std::move(primes));
+}
+
+void MultimodularPrs::prepare_crt() {
+  if (fallback_.load(std::memory_order_acquire)) return;
+  for (std::size_t s = 0; s < eager_; ++s) {
+    check_internal(slots_[s].ok,
                    "prepare_crt: not all eager images completed");
-    primes.push_back(slots_[s].prime);
   }
-  // The basis spans every selected prime, imaged or not, so an escalation
-  // never has to grow it (only a bad-prime replacement rebuilds it).
-  basis_ = std::make_unique<CrtBasis>(std::move(primes));
+  check_internal(!cfg_.paranoid_check || holdout_.ok,
+                 "prepare_crt: the held-out image did not run");
+  basis_ = basis_over(eager_);
   images_done_ = eager_;
   const auto un = static_cast<std::size_t>(n_);
   fs_.assign(un + 1, Poly{});
   qs_.assign(un, Poly{});
   fs_[0] = f0_;
   fs_[1] = f1_;
-  cprev_sq_ = BigInt(1);  // c_0^2 == 1 by the Appendix-A sign convention
+  leads_.assign(un + 1, LeadingPair{});
+  leads_[0] = {f0_.leading(), f0_.coeff(un - 1)};
+  leads_[1] = {f1_.leading(), f1_.coeff(un - 2)};
+  bits_.assign(un + 1, 0);
+  bits_[0] = f0_.max_coeff_bits();
+  bits_[1] = f1_.max_coeff_bits();
+  levels_.assign(un, Level{});
   instr::on_modular_primes(slots_.size());
 }
 
-bool MultimodularPrs::ensure_images(std::size_t k) {
-  bool replaced = false;
-  while (images_done_ < k) {
-    const std::uint64_t before = slots_[images_done_].prime;
-    run_image(images_done_);
-    if (fallback_.load(std::memory_order_acquire)) return false;
-    replaced = replaced || slots_[images_done_].prime != before;
-    ++images_done_;
-  }
-  if (replaced) {
-    std::vector<std::uint64_t> primes;
-    primes.reserve(slots_.size());
-    for (const Slot& s : slots_) primes.push_back(s.prime);
-    basis_ = std::make_unique<CrtBasis>(std::move(primes));
-  }
-  return true;
-}
-
-void MultimodularPrs::prepare_level(int i) {
-  if (fallback_.load(std::memory_order_acquire) || basis_ == nullptr) return;
-  instr::PhaseScope phase(instr::Phase::kRemainder);
-  const auto ui = static_cast<std::size_t>(i);
-  const Poly& fprev = fs_[ui - 1];
-  const Poly& fcur = fs_[ui];
-  quotient_coeffs(fprev, fcur, lvl_q1_, lvl_q0_);
-  const BigInt& ci = fcur.leading();
-  lvl_ci_sq_ = ci * ci;
-
-  // Induction bound on the coefficients of F_{i+1}: each is a three-term
-  // sum (q0 F_i[j] + q1 F_i[j-1] - c_i^2 F_{i-1}[j]) divided exactly by
-  // c_{i-1}^2, so its magnitude is below
-  //   2^{max-term-bits + 2} / 2^{bits(c_{i-1}^2) - 1},
-  // with one extra slack bit folded in.  The Hadamard bound caps it, so
-  // the slot set (sized for Hadamard at level n) always suffices.
-  const std::size_t bfi = fcur.max_coeff_bits();
-  const std::size_t bfp = fprev.max_coeff_bits();
-  const std::size_t num_bits =
-      std::max({lvl_q0_.bit_length() + bfi, lvl_q1_.bit_length() + bfi,
-                lvl_ci_sq_.bit_length() + bfp}) +
-      3;
-  const std::size_t bcp = cprev_sq_.bit_length();
-  std::size_t bound = num_bits > bcp ? num_bits - bcp + 1 : 1;
-  bound = std::min(bound, bound_.bits_for(i + 1));
-  lvl_k_ = basis_->primes_for_bits(bound);
-  if (!ensure_images(lvl_k_)) return;  // latched the fallback
-
-  const std::size_t cnt = static_cast<std::size_t>(n_) - ui;
-  level_coeffs_.assign(cnt, BigInt());
-  // Fan the level out only when its Garner volume clears the threshold;
-  // above it, the wave model (digit cost quadratic in the level's prime
-  // count, modular/tuning.hpp) sizes the fan-out to the level's measured
-  // work instead of always using the full width -- shallow levels with
-  // few primes stop paying full-fanout dispatch.  The wave partition is
-  // j mod level_waves_, so every wave touches a similar mix of
-  // coefficient positions.
-  level_waves_ =
-      cnt * lvl_k_ >= cfg_.crt_wave_min_work
-          ? crt_level_waves(modular_tuning(), cnt, lvl_k_,
-                            std::min(wave_width_, cnt))
-          : 1;
-}
-
-void MultimodularPrs::run_crt_wave(int i, std::size_t w) {
-  if (w >= level_waves_ || fallback_.load(std::memory_order_acquire) ||
-      basis_ == nullptr) {
-    return;
-  }
-  instr::PhaseScope phase(instr::Phase::kRemainder);
-  const auto ui = static_cast<std::size_t>(i);
-  // Wave-local scratch: waves of one level run concurrently.  The wave's
-  // coefficients are gathered into one prime-major matrix (row per prime,
-  // column per coefficient) so the whole wave reconstructs through the
-  // batched lane-parallel Garner path in one call.
-  const std::size_t total = level_coeffs_.size();
-  if (w >= total) return;
-  const std::size_t count = (total - w + level_waves_ - 1) / level_waves_;
-  std::vector<std::uint64_t> residues(lvl_k_ * count);
-  std::size_t c = 0;
-  for (std::size_t j = w; j < total; j += level_waves_, ++c) {
-    for (std::size_t s = 0; s < lvl_k_; ++s) {
-      residues[s * count + c] = slots_[s].rows[ui - 1][j];
+std::size_t MultimodularPrs::primes_for(std::size_t bits) {
+  for (;;) {
+    if (!basis_->covers_bits(bits)) {
+      // The bound climbed past the imaged prefix: span every selected
+      // slot, imaged or not, so later levels need no further growth.
+      check_internal(basis_->size() < slots_.size(),
+                     "MultimodularPrs: Hadamard slot set too small");
+      basis_ = basis_over(slots_.size());
     }
-  }
-  std::vector<BigInt> out(count);
-  basis_->reconstruct_batch(residues.data(), count, lvl_k_, out.data(), count);
-  c = 0;
-  for (std::size_t j = w; j < total; j += level_waves_, ++c) {
-    level_coeffs_[j] = std::move(out[c]);
+    const std::size_t k = basis_->primes_for_bits(bits);
+    if (k <= images_done_) return k;
+    bool replaced = false;
+    while (images_done_ < k) {
+      const std::uint64_t before = slots_[images_done_].prime;
+      run_image(images_done_);
+      if (fallback_.load(std::memory_order_acquire)) return 0;
+      replaced = replaced || slots_[images_done_].prime != before;
+      ++images_done_;
+    }
+    // A replaced prime invalidates the basis spanning it; levels sized
+    // earlier keep theirs, whose primes all precede the replacement.
+    if (replaced) basis_ = basis_over(slots_.size());
   }
 }
 
-void MultimodularPrs::finish_level(int i) {
+void MultimodularPrs::size_level(int i) {
   if (fallback_.load(std::memory_order_acquire) || basis_ == nullptr) return;
   instr::PhaseScope phase(instr::Phase::kRemainder);
   const auto ui = static_cast<std::size_t>(i);
-  Poly fnext(std::move(level_coeffs_));
-  level_coeffs_.clear();
-  if (fnext.degree() != n_ - i - 1) {
+  const LeadingPair& prev = leads_[ui - 1];
+  const LeadingPair& cur = leads_[ui];
+
+  // Chain bound on the coefficients of F_{i+1}: each is a three-term sum
+  // (q0 F_i[j] + q1 F_i[j-1] - c_i^2 F_{i-1}[j]) divided exactly by
+  // c_{i-1}^2, so its magnitude is below
+  //   2^{max(b(Q_i) + B_i + 1, 2 b(c_i) + B_{i-1}) + 1} / 2^{2 b(c_{i-1}) - 2}.
+  // b(Q_i) comes from the leading pairs (Eqs. 15-17): q1 = lc(F_{i-1}) c_i
+  // and q0 = c_i f_{i-1,d} - f_{i,d-1} lc(F_{i-1}).  At i == 1 that is
+  // lc(F_0) itself, while the divisor is c_0^2 == 1.
+  const std::size_t b_lp = prev.lc.bit_length();
+  const std::size_t b_ci = cur.lc.bit_length();
+  const std::size_t b_q1 = b_lp + b_ci;
+  const std::size_t b_q0 =
+      std::max(b_ci + prev.next.bit_length(), cur.next.bit_length() + b_lp) +
+      1;
+  const std::size_t b_cp = i == 1 ? 1 : b_lp;
+  const std::size_t num =
+      std::max(std::max(b_q1, b_q0) + bits_[ui] + 1,
+               2 * b_ci + bits_[ui - 1]) +
+      3;
+  const std::size_t bound =
+      std::min(num > 2 * b_cp ? num - 2 * b_cp : 1, bound_.bits_for(i + 1));
+  bits_[ui + 1] = bound;
+  const std::size_t k = primes_for(bound);
+  if (k == 0) return;  // latched the fallback
+  levels_[ui] = {basis_, k};
+
+  // The leading pair of F_{i+1}, prime-major (one row per prime).
+  const std::size_t d = static_cast<std::size_t>(n_) - ui - 1;  // its degree
+  const std::size_t cnt = d > 0 ? 2 : 1;
+  std::vector<std::uint64_t> residues(k * cnt);
+  for (std::size_t s = 0; s < k; ++s) {
+    const auto& row = slots_[s].rows[ui - 1];
+    for (std::size_t c = 0; c < cnt; ++c) residues[s * cnt + c] = row[d - c];
+  }
+  BigInt out[2];
+  basis_->reconstruct_batch(residues.data(), cnt, k, out, cnt);
+  if (out[0].is_zero()) {
     // The reconstruction contradicts normality; the exact path will
     // either produce the extended sequence or throw NonNormalSequence.
     latch_fallback();
     return;
   }
-  qs_[ui] = Poly(std::vector<BigInt>{std::move(lvl_q0_), std::move(lvl_q1_)});
-  fs_[ui + 1] = std::move(fnext);
-  cprev_sq_ = std::move(lvl_ci_sq_);
+  leads_[ui + 1] = {std::move(out[0]), std::move(out[1])};
 }
 
-void MultimodularPrs::run_crt(std::size_t chunk) {
-  if (chunk != 0 || fallback_.load(std::memory_order_acquire) ||
-      basis_ == nullptr) {
+void MultimodularPrs::reconstruct_level(int i) {
+  const auto ui = static_cast<std::size_t>(i);
+  if (fallback_.load(std::memory_order_acquire) || ui >= levels_.size() ||
+      levels_[ui].basis == nullptr) {
     return;
   }
-  for (int i = 1; i <= n_ - 1; ++i) {
-    prepare_level(i);
-    for (std::size_t w = 0; w < level_waves_; ++w) run_crt_wave(i, w);
-    finish_level(i);
-    if (fallback_.load(std::memory_order_acquire)) return;
+  instr::PhaseScope phase(instr::Phase::kRemainder);
+  const Level& level = levels_[ui];
+  const std::size_t k = level.primes;
+  const std::size_t d = static_cast<std::size_t>(n_) - ui - 1;  // deg F_{i+1}
+  const LeadingPair& lead = leads_[ui + 1];
+
+  // Coefficients 0..d-2 through one batched Garner pass; the chain
+  // already reconstructed the leading pair.
+  std::vector<BigInt> coeffs(d + 1);
+  const std::size_t rest = d > 0 ? d - 1 : 0;
+  if (rest > 0) {
+    std::vector<std::uint64_t> residues(k * rest);
+    for (std::size_t s = 0; s < k; ++s) {
+      const auto& row = slots_[s].rows[ui - 1];
+      std::copy(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(rest),
+                residues.begin() + static_cast<std::ptrdiff_t>(s * rest));
+    }
+    level.basis->reconstruct_batch(residues.data(), rest, k, coeffs.data(),
+                                   rest);
   }
+  if (d > 0) coeffs[d - 1] = lead.next;
+  coeffs[d] = lead.lc;
+  Poly fnext(std::move(coeffs));
+
+  if (cfg_.paranoid_check) {
+    // Certify the level against the held-out prime: its image of F_{i+1}
+    // must equal the reduction of the reconstructed coefficients.
+    const auto& row = holdout_.rows[ui - 1];
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      if (fnext.coeff(j).mod_u64(holdout_.prime) != row[j]) {
+        latch_fallback();
+        return;
+      }
+    }
+  }
+
+  // Exact Q_i (Eqs. 15-17) from the leading pairs of F_{i-1} and F_i: the
+  // products of quotient_coeffs, in the same order.
+  const LeadingPair& prev = leads_[ui - 1];
+  const LeadingPair& cur = leads_[ui];
+  BigInt q1 = prev.lc * cur.lc;
+  BigInt q0 = cur.lc * prev.next - cur.next * prev.lc;
+  qs_[ui] = Poly(std::vector<BigInt>{std::move(q0), std::move(q1)});
+  fs_[ui + 1] = std::move(fnext);
+}
+
+std::size_t MultimodularPrs::bound_bits(int t) const {
+  check_arg(t >= 0 && static_cast<std::size_t>(t) < bits_.size(),
+            "MultimodularPrs::bound_bits: t in [0, n] after prepare_crt");
+  return bits_[static_cast<std::size_t>(t)];
 }
 
 std::optional<RemainderSequence> MultimodularPrs::finalize() {
   if (fallback_.load(std::memory_order_acquire)) return std::nullopt;
   check_internal(basis_ != nullptr, "finalize: prepare_crt did not run");
   const auto un = static_cast<std::size_t>(n_);
-  check_internal(fs_.size() == un + 1, "finalize: run_crt(0) did not run");
+  for (std::size_t t = 2; t <= un; ++t) {
+    check_internal(!fs_[t].is_zero(), "finalize: a level did not run");
+  }
   instr::PhaseScope phase(instr::Phase::kRemainder);
 
   RemainderSequence rs;
   rs.n = n_;
   rs.nstar = n_;
   rs.gcd_part = Poly{1};
-  rs.Q.assign(un, Poly{});
   rs.c.assign(un + 1, BigInt(1));
   rs.F = std::move(fs_);
+  rs.Q = std::move(qs_);
   rs.c[0] = BigInt(f0_.leading().signum());
-  rs.c[1] = f1_.leading();
-  for (int i = 2; i <= n_; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    rs.c[ui] = rs.F[ui].leading();
-  }
-  // The quotients fell out of the level-sequential pass exactly (they feed
-  // the induction bound) -- together with the exact c_i this pins the
-  // result to compute_remainder_sequence() bit for bit.
-  for (int i = 1; i <= n_ - 1; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    rs.Q[ui] = std::move(qs_[ui]);
-  }
-
-  if (cfg_.paranoid_check) {
-    // Certify the reconstruction against one held-out prime: recompute
-    // the image sequence at a fresh modulus and compare it with the
-    // reduction of the reconstructed coefficients (~1/k of total cost).
-    Slot holdout;
-    ImageStatus st = ImageStatus::kBadPrime;
-    for (int attempt = 0; attempt < 3 && st != ImageStatus::kOk; ++attempt) {
-      holdout.prime = take_prime();
-      st = compute_image(holdout);
-    }
-    if (st == ImageStatus::kOk) {
-      for (int i = 2; i <= n_; ++i) {
-        const auto ui = static_cast<std::size_t>(i);
-        const auto& row = holdout.rows[ui - 2];
-        for (std::size_t j = 0; j < row.size(); ++j) {
-          if (rs.F[ui].coeff(j).mod_u64(holdout.prime) != row[j]) {
-            latch_fallback();
-            return std::nullopt;
-          }
-        }
-      }
-    }
-  }
+  for (std::size_t t = 1; t <= un; ++t) rs.c[t] = rs.F[t].leading();
   return rs;
 }
 
@@ -395,49 +415,14 @@ std::optional<RemainderSequence> compute_remainder_sequence_multimodular(
     const Poly& f0, const ModularConfig& cfg) {
   MultimodularPrs prs(f0, cfg);
   if (!prs.worthwhile()) return std::nullopt;
-
-  const int threads = std::max(1, cfg.num_threads);
-  if (threads == 1) {
-    for (std::size_t s = 0; s < prs.num_slots(); ++s) prs.run_image(s);
-    prs.prepare_crt(1);
-    prs.run_crt(0);
-    return prs.finalize();
-  }
-
-  // Pool execution: batched image tasks fan out with no dependencies, a
-  // barrier builds the basis, then each level chains prepare -> waves ->
-  // finish (levels stay sequential through the chain's edges; only the
-  // waves of one level overlap).
-  TaskGraph g;
-  const std::size_t waves = crt_wave_fanout_cap(threads);
-  const TaskId prep = g.add(TaskKind::kModPrep, -1,
-                            [&prs, waves] { prs.prepare_crt(waves); });
-  for (std::size_t t = 0; t < prs.num_image_tasks(threads); ++t) {
-    const TaskId img =
-        g.add(TaskKind::kPrimeImage, static_cast<std::int32_t>(t),
-              [&prs, t, threads] { prs.run_image_batch(t, threads); });
-    g.add_edge(img, prep);
-  }
-  TaskId prev = prep;
+  for (std::size_t s = 0; s < prs.num_slots(); ++s) prs.run_image(s);
+  prs.run_holdout();
+  prs.prepare_crt();
   for (std::size_t l = 1; l <= prs.num_levels(); ++l) {
     const int i = static_cast<int>(l);
-    const TaskId lp = g.add(TaskKind::kModPrep, i,
-                            [&prs, i] { prs.prepare_level(i); });
-    g.add_edge(prev, lp);
-    const TaskId fin = g.add(TaskKind::kModPublish, i,
-                             [&prs, i] { prs.finish_level(i); });
-    for (std::size_t w = 0; w < waves; ++w) {
-      const TaskId wt =
-          g.add(TaskKind::kModCrt, static_cast<std::int32_t>(w),
-                [&prs, i, w] { prs.run_crt_wave(i, w); });
-      g.add_edge(lp, wt);
-      g.add_edge(wt, fin);
-    }
-    prev = fin;
+    prs.size_level(i);
+    prs.reconstruct_level(i);
   }
-  g.validate();
-  TaskPool pool(threads, PoolPolicy::kCentralQueue);
-  pool.run(g);
   return prs.finalize();
 }
 

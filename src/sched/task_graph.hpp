@@ -36,12 +36,14 @@ enum class TaskKind : std::uint8_t {
   kInterval,     ///< solve one interval problem
   kLinRoot,      ///< exact root of a linear node polynomial
   kRootsMark,    ///< node roots complete (synchronization marker)
-  kPrimeImage,   ///< per-prime PRS images, or tree-table residues
-  kModPrep,      ///< select primes / build the PRS basis / open a level,
-                 ///< or set up / publish the tree residue table and basis
+  kPrimeImage,   ///< per-prime PRS images (the held-out prime's too), or
+                 ///< tree-table residues
+  kModPrep,      ///< build the PRS basis / one step of the leading-pair
+                 ///< chain, or set up / publish the tree residue table
+                 ///< and basis
   kModBlock,     ///< retired combine-image block: no graph builds it;
                  ///< it keeps its slot, like kPieceSend below
-  kModCrt,       ///< CRT: one wave of a PRS level, or one tree node's
+  kModCrt,       ///< CRT: the rest of one PRS level, or one tree node's
                  ///< polynomial (three-term recurrence + one CRT)
   kModPublish,   ///< finalize a multimodular result (or fall back to
                  ///< exact), or free the tree table

@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "calibrate/calibrate.hpp"
 #include "core/refine.hpp"
 #include "poly/squarefree.hpp"
 #include "sched/task_graph.hpp"
@@ -44,11 +43,7 @@ RootService::RootService(ServiceConfig config)
     : config_(std::move(config)),
       cache_(std::make_unique<ResultCache>(config_.cache_capacity,
                                            config_.cache_shards)),
-      stats_(std::make_unique<StatsCells>()) {
-  // Install the persisted host calibration (POLYROOTS_CALIBRATION) before
-  // the first computation; a once-only no-op when unset or already done.
-  calibrate::startup();
-}
+      stats_(std::make_unique<StatsCells>()) {}
 
 RootService::~RootService() = default;
 

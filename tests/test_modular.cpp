@@ -304,12 +304,64 @@ TEST(CrtTest, PrsBoundDominatesActualCoefficients) {
 
 // --- multimodular remainder sequence ----------------------------------------
 
-ModularConfig forced_on(int threads = 1) {
+ModularConfig forced_on() {
   ModularConfig cfg;
   cfg.enabled = true;
-  cfg.num_threads = threads;
   cfg.min_degree = 2;  // force the fast path even on small inputs
   return cfg;
+}
+
+/// The modular counters of stage 1 alone, when the task graph runs
+/// find_real_roots_parallel on `pc`: a run with the multimodular stage 1
+/// minus one with the exact stage 1 (sequential_remainder), whose tree
+/// stage sees the same sequence.  Inputs with non-real roots stop at the
+/// stage-1 publish in both runs (no Sturm fallback here).  *report
+/// receives the first run's report when there is one.
+instr::ModularCounts graph_stage1_counts(const Poly& f0,
+                                         const ModularConfig& mod,
+                                         const ParallelConfig& pc,
+                                         RootReport* report = nullptr) {
+  RootFinderConfig cfg;
+  cfg.modular = mod;
+  cfg.allow_sturm_fallback = false;
+  const auto run = [&](bool sequential, RootReport* out) {
+    ParallelConfig p = pc;
+    p.sequential_remainder = sequential;
+    instr::reset_modular();
+    try {
+      auto r = find_real_roots_parallel(f0, cfg, p);
+      if (out != nullptr) *out = std::move(r.report);
+    } catch (const NonNormalSequence&) {
+    }
+    return instr::modular_counts();
+  };
+  const instr::ModularCounts all = run(false, report);
+  const instr::ModularCounts tree = run(true, nullptr);
+  instr::ModularCounts d;
+  d.primes_used = all.primes_used - tree.primes_used;
+  d.images = all.images - tree.images;
+  d.bad_primes = all.bad_primes - tree.bad_primes;
+  d.crt_values = all.crt_values - tree.crt_values;
+  d.crt_limbs = all.crt_limbs - tree.crt_limbs;
+  d.combines = all.combines - tree.combines;
+  d.fallbacks = all.fallbacks - tree.fallbacks;
+  return d;
+}
+
+void expect_same_counts(const instr::ModularCounts& a,
+                        const instr::ModularCounts& b,
+                        const std::string& where) {
+  EXPECT_EQ(a.primes_used, b.primes_used) << where;
+  EXPECT_EQ(a.images, b.images) << where;
+  EXPECT_EQ(a.bad_primes, b.bad_primes) << where;
+  EXPECT_EQ(a.crt_values, b.crt_values) << where;
+  EXPECT_EQ(a.crt_limbs, b.crt_limbs) << where;
+  EXPECT_EQ(a.combines, b.combines) << where;
+  EXPECT_EQ(a.fallbacks, b.fallbacks) << where;
+}
+
+const char* policy_name(PoolPolicy policy) {
+  return policy == PoolPolicy::kCentralQueue ? "central" : "stealing";
 }
 
 TEST(MultimodularPrs, DifferentialSweepAgainstExact) {
@@ -324,11 +376,21 @@ TEST(MultimodularPrs, DifferentialSweepAgainstExact) {
   for (const auto& [degree, span] : cases) {
     const Poly f0 = random_poly(degree, span, rng);
     const RemainderSequence exact = compute_remainder_sequence(f0);
-    for (int threads : {1, 4}) {
-      auto fast = modular::compute_remainder_sequence_multimodular(
-          f0, forced_on(threads));
-      ASSERT_TRUE(fast.has_value()) << "degree " << degree;
-      expect_sequences_equal(exact, *fast, "sweep");
+    instr::reset_modular();
+    auto fast =
+        modular::compute_remainder_sequence_multimodular(f0, forced_on());
+    const instr::ModularCounts inline_counts = instr::modular_counts();
+    ASSERT_TRUE(fast.has_value()) << "degree " << degree;
+    expect_sequences_equal(exact, *fast, "sweep");
+    EXPECT_EQ(inline_counts.fallbacks, 0u);
+    // The task graph reconstructs the same values at every thread count.
+    for (int threads : {1, 2, 4}) {
+      ParallelConfig pc;
+      pc.num_threads = threads;
+      expect_same_counts(
+          inline_counts, graph_stage1_counts(f0, forced_on(), pc),
+          "degree " + std::to_string(degree) + ", P=" +
+              std::to_string(threads));
     }
   }
 }
@@ -353,24 +415,33 @@ TEST(MultimodularPrs, RepeatedRootsFallBackToExact) {
 }
 
 /// Crafts a degree-n monic input whose lc(F_2) is a nonzero multiple of
-/// kSmallPrime: lc(F_2) = (n-1)*a_{n-1}^2 - 2n*a_{n-2} for monic f0, so
-/// pick a_{n-1} = 1 and a_{n-2} = (n-1) * inv(2n) mod kSmallPrime.
-Poly crafted_bad_prime_input(int n, Prng& rng) {
-  const PrimeField f(kSmallPrime);
-  const std::uint64_t t = f.to_u64(
-      f.mul(f.from_u64(static_cast<std::uint64_t>(n - 1)),
-            f.inv(f.from_u64(static_cast<std::uint64_t>(2 * n)))));
+/// every prime in `primes`: lc(F_2) = (n-1)*a_{n-1}^2 - 2n*a_{n-2} for
+/// monic f0, so pick a_{n-1} = 1 and a_{n-2} = (n-1) * inv(2n) modulo the
+/// primes' product, in [0, product).
+Poly crafted_bad_prime_input(int n, const std::vector<std::uint64_t>& primes,
+                             Prng& rng) {
+  std::vector<std::uint64_t> residues;
+  BigInt product(1);
+  for (std::uint64_t p : primes) {
+    const PrimeField f(p);
+    residues.push_back(f.to_u64(
+        f.mul(f.from_u64(static_cast<std::uint64_t>(n - 1)),
+              f.inv(f.from_u64(static_cast<std::uint64_t>(2 * n))))));
+    product *= BigInt(static_cast<unsigned long long>(p));
+  }
+  BigInt t = CrtBasis(primes).reconstruct(residues.data(), primes.size());
+  if (t.signum() < 0) t += product;
   std::vector<BigInt> c(static_cast<std::size_t>(n) + 1);
   for (auto& x : c) x = BigInt(rng.range(-9, 9));
   c[static_cast<std::size_t>(n)] = BigInt(1);
   c[static_cast<std::size_t>(n - 1)] = BigInt(1);
-  c[static_cast<std::size_t>(n - 2)] = BigInt(static_cast<unsigned long long>(t));
+  c[static_cast<std::size_t>(n - 2)] = std::move(t);
   return Poly(std::move(c));
 }
 
 TEST(MultimodularPrs, BadPrimeIsDetectedAndReplaced) {
   Prng rng(21);
-  const Poly f0 = crafted_bad_prime_input(32, rng);
+  const Poly f0 = crafted_bad_prime_input(32, {kSmallPrime}, rng);
   const RemainderSequence exact = compute_remainder_sequence(f0);
   // Sanity: the sampled "bad" prime really kills lc(F_2) without killing
   // the selection screen (it does not divide lc(F_0) * lc(F_1)).
@@ -384,6 +455,60 @@ TEST(MultimodularPrs, BadPrimeIsDetectedAndReplaced) {
   ASSERT_TRUE(fast.has_value());
   expect_sequences_equal(exact, *fast, "bad prime");
   EXPECT_GE(instr::modular_counts().bad_primes, 1u);
+}
+
+TEST(MultimodularPrs, HeldOutCheckThatCannotRunFallsBack) {
+  // Three held-out candidates that all divide lc(F_2): none of their
+  // images gets past level 1, so the held-out check cannot run, and a
+  // check that cannot run must not pass.
+  Prng rng(24);
+  const std::vector<std::uint64_t> bad = {kSmallPrime, 1000033, 1000037};
+  const Poly f0 = crafted_bad_prime_input(32, bad, rng);
+  const RemainderSequence exact = compute_remainder_sequence(f0);
+  for (std::uint64_t p : bad) {
+    ASSERT_EQ(exact.F[2].leading().mod_u64(p), 0u) << p;
+  }
+
+  // The held-out candidates are drawn right after the slots, so forcing
+  // the slots' own table primes first puts `bad` into the held-out draws.
+  instr::reset_modular();
+  ASSERT_TRUE(modular::compute_remainder_sequence_multimodular(f0, forced_on())
+                  .has_value());
+  const std::uint64_t selected = instr::modular_counts().primes_used;
+  ModularConfig cfg = forced_on();
+  for (std::size_t s = 0; s < selected; ++s) {
+    cfg.forced_primes.push_back(modular::nth_modulus(s));
+  }
+  cfg.forced_primes.insert(cfg.forced_primes.end(), bad.begin(), bad.end());
+
+  instr::reset_modular();
+  EXPECT_FALSE(
+      modular::compute_remainder_sequence_multimodular(f0, cfg).has_value());
+  EXPECT_EQ(instr::modular_counts().fallbacks, 1u);
+  EXPECT_EQ(instr::modular_counts().bad_primes, 0u);  // every slot imaged
+
+  // Without the check the same slots reconstruct the exact sequence.
+  ModularConfig unchecked = cfg;
+  unchecked.paranoid_check = false;
+  const auto fast =
+      modular::compute_remainder_sequence_multimodular(f0, unchecked);
+  ASSERT_TRUE(fast.has_value());
+  expect_sequences_equal(exact, *fast, "unchecked");
+
+  // Through the graph the exact path answers instead.
+  RootFinderConfig off;
+  const RootReport want = find_real_roots(f0, off);
+  RootFinderConfig on = off;
+  on.modular = cfg;
+  for (int threads : {1, 4}) {
+    ParallelConfig pc;
+    pc.num_threads = threads;
+    instr::reset_modular();
+    const auto got = find_real_roots_parallel(f0, on, pc);
+    EXPECT_EQ(instr::modular_counts().fallbacks, 1u);
+    test::expect_same_report(want, got.report,
+                             "P=" + std::to_string(threads));
+  }
 }
 
 TEST(MultimodularPrs, PrimeDividingLeadingCoeffSkippedAtSelection) {
@@ -403,25 +528,126 @@ TEST(MultimodularPrs, PrimeDividingLeadingCoeffSkippedAtSelection) {
   EXPECT_EQ(instr::modular_counts().bad_primes, 0u);
 }
 
-TEST(MultimodularPrs, BatchAndWaveDeterminismMatrix) {
-  Prng rng(0xba7c4);
-  // Every scheduling-knob combination -- batched vs per-image tasks, waved
-  // vs inline CRT, at 1/2/8 threads -- must reproduce the exact sequence
-  // bit for bit: partitioning is scheduling, never arithmetic.
-  const std::pair<int, long long> cases[] = {{30, 1000000LL}, {60, 40}};
-  for (const auto& [degree, span] : cases) {
-    const Poly f0 = random_poly(degree, span, rng);
+TEST(MultimodularPrs, ChainBoundCoversEveryLevel) {
+  // B_t must bound the actual coefficient bits of every F_t and stay
+  // within the Hadamard bound.  The non-monic wide inputs would catch a
+  // Q_1 bound taken from c_0 = +-1 instead of lc(F_0).
+  Prng rng(0xc4a1);
+  std::vector<std::pair<std::string, Poly>> inputs = {
+      {"jacobi-24", random_jacobi_poly(24, 9, rng)},
+      {"jacobi-64", random_jacobi_poly(64, 9, rng)},
+      {"jacobi-96", random_jacobi_poly(96, 9, rng)},
+      {"berkowitz-64", paper_input(64, rng).poly},
+      {"wilkinson-30", wilkinson(30)},
+      {"hermite-40", hermite(40)},
+      {"legendre-40", legendre_scaled(40)},
+      {"clustered-16", clustered_rational_roots(16, 1000003, 50, rng)},
+      {"random-12-wide", random_poly(12, 1000000000000000LL, rng)},
+      {"random-40-wide", random_poly(40, 1000000000000LL, rng)},
+  };
+  for (const auto& [name, f0] : inputs) {
     const RemainderSequence exact = compute_remainder_sequence(f0);
-    for (int threads : {1, 2, 8}) {
+    modular::MultimodularPrs prs(f0, forced_on());
+    ASSERT_TRUE(prs.worthwhile()) << name;
+    for (std::size_t s = 0; s < prs.num_slots(); ++s) prs.run_image(s);
+    prs.run_holdout();
+    prs.prepare_crt();
+    for (std::size_t l = 1; l <= prs.num_levels(); ++l) {
+      prs.size_level(static_cast<int>(l));
+      prs.reconstruct_level(static_cast<int>(l));
+    }
+    const auto fast = prs.finalize();
+    ASSERT_TRUE(fast.has_value()) << name;
+    expect_sequences_equal(exact, *fast, name.c_str());
+    const PrsBound hadamard(f0, f0.derivative());
+    EXPECT_EQ(prs.bound_bits(0), f0.max_coeff_bits()) << name;
+    EXPECT_EQ(prs.bound_bits(1), f0.derivative().max_coeff_bits()) << name;
+    for (int t = 2; t <= exact.n; ++t) {
+      const auto ut = static_cast<std::size_t>(t);
+      EXPECT_GE(prs.bound_bits(t), exact.F[ut].max_coeff_bits())
+          << name << ": F_" << t;
+      EXPECT_LE(prs.bound_bits(t), hadamard.bits_for(t))
+          << name << ": F_" << t;
+    }
+  }
+}
+
+TEST(MultimodularPrs, BatchDeterminismMatrix) {
+  Prng rng(0xba7c4);
+  // Batched vs per-image tasks at 1/2/4 threads on the task graph: the
+  // same values are reconstructed as by the one-call form, and a
+  // real-rooted input keeps its exact report.  Partitioning is
+  // scheduling, never arithmetic.
+  const Poly inputs[] = {random_poly(30, 1000000LL, rng),
+                         random_jacobi_poly(40, 6, rng)};
+  for (const Poly& f0 : inputs) {
+    const RemainderSequence exact = compute_remainder_sequence(f0);
+    instr::reset_modular();
+    const auto fast =
+        modular::compute_remainder_sequence_multimodular(f0, forced_on());
+    const instr::ModularCounts inline_counts = instr::modular_counts();
+    ASSERT_TRUE(fast.has_value());
+    expect_sequences_equal(exact, *fast, "one-call");
+    const bool real_rooted = real_root_count(exact) == exact.n;
+    RootReport want;
+    if (real_rooted) want = find_real_roots(f0, RootFinderConfig{});
+    for (int threads : {1, 2, 4}) {
       for (bool batch : {false, true}) {
-        ModularConfig cfg = forced_on(threads);
+        ModularConfig cfg = forced_on();
         cfg.batch_images = batch;
-        cfg.crt_wave_min_work = 1;  // every level fans out into waves
-        const auto fast =
-            modular::compute_remainder_sequence_multimodular(f0, cfg);
-        ASSERT_TRUE(fast.has_value())
-            << "degree " << degree << " threads " << threads;
-        expect_sequences_equal(exact, *fast, "batch/wave matrix");
+        ParallelConfig pc;
+        pc.num_threads = threads;
+        const std::string where = "n=" + std::to_string(f0.degree()) +
+                                  " P=" + std::to_string(threads) +
+                                  (batch ? " batched" : " per-image");
+        RootReport got;
+        expect_same_counts(inline_counts,
+                           graph_stage1_counts(f0, cfg, pc, &got), where);
+        if (real_rooted) test::expect_same_report(want, got, where);
+      }
+    }
+  }
+}
+
+TEST(ModularEscalation, GraphMatchesExactPastTheEagerPrefix) {
+  // Both inputs need more primes than the eager prefix holds, so the
+  // chain images the extra slots inline and grows the basis while the
+  // level tasks it already released read the basis they were sized on.
+  // Primitive parts: those are what the graph runs on.
+  for (const Poly& f0 :
+       {hermite(40).primitive_part(), legendre_scaled(40).primitive_part()}) {
+    const std::string name = "n=" + std::to_string(f0.degree()) +
+                             " lc bits " +
+                             std::to_string(f0.leading().bit_length());
+    ModularConfig mod;
+    mod.enabled = true;
+    const modular::MultimodularPrs probe(f0, mod);
+    ASSERT_TRUE(probe.worthwhile()) << name;
+
+    const RemainderSequence exact = compute_remainder_sequence(f0);
+    instr::reset_modular();
+    const auto fast = modular::compute_remainder_sequence_multimodular(f0, mod);
+    const instr::ModularCounts inline_counts = instr::modular_counts();
+    ASSERT_TRUE(fast.has_value()) << name;
+    expect_sequences_equal(exact, *fast, name.c_str());
+    EXPECT_GT(inline_counts.images, probe.num_slots()) << name;
+
+    RootFinderConfig off;
+    const RootReport want = find_real_roots(f0, off);
+    for (PoolPolicy policy :
+         {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
+      for (int threads : {1, 4}) {
+        ParallelConfig pc;
+        pc.num_threads = threads;
+        pc.pool_policy = policy;
+        const std::string where = name + " P=" + std::to_string(threads) +
+                                  " " + policy_name(policy);
+        RootReport got;
+        const instr::ModularCounts graph =
+            graph_stage1_counts(f0, mod, pc, &got);
+        expect_same_counts(inline_counts, graph, where);
+        EXPECT_GT(graph.images, probe.num_slots()) << where;
+        test::expect_same_report(want, got, where);
       }
     }
   }
