@@ -2,10 +2,9 @@
 // duplicate queries, the workload the service layer exists for) through
 // run_batch at 1/2/4 threads, with the result cache on and off.
 //
-// The cache-off rows are the ablation baseline: every request pays a
-// cold tree run, so the on/off ratio is the memoization + in-batch-dedup
-// win at each thread count, separated from the co-scheduling win that
-// batching alone provides.
+// The cache-off rows are the ablation baseline: every distinct line of a
+// wave pays a cold tree run, so the on/off ratio is the memoization win
+// at each thread count.
 //
 // The stream is replayed as a sequence of arrival waves (small batches),
 // NOT one giant batch: in-batch dedup would collapse every duplicate
@@ -35,8 +34,6 @@ struct Row {
   std::uint64_t hits_derived;
   std::uint64_t hits_refined;
   std::uint64_t batch_dedup;
-  std::uint64_t batch_runs;
-  std::uint64_t batch_fallbacks;
 };
 
 std::string out_path(int argc, char** argv) {
@@ -88,9 +85,7 @@ void write_json(const char* path, int n, int uniques, int digits,
        << ", \"hits_full\": " << r.hits_full
        << ", \"hits_derived\": " << r.hits_derived
        << ", \"hits_refined\": " << r.hits_refined
-       << ",\n     \"batch_dedup\": " << r.batch_dedup
-       << ", \"batch_runs\": " << r.batch_runs
-       << ", \"batch_fallbacks\": " << r.batch_fallbacks << "}"
+       << ", \"batch_dedup\": " << r.batch_dedup << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
@@ -152,8 +147,6 @@ int main(int argc, char** argv) {
       row.hits_derived = s.hits_derived;
       row.hits_refined = s.hits_refined;
       row.batch_dedup = s.batch_dedup;
-      row.batch_runs = s.batch_runs;
-      row.batch_fallbacks = s.batch_fallbacks;
       rows.push_back(row);
 
       std::printf("%7d  %5s  %7.3f  %9.1f  %6llu  %4llu  %5llu\n", threads,

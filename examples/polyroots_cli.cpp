@@ -12,9 +12,8 @@
 // the graph runs inline).
 //
 // --batch FILE routes one request line per file line ("-" = stdin)
-// through the RootService: duplicate lines collapse onto one computation,
-// distinct cache misses are co-staged onto one shared TaskPool, and
-// repeats hit the result cache.  --serve is the interactive flavor: it
+// through the RootService: duplicate lines collapse onto one computation
+// and repeats hit the result cache.  --serve is the interactive flavor: it
 // reads request lines from stdin and answers each as it arrives (also
 // service-backed, so repeated queries hit the cache).  --no-cache
 // disables the result cache in either mode; --stats appends the service
@@ -166,9 +165,6 @@ void print_service_stats(const pr::service::RootService& service) {
             << "  (refine fallbacks " << s.refine_fallbacks << ")\n"
             << "  dedup: in-flight " << s.dedup_waits << "  in-batch "
             << s.batch_dedup << "\n"
-            << "  batch: shared runs " << s.batch_runs << "  trees staged "
-            << s.batch_staged << "  fallbacks " << s.batch_fallbacks
-            << "\n"
             << "  cache: size " << s.cache_size << "  evictions "
             << s.evictions << "\n";
 }

@@ -27,9 +27,9 @@ namespace {
 constexpr int kResidueTasksPerThread = 2;
 
 /// Raised by stage 1 when F_{i+1} vanishes: the input has repeated roots
-/// and the sequence is extended (Section 2.3).  A NonNormalSequence, so
-/// callers of stage_parallel_run see the documented type; the wrapper
-/// below tells it apart from a genuinely non-normal or non-real sequence.
+/// and the sequence is extended (Section 2.3).  A NonNormalSequence, like
+/// stage 1's other diagnostics; find_real_roots_parallel catches it first
+/// to tell it apart from a genuinely non-normal or non-real sequence.
 class ExtendedSequence : public NonNormalSequence {
  public:
   using NonNormalSequence::NonNormalSequence;
@@ -114,7 +114,7 @@ struct RunState {
 /// Publishes F_{i+1} from the staging area and checks normality.  A free
 /// function over RunState (NOT a GraphBuilder member): it runs inside
 /// pool tasks, which outlive the builder -- the builder is torn down as
-/// soon as the graph is staged.
+/// soon as the graph is built.
 void finish_iteration(RunState& st, int i) {
   Poly next{std::move(st.fstage[static_cast<std::size_t>(i + 1)])};
   if (next.is_zero()) {
@@ -670,99 +670,47 @@ class GraphBuilder {
   }
 };
 
-/// One run staged into a graph: all of its mutable state plus the report
-/// metadata fixed at stage time.  Tasks hold references into it, so it
-/// must stay in place until the graph has run.
-struct StagedRun {
-  RunState state;
-  std::size_t bound = 0;
-  int degree = 0;  // of the original (pre-primitive-part) input
-  bool validate = false;
-
-  /// Stages `work` (primitive, degree >= 2) into `graph`.
-  StagedRun(const Poly& work, int input_degree, const RootFinderConfig& config,
-            const ParallelConfig& parallel, TaskGraph& graph)
-      : state(work),
-        bound(root_bound_pow2(work)),
-        degree(input_degree),
-        validate(config.validate) {
-    state.mu = config.mu_bits;
-    state.solver = config.solver;
-    state.modular = config.modular;
-    state.bound_scaled = BigInt::pow2(bound + config.mu_bits);
-    // Stage 1 goes multimodular only when both enabled and big enough;
-    // the explicit sequential_remainder request keeps its one-task exact
-    // shape.
-    if (state.modular.enabled && !parallel.sequential_remainder) {
-      auto prs =
-          std::make_unique<modular::MultimodularPrs>(work, state.modular);
-      if (prs->worthwhile()) state.mprs = std::move(prs);
-    }
-    GraphBuilder(state, graph, parallel).build();
-  }
-
-  /// The report, once the graph ran to completion.
-  RootReport report() const {
-    RootReport r;
-    r.mu = state.mu;
-    r.degree = degree;
-    r.distinct_roots = state.work.degree();
-    r.bound_pow2 = bound;
-    r.roots = state.tree.node(state.tree.root_index()).roots;
-    r.multiplicities.assign(r.roots.size(), 1);
-    for (const auto& sc : state.scratch) {
-      for (const auto& st : sc.stats) r.stats += st;
-    }
-    if (validate) validate_roots(state.work, r.roots, state.mu);
-    return r;
-  }
-};
-
-/// Stages `work` (primitive, degree >= 2) into a fresh graph and runs it
-/// on a pool of parallel.num_threads workers; TaskPool(1) executes inline
-/// on the caller.
+/// Builds the full two-stage graph for `work` (primitive, degree >= 2)
+/// and runs it on a pool of parallel.num_threads workers; TaskPool(1)
+/// executes inline on the caller.  Tasks hold references into `state`,
+/// which outlives the run.
 ParallelRunResult run_graph(const Poly& work, const RootFinderConfig& config,
                             const ParallelConfig& parallel) {
+  RunState state(work);
+  const std::size_t bound = root_bound_pow2(work);
+  state.mu = config.mu_bits;
+  state.solver = config.solver;
+  state.modular = config.modular;
+  state.bound_scaled = BigInt::pow2(bound + config.mu_bits);
+  // Stage 1 goes multimodular only when both enabled and big enough;
+  // the explicit sequential_remainder request keeps its one-task exact
+  // shape.
+  if (state.modular.enabled && !parallel.sequential_remainder) {
+    auto prs = std::make_unique<modular::MultimodularPrs>(work, state.modular);
+    if (prs->worthwhile()) state.mprs = std::move(prs);
+  }
   TaskGraph graph;
-  StagedRun staged(work, work.degree(), config, parallel, graph);
+  GraphBuilder(state, graph, parallel).build();
   graph.validate();
-  TaskPool pool(parallel.num_threads, parallel.pool_policy);
+  TaskPool pool(parallel.num_threads);
   ParallelRunResult out;
   out.pool = pool.run(graph);
-  out.report = staged.report();
+
+  RootReport& r = out.report;
+  r.mu = state.mu;
+  r.distinct_roots = work.degree();
+  r.bound_pow2 = bound;
+  r.roots = state.tree.node(state.tree.root_index()).roots;
+  r.multiplicities.assign(r.roots.size(), 1);
+  for (const auto& sc : state.scratch) {
+    for (const auto& st : sc.stats) r.stats += st;
+  }
+  if (config.validate) validate_roots(work, r.roots, state.mu);
   out.trace = TaskTrace::from_graph(graph);
   return out;
 }
 
 }  // namespace
-
-struct StagedParallelRun::Impl : StagedRun {
-  using StagedRun::StagedRun;
-  bool finished = false;
-};
-
-StagedParallelRun::StagedParallelRun() = default;
-StagedParallelRun::~StagedParallelRun() = default;
-
-std::unique_ptr<StagedParallelRun> stage_parallel_run(
-    const Poly& p, const RootFinderConfig& config,
-    const ParallelConfig& parallel, TaskGraph& graph) {
-  check_arg(parallel.grain_chunk >= 1, "stage_parallel_run: grain_chunk >= 1");
-  const Poly work = p.primitive_part();
-  check_arg(work.degree() >= 2,
-            "stage_parallel_run: degree >= 2 (solve linear inputs directly)");
-  auto run = std::unique_ptr<StagedParallelRun>(new StagedParallelRun());
-  run->impl_ = std::make_unique<StagedParallelRun::Impl>(
-      work, p.degree(), config, parallel, graph);
-  return run;
-}
-
-RootReport finish_staged_run(StagedParallelRun& run) {
-  StagedParallelRun::Impl& impl = *run.impl_;
-  check_arg(!impl.finished, "finish_staged_run: already finished");
-  impl.finished = true;
-  return impl.report();
-}
 
 ParallelRunResult find_real_roots_parallel(const Poly& p,
                                            const RootFinderConfig& config,
@@ -817,7 +765,7 @@ ParallelRunResult find_real_roots_parallel(const Poly& p,
   }
   out.used_sequential_fallback = !from_graph;
   if (!from_graph) {
-    // StagedRun::report fills these in for graph runs.
+    // run_graph fills these in for graph runs.
     out.report.mu = mu;
     out.report.bound_pow2 = root_bound_pow2(work);
     out.report.distinct_roots = work.degree();

@@ -21,12 +21,11 @@
 // then runs on the graph), the Sturm fallback for non-normal or non-real
 // sequences, multiplicities, and RootFinderConfig::validate.
 //
-// Results and per-phase operation counts are identical for every thread
-// count, policy and grain: each task is a pure function of its
-// dependencies' outputs.
+// Every call builds its own graph and runs it on its own pool; no other
+// run shares either.  Results and per-phase operation counts are
+// identical for every thread count and grain: each task is a pure
+// function of its dependencies' outputs.
 #pragma once
-
-#include <memory>
 
 #include "core/root_finder.hpp"
 #include "sched/task_pool.hpp"
@@ -53,8 +52,6 @@ struct ParallelConfig {
   /// available parallelism, the paper's Section 3.1/5.2 granularity
   /// knob made explicit.  Results are bit-identical for every value.
   int grain_chunk = 1;
-  /// Queueing policy: the paper's central queue or per-worker stealing.
-  PoolPolicy pool_policy = PoolPolicy::kCentralQueue;
   /// Run stage 1 as a single sequential task (the paper's run-time option,
   /// Section 3: "the implementation allows this stage to be executed
   /// sequentially, if so desired").
@@ -77,43 +74,5 @@ struct ParallelRunResult {
 ParallelRunResult find_real_roots_parallel(const Poly& p,
                                            const RootFinderConfig& config,
                                            const ParallelConfig& parallel);
-
-/// One polynomial's run staged into a caller-owned TaskGraph, so that
-/// several runs can share a single TaskPool execution -- the batching
-/// seam the RootService driver (src/service/) is built on.  The object
-/// owns all of the run's mutable state; it must outlive the graph's
-/// execution, and finish_staged_run() may be called exactly once, after
-/// the pool ran the graph to completion.
-class StagedParallelRun {
- public:
-  StagedParallelRun(const StagedParallelRun&) = delete;
-  StagedParallelRun& operator=(const StagedParallelRun&) = delete;
-  ~StagedParallelRun();
-
- private:
-  StagedParallelRun();
-  friend std::unique_ptr<StagedParallelRun> stage_parallel_run(
-      const Poly& p, const RootFinderConfig& config,
-      const ParallelConfig& parallel, TaskGraph& graph);
-  friend RootReport finish_staged_run(StagedParallelRun& run);
-
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// Builds the full two-stage task graph for `p` into `graph` (which may
-/// already hold other runs' tasks).  Preconditions: p.degree() >= 2
-/// (callers solve the linear case directly, as find_real_roots does).
-/// A NonNormalSequence raised by the staged tasks (repeated roots,
-/// non-real roots) surfaces from TaskPool::run; the caller owns the
-/// squarefree and fallback policy (find_real_roots_parallel is the
-/// caller that implements it).
-std::unique_ptr<StagedParallelRun> stage_parallel_run(
-    const Poly& p, const RootFinderConfig& config,
-    const ParallelConfig& parallel, TaskGraph& graph);
-
-/// Extracts the RootReport after the shared graph ran to completion, and
-/// runs the Sturm cross-check when config.validate was set.
-RootReport finish_staged_run(StagedParallelRun& run);
 
 }  // namespace pr

@@ -39,8 +39,8 @@ struct RootFinderConfig {
   /// baseline instead of throwing NonNormalSequence.
   bool allow_sturm_fallback = true;
   /// Cross-checks every returned cell against a Sturm count (expensive;
-  /// for tests and debugging).  Applies to every entry point, including
-  /// RootService::run_batch's co-staged runs.
+  /// for tests and debugging).  Applies to every entry point, and so to
+  /// every cold solve of the RootService.
   bool validate = false;
   /// Multimodular fast paths (remainder sequence + tree polynomials); off by
   /// default, bit-identical results when enabled.

@@ -21,7 +21,6 @@ std::string fixed_ms(double seconds) {
 
 WorkerCounters& WorkerCounters::operator+=(const WorkerCounters& o) {
   tasks += o.tasks;
-  steals += o.steals;
   lock_waits += o.lock_waits;
   lock_wait_seconds += o.lock_wait_seconds;
   idle_seconds += o.idle_seconds;
@@ -37,16 +36,16 @@ WorkerCounters sum_workers(const std::vector<WorkerCounters>& workers) {
 }
 
 std::string format_workers(const std::vector<WorkerCounters>& workers) {
-  TextTable table({-6, 9, 8, 10, 12, 11, 11, 8});
+  TextTable table({-6, 9, 10, 12, 11, 11, 8});
   std::ostringstream os;
-  os << table.row({"worker", "tasks", "steals", "lockwaits", "lockwait-ms",
+  os << table.row({"worker", "tasks", "lockwaits", "lockwait-ms",
                    "idle-ms", "exec-ms", "qmax"})
      << '\n'
      << table.rule() << '\n';
   for (std::size_t i = 0; i < workers.size(); ++i) {
     const auto& w = workers[i];
     os << table.row({std::to_string(i), with_commas(w.tasks),
-                     with_commas(w.steals), with_commas(w.lock_waits),
+                     with_commas(w.lock_waits),
                      fixed_ms(w.lock_wait_seconds), fixed_ms(w.idle_seconds),
                      fixed_ms(w.exec_seconds),
                      with_commas(w.queue_high_water)})
@@ -54,8 +53,8 @@ std::string format_workers(const std::vector<WorkerCounters>& workers) {
   }
   const WorkerCounters t = sum_workers(workers);
   os << table.rule() << '\n'
-     << table.row({"total", with_commas(t.tasks), with_commas(t.steals),
-                   with_commas(t.lock_waits), fixed_ms(t.lock_wait_seconds),
+     << table.row({"total", with_commas(t.tasks), with_commas(t.lock_waits),
+                   fixed_ms(t.lock_wait_seconds),
                    fixed_ms(t.idle_seconds), fixed_ms(t.exec_seconds),
                    with_commas(t.queue_high_water)})
      << '\n';

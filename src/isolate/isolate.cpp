@@ -89,28 +89,6 @@ BigInt cell_mu_approx(const Poly& stripped, const IsolatingCell& cell,
                    cell.scale, mu, config, stats);
 }
 
-void stage_cell_refinement(const IsolationRun& run,
-                           const RootFinderConfig& config, TaskGraph& graph,
-                           std::vector<BigInt>& roots,
-                           std::vector<QirStats>& stats) {
-  const auto& cells = run.isolation.cells;
-  check_arg(roots.size() == cells.size() && stats.size() == cells.size(),
-            "stage_cell_refinement: output vectors must match the cells");
-  const Poly* stripped = &run.isolation.stripped;
-  const std::size_t mu = config.mu_bits;
-  const QirConfig qir = config.isolate.qir;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const IsolatingCell* cell = &cells[i];
-    BigInt* root_out = &roots[i];
-    QirStats* stat_out = &stats[i];
-    graph.add(TaskKind::kRefine, static_cast<std::int32_t>(i),
-              [stripped, cell, mu, qir, root_out, stat_out] {
-                *root_out =
-                    cell_mu_approx(*stripped, *cell, mu, qir, stat_out);
-              });
-  }
-}
-
 RootReport assemble_report(const IsolationRun& run,
                            const RootFinderConfig& config,
                            std::vector<BigInt> roots, const QirStats& qir) {
@@ -160,17 +138,24 @@ ParallelRunResult find_real_roots_radii_parallel(
   }
 
   // Isolation is inherently pre-parallel here (the cells are not known
-  // until it finishes); the per-cell refinements are the parallel stage.
-  const auto ncells = run.isolation.cells.size();
-  std::vector<BigInt> roots(ncells);
-  std::vector<QirStats> stats(ncells);
+  // until it finishes); the per-cell refinements are the parallel stage,
+  // one kRefine task per cell writing its root positionally (the cells
+  // are sorted, so `roots` ends up sorted).
+  const auto& cells = run.isolation.cells;
+  std::vector<BigInt> roots(cells.size());
+  std::vector<QirStats> stats(cells.size());
   TaskGraph graph;
-  stage_cell_refinement(run, config, graph, roots, stats);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    graph.add(TaskKind::kRefine, static_cast<std::int32_t>(i), [&, i] {
+      roots[i] = cell_mu_approx(run.isolation.stripped, cells[i],
+                                config.mu_bits, config.isolate.qir, &stats[i]);
+    });
+  }
 
   QirStats totals;
-  if (!run.isolation.cells.empty()) {
+  if (!cells.empty()) {
     graph.validate();
-    TaskPool pool(parallel.num_threads, parallel.pool_policy);
+    TaskPool pool(parallel.num_threads);
     out.pool = pool.run(graph);
     out.trace = TaskTrace::from_graph(graph);
     for (const auto& st : stats) totals += st;

@@ -5,8 +5,9 @@
 // (ceiling-convention mu-approximations, multiplicities from the
 // squarefree decomposition), but without the all-real-roots requirement:
 // complex roots simply never produce cells.  Refinement of the isolated
-// cells is embarrassingly parallel, exposed as kRefine TaskGraph tasks so
-// the TaskPool and trace/simulator machinery apply unchanged.
+// cells is embarrassingly parallel: find_real_roots_radii_parallel runs
+// one kRefine task per cell on its own TaskPool, so the trace/simulator
+// machinery applies unchanged.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +17,6 @@
 #include "core/root_finder.hpp"
 #include "isolate/descartes_isolate.hpp"
 #include "isolate/qir_refine.hpp"
-#include "sched/task_graph.hpp"
 
 namespace pr::isolate {
 
@@ -42,15 +42,6 @@ IsolationRun prepare_isolation(const Poly& p, const RootFinderConfig& config);
 BigInt cell_mu_approx(const Poly& stripped, const IsolatingCell& cell,
                       std::size_t mu, const QirConfig& config,
                       QirStats* stats);
-
-/// Stages one kRefine task per cell into `graph`.  `roots` and `stats`
-/// must be pre-sized to the cell count and outlive the graph's execution;
-/// entries are written positionally (cells are already sorted, so `roots`
-/// ends up sorted).
-void stage_cell_refinement(const IsolationRun& run,
-                           const RootFinderConfig& config, TaskGraph& graph,
-                           std::vector<BigInt>& roots,
-                           std::vector<QirStats>& stats);
 
 /// Assembles the final RootReport from refined roots (multiplicities,
 /// stats mapping, optional Sturm validation).

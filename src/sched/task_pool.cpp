@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -40,9 +39,10 @@ std::unique_lock<std::mutex> acquire(std::mutex& m,
   return lock;
 }
 
-/// State shared by both policies: lock-free dependency counters, the
-/// completion countdown, error capture, and per-worker observability.
-struct SharedState {
+/// One run's state: the central task queue, lock-free dependency
+/// counters, the completion countdown, error capture, and per-worker
+/// observability.
+struct PoolState {
   TaskGraph* graph = nullptr;
   Clock::time_point epoch;  ///< start of the execution phase
 
@@ -61,10 +61,15 @@ struct SharedState {
   std::mutex error_mutex;
   std::exception_ptr error;  // first exception wins
 
+  std::mutex mutex;  // guards ready, stop
+  std::condition_variable cv;
+  std::deque<TaskId> ready;  // the central task queue
+  bool stop = false;
+
   std::vector<instr::WorkerCounters> wstats;
   std::vector<std::vector<TimelineEntry>> wtimeline;
 
-  explicit SharedState(TaskGraph& g, int workers)
+  explicit PoolState(TaskGraph& g, int workers)
       : graph(&g), pending(g.size()), wstats(static_cast<std::size_t>(workers)),
         wtimeline(static_cast<std::size_t>(workers)) {
     for (std::size_t i = 0; i < g.size(); ++i) {
@@ -104,7 +109,7 @@ struct SharedState {
       // acq_rel: the zero-reaching decrement reads-from every earlier
       // decrement (a release sequence), so whichever worker later runs
       // the dependent sees all of its dependencies' writes once the
-      // publication below hands it over under a lock.
+      // publication below hands it over under the queue lock.
       if (pending[static_cast<std::size_t>(dep)].fetch_sub(
               1, std::memory_order_acq_rel) == 1) {
         batch.push_back(dep);
@@ -112,25 +117,6 @@ struct SharedState {
     }
     return true;
   }
-
-  /// True when this completion was the last one.
-  bool count_completion() {
-    return remaining.fetch_sub(1, std::memory_order_acq_rel) == 1;
-  }
-};
-
-/// The paper's central-queue policy: one shared FIFO under one lock.
-/// Contention is kept off the lock by doing dependency accounting
-/// lock-free and publishing each task's newly-ready dependents as one
-/// bulk push (one lock acquisition per completed task, not one per
-/// dependent).
-struct CentralState : SharedState {
-  std::mutex mutex;  // guards ready, stop
-  std::condition_variable cv;
-  std::deque<TaskId> ready;  // the central task queue
-  bool stop = false;
-
-  CentralState(TaskGraph& g, int workers) : SharedState(g, workers) {}
 
   void worker(int self) {
     auto& wc = wstats[static_cast<std::size_t>(self)];
@@ -153,7 +139,8 @@ struct CentralState : SharedState {
         cv.notify_all();
         return;
       }
-      const bool last = count_completion();
+      const bool last =
+          remaining.fetch_sub(1, std::memory_order_acq_rel) == 1;
 
       // One lock acquisition publishes the whole batch; the worker keeps
       // the lock to pop its own next task at the loop top.
@@ -174,132 +161,9 @@ struct CentralState : SharedState {
   }
 };
 
-/// Work-stealing policy.  Each worker owns a deque under its own lock;
-/// local pops are LIFO (depth-first, cache-friendly), steals take the
-/// oldest task (closest to the critical path).  Idle workers park on a
-/// condvar; the publication counter sampled before each scan makes the
-/// park race-free (a push between the scan and the wait flips the wait
-/// predicate), replacing the old 1 ms timed poll.
-struct StealState : SharedState {
-  struct Local {
-    std::mutex mutex;
-    std::deque<TaskId> deque;
-  };
-  std::vector<std::unique_ptr<Local>> local;
-
-  std::mutex idle_mutex;
-  std::condition_variable idle_cv;
-  /// Bumped after every publication.  seq_cst pairs with idle_workers
-  /// (see push_batch / park): either the publisher sees the parked
-  /// worker and notifies, or the parked worker's predicate sees the
-  /// bumped counter -- a lost wakeup would need both to miss.
-  std::atomic<std::uint64_t> pushes{0};
-  std::atomic<int> idle_workers{0};
-  std::atomic<bool> stop{false};
-  std::atomic<std::size_t> steals{0};
-
-  StealState(TaskGraph& g, int workers) : SharedState(g, workers) {
-    for (int i = 0; i < workers; ++i) {
-      local.push_back(std::make_unique<Local>());
-    }
-  }
-
-  bool try_pop_local(int self, TaskId& out, instr::WorkerCounters& wc) {
-    auto& l = *local[static_cast<std::size_t>(self)];
-    auto lock = acquire(l.mutex, wc);
-    if (l.deque.empty()) return false;
-    out = l.deque.back();  // LIFO
-    l.deque.pop_back();
-    return true;
-  }
-
-  bool try_steal(int self, TaskId& out, instr::WorkerCounters& wc) {
-    const int n = static_cast<int>(local.size());
-    for (int d = 1; d < n; ++d) {
-      const int victim = (self + d) % n;
-      auto& l = *local[static_cast<std::size_t>(victim)];
-      auto lock = acquire(l.mutex, wc);
-      if (!l.deque.empty()) {
-        out = l.deque.front();  // FIFO steal
-        l.deque.pop_front();
-        lock.unlock();
-        steals.fetch_add(1, std::memory_order_relaxed);
-        wc.steals += 1;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Publishes a batch of ready tasks onto the publisher's own deque
-  /// under one lock acquisition, then wakes parked workers if there are
-  /// any.
-  void push_batch(int self, const std::vector<TaskId>& batch,
-                  instr::WorkerCounters& wc) {
-    {
-      auto& l = *local[static_cast<std::size_t>(self)];
-      auto lock = acquire(l.mutex, wc);
-      l.deque.insert(l.deque.end(), batch.begin(), batch.end());
-      wc.queue_high_water = std::max(wc.queue_high_water, l.deque.size());
-    }
-    pushes.fetch_add(1, std::memory_order_seq_cst);
-    if (idle_workers.load(std::memory_order_seq_cst) > 0) {
-      // Notify under the idle mutex: a parker is either already waiting
-      // (gets the notify) or has not yet evaluated its predicate (which
-      // will observe the bumped `pushes`).
-      std::lock_guard<std::mutex> g(idle_mutex);
-      if (batch.size() > 1) {
-        idle_cv.notify_all();
-      } else {
-        idle_cv.notify_one();
-      }
-    }
-  }
-
-  void request_stop() {
-    stop.store(true, std::memory_order_seq_cst);
-    std::lock_guard<std::mutex> g(idle_mutex);
-    idle_cv.notify_all();
-  }
-
-  void worker(int self) {
-    auto& wc = wstats[static_cast<std::size_t>(self)];
-    std::vector<TaskId> batch;
-    while (!stop.load(std::memory_order_acquire)) {
-      // Sample the publication counter BEFORE scanning: any push that
-      // lands after this line flips the park predicate below, so the
-      // scan-then-park sequence cannot miss it.
-      const std::uint64_t seen = pushes.load(std::memory_order_seq_cst);
-      TaskId id;
-      if (try_pop_local(self, id, wc) || try_steal(self, id, wc)) {
-        if (!execute(self, id, batch)) {
-          request_stop();
-          return;
-        }
-        if (!batch.empty()) push_batch(self, batch, wc);
-        if (count_completion()) {
-          request_stop();
-          return;
-        }
-        continue;
-      }
-      // Nothing anywhere: park until someone publishes or stops.
-      auto lock = acquire(idle_mutex, wc);
-      idle_workers.fetch_add(1, std::memory_order_seq_cst);
-      const auto t0 = Clock::now();
-      idle_cv.wait(lock, [&] {
-        return pushes.load(std::memory_order_seq_cst) != seen ||
-               stop.load(std::memory_order_seq_cst);
-      });
-      wc.idle_seconds += seconds_between(t0, Clock::now());
-      idle_workers.fetch_sub(1, std::memory_order_seq_cst);
-    }
-  }
-};
-
 /// Merges per-worker timelines into completion order and fills the
 /// per-worker counter vector.
-void collect_stats(SharedState& state, int workers, TaskPoolStats& stats) {
+void collect_stats(PoolState& state, int workers, TaskPoolStats& stats) {
   stats.tasks_run = state.tasks_run.load(std::memory_order_relaxed);
   stats.workers = std::move(state.wstats);
   stats.timeline.workers = workers;
@@ -337,8 +201,7 @@ double TaskPoolStats::total_exec_seconds() const {
   return s;
 }
 
-TaskPool::TaskPool(int num_threads, PoolPolicy policy)
-    : num_threads_(num_threads), policy_(policy) {
+TaskPool::TaskPool(int num_threads) : num_threads_(num_threads) {
   check_arg(num_threads >= 1, "TaskPool: need at least one thread");
 }
 
@@ -354,62 +217,25 @@ TaskPoolStats TaskPool::run(TaskGraph& graph) {
   // excluded from wall_seconds: it is graph bookkeeping, not scheduling,
   // and the speedup benches compare scheduler execution time only.
   Stopwatch setup_sw;
+  PoolState state(graph, num_threads_);
+  for (TaskId id : graph.initial_tasks()) state.ready.push_back(id);
+  state.wstats[0].queue_high_water = state.ready.size();
+  stats.setup_seconds = setup_sw.seconds();
 
-  if (policy_ == PoolPolicy::kCentralQueue) {
-    CentralState state(graph, num_threads_);
-    for (TaskId id : graph.initial_tasks()) state.ready.push_back(id);
-    state.wstats[0].queue_high_water = state.ready.size();
-    stats.setup_seconds = setup_sw.seconds();
-
-    Stopwatch exec_sw;
-    state.epoch = Clock::now();
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(num_threads_ - 1));
-    for (int i = 1; i < num_threads_; ++i) {
-      threads.emplace_back([&state, i] { state.worker(i); });
-    }
-    state.worker(0);
-    for (auto& th : threads) th.join();
-    stats.wall_seconds = exec_sw.seconds();
-    if (state.error) std::rethrow_exception(state.error);
-    check_internal(state.tasks_run.load() == graph.size(),
-                   "TaskPool: not every task ran");
-    collect_stats(state, num_threads_, stats);
-    // Policy-dependent field: the central queue has no per-worker deques,
-    // so nothing can ever be stolen -- the count is exactly 0 here and
-    // meaningful only under kWorkStealing.
-    stats.steals = 0;
-  } else {
-    StealState state(graph, num_threads_);
-    {
-      // Initial tasks round-robin across the deques for initial balance.
-      int w = 0;
-      for (TaskId id : graph.initial_tasks()) {
-        auto& l = *state.local[static_cast<std::size_t>(w)];
-        l.deque.push_back(id);
-        auto& hw = state.wstats[static_cast<std::size_t>(w)].queue_high_water;
-        hw = std::max(hw, l.deque.size());
-        w = (w + 1) % num_threads_;
-      }
-    }
-    stats.setup_seconds = setup_sw.seconds();
-
-    Stopwatch exec_sw;
-    state.epoch = Clock::now();
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(num_threads_ - 1));
-    for (int i = 1; i < num_threads_; ++i) {
-      threads.emplace_back([&state, i] { state.worker(i); });
-    }
-    state.worker(0);
-    for (auto& th : threads) th.join();
-    stats.wall_seconds = exec_sw.seconds();
-    if (state.error) std::rethrow_exception(state.error);
-    check_internal(state.tasks_run.load() == graph.size(),
-                   "TaskPool: not every task ran");
-    collect_stats(state, num_threads_, stats);
-    stats.steals = state.steals.load(std::memory_order_relaxed);
+  Stopwatch exec_sw;
+  state.epoch = Clock::now();
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(num_threads_ - 1));
+  for (int i = 1; i < num_threads_; ++i) {
+    threads.emplace_back([&state, i] { state.worker(i); });
   }
+  state.worker(0);
+  for (auto& th : threads) th.join();
+  stats.wall_seconds = exec_sw.seconds();
+  if (state.error) std::rethrow_exception(state.error);
+  check_internal(state.tasks_run.load() == graph.size(),
+                 "TaskPool: not every task ran");
+  collect_stats(state, num_threads_, stats);
   return stats;
 }
 

@@ -1,28 +1,24 @@
 // Execution of a TaskGraph by worker threads -- the paper's dynamic
-// scheduling paradigm (Section 3).
-//
-// Two queueing policies are provided.  The central queue is the paper's
-// design, kept as a faithful, selectable baseline: whenever a worker
-// becomes free it picks the first task from the one shared FIFO queue.
-// The work-stealing policy is the modern alternative for the scheduling
-// ablation.  Both use the same contention-avoiding machinery:
+// scheduling paradigm (Section 3): one central FIFO queue shared by all
+// workers under one lock; whenever a worker becomes free it picks the
+// first task from the queue.  Contention is kept off that lock by
 //
 //  * batched ready-task publication -- a completing task decrements its
 //    dependents' counters lock-free (the counters are atomic) and
 //    publishes every task that became ready in ONE lock acquisition and
 //    one bulk push, instead of taking the queue lock once per dependent;
-//  * a proper idle/wake protocol -- a worker that finds no work parks on
-//    a condition variable under the idle mutex after re-checking the
-//    publication counter it sampled before its last scan, so a concurrent
-//    push can never be missed (no timed polling anywhere);
-//  * per-worker observability -- every worker counts its tasks, steals,
-//    blocking lock acquisitions, idle time, execution time and the
-//    queue-depth high-water mark, and records a per-task timeline that
-//    the discrete-event simulator (src/sim/) uses to calibrate its
+//  * a condition-variable idle protocol -- a worker that finds the queue
+//    empty waits on a condition variable under the queue lock and
+//    re-checks the queue on every wakeup, so a concurrent push can never
+//    be missed (no timed polling anywhere);
+//  * per-worker observability -- every worker counts its tasks, blocking
+//    lock acquisitions, idle time, execution time and the queue-depth
+//    high-water mark, and records a per-task timeline that the
+//    discrete-event simulator (src/sim/) uses to calibrate its
 //    dispatch-overhead knob against measured reality.
 //
 // With num_threads == 1 the execution order is exactly the deterministic
-// "central queue" order, which is also the order the trace recorder
+// central-queue order, which is also the order the trace recorder
 // captures for the discrete-event simulator.
 //
 // Every task's deterministic cost (bit operations, from the
@@ -48,9 +44,8 @@ struct TaskPoolStats {
   double wall_seconds = 0;
   /// Wall time spent preparing the run before any task executes.
   double setup_seconds = 0;
-  /// Successful steals.  Policy-dependent by construction: meaningful
-  /// only under PoolPolicy::kWorkStealing and always exactly 0 under the
-  /// central queue, where no per-worker deque exists to steal from.
+  /// Always 0: the central queue has no per-worker deque to steal from.
+  /// Kept for the end-to-end benchmark's `sched.steals` metric.
   std::size_t steals = 0;
   /// One entry per worker (worker 0 is the calling thread).
   std::vector<instr::WorkerCounters> workers;
@@ -65,24 +60,11 @@ struct TaskPoolStats {
   double total_exec_seconds() const;
 };
 
-/// Queueing policy of the pool.
-enum class PoolPolicy {
-  /// One FIFO queue shared by all workers under one lock -- the paper's
-  /// design ("a task queue ... whenever a processor becomes free, it picks
-  /// the first task from the queue").
-  kCentralQueue,
-  /// Per-worker deques: a worker pushes ready tasks to its own deque,
-  /// pops LIFO locally and steals FIFO from others when empty -- the
-  /// modern alternative, included for the scheduling ablation.
-  kWorkStealing,
-};
-
 class TaskPool {
  public:
   /// num_threads >= 1.  The calling thread participates as worker 0, so
   /// num_threads == 1 runs everything inline (no thread is spawned).
-  explicit TaskPool(int num_threads,
-                    PoolPolicy policy = PoolPolicy::kCentralQueue);
+  explicit TaskPool(int num_threads);
 
   /// Runs every task in the graph, respecting dependencies.  Returns after
   /// all tasks completed.  Exceptions thrown by tasks are captured and
@@ -92,11 +74,9 @@ class TaskPool {
   TaskPoolStats run(TaskGraph& graph);
 
   int num_threads() const { return num_threads_; }
-  PoolPolicy policy() const { return policy_; }
 
  private:
   int num_threads_;
-  PoolPolicy policy_;
 };
 
 }  // namespace pr

@@ -43,6 +43,11 @@ CanonicalRequest canonicalize(const Poly& p, std::size_t mu_bits,
         "RootService: polynomial must be non-constant (got \"" +
         p.to_string() + "\")");
   }
+  if (mu_bits > kMaxMuBits) {
+    throw InvalidArgument("RootService: mu_bits " + std::to_string(mu_bits) +
+                          " exceeds the limit of " +
+                          std::to_string(kMaxMuBits));
+  }
   CanonicalRequest req;
   req.negated = p.leading().signum() < 0;
   req.content = p.content();

@@ -20,6 +20,11 @@
 
 namespace pr::service {
 
+/// Largest precision a request may ask for: above the CLI's largest
+/// (--digits 100000 asks for 332,197 bits), and small enough that one
+/// 2^mu scaling stays within 128 KiB.
+constexpr std::size_t kMaxMuBits = std::size_t{1} << 20;
+
 /// A parsed, validated request in canonical form.
 struct CanonicalRequest {
   /// Primitive part of the input, positive leading coefficient.  Its
@@ -52,15 +57,17 @@ std::uint64_t canonical_poly_hash(const Poly& p);
 std::uint64_t canonical_request_hash(const Poly& p, FinderStrategy strategy);
 
 /// Canonicalizes an already-parsed polynomial.  Throws InvalidArgument if
-/// p is constant (degree < 1): the root finder's contract.
+/// p is constant (degree < 1), the root finder's contract, or if mu_bits
+/// exceeds kMaxMuBits.
 CanonicalRequest canonicalize(const Poly& p, std::size_t mu_bits,
                               FinderStrategy strategy = FinderStrategy::kPaper);
 
 /// Parses one request line and canonicalizes it.  Parse errors propagate
 /// as InvalidArgument carrying the offending position and input text
-/// (Poly::parse's diagnostic); validation failures (constant input) get
-/// the same treatment.  This is the single entry point service requests
-/// go through, so every rejection is diagnosable from the message alone.
+/// (Poly::parse's diagnostic); validation failures (constant input, an
+/// oversized mu_bits) get the same treatment.  This is the single entry
+/// point service requests go through, so every rejection is diagnosable
+/// from the message alone.
 CanonicalRequest parse_request(std::string_view text, std::size_t mu_bits,
                                FinderStrategy strategy = FinderStrategy::kPaper);
 

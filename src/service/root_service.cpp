@@ -1,6 +1,5 @@
 #include "service/root_service.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <string>
@@ -8,8 +7,6 @@
 
 #include "core/refine.hpp"
 #include "poly/squarefree.hpp"
-#include "sched/task_graph.hpp"
-#include "sched/task_pool.hpp"
 #include "support/error.hpp"
 
 namespace pr::service {
@@ -24,9 +21,6 @@ struct RootService::StatsCells {
   std::atomic<std::uint64_t> refine_fallbacks{0};
   std::atomic<std::uint64_t> dedup_waits{0};
   std::atomic<std::uint64_t> batch_dedup{0};
-  std::atomic<std::uint64_t> batch_runs{0};
-  std::atomic<std::uint64_t> batch_staged{0};
-  std::atomic<std::uint64_t> batch_fallbacks{0};
 };
 
 /// One in-flight computation; concurrent identical requests share it
@@ -295,14 +289,11 @@ void RootService::fulfill_flight(const CanonicalRequest& req,
 
 std::vector<ServiceResult> RootService::run_batch(
     const std::vector<std::string>& lines) {
-  const std::size_t mu = config_.finder.mu_bits;
   std::vector<ServiceResult> results(lines.size());
 
   struct Unit {
     CanonicalRequest req;
     std::vector<std::size_t> positions;  // line indices sharing this poly
-    std::shared_ptr<Flight> flight;
-    ServiceResult result;
   };
   std::vector<Unit> units;
 
@@ -311,7 +302,8 @@ std::vector<ServiceResult> RootService::run_batch(
     stats_->requests += 1;
     CanonicalRequest req;
     try {
-      req = parse_request(lines[i], mu, config_.finder.strategy);
+      req = parse_request(lines[i], config_.finder.mu_bits,
+                          config_.finder.strategy);
     } catch (const Error& e) {
       stats_->invalid += 1;
       results[i].error =
@@ -327,134 +319,15 @@ std::vector<ServiceResult> RootService::run_batch(
         break;
       }
     }
-    if (!merged) {
-      Unit u;
-      u.req = std::move(req);
-      u.positions.push_back(i);
-      units.push_back(std::move(u));
-    }
+    if (!merged) units.push_back({std::move(req), {i}});
   }
 
-  auto publish = [&](Unit& u) {
-    if (u.flight) fulfill_flight(u.req, u.flight, u.result);
-  };
-
-  // Phase 1: cache hits, refine upgrades, and joins of foreign flights.
-  // What remains (`cold`) genuinely needs a tree run.
-  std::vector<Unit*> cold;
-  for (Unit& u : units) {
-    if (config_.cache_enabled) {
-      if (auto entry =
-              cache_->find(u.req.hash, u.req.canonical, u.req.strategy)) {
-        if (result_from_entry(entry, u.req, u.result)) continue;
-      }
-    }
-    bool winner = false;
-    u.flight = join_or_create_flight(u.req, winner);
-    if (!winner) {
-      stats_->dedup_waits += 1;
-      u.result = u.flight->future.get();
-      u.result.deduplicated = true;
-      u.flight = nullptr;  // not ours to fulfill
-      continue;
-    }
-    try {
-      if (config_.cache_enabled) {
-        if (auto entry =
-                cache_->find(u.req.hash, u.req.canonical, u.req.strategy)) {
-          if (result_from_entry(entry, u.req, u.result) ||
-              try_refine_upgrade(entry, u.req, u.result)) {
-            publish(u);
-            continue;
-          }
-        }
-      }
-      if (u.req.canonical.degree() < 2 ||
-          u.req.strategy != FinderStrategy::kPaper) {
-        // Linear inputs bypass staging, exactly like the standalone path.
-        // So do kRadii requests: the shared staging below builds the
-        // paper's tree pipeline, which is the wrong machinery for them
-        // (and would reject their complex-rooted inputs); the radii
-        // parallel driver schedules its own per-cell refinement tasks.
-        u.result = finalize_cold(
-            u.req, cold_report(u.req.canonical, mu, u.req.strategy));
-        publish(u);
-        continue;
-      }
-    } catch (const Error& e) {
-      u.result = ServiceResult{};
-      u.result.error = e.what();
-      u.result.key_hash = u.req.hash;
-      publish(u);
-      continue;
-    }
-    cold.push_back(&u);
-  }
-
-  // Phase 2: co-stage the cold trees in groups of max_batch_width onto
-  // one shared TaskGraph/TaskPool.
-  const std::size_t width = static_cast<std::size_t>(
-      config_.max_batch_width < 1 ? 1 : config_.max_batch_width);
-  for (std::size_t start = 0; start < cold.size(); start += width) {
-    const std::size_t count = std::min(width, cold.size() - start);
-    TaskGraph graph;
-    std::vector<std::unique_ptr<StagedParallelRun>> staged;
-    bool shared_ok = true;
-    try {
-      for (std::size_t i = 0; i < count; ++i) {
-        Unit& u = *cold[start + i];
-        RootFinderConfig cfg = config_.finder;
-        cfg.mu_bits = u.req.mu_bits;
-        staged.push_back(stage_parallel_run(u.req.canonical, cfg,
-                                            config_.parallel, graph));
-      }
-      graph.validate();
-      TaskPool pool(config_.parallel.num_threads,
-                    config_.parallel.pool_policy);
-      pool.run(graph);
-    } catch (const Error&) {
-      // One non-normal tree poisons the whole shared run (the pool stops
-      // on the first exception).  Demote the chunk to per-request runs,
-      // which own their individual fallback policies.
-      shared_ok = false;
-      stats_->batch_fallbacks += 1;
-    }
-    if (shared_ok) {
-      stats_->batch_runs += 1;
-      stats_->batch_staged += count;
-      for (std::size_t i = 0; i < count; ++i) {
-        Unit& u = *cold[start + i];
-        try {
-          u.result = finalize_cold(u.req, finish_staged_run(*staged[i]));
-        } catch (const Error& e) {
-          u.result = ServiceResult{};
-          u.result.error = e.what();
-          u.result.key_hash = u.req.hash;
-        }
-        publish(u);
-      }
-    } else {
-      staged.clear();
-      for (std::size_t i = 0; i < count; ++i) {
-        Unit& u = *cold[start + i];
-        try {
-          u.result = finalize_cold(
-              u.req, cold_report(u.req.canonical, mu, u.req.strategy));
-        } catch (const Error& e) {
-          u.result = ServiceResult{};
-          u.result.error = e.what();
-          u.result.key_hash = u.req.hash;
-        }
-        publish(u);
-      }
-    }
-  }
-
-  // Scatter unit results back to their line positions; repeats of a line
+  // Each distinct line takes the same path as submit(); repeats of a line
   // within the batch are reported as deduplicated.
   for (const Unit& u : units) {
+    const ServiceResult result = execute(u.req);
     for (std::size_t k = 0; k < u.positions.size(); ++k) {
-      results[u.positions[k]] = u.result;
+      results[u.positions[k]] = result;
       if (k > 0) results[u.positions[k]].deduplicated = true;
     }
   }
@@ -472,9 +345,6 @@ ServiceStats RootService::stats() const {
   s.refine_fallbacks = stats_->refine_fallbacks.load();
   s.dedup_waits = stats_->dedup_waits.load();
   s.batch_dedup = stats_->batch_dedup.load();
-  s.batch_runs = stats_->batch_runs.load();
-  s.batch_staged = stats_->batch_staged.load();
-  s.batch_fallbacks = stats_->batch_fallbacks.load();
   s.evictions = cache_->evictions();
   s.cache_size = cache_->size();
   return s;

@@ -1,4 +1,4 @@
-// RootService: the batched request driver over the root-finding library.
+// RootService: the request driver over the root-finding library.
 //
 // The library solves one polynomial per call; production traffic is a
 // stream of concurrent, often-repeated queries.  Following the paratreet
@@ -8,9 +8,12 @@
 //   request text --> parse/validate --> canonicalize (service/canonical)
 //       --> ResultCache lookup (full hit / derived hit / refine upgrade)
 //       --> in-flight dedup (identical concurrent requests share one run)
-//       --> batched execution: every cache-missing tree of a batch is
-//           staged into ONE TaskGraph (core/parallel_driver's staged-run
-//           API) and one TaskPool runs them all.
+//       --> cold solve: one find_real_roots_parallel call, i.e. one task
+//           graph on its own central-queue TaskPool.
+//
+// submit(), solve() and every distinct line of run_batch() take this same
+// path; run_batch only adds the parse of its lines and the collapse of
+// duplicate lines within the batch.
 //
 // Cache semantics (all results bit-identical to a per-call cold run):
 //   * full hit      -- same polynomial, same mu: the stored report.
@@ -47,14 +50,11 @@ struct ServiceConfig {
   /// Per-request solver settings; finder.mu_bits is the default precision
   /// for requests that do not specify their own.
   RootFinderConfig finder;
-  /// Shared-pool execution: thread count, queue policy and grain.
+  /// Cold-solve execution: thread count and grain.
   ParallelConfig parallel;
   bool cache_enabled = true;
   std::size_t cache_capacity = 1024;
   std::size_t cache_shards = 8;
-  /// Largest number of cache-missing trees co-staged into one shared
-  /// TaskGraph/TaskPool execution by run_batch().
-  int max_batch_width = 8;
 };
 
 /// How a request's result was produced.
@@ -88,9 +88,6 @@ struct ServiceStats {
   std::uint64_t refine_fallbacks = 0;  ///< upgrade demoted to cold solve
   std::uint64_t dedup_waits = 0;    ///< joined an in-flight identical run
   std::uint64_t batch_dedup = 0;    ///< duplicate lines within one batch
-  std::uint64_t batch_runs = 0;     ///< shared-pool executions
-  std::uint64_t batch_staged = 0;   ///< trees co-scheduled across them
-  std::uint64_t batch_fallbacks = 0;  ///< shared runs demoted to per-call
   std::uint64_t evictions = 0;
   std::uint64_t cache_size = 0;
 
@@ -110,7 +107,8 @@ class RootService {
   /// an explicit finder strategy (overriding config().finder.strategy;
   /// the strategy is part of the cache identity, so requests under
   /// different strategies never share an entry).
-  /// Never throws on bad input: rejections come back as !ok results.
+  /// Never throws on bad input: rejections (parse errors, constant
+  /// polynomials, mu_bits above kMaxMuBits) come back as !ok results.
   /// Safe to call from any number of threads concurrently.
   ServiceResult submit(std::string_view text);
   ServiceResult submit(std::string_view text, std::size_t mu_bits);
@@ -122,9 +120,9 @@ class RootService {
                       FinderStrategy strategy);
 
   /// One request line per element, all at the default precision.
-  /// Duplicates inside the batch collapse onto one computation; distinct
-  /// cache misses are co-staged onto one shared TaskPool in groups of
-  /// max_batch_width.  Results are positionally aligned with `lines`.
+  /// Duplicates inside the batch collapse onto one computation; each
+  /// distinct line then runs exactly as submit() would, one after the
+  /// other.  Results are positionally aligned with `lines`.
   std::vector<ServiceResult> run_batch(const std::vector<std::string>& lines);
 
   ServiceStats stats() const;

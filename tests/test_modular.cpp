@@ -360,10 +360,6 @@ void expect_same_counts(const instr::ModularCounts& a,
   EXPECT_EQ(a.fallbacks, b.fallbacks) << where;
 }
 
-const char* policy_name(PoolPolicy policy) {
-  return policy == PoolPolicy::kCentralQueue ? "central" : "stealing";
-}
-
 TEST(MultimodularPrs, DifferentialSweepAgainstExact) {
   Prng rng(0x5eed);
   // Low degrees get wide coefficients so the Hadamard bound still demands
@@ -634,21 +630,15 @@ TEST(ModularEscalation, GraphMatchesExactPastTheEagerPrefix) {
 
     RootFinderConfig off;
     const RootReport want = find_real_roots(f0, off);
-    for (PoolPolicy policy :
-         {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
-      for (int threads : {1, 4}) {
-        ParallelConfig pc;
-        pc.num_threads = threads;
-        pc.pool_policy = policy;
-        const std::string where = name + " P=" + std::to_string(threads) +
-                                  " " + policy_name(policy);
-        RootReport got;
-        const instr::ModularCounts graph =
-            graph_stage1_counts(f0, mod, pc, &got);
-        expect_same_counts(inline_counts, graph, where);
-        EXPECT_GT(graph.images, probe.num_slots()) << where;
-        test::expect_same_report(want, got, where);
-      }
+    for (int threads : {1, 4}) {
+      ParallelConfig pc;
+      pc.num_threads = threads;
+      const std::string where = name + " P=" + std::to_string(threads);
+      RootReport got;
+      const instr::ModularCounts graph = graph_stage1_counts(f0, mod, pc, &got);
+      expect_same_counts(inline_counts, graph, where);
+      EXPECT_GT(graph.images, probe.num_slots()) << where;
+      test::expect_same_report(want, got, where);
     }
   }
 }
@@ -716,19 +706,13 @@ TEST(ModularEndToEnd, RootReportsBitIdenticalAcrossThreads) {
                                "sequential, " + where);
 
       ParallelConfig pc;
-      for (PoolPolicy policy :
-           {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
-        pc.pool_policy = policy;
-        for (int threads : {1, 2, 8}) {
-          pc.num_threads = threads;
-          const auto par = find_real_roots_parallel(p, mod, pc);
-          EXPECT_FALSE(par.used_sequential_fallback) << where;
-          test::expect_same_report(
-              exact, par.report,
-              where + ", threads=" + std::to_string(threads) + ", policy=" +
-                  (policy == PoolPolicy::kCentralQueue ? "central"
-                                                       : "stealing"));
-        }
+      for (int threads : {1, 2, 8}) {
+        pc.num_threads = threads;
+        const auto par = find_real_roots_parallel(p, mod, pc);
+        EXPECT_FALSE(par.used_sequential_fallback) << where;
+        test::expect_same_report(
+            exact, par.report,
+            where + ", threads=" + std::to_string(threads));
       }
     }
   }

@@ -168,26 +168,6 @@ TEST(ParallelDriver, WilkinsonParallel) {
   }
 }
 
-TEST(ParallelDriver, WorkStealingPolicyMatchesCentralQueue) {
-  Prng rng(99);
-  const auto input = paper_input(10, rng);
-  const RootFinderConfig cfg = base_config(40);
-  ParallelConfig central, stealing;
-  central.num_threads = 4;
-  stealing.num_threads = 4;
-  stealing.pool_policy = PoolPolicy::kWorkStealing;
-  const auto a = find_real_roots_parallel(input.poly, cfg, central);
-  const auto b = find_real_roots_parallel(input.poly, cfg, stealing);
-  EXPECT_FALSE(a.used_sequential_fallback);
-  EXPECT_FALSE(b.used_sequential_fallback);
-  EXPECT_EQ(a.report.roots, b.report.roots);
-  // Costs are deterministic regardless of the queueing policy.
-  ASSERT_EQ(a.trace.size(), b.trace.size());
-  for (std::size_t i = 0; i < a.trace.size(); ++i) {
-    EXPECT_EQ(a.trace.tasks[i].cost, b.trace.tasks[i].cost);
-  }
-}
-
 TEST(ParallelDriver, InherentParallelismIsSubstantial) {
   Prng rng(99);
   const auto input = paper_input(18, rng);
@@ -199,11 +179,11 @@ TEST(ParallelDriver, InherentParallelismIsSubstantial) {
   EXPECT_GT(prof.at_least[1], 0.3) << ">= 2 tasks most of the time";
 }
 
-// The ISSUE's determinism matrix: RootReports must be bit-identical
-// across every {policy} x {thread count} x {grain chunk} combination,
-// because each task is a pure function of its dependencies' outputs and
-// chunking only changes how units are packed into scheduled tasks.
-TEST(ParallelDriver, DeterministicAcrossPolicyThreadsAndChunks) {
+// The determinism matrix: RootReports must be bit-identical across every
+// {grain} x {thread count} x {grain chunk} combination, because each task
+// is a pure function of its dependencies' outputs and chunking only
+// changes how units are packed into scheduled tasks.
+TEST(ParallelDriver, DeterministicAcrossThreadsAndChunks) {
   struct Workload {
     const char* name;
     Poly poly;
@@ -218,25 +198,20 @@ TEST(ParallelDriver, DeterministicAcrossPolicyThreadsAndChunks) {
     const auto ref = test::replay_layers(w.poly, cfg);
     for (RemainderGrain grain :
          {RemainderGrain::kPerCoefficient, RemainderGrain::kPerOperation}) {
-      for (PoolPolicy policy :
-           {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
-        for (int threads : {1, 2, 8}) {
-          for (int chunk : {1, 4}) {
-            ParallelConfig pc;
-            pc.grain = grain;
-            pc.pool_policy = policy;
-            pc.num_threads = threads;
-            pc.grain_chunk = chunk;
-            const auto run = find_real_roots_parallel(w.poly, cfg, pc);
-            EXPECT_FALSE(run.used_sequential_fallback);
-            test::expect_same_report(
-                ref, run.report,
-                std::string(w.name) + " policy=" +
-                    (policy == PoolPolicy::kCentralQueue ? "central"
-                                                         : "steal") +
-                    " threads=" + std::to_string(threads) +
-                    " chunk=" + std::to_string(chunk));
-          }
+      for (int threads : {1, 2, 8}) {
+        for (int chunk : {1, 4}) {
+          ParallelConfig pc;
+          pc.grain = grain;
+          pc.num_threads = threads;
+          pc.grain_chunk = chunk;
+          const auto run = find_real_roots_parallel(w.poly, cfg, pc);
+          EXPECT_FALSE(run.used_sequential_fallback);
+          test::expect_same_report(
+              ref, run.report,
+              std::string(w.name) + " grain=" +
+                  std::to_string(static_cast<int>(grain)) +
+                  " threads=" + std::to_string(threads) +
+                  " chunk=" + std::to_string(chunk));
         }
       }
     }

@@ -164,10 +164,8 @@ TEST(TaskPool, EmptyGraphReturnsImmediately) {
 // their completions then wrapped the counter past zero and shutdown relied
 // on the error flag alone.  The rewrite only ever decrements per completed
 // task, so a throwing task racing long-running tasks must shut down
-// cleanly under both policies, every time.
-class PoolPolicies : public ::testing::TestWithParam<PoolPolicy> {};
-
-TEST_P(PoolPolicies, ThrowingTaskRacingLongTasksShutsDownCleanly) {
+// cleanly, every time.
+TEST(TaskPool, ThrowingTaskRacingLongTasksShutsDownCleanly) {
   for (int round = 0; round < 8; ++round) {
     TaskGraph g;
     // Several slow tasks that are likely mid-flight when the bomb goes off.
@@ -187,37 +185,26 @@ TEST_P(PoolPolicies, ThrowingTaskRacingLongTasksShutsDownCleanly) {
       const TaskId a = g.add(TaskKind::kGeneric, i, [&late] { ++late; });
       g.add_edge(static_cast<TaskId>(i % 6), a);
     }
-    TaskPool pool(4, GetParam());
+    TaskPool pool(4);
     EXPECT_THROW(pool.run(g), InvalidArgument) << "round " << round;
   }
 }
 
-TEST_P(PoolPolicies, FirstOfConcurrentExceptionsWins) {
+TEST(TaskPool, FirstOfConcurrentExceptionsWins) {
   TaskGraph g;
   for (int i = 0; i < 4; ++i) {
     g.add(TaskKind::kGeneric, i, [] { throw InvalidArgument("boom"); });
   }
-  TaskPool pool(4, GetParam());
+  TaskPool pool(4);
   EXPECT_THROW(pool.run(g), InvalidArgument);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothPolicies, PoolPolicies,
-                         ::testing::Values(PoolPolicy::kCentralQueue,
-                                           PoolPolicy::kWorkStealing),
-                         [](const auto& param_info) {
-                           return param_info.param == PoolPolicy::kCentralQueue
-                                      ? std::string("Central")
-                                      : std::string("Stealing");
-                         });
-
 // Lost-wakeup stress: waves of tiny tasks with full fan-in between waves,
-// run with more threads than this host has cores.  Every wave boundary
-// forces most workers through the park/wake path; under the old
-// work-stealing pool the queue was checked outside the idle mutex and a
-// concurrent push's notify could be missed, leaving the 1 ms poll as the
-// only (load-bearing) recovery mechanism.  The new protocol must drive
-// thousands of boundary crossings purely by wakeups -- promptly and
-// without losing a single task.
+// run with more threads than the host has cores.  Every wave boundary
+// empties the queue and sends most workers into the condition-variable
+// wait; the last task of a wave publishes the next one and must wake
+// them.  Thousands of boundary crossings have to be driven purely by
+// wakeups -- promptly and without losing a single task.
 TEST(TaskPoolStress, TinyTaskWavesWithMoreThreadsThanCores) {
   constexpr int kThreads = 8;
   constexpr int kWaves = 150;
@@ -234,20 +221,20 @@ TEST(TaskPoolStress, TinyTaskWavesWithMoreThreadsThanCores) {
     }
     prev = std::move(wave);
   }
-  TaskPool pool(kThreads, PoolPolicy::kWorkStealing);
+  TaskPool pool(kThreads);
   const auto stats = pool.run(g);
   EXPECT_EQ(runs.load(), kWaves * kThreads);
   EXPECT_EQ(stats.tasks_run, static_cast<std::size_t>(kWaves * kThreads));
-  // With the old 1 ms poll as the recovery path, missed wakeups stack up
-  // to a wall time on the order of kWaves milliseconds; the idle/wake
+  // A timed poll as the recovery path would stack missed wakeups up to a
+  // wall time on the order of kWaves milliseconds; the condition-variable
   // protocol finishes far below that even on a loaded single-core host.
   EXPECT_LT(stats.wall_seconds, 0.001 * kWaves)
       << "wave boundaries appear to be paced by timed polling";
 }
 
 TEST(TaskPoolStress, CentralQueueTinyTaskChains) {
-  // The same pressure on the central queue's cv protocol: long dependency
-  // chains of free tasks force constant sleep/wake churn.
+  // Long dependency chains of free tasks: one task is ready at a time, so
+  // every other worker churns through the sleep/wake path.
   constexpr int kThreads = 8;
   TaskGraph g;
   std::atomic<int> runs{0};
@@ -272,33 +259,28 @@ TEST(TaskPoolStats, WorkerCountersAccountForEveryTask) {
     });
     g.add_edge(src, t);
   }
-  for (PoolPolicy policy :
-       {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
-    TaskPool pool(4, policy);
-    const auto stats = pool.run(g);
-    ASSERT_EQ(stats.workers.size(), 4u);
-    std::size_t tasks = 0, steals = 0;
-    for (const auto& w : stats.workers) {
-      tasks += w.tasks;
-      steals += w.steals;
-    }
-    EXPECT_EQ(tasks, 101u);
-    EXPECT_EQ(steals, stats.steals);
-    EXPECT_GT(stats.total_exec_seconds(), 0.0);
-    EXPECT_GE(stats.wall_seconds, 0.0);
-    // The queue must have been observed holding the full fan-out at least
-    // once (all 100 children become ready when src completes).
-    std::size_t high_water = 0;
-    for (const auto& w : stats.workers) {
-      high_water = std::max(high_water, w.queue_high_water);
-    }
-    EXPECT_GE(high_water, policy == PoolPolicy::kCentralQueue ? 100u : 25u);
-    const std::string table = instr::format_workers(stats.workers);
-    EXPECT_NE(table.find("worker"), std::string::npos);
-    EXPECT_NE(table.find("total"), std::string::npos);
+  TaskPool pool(4);
+  const auto stats = pool.run(g);
+  ASSERT_EQ(stats.workers.size(), 4u);
+  std::size_t tasks = 0;
+  for (const auto& w : stats.workers) tasks += w.tasks;
+  EXPECT_EQ(tasks, 101u);
+  EXPECT_GT(stats.total_exec_seconds(), 0.0);
+  EXPECT_GE(stats.wall_seconds, 0.0);
+  // The queue must have been observed holding the full fan-out at least
+  // once (all 100 children become ready when src completes).
+  std::size_t high_water = 0;
+  for (const auto& w : stats.workers) {
+    high_water = std::max(high_water, w.queue_high_water);
   }
+  EXPECT_GE(high_water, 100u);
+  const std::string table = instr::format_workers(stats.workers);
+  EXPECT_NE(table.find("worker"), std::string::npos);
+  EXPECT_NE(table.find("total"), std::string::npos);
 }
 
+// TaskPoolStats::steals survives only as the end-to-end benchmark's
+// `sched.steals` metric; the central queue has nothing to steal from.
 TEST(TaskPoolStats, StealsAreZeroUnderCentralQueue) {
   TaskGraph g;
   const TaskId src = g.add(TaskKind::kGeneric, -1, {});
@@ -308,10 +290,9 @@ TEST(TaskPoolStats, StealsAreZeroUnderCentralQueue) {
     });
     g.add_edge(src, t);
   }
-  TaskPool pool(4, PoolPolicy::kCentralQueue);
+  TaskPool pool(4);
   const auto stats = pool.run(g);
   EXPECT_EQ(stats.steals, 0u);
-  for (const auto& w : stats.workers) EXPECT_EQ(w.steals, 0u);
 }
 
 TEST(TaskPoolStats, TimelineCoversEveryTaskOnce) {
@@ -323,7 +304,7 @@ TEST(TaskPoolStats, TimelineCoversEveryTaskOnce) {
     }));
     if (i > 0) g.add_edge(ids[static_cast<std::size_t>(i - 1)], ids.back());
   }
-  TaskPool pool(2, PoolPolicy::kWorkStealing);
+  TaskPool pool(2);
   const auto stats = pool.run(g);
   ASSERT_EQ(stats.timeline.entries.size(), 40u);
   EXPECT_EQ(stats.timeline.workers, 2);
@@ -436,77 +417,6 @@ TEST(Trace, SaveLoadRoundTrip) {
     EXPECT_EQ(back.tasks[i].dependents, tr.tasks[i].dependents);
   }
   EXPECT_EQ(back.total_cost(), 33u);
-}
-
-TEST(TaskPoolStealing, RunsEveryTaskOnce) {
-  TaskGraph g;
-  std::atomic<int> runs{0};
-  std::vector<TaskId> ids;
-  for (int i = 0; i < 300; ++i) {
-    ids.push_back(g.add(TaskKind::kGeneric, i, [&runs] { ++runs; }));
-  }
-  for (int i = 1; i < 300; ++i) {
-    if (i % 3 != 0) g.add_edge(ids[static_cast<std::size_t>(i - 1)],
-                               ids[static_cast<std::size_t>(i)]);
-  }
-  TaskPool pool(4, PoolPolicy::kWorkStealing);
-  const auto stats = pool.run(g);
-  EXPECT_EQ(runs.load(), 300);
-  EXPECT_EQ(stats.tasks_run, 300u);
-}
-
-TEST(TaskPoolStealing, RespectsDependencies) {
-  TaskGraph g;
-  std::atomic<bool> first_done{false};
-  std::atomic<bool> order_ok{true};
-  const TaskId a = g.add(TaskKind::kGeneric, 0,
-                         [&] { first_done = true; });
-  const TaskId b = g.add(TaskKind::kGeneric, 1, [&] {
-    if (!first_done) order_ok = false;
-  });
-  g.add_edge(a, b);
-  TaskPool pool(4, PoolPolicy::kWorkStealing);
-  pool.run(g);
-  EXPECT_TRUE(order_ok);
-}
-
-TEST(TaskPoolStealing, PropagatesExceptions) {
-  TaskGraph g;
-  g.add(TaskKind::kGeneric, 0, [] { throw InvalidArgument("boom"); });
-  TaskPool pool(3, PoolPolicy::kWorkStealing);
-  EXPECT_THROW(pool.run(g), InvalidArgument);
-}
-
-TEST(TaskPoolStealing, SingleThreadWorks) {
-  TaskGraph g;
-  int count = 0;
-  const TaskId a = g.add(TaskKind::kGeneric, 0, [&] { ++count; });
-  const TaskId b = g.add(TaskKind::kGeneric, 1, [&] { ++count; });
-  g.add_edge(a, b);
-  TaskPool pool(1, PoolPolicy::kWorkStealing);
-  pool.run(g);
-  EXPECT_EQ(count, 2);
-}
-
-TEST(TaskPoolStealing, StealsHappenUnderLoad) {
-  // A wide graph with imbalanced seeding: worker 0 gets everything
-  // initially, so others must steal.
-  TaskGraph g;
-  const TaskId src = g.add(TaskKind::kGeneric, -1, {});
-  for (int i = 0; i < 64; ++i) {
-    const TaskId t = g.add(TaskKind::kGeneric, i, [] {
-      // Slow enough (~ms) that the other workers wake up and steal even
-      // on a single-core host.
-      (void)(BigInt::pow2(40000) * BigInt::pow2(40000));
-    });
-    g.add_edge(src, t);
-  }
-  TaskPool pool(4, PoolPolicy::kWorkStealing);
-  const auto stats = pool.run(g);
-  EXPECT_EQ(stats.tasks_run, 65u);
-  // All fan-out tasks become ready on worker 0's deque at once; with 4
-  // workers some stealing is essentially certain.
-  EXPECT_GT(stats.steals, 0u);
 }
 
 TEST(Trace, DotExportHasNodesAndEdges) {

@@ -1,10 +1,11 @@
 // RootService (src/service/): canonicalization, the result cache's
 // full/derived/refined hit ladder (bit-identical to cold runs at every
-// thread count), LRU evictions, in-flight dedup, and batched execution.
+// thread count), LRU evictions, in-flight dedup, and run_batch.
 #include "service/root_service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -72,6 +73,16 @@ TEST(Canonical, RejectsConstantInput) {
   EXPECT_THROW(service::canonicalize(Poly::constant(BigInt(7)), 53),
                InvalidArgument);
   EXPECT_THROW(service::parse_request("42", 53), InvalidArgument);
+}
+
+TEST(Canonical, RejectsMuBitsAboveTheLimit) {
+  const Poly p = Poly::parse("x^2 - 2");
+  EXPECT_EQ(service::canonicalize(p, service::kMaxMuBits).mu_bits,
+            service::kMaxMuBits);
+  EXPECT_THROW(service::canonicalize(p, service::kMaxMuBits + 1),
+               InvalidArgument);
+  EXPECT_THROW(service::parse_request("x^2 - 2", std::size_t{1} << 60),
+               InvalidArgument);
 }
 
 TEST(Canonical, HashSeparatesNearbyPolynomials) {
@@ -282,6 +293,38 @@ TEST(Service, InvalidRequestsDiagnoseWithoutThrowing) {
   EXPECT_EQ(s.misses, 0u);
 }
 
+TEST(Service, OversizedMuBitsIsDiagnosedWithoutThrowing) {
+  // A 2^60-bit request must be rejected before any 2^mu scaling
+  // (BigInt::pow2 would throw std::bad_alloc), and an exception escaping
+  // run_batch must not leave a flight behind for the next identical
+  // batch to wait on.  ASSERT_NO_THROW stops the test at the first
+  // escape instead of hanging on the second call.
+  constexpr std::size_t kHuge = std::size_t{1} << 60;
+  RootService service(config_for(1));
+  ServiceResult r;
+  ASSERT_NO_THROW(r = service.submit("x^2 - 2", kHuge));
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("mu_bits"), std::string::npos) << r.error;
+  ASSERT_NO_THROW(r = service.solve(Poly::parse("x^2 - 2"), kHuge));
+  EXPECT_FALSE(r.ok);
+
+  ServiceConfig cfg = config_for(1);
+  cfg.finder.mu_bits = kHuge;
+  RootService batch_service(cfg);
+  for (int call = 0; call < 2; ++call) {
+    std::vector<ServiceResult> results;
+    ASSERT_NO_THROW(results = batch_service.run_batch({"x^2 - 2"}))
+        << "call " << call;
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_FALSE(results[0].ok);
+    EXPECT_NE(results[0].error.find("line 1:"), std::string::npos)
+        << results[0].error;
+  }
+  EXPECT_EQ(service.stats().invalid, 2u);
+  EXPECT_EQ(batch_service.stats().invalid, 2u);
+  EXPECT_EQ(service.stats().misses + batch_service.stats().misses, 0u);
+}
+
 // --- service: in-flight dedup -----------------------------------------------
 
 TEST(Service, ConcurrentIdenticalRequestsComputeOnce) {
@@ -316,13 +359,47 @@ TEST(Service, ConcurrentIdenticalRequestsComputeOnce) {
   EXPECT_EQ(s.dedup_waits + s.hits_full, static_cast<std::uint64_t>(kClients - 1));
 }
 
+TEST(Service, SubmitRacingRunBatchSolvesOnce) {
+  // The two entry points share the flights table and the cache: whichever
+  // side loses the race either joins the winner's flight or hits the
+  // entry it published, so the polynomial is solved exactly once.
+  Prng rng(11);
+  const std::string text = paper_input(10, rng).poly.to_string();
+  RootFinderConfig cold_cfg;
+  cold_cfg.mu_bits = 45;
+  const RootReport cold = find_real_roots(Poly::parse(text), cold_cfg);
+  for (int round = 0; round < 4; ++round) {
+    RootService service(config_for(2, 45));
+    ServiceResult submitted;
+    std::vector<ServiceResult> batched;
+    std::atomic<bool> go{false};
+    std::jthread client([&] {
+      while (!go.load()) std::this_thread::yield();
+      submitted = service.submit(text);
+    });
+    go.store(true);
+    batched = service.run_batch({text});
+    client.join();
+    const std::string where = "round " + std::to_string(round);
+    ASSERT_TRUE(submitted.ok) << where << ": " << submitted.error;
+    ASSERT_EQ(batched.size(), 1u);
+    ASSERT_TRUE(batched[0].ok) << where << ": " << batched[0].error;
+    expect_same_report(submitted.report, cold, where + " submit");
+    expect_same_report(batched[0].report, cold, where + " run_batch");
+    const auto reused = [](const ServiceResult& r) {
+      return r.deduplicated || r.outcome == CacheOutcome::kHitFull;
+    };
+    EXPECT_TRUE(reused(submitted) || reused(batched[0])) << where;
+    const auto s = service.stats();
+    EXPECT_EQ(s.misses, 1u) << where;
+    EXPECT_EQ(s.requests, 2u) << where;
+    EXPECT_EQ(s.dedup_waits + s.hits_full, 1u) << where;
+  }
+}
+
 // --- service: batches -------------------------------------------------------
 
-// Co-staged run_batch trees share one TaskPool; both queueing policies
-// must leave every tree's report bit-identical to a per-call run.
-class ServicePolicies : public ::testing::TestWithParam<PoolPolicy> {};
-
-TEST_P(ServicePolicies, BatchReplayMatchesPerCallRuns) {
+TEST(Service, BatchReplayMatchesPerCallRuns) {
   // Mixed workload, >= 50% duplicates (the acceptance replay): results
   // must be positionally aligned and bit-identical to per-call runs.
   Prng rng(21);
@@ -334,9 +411,7 @@ TEST_P(ServicePolicies, BatchReplayMatchesPerCallRuns) {
   for (int rep = 0; rep < 3; ++rep) {
     for (const auto& u : uniques) lines.push_back(u);
   }
-  ServiceConfig cfg = config_for(4, 40);
-  cfg.parallel.pool_policy = GetParam();
-  RootService service(cfg);
+  RootService service(config_for(4, 40));
   const auto results = service.run_batch(lines);
   ASSERT_EQ(results.size(), lines.size());
   RootFinderConfig cold_cfg;
@@ -350,31 +425,15 @@ TEST_P(ServicePolicies, BatchReplayMatchesPerCallRuns) {
   const auto s = service.stats();
   EXPECT_EQ(s.misses, uniques.size());
   EXPECT_EQ(s.batch_dedup, lines.size() - uniques.size());
-  EXPECT_GE(s.batch_runs, 1u);
-  EXPECT_EQ(s.batch_staged, uniques.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(BothPolicies, ServicePolicies,
-                         ::testing::Values(PoolPolicy::kCentralQueue,
-                                           PoolPolicy::kWorkStealing),
-                         [](const auto& param_info) {
-                           return param_info.param == PoolPolicy::kCentralQueue
-                                      ? std::string("Central")
-                                      : std::string("Stealing");
-                         });
-
-TEST(Service, BatchSplitsIntoWidthChunksAndRepeatsHit) {
-  ServiceConfig cfg = config_for(4, 35);
-  cfg.max_batch_width = 2;
-  RootService service(cfg);
+TEST(Service, BatchRepeatsHitTheCache) {
+  RootService service(config_for(4, 35));
   const std::vector<std::string> lines = {"x^2 - 2", "x^2 - 3", "x^2 - 5",
                                           "x^3 - 6x^2 + 11x - 6", "x^2 - 7"};
   const auto first = service.run_batch(lines);
   for (const auto& r : first) ASSERT_TRUE(r.ok) << r.error;
-  const auto s1 = service.stats();
-  EXPECT_EQ(s1.misses, 5u);
-  EXPECT_EQ(s1.batch_runs, 3u);  // widths 2 + 2 + 1
-  EXPECT_EQ(s1.batch_staged, 5u);
+  EXPECT_EQ(service.stats().misses, 5u);
   // Replay: pure cache, bit-identical.
   const auto second = service.run_batch(lines);
   for (std::size_t i = 0; i < lines.size(); ++i) {
@@ -386,9 +445,10 @@ TEST(Service, BatchSplitsIntoWidthChunksAndRepeatsHit) {
 }
 
 TEST(Service, BatchHandlesDegenerateAndInvalidLines) {
-  // One line per failure mode the batch path owns: linear inputs bypass
-  // staging, repeated roots demote the shared run to per-request
-  // fallbacks, parse errors carry their line number and position.
+  // One line per special case a cold solve takes (the linear case, the
+  // squarefree reduction, the Sturm fallback) plus the two the batch
+  // owns: parse errors carry their line number and position, and a
+  // duplicate line is answered by the first.
   const std::vector<std::string> lines = {
       "x^2 - 2",
       "2x - 3",                                 // linear: direct solve
@@ -419,12 +479,11 @@ TEST(Service, BatchHandlesDegenerateAndInvalidLines) {
   const auto s = service.stats();
   EXPECT_EQ(s.invalid, 1u);
   EXPECT_EQ(s.batch_dedup, 1u);
-  // The repeated-root tree poisoned its shared run: demoted, recovered.
-  EXPECT_GE(s.batch_fallbacks, 1u);
+  EXPECT_EQ(s.misses, 4u);
 }
 
 TEST(Service, BatchHonorsValidate) {
-  // RootFinderConfig::validate reaches co-staged trees too: the Sturm
+  // RootFinderConfig::validate reaches batch lines too: the Sturm
   // cross-check shows up as extra counted multiplications.
   Prng rng(21);
   std::vector<std::string> lines;
@@ -439,7 +498,7 @@ TEST(Service, BatchHonorsValidate) {
     for (const auto& r : service.run_batch(lines)) {
       EXPECT_TRUE(r.ok) << r.error;
     }
-    EXPECT_EQ(service.stats().batch_staged, lines.size());
+    EXPECT_EQ(service.stats().misses, lines.size());
     return instr::aggregate().total().mul_count;
   };
   EXPECT_GT(mults(true), mults(false));
@@ -506,8 +565,7 @@ TEST(Service, StrategyTaggedRequestsKeepSeparateCacheEntries) {
 
 TEST(Service, RadiiStrategyServesGeneralInputsAndBatches) {
   // A radii-configured service accepts complex-rooted requests that the
-  // paper strategy would push onto the Sturm fallback, and its batch path
-  // bypasses the shared tree staging without losing results.
+  // paper strategy would push onto the Sturm fallback, in batches too.
   ServiceConfig cfg = config_for(2, 40);
   cfg.finder.strategy = FinderStrategy::kRadii;
   cfg.finder.allow_sturm_fallback = false;
@@ -522,8 +580,6 @@ TEST(Service, RadiiStrategyServesGeneralInputsAndBatches) {
   }
   EXPECT_EQ(results[0].report.roots.size(), 1u);  // x^3 - 1: one real root
   EXPECT_TRUE(results[2].deduplicated);
-  // No shared tree run was staged for radii-strategy requests.
-  EXPECT_EQ(service.stats().batch_runs, 0u);
   // The same requests through submit() now hit the strategy-tagged cache.
   EXPECT_EQ(service.submit("x^3 - 1").outcome, CacheOutcome::kHitFull);
 }
