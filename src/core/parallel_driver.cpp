@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "baseline/sturm_finder.hpp"
 #include "core/interval_stage.hpp"
@@ -29,10 +31,15 @@ constexpr int kResidueTasksPerThread = 2;
 /// Raised by stage 1 when F_{i+1} vanishes: the input has repeated roots
 /// and the sequence is extended (Section 2.3).  A NonNormalSequence, like
 /// stage 1's other diagnostics; find_real_roots_parallel catches it first
-/// to tell it apart from a genuinely non-normal or non-real sequence.
+/// to tell it apart from a genuinely non-normal or non-real sequence, and
+/// reduces with the gcd it carries instead of recomputing it.
 class ExtendedSequence : public NonNormalSequence {
  public:
-  using NonNormalSequence::NonNormalSequence;
+  ExtendedSequence(const std::string& what, Poly g)
+      : NonNormalSequence(what), gcd(std::move(g)) {}
+  /// gcd(F_0, F_0'): the primitive part of the last non-zero F_i
+  /// (Section 2.3, footnote 2).
+  Poly gcd;
 };
 
 /// Sturm cross-check of a finished report (RootFinderConfig::validate):
@@ -118,8 +125,9 @@ struct RunState {
 void finish_iteration(RunState& st, int i) {
   Poly next{std::move(st.fstage[static_cast<std::size_t>(i + 1)])};
   if (next.is_zero()) {
-    throw ExtendedSequence("repeated roots: F_" + std::to_string(i + 1) +
-                           " vanished");
+    throw ExtendedSequence(
+        "repeated roots: F_" + std::to_string(i + 1) + " vanished",
+        st.rs.F[static_cast<std::size_t>(i)].primitive_part());
   }
   if (next.degree() != st.n - i - 1) {
     // Same diagnostic as compute_remainder_sequence.
@@ -138,7 +146,9 @@ void finish_iteration(RunState& st, int i) {
 /// Installs a whole stage-1 sequence computed by one task, with the same
 /// diagnostics finish_iteration raises one level at a time.
 void publish_sequence(RunState& st, RemainderSequence full) {
-  if (full.extended()) throw ExtendedSequence("repeated roots detected");
+  if (full.extended()) {
+    throw ExtendedSequence("repeated roots detected", std::move(full.gcd_part));
+  }
   if (real_root_count(full) != st.n) {
     throw NonNormalSequence("input has non-real roots");
   }
@@ -726,16 +736,18 @@ ParallelRunResult find_real_roots_parallel(const Poly& p,
 
   // Work on the primitive part; scaling by a positive rational constant
   // changes no root.  Repeated roots are detected by the remainder
-  // sequence itself (it terminates early, Section 2.3); only then is a
-  // squarefree decomposition paid for: the graph reruns on the squarefree
-  // part (see DESIGN.md for why this realizes the paper's extended-
-  // sequence stage) and the factors give the multiplicities.
+  // sequence itself (it terminates early, Section 2.3), which also hands
+  // over g = gcd(work, work'); only then is a squarefree decomposition
+  // paid for, seeded with that g: the graph reruns on the squarefree part
+  // (see DESIGN.md for why this realizes the paper's extended-sequence
+  // stage) and the factors give the multiplicities.
   Poly work = p.primitive_part();
   std::vector<SquarefreeFactor> factors;
   bool reduced = false;
-  const auto reduce_to_squarefree = [&] {
-    factors = squarefree_decompose(work);
-    work = squarefree_part(work);
+  const auto reduce_to_squarefree = [&](const Poly& g) {
+    SquarefreeReduction sf = squarefree_reduce(work, g);
+    factors = std::move(sf.factors);
+    work = std::move(sf.part);
     reduced = true;
   };
   bool from_graph = false;
@@ -744,10 +756,10 @@ ParallelRunResult find_real_roots_parallel(const Poly& p,
       try {
         out = run_graph(work, config, parallel);
         from_graph = true;
-      } catch (const ExtendedSequence&) {
+      } catch (const ExtendedSequence& e) {
         check_internal(!reduced,
                        "squarefree input yielded an extended sequence");
-        reduce_to_squarefree();
+        reduce_to_squarefree(e.gcd);
       }
     }
     if (!from_graph) {
@@ -758,7 +770,7 @@ ParallelRunResult find_real_roots_parallel(const Poly& p,
     // A non-normal sequence or non-real roots: the tree algorithm does not
     // apply, so the Sturm baseline answers (when allowed).
     if (!config.allow_sturm_fallback) throw;
-    if (!reduced) reduce_to_squarefree();
+    if (!reduced) reduce_to_squarefree(poly_gcd(work, work.derivative()));
     out.report.used_sturm_fallback = true;
     out.report.roots =
         sturm_find_roots(work, mu, config.solver, &out.report.stats);
@@ -771,6 +783,7 @@ ParallelRunResult find_real_roots_parallel(const Poly& p,
     out.report.distinct_roots = work.degree();
     if (config.validate) validate_roots(work, out.report.roots, mu);
   }
+  out.isolated = std::move(work);
   out.report.degree = p.degree();
   out.report.squarefree_reduced = reduced;
   if (reduced) {

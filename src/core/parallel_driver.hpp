@@ -17,9 +17,12 @@
 //
 // find_real_roots_parallel wraps the graph with what lies outside the
 // paper's path: the primitive part, the linear case, the squarefree
-// reduction when stage 1 finds an extended sequence (the squarefree part
-// then runs on the graph), the Sturm fallback for non-normal or non-real
-// sequences, multiplicities, and RootFinderConfig::validate.
+// reduction when stage 1 finds an extended sequence (stage 1 hands over
+// gcd(p, p') with it, so the reduction is one exact division plus
+// Musser's loop, and the squarefree part then runs on the graph), the
+// Sturm fallback for non-normal or non-real sequences, multiplicities
+// (detail::assign_multiplicities: cell-end signs, Sturm counts only where
+// those do not decide), and RootFinderConfig::validate.
 //
 // Every call builds its own graph and runs it on its own pool; no other
 // run shares either.  Results and per-phase operation counts are
@@ -60,6 +63,13 @@ struct ParallelConfig {
 
 struct ParallelRunResult {
   RootReport report;
+  /// The polynomial whose distinct real roots report.roots isolates:
+  /// primitive, squarefree, positive leading coefficient.  The primitive
+  /// part of the input, or its squarefree part when the run reduced
+  /// (report.squarefree_reduced, which every Sturm fallback sets).  It is
+  /// what a refinement of report's cells sharpens, and both strategies
+  /// fill it in.
+  Poly isolated;
   TaskTrace trace;          ///< replayable DAG with per-task costs
   TaskPoolStats pool;       ///< the execution that produced `trace`
   /// True when no task graph produced this report: a linear input or

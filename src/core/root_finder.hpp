@@ -88,9 +88,14 @@ RootReport find_real_roots(const Poly& p, RootFinderConfig config = {});
 namespace detail {
 
 /// Assigns a multiplicity to each computed root by locating it within the
-/// squarefree factors.  Each root's cell ((k-1)/2^mu, k/2^mu] is tested
-/// against every factor; when several roots share a cell the factor counts
-/// are consumed in order.  Shared by the finder strategies.
+/// squarefree factors.  A root alone in its cell (lo, hi] =
+/// ((k-1)/2^mu, k/2^mu] belongs to the one factor that vanishes at hi or
+/// whose sign at hi differs from its sign just right of lo: the certified
+/// filtered_sign_scaled at both ends, and sign_right_limit where the value
+/// at lo is 0.  A cell that several roots share, or whose signs do not
+/// single out exactly one factor, counts each factor's roots in it with
+/// that factor's Sturm chain (built on first need) and consumes the counts
+/// in factor order.  Shared by the finder strategies.
 std::vector<unsigned> assign_multiplicities(
     const std::vector<BigInt>& roots, std::size_t mu,
     const std::vector<SquarefreeFactor>& factors);

@@ -64,12 +64,15 @@ IsolationRun prepare_isolation(const Poly& p, const RootFinderConfig& config) {
   // Unlike the paper path -- where the remainder sequence detects repeated
   // roots as a side effect -- the radii pipeline needs squarefreeness up
   // front (Descartes subdivision does not terminate otherwise), so test
-  // with a gcd and reduce only when it is non-trivial.
-  if (run.work.degree() >= 2 &&
-      poly_gcd(run.work, run.work.derivative()).degree() > 0) {
-    run.factors = squarefree_decompose(run.work);
-    run.work = squarefree_part(run.work);
-    run.reduced = true;
+  // with a gcd and reduce with that same gcd only when it is non-trivial.
+  if (run.work.degree() >= 2) {
+    const Poly g = poly_gcd(run.work, run.work.derivative());
+    if (g.degree() > 0) {
+      SquarefreeReduction sf = squarefree_reduce(run.work, g);
+      run.factors = std::move(sf.factors);
+      run.work = std::move(sf.part);
+      run.reduced = true;
+    }
   }
   run.bound_pow2 = root_bound_pow2(run.work);
   if (run.work.degree() >= 2) {
@@ -133,6 +136,7 @@ ParallelRunResult find_real_roots_radii_parallel(
   if (run.work.degree() == 1) {
     out.report = assemble_report(
         run, config, {linear_root(run.work, config.mu_bits)}, {});
+    out.isolated = std::move(run.work);
     out.used_sequential_fallback = true;
     return out;
   }
@@ -161,6 +165,7 @@ ParallelRunResult find_real_roots_radii_parallel(
     for (const auto& st : stats) totals += st;
   }
   out.report = assemble_report(run, config, std::move(roots), totals);
+  out.isolated = std::move(run.work);
   return out;
 }
 

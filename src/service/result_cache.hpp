@@ -30,8 +30,9 @@ namespace pr::service {
 /// One memoized result: the full report at entry-report precision plus
 /// the partial artifacts a higher-precision repeat re-enters at
 /// refine_root with (the polynomial whose simple roots the report's
-/// cells isolate -- the squarefree part when the cold run reduced,
-/// otherwise the canonical input itself).  report.roots at scale
+/// cells isolate, the cold run's ParallelRunResult::isolated -- the
+/// squarefree part when it reduced, otherwise the canonical input
+/// itself).  report.roots at scale
 /// report.mu ARE the isolating cells ((k-1)/2^mu, k/2^mu], so storing the
 /// report stores the isolating intervals; the remainder sequence is
 /// deliberately not retained (refine_root never reads it, and it is

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/refine.hpp"
-#include "poly/squarefree.hpp"
 #include "support/error.hpp"
 
 namespace pr::service {
@@ -130,8 +129,8 @@ ServiceResult RootService::compute_miss(const CanonicalRequest& req) {
       if (try_refine_upgrade(entry, req, out)) return out;
     }
   }
-  return finalize_cold(
-      req, cold_report(req.canonical, req.mu_bits, req.strategy));
+  return finalize_cold(req,
+                       cold_run(req.canonical, req.mu_bits, req.strategy));
 }
 
 bool RootService::result_from_entry(
@@ -211,7 +210,7 @@ bool RootService::try_refine_upgrade(
 }
 
 ServiceResult RootService::finalize_cold(const CanonicalRequest& req,
-                                         RootReport report) {
+                                         ParallelRunResult run) {
   stats_->misses += 1;
   ServiceResult out;
   out.ok = true;
@@ -220,28 +219,25 @@ ServiceResult RootService::finalize_cold(const CanonicalRequest& req,
   if (config_.cache_enabled) {
     auto entry = std::make_shared<CacheEntry>();
     entry->canonical = req.canonical;
-    // What a later refine sharpens: the cells isolate roots of the
-    // squarefree part when the cold run reduced (or Sturm-fell-back,
-    // which reduces first), of the canonical input itself otherwise.
-    entry->refine_poly =
-        (report.squarefree_reduced || report.used_sturm_fallback)
-            ? squarefree_part(req.canonical)
-            : req.canonical;
-    entry->report = report;
+    // What a later refine sharpens: the polynomial the cold run isolated
+    // -- the squarefree part when it reduced (or Sturm-fell-back, which
+    // reduces first), the canonical input itself otherwise.
+    entry->refine_poly = std::move(run.isolated);
+    entry->report = run.report;
     entry->strategy = req.strategy;
     cache_->insert(req.hash, std::move(entry));
   }
-  out.report = std::move(report);
+  out.report = std::move(run.report);
   return out;
 }
 
-RootReport RootService::cold_report(const Poly& canonical,
-                                    std::size_t mu_bits,
-                                    FinderStrategy strategy) {
+ParallelRunResult RootService::cold_run(const Poly& canonical,
+                                        std::size_t mu_bits,
+                                        FinderStrategy strategy) {
   RootFinderConfig cfg = config_.finder;
   cfg.mu_bits = mu_bits;
   cfg.strategy = strategy;
-  return find_real_roots_parallel(canonical, cfg, config_.parallel).report;
+  return find_real_roots_parallel(canonical, cfg, config_.parallel);
 }
 
 std::shared_ptr<RootService::Flight> RootService::join_or_create_flight(

@@ -142,9 +142,10 @@ class RootService {
   /// stored cells do not isolate or refinement fails.
   bool try_refine_upgrade(const std::shared_ptr<const CacheEntry>& entry,
                           const CanonicalRequest& req, ServiceResult& out);
-  ServiceResult finalize_cold(const CanonicalRequest& req, RootReport report);
-  RootReport cold_report(const Poly& canonical, std::size_t mu_bits,
-                         FinderStrategy strategy);
+  ServiceResult finalize_cold(const CanonicalRequest& req,
+                              ParallelRunResult run);
+  ParallelRunResult cold_run(const Poly& canonical, std::size_t mu_bits,
+                             FinderStrategy strategy);
 
   std::shared_ptr<Flight> join_or_create_flight(const CanonicalRequest& req,
                                                 bool& winner);

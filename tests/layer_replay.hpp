@@ -6,7 +6,11 @@
 // public layer calls e2ebench/layers.cpp times -- stage 1 (multimodular
 // when enabled, exact otherwise), then compute_node_poly and
 // compute_node_roots in postorder -- plus the squarefree reduction, the
-// Sturm fallback and the multiplicities.  It never validates.
+// Sturm fallback and the multiplicities.  It never validates.  Its
+// squarefree reduction computes gcd(p, p') itself (the one-argument
+// squarefree_decompose and squarefree_part), and its multiplicities come
+// from sturm_count_multiplicities below, so neither leans on the
+// pipeline's stage-1 gcd or on its cell-end sign test.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -23,9 +27,44 @@
 #include "poly/bounds.hpp"
 #include "poly/remainder_sequence.hpp"
 #include "poly/squarefree.hpp"
+#include "poly/sturm.hpp"
 #include "support/error.hpp"
 
 namespace pr::test {
+
+/// Reference for detail::assign_multiplicities: a full Sturm chain per
+/// factor, and every cell's per-factor root counts consumed in factor
+/// order.  The library decides a one-root cell from the factors' signs at
+/// its ends instead; on a correct report both rules agree.
+inline std::vector<unsigned> sturm_count_multiplicities(
+    const std::vector<BigInt>& roots, std::size_t mu,
+    const std::vector<SquarefreeFactor>& factors) {
+  std::vector<SturmChain> chains;
+  chains.reserve(factors.size());
+  for (const auto& f : factors) chains.emplace_back(f.factor);
+  std::vector<int> pending(factors.size());
+  std::vector<unsigned> mult(roots.size(), 1);
+  std::size_t i = 0;
+  while (i < roots.size()) {
+    std::size_t jend = i + 1;
+    while (jend < roots.size() && roots[jend] == roots[i]) ++jend;
+    const BigInt lo = roots[i] - BigInt(1);
+    for (std::size_t f = 0; f < factors.size(); ++f) {
+      pending[f] = chains[f].count_half_open(lo, roots[i], mu);
+    }
+    for (std::size_t r = i; r < jend; ++r) {
+      for (std::size_t f = 0; f < factors.size(); ++f) {
+        if (pending[f] > 0) {
+          mult[r] = factors[f].multiplicity;
+          pending[f] -= 1;
+          break;
+        }
+      }
+    }
+    i = jend;
+  }
+  return mult;
+}
 
 /// Stage 2 on a normal sequence: every node polynomial in postorder, then
 /// every node's roots.  Afterwards each node holds its poly and roots.
@@ -93,7 +132,7 @@ inline RootReport replay_layers(const Poly& p, const RootFinderConfig& cfg) {
   report.distinct_roots = work.degree();
   report.multiplicities =
       report.squarefree_reduced
-          ? detail::assign_multiplicities(report.roots, mu, factors)
+          ? sturm_count_multiplicities(report.roots, mu, factors)
           : std::vector<unsigned>(report.roots.size(), 1);
   return report;
 }

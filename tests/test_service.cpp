@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/root_finder.hpp"
@@ -201,17 +202,28 @@ TEST_P(ServiceThreads, RefineUpgradeOfReducedAndFallbackInputs) {
   const Poly repeated = poly_from_integer_roots({-3, 1, 1, 4});
   // Non-real roots: the Sturm fallback (which also reduces first).
   const Poly complexish = Poly::parse("x^4 + x^2 + 1") * Poly::parse("x - 2");
-  for (const Poly& p : {repeated, complexish}) {
+  // The radii strategy reduces up front: its cells isolate the same
+  // squarefree part, so the upgrade matches the paper path's cold report.
+  const Poly radii_repeated = poly_from_integer_roots({-5, -5, -5, 0, 2, 2});
+  const std::pair<Poly, FinderStrategy> cases[] = {
+      {repeated, FinderStrategy::kPaper},
+      {complexish, FinderStrategy::kPaper},
+      {radii_repeated, FinderStrategy::kRadii},
+  };
+  for (const auto& [p, strategy] : cases) {
+    const std::string where =
+        p.to_string() + " " + finder_strategy_name(strategy);
     RootFinderConfig cold_cfg;
     cold_cfg.mu_bits = 20;
-    service.solve(p, 20);
+    ASSERT_TRUE(service.solve(p, 20, strategy).ok) << where;
     cold_cfg.mu_bits = 70;
     const RootReport cold_hi = find_real_roots(p, cold_cfg);
-    const auto refined = service.solve(p, 70);
+    const auto refined = service.solve(p, 70, strategy);
     ASSERT_TRUE(refined.ok) << refined.error;
-    expect_same_report(refined.report, cold_hi, p.to_string());
+    EXPECT_EQ(refined.outcome, CacheOutcome::kHitRefined) << where;
+    expect_same_report(refined.report, cold_hi, where);
   }
-  EXPECT_EQ(service.stats().hits_refined, 2u);
+  EXPECT_EQ(service.stats().hits_refined, 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ServiceThreads, ::testing::Values(1, 2, 8),
