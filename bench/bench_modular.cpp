@@ -5,8 +5,9 @@
 //               recurrence vs the multimodular stage 1 on the task graph
 //               at 1/2/4 threads, timed from the start of a
 //               find_real_roots_parallel run to the stage-1 publish task
-//               (per-prime images, the leading-pair chain and one CRT task
-//               per level);
+//               (per-prime images, the leading-pair chain and one task
+//               per level, which reconstructs the rest of a level only
+//               for the spine levels the tree reads whole);
 //   * tree:     the tree-build stage alone over the same precomputed
 //               sequence, one compute_node_poly call per node: exact
 //               T_{i,j} combines vs the modular three-term recurrence
@@ -310,13 +311,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Volume counters for one representative run (largest input, serial).
+  // Volume counters for one representative run (largest input, serial),
+  // stage 1 holding the levels the task graph holds.
   pr::instr::reset_modular();
   {
     const auto& in = inputs.back();
     const auto mcfg = modular_cfg();
-    auto rs = pr::modular::compute_remainder_sequence_multimodular(in.poly,
-                                                                   mcfg);
+    auto rs = pr::modular::compute_remainder_sequence_multimodular(
+        in.poly, mcfg, pr::Tree(in.poly.degree()).spine_levels());
     if (rs) build_tree_polys(in.poly, *rs, &mcfg);
   }
   const auto mc = pr::instr::modular_counts();
@@ -326,7 +328,7 @@ int main(int argc, char** argv) {
   std::cout << "\nwrote " << rows.size() << " rows to " << path << "\n"
             << "\nexpected: stage speedup >= 2x at every degree >= 64 and "
                "equal thread count;\nprs scales with threads: the images "
-               "and the per-level CRT tasks fan out,\nonly the leading-pair "
+               "and the per-level tasks fan out,\nonly the leading-pair "
                "chain is serial;\n"
                "bad_primes and fallbacks both 0 on these inputs.\n"
                "*-batch rows compare image batching off vs on (both arms "

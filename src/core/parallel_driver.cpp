@@ -136,11 +136,15 @@ void finish_iteration(RunState& st, int i) {
         std::to_string(i + 1) + ": degree " + std::to_string(next.degree()) +
         ", expected " + std::to_string(st.n - i - 1) + ")");
   }
-  st.rs.c[static_cast<std::size_t>(i + 1)] = next.leading();
-  st.rs.F[static_cast<std::size_t>(i + 1)] = std::move(next);
-  if (i == st.n - 1 && real_root_count(st.rs) != st.n) {
+  if (next.leading().signum() != st.rs.c[0].signum()) {
+    // A normal sequence has all n roots real exactly when every c_t has
+    // the sign of c_0 (V(+inf) = 0 and V(-inf) = n), so this level is the
+    // first to show a non-real root.  No task has read it yet, and a tree
+    // node over the levels before it stays real-rooted.
     throw NonNormalSequence("input has non-real roots");
   }
+  st.rs.c[static_cast<std::size_t>(i + 1)] = next.leading();
+  st.rs.F[static_cast<std::size_t>(i + 1)] = std::move(next);
 }
 
 /// Installs a whole stage-1 sequence computed by one task, with the same
@@ -206,11 +210,13 @@ class GraphBuilder {
   /// and the held-out image fan out with no dependencies at all, a prep
   /// task builds the CRT basis, a serial chain of one small task per level
   /// sizes it from the leading pairs and reconstructs those, and each
-  /// level's task -- released as soon as the chain has sized it --
-  /// reconstructs the rest of that level independently of the others.
-  /// One publish task waits for every level, releases the engine and
-  /// installs the sequence (or recomputes exactly when the engine
-  /// declined -- the exact path owns the extended/non-normal diagnostics).
+  /// level's task -- released as soon as the chain has sized it -- forms
+  /// Q_i and checks the level independently of the others; only for a
+  /// spine level, the F_t the tree reads whole, does it also reconstruct
+  /// the rest of the level.  One publish task waits for every level,
+  /// releases the engine and installs the partial sequence (or recomputes
+  /// exactly when the engine declined -- the exact path owns the
+  /// extended/non-normal diagnostics).
   void build_modular_remainder_stage() {
     RunState& st = st_;
     const int n = st.n;
@@ -508,7 +514,7 @@ class GraphBuilder {
       const TaskId t = g_.add(TaskKind::kSetPoly, idx, [&st, idx] {
         instr::PhaseScope phase(instr::Phase::kTreePoly);
         TreeNode& node = st.tree.node(idx);
-        node.poly = st.rs.F[static_cast<std::size_t>(node.i - 1)];
+        node.poly = st.rs.level(node.i - 1);
         node.has_t = false;
       });
       g_.add_edge(f_available(nd.i - 1), t);
@@ -696,7 +702,8 @@ ParallelRunResult run_graph(const Poly& work, const RootFinderConfig& config,
   // the explicit sequential_remainder request keeps its one-task exact
   // shape.
   if (state.modular.enabled && !parallel.sequential_remainder) {
-    auto prs = std::make_unique<modular::MultimodularPrs>(work, state.modular);
+    auto prs = std::make_unique<modular::MultimodularPrs>(
+        work, state.modular, state.tree.spine_levels());
     if (prs->worthwhile()) state.mprs = std::move(prs);
   }
   TaskGraph graph;

@@ -25,9 +25,16 @@
 // those do not decide), and RootFinderConfig::validate.
 //
 // Every call builds its own graph and runs it on its own pool; no other
-// run shares either.  Results and per-phase operation counts are
-// identical for every thread count and grain: each task is a pure
-// function of its dependencies' outputs.
+// run shares either.  Results are identical for every thread count and
+// grain: each task is a pure function of its dependencies' outputs.  So
+// are the per-phase operation counts, with one exception: a solve with
+// modular arithmetic off that stage 1 abandons -- repeated roots (F_{i+1}
+// vanishes) or a non-real root (c_{i+1} changes sign) -- counts whatever
+// tree and interval tasks started on the levels finished before that
+// point, and how many did depends on the thread count (a degree-56
+// repeated-root input counted 53,744 multiplications more than its
+// squarefree part at P = 1, and 48,262 more at P = 4).  With modular
+// arithmetic on, no tree task starts before stage 1 publishes.
 #pragma once
 
 #include "core/root_finder.hpp"

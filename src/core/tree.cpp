@@ -1,5 +1,7 @@
 #include "core/tree.hpp"
 
+#include <algorithm>
+
 #include "support/error.hpp"
 
 namespace pr {
@@ -7,6 +9,15 @@ namespace pr {
 Tree::Tree(int n) : n_(n) {
   check_arg(n >= 1, "Tree: degree must be >= 1");
   root_ = build(1, n, -1, 0);
+}
+
+std::vector<int> Tree::spine_levels() const {
+  std::vector<int> levels;
+  for (const TreeNode& nd : nodes_) {
+    if (nd.spine(n_)) levels.push_back(nd.i - 1);
+  }
+  std::sort(levels.begin(), levels.end());
+  return levels;
 }
 
 int Tree::build(int i, int j, int parent, int level) {

@@ -66,6 +66,11 @@ class Tree {
   /// Number of levels (root is level 0).
   int depth() const { return depth_; }
 
+  /// The remainder-sequence levels the tree reads whole, ascending: t =
+  /// i - 1 for every right-spine node [i, n] (P_{i,n} = F_{i-1}).  Every
+  /// other node reads only c_t and Q_t.
+  std::vector<int> spine_levels() const;
+
  private:
   int build(int i, int j, int parent, int level);
 

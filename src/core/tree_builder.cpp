@@ -46,7 +46,7 @@ void compute_node_poly(Tree& tree, int idx, const RemainderSequence& rs,
   }
   if (nd.spine(n)) {
     // P_{i,n} = F_{i-1}; no T matrix is ever needed for spine nodes.
-    nd.poly = rs.F[static_cast<std::size_t>(nd.i - 1)];
+    nd.poly = rs.level(nd.i - 1);
     nd.has_t = false;
     return;
   }

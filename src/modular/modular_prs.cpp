@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <utility>
 
 #include "instr/counters.hpp"
@@ -15,9 +16,20 @@ namespace {
 /// Held-out candidates tried before the check is declared unable to run.
 constexpr int kHoldoutCandidates = 3;
 
+/// Every level t in [0, n].
+std::vector<int> every_level(int n) {
+  std::vector<int> levels(static_cast<std::size_t>(std::max(n + 1, 0)));
+  std::iota(levels.begin(), levels.end(), 0);
+  return levels;
+}
+
 }  // namespace
 
 MultimodularPrs::MultimodularPrs(const Poly& f0, const ModularConfig& cfg)
+    : MultimodularPrs(f0, cfg, every_level(f0.degree())) {}
+
+MultimodularPrs::MultimodularPrs(const Poly& f0, const ModularConfig& cfg,
+                                 const std::vector<int>& full_levels)
     : cfg_(cfg),
       f0_(f0),
       f1_(f0.derivative()),
@@ -27,6 +39,21 @@ MultimodularPrs::MultimodularPrs(const Poly& f0, const ModularConfig& cfg)
   for (std::uint64_t p : cfg_.forced_primes) {
     check_arg((p & 1) != 0 && p < (1ull << 62) && is_prime_u64(p),
               "ModularConfig::forced_primes: odd primes below 2^62 only");
+  }
+  const auto un = static_cast<std::size_t>(n_);
+  full_.assign(un + 1, false);
+  full_[0] = full_[1] = true;
+  for (int t : full_levels) {
+    check_arg(t >= 0 && t <= n_, "MultimodularPrs: full levels in [0, n]");
+    full_[static_cast<std::size_t>(t)] = true;
+  }
+  // F_{i+1} has n - i coefficients; a level kept by its leading pair
+  // stores at most two of them.
+  row_start_.assign(un, 0);
+  for (std::size_t i = 1; i < un; ++i) {
+    const std::size_t coeffs = un - i;
+    row_start_[i] = row_start_[i - 1] +
+                    (full_[i + 1] ? coeffs : std::min<std::size_t>(coeffs, 2));
   }
   if (n_ < std::max(2, cfg_.min_degree)) return;
 
@@ -89,7 +116,7 @@ MultimodularPrs::ImageStatus MultimodularPrs::compute_image(
   // take_prime() only hands out table primes or validated forced primes.
   const PrimeField f = PrimeField::trusted(slot.prime);
   const auto un = static_cast<std::size_t>(n_);
-  slot.rows.assign(un - 1, {});
+  slot.words.resize(row_start_.back());
 
   // Rolling F_{i-1} / F_i images in Montgomery form.
   LimbReducer red(f);
@@ -130,9 +157,12 @@ MultimodularPrs::ImageStatus MultimodularPrs::compute_image(
       return all_zero ? ImageStatus::kZeroRemainder : ImageStatus::kBadPrime;
     }
 
-    auto& row = slot.rows[static_cast<std::size_t>(i - 1)];
-    row.resize(d);
-    for (std::size_t j = 0; j < d; ++j) row[j] = f.to_u64(fnext[j]);
+    // The row keeps the top row_length coefficients: all of a full
+    // level, the leading pair of any other.
+    const auto ui = static_cast<std::size_t>(i);
+    std::uint64_t* row = slot.words.data() + row_start_[ui - 1];
+    const std::size_t skip = d - row_length(ui);
+    for (std::size_t j = skip; j < d; ++j) row[j - skip] = f.to_u64(fnext[j]);
 
     fprev.swap(fcur);
     fcur.swap(fnext);
@@ -313,13 +343,15 @@ void MultimodularPrs::size_level(int i) {
   if (k == 0) return;  // latched the fallback
   levels_[ui] = {basis_, k};
 
-  // The leading pair of F_{i+1}, prime-major (one row per prime).
+  // The leading pair of F_{i+1}, prime-major (one row per prime), from
+  // the end of each row.
   const std::size_t d = static_cast<std::size_t>(n_) - ui - 1;  // its degree
   const std::size_t cnt = d > 0 ? 2 : 1;
+  const std::size_t last = row_length(ui) - 1;
   std::vector<std::uint64_t> residues(k * cnt);
   for (std::size_t s = 0; s < k; ++s) {
-    const auto& row = slots_[s].rows[ui - 1];
-    for (std::size_t c = 0; c < cnt; ++c) residues[s * cnt + c] = row[d - c];
+    const std::uint64_t* r = row(slots_[s], ui);
+    for (std::size_t c = 0; c < cnt; ++c) residues[s * cnt + c] = r[last - c];
   }
   BigInt out[2];
   basis_->reconstruct_batch(residues.data(), cnt, k, out, cnt);
@@ -344,30 +376,31 @@ void MultimodularPrs::reconstruct_level(int i) {
   const std::size_t d = static_cast<std::size_t>(n_) - ui - 1;  // deg F_{i+1}
   const LeadingPair& lead = leads_[ui + 1];
 
-  // Coefficients 0..d-2 through one batched Garner pass; the chain
-  // already reconstructed the leading pair.
-  std::vector<BigInt> coeffs(d + 1);
-  const std::size_t rest = d > 0 ? d - 1 : 0;
+  // What F_{i+1} keeps, lowest coefficient first: all of a full level, the
+  // leading pair of any other.  The chain already reconstructed the pair;
+  // the rest of a full level goes through one batched Garner pass.
+  const std::size_t len = row_length(ui);
+  std::vector<BigInt> kept(len);
+  const std::size_t rest = full_[ui + 1] && d > 0 ? d - 1 : 0;
   if (rest > 0) {
     std::vector<std::uint64_t> residues(k * rest);
     for (std::size_t s = 0; s < k; ++s) {
-      const auto& row = slots_[s].rows[ui - 1];
-      std::copy(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(rest),
+      const std::uint64_t* r = row(slots_[s], ui);
+      std::copy(r, r + rest,
                 residues.begin() + static_cast<std::ptrdiff_t>(s * rest));
     }
-    level.basis->reconstruct_batch(residues.data(), rest, k, coeffs.data(),
+    level.basis->reconstruct_batch(residues.data(), rest, k, kept.data(),
                                    rest);
   }
-  if (d > 0) coeffs[d - 1] = lead.next;
-  coeffs[d] = lead.lc;
-  Poly fnext(std::move(coeffs));
+  if (d > 0) kept[len - 2] = lead.next;
+  kept[len - 1] = lead.lc;
 
   if (cfg_.paranoid_check) {
-    // Certify the level against the held-out prime: its image of F_{i+1}
-    // must equal the reduction of the reconstructed coefficients.
-    const auto& row = holdout_.rows[ui - 1];
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      if (fnext.coeff(j).mod_u64(holdout_.prime) != row[j]) {
+    // Certify the level against the held-out prime: its image of what
+    // F_{i+1} keeps must equal the reduction of the reconstructed values.
+    const std::uint64_t* h = row(holdout_, ui);
+    for (std::size_t j = 0; j < len; ++j) {
+      if (kept[j].mod_u64(holdout_.prime) != h[j]) {
         latch_fallback();
         return;
       }
@@ -381,7 +414,7 @@ void MultimodularPrs::reconstruct_level(int i) {
   BigInt q1 = prev.lc * cur.lc;
   BigInt q0 = cur.lc * prev.next - cur.next * prev.lc;
   qs_[ui] = Poly(std::vector<BigInt>{std::move(q0), std::move(q1)});
-  fs_[ui + 1] = std::move(fnext);
+  if (full_[ui + 1]) fs_[ui + 1] = Poly(std::move(kept));
 }
 
 std::size_t MultimodularPrs::bound_bits(int t) const {
@@ -395,7 +428,8 @@ std::optional<RemainderSequence> MultimodularPrs::finalize() {
   check_internal(basis_ != nullptr, "finalize: prepare_crt did not run");
   const auto un = static_cast<std::size_t>(n_);
   for (std::size_t t = 2; t <= un; ++t) {
-    check_internal(!fs_[t].is_zero(), "finalize: a level did not run");
+    check_internal(!qs_[t - 1].is_zero() && (!full_[t] || !fs_[t].is_zero()),
+                   "finalize: a level did not run");
   }
   instr::PhaseScope phase(instr::Phase::kRemainder);
 
@@ -407,13 +441,20 @@ std::optional<RemainderSequence> MultimodularPrs::finalize() {
   rs.F = std::move(fs_);
   rs.Q = std::move(qs_);
   rs.c[0] = BigInt(f0_.leading().signum());
-  for (std::size_t t = 1; t <= un; ++t) rs.c[t] = rs.F[t].leading();
+  for (std::size_t t = 1; t <= un; ++t) rs.c[t] = leads_[t].lc;
   return rs;
 }
 
 std::optional<RemainderSequence> compute_remainder_sequence_multimodular(
     const Poly& f0, const ModularConfig& cfg) {
-  MultimodularPrs prs(f0, cfg);
+  return compute_remainder_sequence_multimodular(f0, cfg,
+                                                 every_level(f0.degree()));
+}
+
+std::optional<RemainderSequence> compute_remainder_sequence_multimodular(
+    const Poly& f0, const ModularConfig& cfg,
+    const std::vector<int>& full_levels) {
+  MultimodularPrs prs(f0, cfg, full_levels);
   if (!prs.worthwhile()) return std::nullopt;
   for (std::size_t s = 0; s < prs.num_slots(); ++s) prs.run_image(s);
   prs.run_holdout();

@@ -4,12 +4,21 @@
 // coefficients, compute the whole sequence modulo many word-sized primes
 // (each image is an independent, allocation-light word-arithmetic pass --
 // the embarrassingly parallel fan-out the TaskPool exploits) and
-// reconstruct the coefficients of F_2..F_n by CRT.
+// reconstruct by CRT what the caller reads of F_2..F_n.
+//
+// What is read: the interleaving tree reads a whole level F_t only at a
+// right-spine node [t + 1, n] (P_{t+1,n} = F_t, Eq. 5); every other node
+// needs only c_t and Q_t, and by Eqs. 15-17 those come from the two
+// leading coefficients of F_{t-1} and F_t.  So the caller names the
+// *full levels*, the F_t it must hold whole (the task graph names the
+// spine levels, Tree::spine_levels(): 5 of the 95 levels F_2..F_96 on a
+// degree-96 input); every other level keeps only its leading pair, in the
+// image rows as well as after reconstruction.  The one-call form without
+// a level set keeps every level.
 //
 // Reconstruction splits into a short serial CHAIN and independent LEVEL
-// tasks.  By Eqs. 15-17, Q_i and c_i depend only on the two leading
-// coefficients of F_{i-1} and F_i, so the chain step of level i reads
-// nothing but those leading pairs.  It bounds the coefficients of
+// tasks.  The chain step of level i reads nothing but the leading pairs
+// of F_{i-1} and F_i.  It bounds the coefficients of
 //
 //   F_{i+1} = (Q_i F_i - c_i^2 F_{i-1}) / c_{i-1}^2        (Eqs. 15-18)
 //
@@ -21,16 +30,17 @@
 // exact coefficient bits of F_0 and F_1; c_0^2 = 1), capped by the
 // Hadamard bound of crt.hpp, images more primes inline if the bound climbs
 // past the imaged prefix, and reconstructs only the leading pair of
-// F_{i+1}.  The level task of level i then reconstructs the rest of
-// F_{i+1} at the same prime count, forms the exact Q_i from the leading
-// pairs, and checks F_{i+1} against a held-out prime.  Level tasks depend
-// on the chain only, never on each other, and carry most of the Garner
-// work (89% on Jacobi-96), so it runs off the critical path.  The bound
+// F_{i+1}.  The level task of level i then forms the exact Q_i from the
+// leading pairs and checks what F_{i+1} keeps against a held-out prime;
+// for a full level it first reconstructs the rest of F_{i+1} at the same
+// prime count.  Level tasks depend on the chain only, never on each
+// other, so Q_i and the checks stay off the critical path.  The bound
 // costs 5-7% more Garner work on Jacobi-96 than one over the actual bits
 // of F_{i-1} and F_i would, which needs those levels complete.  Every
-// coefficient is reconstructed exactly once under a proven bound, so the
-// result is bit-identical to compute_remainder_sequence() on every normal
-// input.
+// value kept (a leading pair, or the rest of a full level) is
+// reconstructed exactly once under a proven bound, so every level held,
+// every c_t and every Q_t are bit-identical to
+// compute_remainder_sequence()'s on every normal input.
 //
 // A prime p is *bad* when some image leading coefficient vanishes mod p
 // while the true F_i does not -- the image recurrence then diverges from
@@ -41,8 +51,8 @@
 // sequence) -- we hand the input back to the exact path, which owns the
 // extension logic, rather than guessing.  The same happens when
 // replacements exceed a small cap (a non-normal input makes *every* prime
-// look bad), when a level fails the held-out-prime check, and when the
-// check cannot run because no held-out candidate images.
+// look bad), when a reconstructed value fails the held-out-prime check,
+// and when the check cannot run because no held-out candidate images.
 //
 // The split API (image tasks, prepare_crt, the chain's size_level, the
 // independent reconstruct_level, finalize) exists so the parallel driver
@@ -72,8 +82,14 @@ inline constexpr double kImageBatchMinTaskUnits = 20000.0;
 class MultimodularPrs {
  public:
   /// Chooses the prime slots and the held-out candidates deterministically
-  /// from f0 (degree >= 1).
+  /// from f0 (degree >= 1).  Every level F_2..F_n is reconstructed in full.
   MultimodularPrs(const Poly& f0, const ModularConfig& cfg);
+  /// As above, but only the levels F_t with t in full_levels (each in
+  /// [0, n]) are reconstructed in full; F_0 and F_1 are the input and its
+  /// derivative, always held.  Every other level keeps its leading pair,
+  /// which gives its c_t and the Q_t around it.
+  MultimodularPrs(const Poly& f0, const ModularConfig& cfg,
+                  const std::vector<int>& full_levels);
 
   /// False when the input is too small for the fast path to pay off
   /// (degree below cfg.min_degree, or fewer than 3 primes needed); the
@@ -142,24 +158,29 @@ class MultimodularPrs {
   /// fallback when c_{i+1} reconstructs to 0.  Must run after
   /// size_level(i-1) (prepare_crt for i == 1).
   void size_level(int i);
-  /// Level task of level i: the rest of F_{i+1}, the exact Q_i and the
-  /// held-out check.  Must run after size_level(i); level tasks may run
-  /// concurrently with each other and with later chain steps.
+  /// Level task of level i: the rest of F_{i+1} when it is a full level,
+  /// the held-out check of what F_{i+1} keeps, and the exact Q_i.  Must
+  /// run after size_level(i); level tasks may run concurrently with each
+  /// other and with later chain steps.
   void reconstruct_level(int i);
 
   /// The chain bound B_t on the coefficient bits of F_t, t in [0, n]: the
   /// exact bits for t <= 1, and valid after size_level(t - 1) otherwise.
   std::size_t bound_bits(int t) const;
 
-  /// Assembles the sequence from the levels.  nullopt == use the exact
-  /// path.
+  /// Assembles the sequence from the chain and the full levels: every c_t
+  /// and Q_t, and F_t for the full levels only (RemainderSequence::F[t]
+  /// stays empty off them).  nullopt == use the exact path.
   std::optional<RemainderSequence> finalize();
 
  private:
   struct Slot {
     std::uint64_t prime = 0;
-    /// rows[i-2][j] = canonical residue of coeff j of F_i, i in [2, n].
-    std::vector<std::vector<std::uint64_t>> rows;
+    /// Canonical residues of F_2..F_n, one row per level at row_start_:
+    /// every coefficient of a full level, lowest first, and only the
+    /// leading pair (next, lc) of any other, so a row ends with its
+    /// leading pair either way.
+    std::vector<std::uint64_t> words;
     bool ok = false;
   };
   enum class ImageStatus { kOk, kBadPrime, kZeroRemainder };
@@ -178,6 +199,13 @@ class MultimodularPrs {
 
   std::uint64_t take_prime();
   ImageStatus compute_image(Slot& slot) const;
+  /// The row of F_{i+1} in `slot` and its length.
+  const std::uint64_t* row(const Slot& slot, std::size_t i) const {
+    return slot.words.data() + row_start_[i - 1];
+  }
+  std::size_t row_length(std::size_t i) const {
+    return row_start_[i] - row_start_[i - 1];
+  }
   void latch_fallback();
   /// A basis over the primes of slots [0, count).
   std::shared_ptr<const CrtBasis> basis_over(std::size_t count) const;
@@ -195,6 +223,10 @@ class MultimodularPrs {
   int replacement_cap_ = 0;
   std::size_t eager_ = 0;        // prefix of slots_ imaged up front
   std::size_t images_done_ = 0;  // chain-only, set by prepare_crt
+  std::vector<bool> full_;       // [t], t in [0, n]
+  // Row of F_{i+1} (i in [1, n-1]) in Slot::words: [row_start_[i-1],
+  // row_start_[i]).
+  std::vector<std::size_t> row_start_;
 
   std::vector<Slot> slots_;
   std::vector<std::uint64_t> holdout_primes_;  // drawn after the slots
@@ -213,15 +245,22 @@ class MultimodularPrs {
 
   // Level outputs: entry i + 1 of fs_ and entry i of qs_ are written by
   // reconstruct_level(i) alone.
-  std::vector<Poly> fs_;  // F_0..F_n
+  std::vector<Poly> fs_;  // F_0..F_n; empty off the full levels
   std::vector<Poly> qs_;  // Q_1..Q_{n-1} (index i)
 };
 
 /// One-call driver: the split API inline on the caller, in an order the
-/// driver's graph allows, then finalize.  nullopt == caller should run
-/// the exact compute_remainder_sequence (always correct: the fast path
-/// never guesses).
+/// driver's graph allows, then finalize.  Every level is held.  nullopt ==
+/// caller should run the exact compute_remainder_sequence (always correct:
+/// the fast path never guesses).
 std::optional<RemainderSequence> compute_remainder_sequence_multimodular(
     const Poly& f0, const ModularConfig& cfg);
+/// The same with only the levels in full_levels held whole (see the
+/// MultimodularPrs constructor): a partial sequence.  Given
+/// Tree(f0.degree()).spine_levels() it runs exactly what the task graph
+/// runs.
+std::optional<RemainderSequence> compute_remainder_sequence_multimodular(
+    const Poly& f0, const ModularConfig& cfg,
+    const std::vector<int>& full_levels);
 
 }  // namespace pr::modular

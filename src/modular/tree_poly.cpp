@@ -92,17 +92,13 @@ void ModularTreePolys::fill(Slot& slot) const {
   const PrimeField f = PrimeField::trusted(slot.prime);
   LimbReducer red(f);
   const auto m = static_cast<std::size_t>(hi_ - lo_ + 1);  // steps lo..hi
-  // Index x stands for F_t, t = lo-1+x, x in [0, m]: its two leading
-  // coefficients give c_t (c_0 = sign(lc F_0), so c_0^2 == 1) and, by
-  // Eqs. 15-17, Q_t -- reducing them costs under half the limbs of
-  // reducing Q_t's own coefficients.  Step x inverts csq[x].
-  std::vector<Zp> lead(m + 1), next(m + 1), csq(m + 1);
+  // c[x] = c_t and csq[x] = c_t^2, t = lo-1+x, x in [0, m] (c_0 =
+  // sign(lc F_0), so c_0^2 == 1).  Step x inverts csq[x].
+  std::vector<Zp> c(m + 1), csq(m + 1);
   for (std::size_t x = 0; x <= m; ++x) {
     const std::size_t t = static_cast<std::size_t>(lo_ - 1) + x;
-    const Poly& ft = rs_.F[t];
-    lead[x] = red.reduce(ft.leading());
-    next[x] = red.reduce(ft.coeff(static_cast<std::size_t>(ft.degree()) - 1));
-    csq[x] = t == 0 ? f.one() : f.mul(lead[x], lead[x]);
+    c[x] = red.reduce(rs_.c[t]);
+    csq[x] = t == 0 ? f.one() : f.mul(c[x], c[x]);
   }
   slot.good = true;
   for (std::size_t x = 0; x < m; ++x) {
@@ -124,11 +120,12 @@ void ModularTreePolys::fill(Slot& slot) const {
     if (!step_used_[x]) continue;
     const Zp inv_x = f.mul(inv, prefix[x]);  // 1 / c_{t-1}^2, t = lo + x
     inv = f.mul(inv, csq[x]);
-    // Q_t = q1 x + q0: q1 = lc(F_{t-1}) lc(F_t),
-    // q0 = lc(F_t) f_{t-1,d} - f_{t,d-1} lc(F_{t-1}), d = deg F_t.
-    const Zp q1 = f.mul(lead[x], lead[x + 1]);
-    const Zp q0 =
-        f.sub(f.mul(lead[x + 1], next[x]), f.mul(next[x + 1], lead[x]));
+    // Q_t = q1 x + q0 with q1 = lc(F_{t-1}) c_t (Eqs. 15-17): that is
+    // c_{t-1} c_t, except at t == 1, where lc(F_0) is not c_0 = +-1.
+    const std::size_t t = static_cast<std::size_t>(lo_) + x;
+    const Zp q1 =
+        t == 1 ? red.reduce(rs_.Q[t].coeff(1)) : f.mul(c[x], c[x + 1]);
+    const Zp q0 = red.reduce(rs_.Q[t].coeff(0));
     slot.steps[x] = Step{f.mul(q1, inv_x), f.mul(q0, inv_x),
                          f.mul(csq[x + 1], inv_x), csq[x]};
   }

@@ -14,9 +14,11 @@
 // and P_{i,j} = T_{i,j}(2,2) is the node's polynomial.  Every intermediate
 // P_{i,t} is itself a tree polynomial, hence integral, so every division
 // is exact; modulo a prime p not dividing c_{i-1} .. c_{j-1} it is a
-// multiplication by the inverse of c_{t-1}^2.  A node therefore needs only
-// the residues of the remainder sequence, never its children's T matrices,
-// and only P_{i,j} is reconstructed by CRT.
+// multiplication by the inverse of c_{t-1}^2.  A node therefore reads only
+// the residues of c_t and Q_t -- never a whole level F_t, nor its
+// children's T matrices -- so a partial remainder sequence (see
+// RemainderSequence::F) serves it as well as a full one, and only P_{i,j}
+// is reconstructed by CRT.
 //
 // The coefficient bound is chained through the same recurrence with exact
 // bit lengths (b = bit length, B_t bounds the coefficient bits of P_{i,t}):
@@ -54,7 +56,8 @@ class ModularTreePolys {
  public:
   /// Node ranges [i, j] with 1 <= i < j < rs.n (internal non-spine tree
   /// nodes).  Validates cfg.forced_primes.  Keeps a reference to rs, which
-  /// must outlive this object and be complete before set_up().
+  /// must outlive this object and hold every c_t and Q_t before set_up();
+  /// its F is never read.
   ModularTreePolys(const RemainderSequence& rs,
                    std::vector<std::pair<int, int>> nodes,
                    const ModularConfig& cfg);

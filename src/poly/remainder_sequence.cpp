@@ -5,6 +5,18 @@
 
 namespace pr {
 
+bool RemainderSequence::has_level(int t) const {
+  check_arg(t >= 0 && t <= n && F.size() == static_cast<std::size_t>(n) + 1,
+            "RemainderSequence: level t in [0, n]");
+  return !F[static_cast<std::size_t>(t)].is_zero() || (extended() && t == n);
+}
+
+const Poly& RemainderSequence::level(int t) const {
+  check_arg(has_level(t),
+            "RemainderSequence: a partial sequence does not hold this level");
+  return F[static_cast<std::size_t>(t)];
+}
+
 void quotient_coeffs(const Poly& f_prev, const Poly& f_cur, BigInt& q1,
                      BigInt& q0) {
   check_arg(f_prev.degree() == f_cur.degree() + 1,
@@ -103,14 +115,14 @@ RemainderSequence compute_remainder_sequence(const Poly& f0) {
 int real_root_count(const RemainderSequence& rs) {
   check_arg(!rs.extended(),
             "real_root_count: requires a non-extended sequence");
+  // Normal: lc F_t has the sign of c_t (c_0 is that sign) and
+  // deg F_t == n - t.
   const auto variations = [&](bool at_neg_inf) {
     int count = 0;
     int prev = 0;
-    for (int i = 0; i <= rs.n; ++i) {
-      const Poly& f = rs.F[static_cast<std::size_t>(i)];
-      if (f.is_zero()) continue;
-      int s = f.leading().signum();
-      if (at_neg_inf && f.degree() % 2 != 0) s = -s;
+    for (int t = 0; t <= rs.n; ++t) {
+      int s = rs.c[static_cast<std::size_t>(t)].signum();
+      if (at_neg_inf && (rs.n - t) % 2 != 0) s = -s;
       if (prev != 0 && s != prev) ++count;
       prev = s;
     }

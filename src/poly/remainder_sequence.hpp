@@ -21,7 +21,10 @@ namespace pr {
 struct RemainderSequence {
   /// F[0..n]; in the normal case deg F[i] == n-i and F[n] is a nonzero
   /// constant.  In the extended (repeated-root) case F[i] == 1 for
-  /// nstar <= i < n and F[n] == 0 (Eqs. 10-11).
+  /// nstar <= i < n and F[n] == 0 (Eqs. 10-11).  A *partial* sequence
+  /// (the multimodular engine's, given a level set) is normal and leaves
+  /// F[t] empty off that set; Q and c are complete in both shapes, so
+  /// read a whole level through level(t), which refuses an absent one.
   std::vector<Poly> F;
   /// Q[1..n-1] (Q[0] unused).  Linear in the normal case; Q[i] == 1 for
   /// nstar <= i < n in the extended case (Eq. 12).
@@ -34,6 +37,12 @@ struct RemainderSequence {
   int nstar = 0;  ///< number of distinct roots (== n iff not extended)
 
   bool extended() const { return nstar < n; }
+  /// Whether F[t] is held, t in [0, n]: every level of a full sequence
+  /// (F[n] == 0 of an extended one included), only the level set of a
+  /// partial one.
+  bool has_level(int t) const;
+  /// F[t]; throws InvalidArgument when a partial sequence does not hold it.
+  const Poly& level(int t) const;
   /// gcd(F_0, F_0') (primitive); degree 0 when the roots are distinct.
   Poly gcd_part;
 };
@@ -60,7 +69,9 @@ RemainderSequence compute_remainder_sequence(const Poly& f0);
 /// Number of distinct real roots of F_0, read off a *non-extended*
 /// sequence for free: {F_i} is a Sturm chain (each F_{i+1} is the negated
 /// true remainder up to a positive constant), so the variation difference
-/// at -inf/+inf counts real roots.  Lets the driver reject inputs with
+/// at -inf/+inf counts real roots.  A non-extended sequence is normal, so
+/// the signs come from c_t and the degrees n - t alone, and a partial
+/// sequence counts like the full one.  Lets the driver reject inputs with
 /// complex roots before running the tree stage (whose correctness assumes
 /// all roots real).
 int real_root_count(const RemainderSequence& rs);

@@ -168,6 +168,11 @@ bool verify_remainder_sequence_mod(const RemainderSequence& rs,
             "verify_remainder_sequence_mod: requires a normal sequence");
   check_arg(rs.n >= 1 && rs.F.size() == static_cast<std::size_t>(rs.n) + 1,
             "verify_remainder_sequence_mod: malformed sequence");
+  for (int t = 0; t <= rs.n; ++t) {
+    check_arg(rs.has_level(t),
+              "verify_remainder_sequence_mod: a partial sequence does not "
+              "hold every level");
+  }
 
   const PrimeField f(prime);
   PolyZp prev = PolyZp::from_poly(rs.F[0], f);

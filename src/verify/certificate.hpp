@@ -68,8 +68,10 @@ RootCertificate certify_cells(const Poly& squarefree,
 /// compares it against the reduction of every stored F_i.  Returns false
 /// on any mismatch.  A prime at which some leading coefficient vanishes
 /// makes the remaining levels inconclusive; the check then stops early and
-/// passes (pick another prime).  `prime` must be an odd prime below 2^62.
-/// Appends a diagnostic to `why` (if non-null) on failure.
+/// passes (pick another prime).  `prime` must be an odd prime below 2^62,
+/// and the sequence must hold every level: a partial one throws
+/// InvalidArgument.  Appends a diagnostic to `why` (if non-null) on
+/// failure.
 bool verify_remainder_sequence_mod(const RemainderSequence& rs,
                                    std::uint64_t prime,
                                    std::string* why = nullptr);

@@ -6,7 +6,9 @@
 // public layer calls e2ebench/layers.cpp times -- stage 1 (multimodular
 // when enabled, exact otherwise), then compute_node_poly and
 // compute_node_roots in postorder -- plus the squarefree reduction, the
-// Sturm fallback and the multiplicities.  It never validates.  Its
+// Sturm fallback and the multiplicities.  Its multimodular stage 1 holds
+// only the tree's spine levels in full, as the graph's does, so both
+// reconstruct the same values.  It never validates.  Its
 // squarefree reduction computes gcd(p, p') itself (the one-argument
 // squarefree_decompose and squarefree_part), and its multiplicities come
 // from sturm_count_multiplicities below, so neither leans on the
@@ -94,8 +96,8 @@ inline RootReport replay_layers(const Poly& p, const RootFinderConfig& cfg) {
   };
   const auto stage1 = [&] {
     if (cfg.modular.enabled) {
-      auto rs =
-          modular::compute_remainder_sequence_multimodular(work, cfg.modular);
+      auto rs = modular::compute_remainder_sequence_multimodular(
+          work, cfg.modular, Tree(work.degree()).spine_levels());
       if (rs) return std::move(*rs);
     }
     return compute_remainder_sequence(work);

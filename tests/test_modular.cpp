@@ -12,6 +12,8 @@
 
 #include "core/parallel_driver.hpp"
 #include "core/root_finder.hpp"
+#include "core/tree.hpp"
+#include "core/tree_builder.hpp"
 #include "gen/classic_polys.hpp"
 #include "gen/matrix_polys.hpp"
 #include "instr/counters.hpp"
@@ -20,6 +22,7 @@
 #include "modular/crt.hpp"
 #include "modular/modular_prs.hpp"
 #include "modular/polyzp.hpp"
+#include "modular/tree_poly.hpp"
 #include "modular/zp.hpp"
 #include "poly/remainder_sequence.hpp"
 #include "support/error.hpp"
@@ -62,6 +65,43 @@ void expect_sequences_equal(const RemainderSequence& a,
     EXPECT_EQ(a.c[i], b.c[i]) << what << ": c_" << i;
   }
   EXPECT_EQ(a.gcd_part, b.gcd_part) << what;
+}
+
+/// The levels the task graph holds whole for a degree-n input.
+std::vector<int> graph_levels(const Poly& f0) {
+  return Tree(f0.degree()).spine_levels();
+}
+
+/// A partial sequence against the exact one: F_0, F_1 and the levels in
+/// `levels` equal and nothing else held, every Q_t and c_t equal.
+void expect_partial_matches(const RemainderSequence& exact,
+                            const RemainderSequence& partial,
+                            const std::vector<int>& levels,
+                            const std::string& what) {
+  ASSERT_EQ(exact.n, partial.n) << what;
+  ASSERT_EQ(exact.nstar, partial.nstar) << what;
+  ASSERT_EQ(exact.F.size(), partial.F.size()) << what;
+  ASSERT_EQ(exact.Q.size(), partial.Q.size()) << what;
+  ASSERT_EQ(exact.c.size(), partial.c.size()) << what;
+  std::vector<bool> held(exact.F.size(), false);
+  held[0] = held[1] = true;
+  for (int t : levels) held[static_cast<std::size_t>(t)] = true;
+  for (std::size_t t = 0; t < held.size(); ++t) {
+    const int level = static_cast<int>(t);
+    EXPECT_EQ(partial.has_level(level), held[t]) << what << ": F_" << t;
+    if (held[t]) {
+      EXPECT_EQ(partial.F[t], exact.F[t]) << what << ": F_" << t;
+    } else {
+      EXPECT_TRUE(partial.F[t].is_zero()) << what << ": F_" << t;
+    }
+  }
+  for (std::size_t i = 1; i < exact.Q.size(); ++i) {
+    EXPECT_EQ(exact.Q[i], partial.Q[i]) << what << ": Q_" << i;
+  }
+  for (std::size_t i = 0; i < exact.c.size(); ++i) {
+    EXPECT_EQ(exact.c[i], partial.c[i]) << what << ": c_" << i;
+  }
+  EXPECT_EQ(exact.gcd_part, partial.gcd_part) << what;
 }
 
 // --- primes and fields ------------------------------------------------------
@@ -372,14 +412,22 @@ TEST(MultimodularPrs, DifferentialSweepAgainstExact) {
   for (const auto& [degree, span] : cases) {
     const Poly f0 = random_poly(degree, span, rng);
     const RemainderSequence exact = compute_remainder_sequence(f0);
-    instr::reset_modular();
     auto fast =
         modular::compute_remainder_sequence_multimodular(f0, forced_on());
-    const instr::ModularCounts inline_counts = instr::modular_counts();
     ASSERT_TRUE(fast.has_value()) << "degree " << degree;
     expect_sequences_equal(exact, *fast, "sweep");
+    // The task graph reconstructs the values of the one-call form given
+    // its level set, at every thread count.
+    const std::string where = "degree " + std::to_string(degree);
+    const std::vector<int> levels = graph_levels(f0);
+    instr::reset_modular();
+    const auto partial =
+        modular::compute_remainder_sequence_multimodular(f0, forced_on(),
+                                                         levels);
+    const instr::ModularCounts inline_counts = instr::modular_counts();
+    ASSERT_TRUE(partial.has_value()) << where;
+    expect_partial_matches(exact, *partial, levels, where);
     EXPECT_EQ(inline_counts.fallbacks, 0u);
-    // The task graph reconstructs the same values at every thread count.
     for (int threads : {1, 2, 4}) {
       ParallelConfig pc;
       pc.num_threads = threads;
@@ -524,24 +572,32 @@ TEST(MultimodularPrs, PrimeDividingLeadingCoeffSkippedAtSelection) {
   EXPECT_EQ(instr::modular_counts().bad_primes, 0u);
 }
 
+/// Inputs of every shape the chain meets: Jacobi and Berkowitz inputs,
+/// classic families, clustered roots, and non-monic wide inputs, which
+/// would catch a Q_1 taken from c_0 = +-1 instead of lc(F_0).
+std::vector<std::pair<std::string, Poly>> chain_inputs() {
+  Prng rng(0xc4a1);
+  std::vector<std::pair<std::string, Poly>> inputs;
+  inputs.emplace_back("jacobi-24", random_jacobi_poly(24, 9, rng));
+  inputs.emplace_back("jacobi-64", random_jacobi_poly(64, 9, rng));
+  inputs.emplace_back("jacobi-96", random_jacobi_poly(96, 9, rng));
+  inputs.emplace_back("berkowitz-64", paper_input(64, rng).poly);
+  inputs.emplace_back("wilkinson-30", wilkinson(30));
+  inputs.emplace_back("hermite-40", hermite(40));
+  inputs.emplace_back("legendre-40", legendre_scaled(40));
+  inputs.emplace_back("clustered-16",
+                      clustered_rational_roots(16, 1000003, 50, rng));
+  inputs.emplace_back("random-12-wide",
+                      random_poly(12, 1000000000000000LL, rng));
+  inputs.emplace_back("random-40-wide", random_poly(40, 1000000000000LL, rng));
+  return inputs;
+}
+
 TEST(MultimodularPrs, ChainBoundCoversEveryLevel) {
   // B_t must bound the actual coefficient bits of every F_t and stay
   // within the Hadamard bound.  The non-monic wide inputs would catch a
   // Q_1 bound taken from c_0 = +-1 instead of lc(F_0).
-  Prng rng(0xc4a1);
-  std::vector<std::pair<std::string, Poly>> inputs = {
-      {"jacobi-24", random_jacobi_poly(24, 9, rng)},
-      {"jacobi-64", random_jacobi_poly(64, 9, rng)},
-      {"jacobi-96", random_jacobi_poly(96, 9, rng)},
-      {"berkowitz-64", paper_input(64, rng).poly},
-      {"wilkinson-30", wilkinson(30)},
-      {"hermite-40", hermite(40)},
-      {"legendre-40", legendre_scaled(40)},
-      {"clustered-16", clustered_rational_roots(16, 1000003, 50, rng)},
-      {"random-12-wide", random_poly(12, 1000000000000000LL, rng)},
-      {"random-40-wide", random_poly(40, 1000000000000LL, rng)},
-  };
-  for (const auto& [name, f0] : inputs) {
+  for (const auto& [name, f0] : chain_inputs()) {
     const RemainderSequence exact = compute_remainder_sequence(f0);
     modular::MultimodularPrs prs(f0, forced_on());
     ASSERT_TRUE(prs.worthwhile()) << name;
@@ -571,19 +627,22 @@ TEST(MultimodularPrs, ChainBoundCoversEveryLevel) {
 TEST(MultimodularPrs, BatchDeterminismMatrix) {
   Prng rng(0xba7c4);
   // Batched vs per-image tasks at 1/2/4 threads on the task graph: the
-  // same values are reconstructed as by the one-call form, and a
-  // real-rooted input keeps its exact report.  Partitioning is
-  // scheduling, never arithmetic.
+  // same values are reconstructed as by the one-call form given the
+  // graph's level set, and a real-rooted input keeps its exact report.
+  // Partitioning is scheduling, never arithmetic.
   const Poly inputs[] = {random_poly(30, 1000000LL, rng),
                          random_jacobi_poly(40, 6, rng)};
   for (const Poly& f0 : inputs) {
     const RemainderSequence exact = compute_remainder_sequence(f0);
-    instr::reset_modular();
     const auto fast =
         modular::compute_remainder_sequence_multimodular(f0, forced_on());
-    const instr::ModularCounts inline_counts = instr::modular_counts();
     ASSERT_TRUE(fast.has_value());
     expect_sequences_equal(exact, *fast, "one-call");
+    instr::reset_modular();
+    ASSERT_TRUE(modular::compute_remainder_sequence_multimodular(
+                    f0, forced_on(), graph_levels(f0))
+                    .has_value());
+    const instr::ModularCounts inline_counts = instr::modular_counts();
     const bool real_rooted = real_root_count(exact) == exact.n;
     RootReport want;
     if (real_rooted) want = find_real_roots(f0, RootFinderConfig{});
@@ -621,11 +680,16 @@ TEST(ModularEscalation, GraphMatchesExactPastTheEagerPrefix) {
     ASSERT_TRUE(probe.worthwhile()) << name;
 
     const RemainderSequence exact = compute_remainder_sequence(f0);
-    instr::reset_modular();
     const auto fast = modular::compute_remainder_sequence_multimodular(f0, mod);
-    const instr::ModularCounts inline_counts = instr::modular_counts();
     ASSERT_TRUE(fast.has_value()) << name;
     expect_sequences_equal(exact, *fast, name.c_str());
+    const std::vector<int> levels = graph_levels(f0);
+    instr::reset_modular();
+    const auto partial =
+        modular::compute_remainder_sequence_multimodular(f0, mod, levels);
+    const instr::ModularCounts inline_counts = instr::modular_counts();
+    ASSERT_TRUE(partial.has_value()) << name;
+    expect_partial_matches(exact, *partial, levels, name);
     EXPECT_GT(inline_counts.images, probe.num_slots()) << name;
 
     RootFinderConfig off;
@@ -641,6 +705,27 @@ TEST(ModularEscalation, GraphMatchesExactPastTheEagerPrefix) {
       test::expect_same_report(want, got, where);
     }
   }
+}
+
+TEST(MultimodularPrs, GraphReconstructsLessThanEveryLevel) {
+  // The graph holds only the spine levels whole (5 of the 95 levels
+  // F_2..F_96 here), so it reconstructs fewer values than the one-call
+  // form that holds every level, from the same images.
+  Prng rng(0x96);
+  const Poly f0 = random_jacobi_poly(96, 9, rng);
+  ModularConfig mod;
+  mod.enabled = true;
+  instr::reset_modular();
+  ASSERT_TRUE(
+      modular::compute_remainder_sequence_multimodular(f0, mod).has_value());
+  const instr::ModularCounts every = instr::modular_counts();
+  ParallelConfig pc;
+  pc.num_threads = 2;
+  const instr::ModularCounts graph = graph_stage1_counts(f0, mod, pc);
+  EXPECT_EQ(graph.fallbacks, 0u);
+  EXPECT_EQ(every.images, graph.images);
+  EXPECT_GT(every.crt_values, graph.crt_values);
+  EXPECT_GT(every.crt_limbs, graph.crt_limbs);
 }
 
 TEST(MultimodularPrs, ImageBatchSizingCoversEverySlot) {
@@ -662,6 +747,122 @@ TEST(MultimodularPrs, ImageBatchSizingCoversEverySlot) {
   modular::MultimodularPrs unbatched(f0, cfg);
   EXPECT_EQ(unbatched.image_batch(8), 1u);
   EXPECT_EQ(unbatched.num_image_tasks(1), unbatched.num_slots());
+}
+
+// --- partial sequences -----------------------------------------------------
+
+TEST(MultimodularPartial, HeldLevelsAndEveryCAndQMatchExact) {
+  // The graph's level set on every chain input, and on the primitive
+  // hermite(40), whose bound climbs past the eager prefix: the chain
+  // images more primes while earlier level tasks hold their basis.
+  auto inputs = chain_inputs();
+  inputs.emplace_back("hermite-40 primitive", hermite(40).primitive_part());
+  for (const auto& [name, f0] : inputs) {
+    const RemainderSequence exact = compute_remainder_sequence(f0);
+    const std::vector<int> levels = graph_levels(f0);
+    instr::reset_modular();
+    const auto partial =
+        modular::compute_remainder_sequence_multimodular(f0, forced_on(),
+                                                         levels);
+    ASSERT_TRUE(partial.has_value()) << name;
+    expect_partial_matches(exact, *partial, levels, name);
+    EXPECT_EQ(real_root_count(*partial), real_root_count(exact)) << name;
+    if (name == "hermite-40 primitive") {
+      const modular::MultimodularPrs probe(f0, forced_on());
+      EXPECT_GT(instr::modular_counts().images, probe.num_slots()) << name;
+    }
+  }
+}
+
+TEST(MultimodularPartial, TreePolysMatchFromEitherShape) {
+  // Non-spine nodes read only c_t and Q_t, spine nodes their held level:
+  // the whole tree comes out as the exact T_{i,j} combines give it.
+  for (const auto& [name, f0] : chain_inputs()) {
+    if (name != "jacobi-64" && name != "berkowitz-64" &&
+        name != "random-40-wide") {
+      continue;
+    }
+    const int n = f0.degree();
+    const RemainderSequence exact = compute_remainder_sequence(f0);
+    const auto partial = modular::compute_remainder_sequence_multimodular(
+        f0, forced_on(), graph_levels(f0));
+    ASSERT_TRUE(partial.has_value()) << name;
+
+    Tree want(n), got(n);
+    const ModularConfig mod = forced_on();
+    for (int idx : want.postorder()) compute_node_poly(want, idx, exact);
+    for (int idx : got.postorder()) {
+      compute_node_poly(got, idx, *partial, &mod);
+    }
+    std::vector<std::pair<int, int>> ranges;
+    std::vector<int> internal;
+    for (int idx : want.postorder()) {
+      const TreeNode& nd = want.node(idx);
+      EXPECT_EQ(got.node(idx).poly, nd.poly)
+          << name << ": [" << nd.i << ", " << nd.j << "]";
+      if (!nd.empty() && !nd.leaf() && !nd.spine(n)) {
+        ranges.emplace_back(nd.i, nd.j);
+        internal.push_back(idx);
+      }
+    }
+    // One shared table over every internal non-spine node, as the graph
+    // builds it, from each shape.
+    modular::ModularTreePolys from_partial(*partial, ranges, mod);
+    modular::ModularTreePolys from_full(exact, ranges, mod);
+    for (auto* table : {&from_partial, &from_full}) {
+      table->set_up();
+      table->compute_residues(0, 1);
+      table->publish();
+    }
+    for (std::size_t k = 0; k < ranges.size(); ++k) {
+      const Poly& p = want.node(internal[k]).poly;
+      EXPECT_EQ(from_partial.node_poly(k), p) << name << ": node " << k;
+      EXPECT_EQ(from_full.node_poly(k), p) << name << ": node " << k;
+    }
+  }
+}
+
+TEST(MultimodularPartial, AbsentLevelsAreNeverReadAsZero) {
+  Prng rng(0xab5);
+  const Poly f0 = random_jacobi_poly(40, 9, rng);
+  const int n = f0.degree();
+  const auto full =
+      modular::compute_remainder_sequence_multimodular(f0, forced_on());
+  // No level beyond F_0 and F_1 held.
+  const auto bare =
+      modular::compute_remainder_sequence_multimodular(f0, forced_on(), {});
+  ASSERT_TRUE(full.has_value());
+  ASSERT_TRUE(bare.has_value());
+
+  // Every c_t is there: all 40 roots are real, counted from c alone.
+  EXPECT_EQ(real_root_count(*bare), n);
+  for (int t = 2; t <= n; ++t) {
+    EXPECT_FALSE(bare->has_level(t)) << t;
+    EXPECT_THROW((void)bare->level(t), InvalidArgument) << t;
+    EXPECT_EQ(full->level(t), full->F[static_cast<std::size_t>(t)]) << t;
+  }
+
+  const std::uint64_t p = modular::nth_modulus(0);
+  EXPECT_TRUE(verify_remainder_sequence_mod(*full, p));
+  EXPECT_THROW((void)verify_remainder_sequence_mod(*bare, p), InvalidArgument);
+
+  // A spine node over an absent level refuses; the root reads F_0.
+  Tree tree(n);
+  const ModularConfig mod = forced_on();
+  int spine_nodes = 0;
+  for (int idx : tree.postorder()) {
+    const TreeNode& nd = tree.node(idx);
+    if (!nd.spine(n)) continue;
+    ++spine_nodes;
+    if (nd.i - 1 <= 1) {
+      compute_node_poly(tree, idx, *bare, &mod);
+      EXPECT_EQ(tree.node(idx).poly, full->level(nd.i - 1));
+    } else {
+      EXPECT_THROW(compute_node_poly(tree, idx, *bare, &mod), InvalidArgument)
+          << "[" << nd.i << ", " << n << "]";
+    }
+  }
+  EXPECT_GE(spine_nodes, 3);
 }
 
 // --- multimodular tree polynomials ------------------------------------------

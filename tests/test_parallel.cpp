@@ -7,6 +7,7 @@
 #include <map>
 
 #include "gen/classic_polys.hpp"
+#include "gen/hard_polys.hpp"
 #include "gen/matrix_polys.hpp"
 #include "instr/counters.hpp"
 #include "layer_replay.hpp"
@@ -336,12 +337,16 @@ TEST(ParallelDriver, PerPhaseCountsMatchLayerReplay) {
 
 // Inputs off the paper's path -- repeated roots, non-normal sequences,
 // complex roots -- give the same full report through both entry points at
-// any thread count, and the same as the layer replay.
+// any thread count, and the same as the layer replay.  The random draws
+// have complex roots and normal sequences: stage 1 must reject each at the
+// first leading coefficient whose sign differs from c_0, before a tree
+// task reads that level, and the Sturm baseline must answer.
 TEST(ParallelDriver, FallbackInputsMatchAcrossEntryPoints) {
   struct Case {
-    const char* name;
+    std::string name;
     Poly poly;
     RootFinderConfig cfg;
+    bool squarefree = false;  // the Sturm baseline applies to it as is
   };
   const Poly c2 = Poly{1, 0, 1};
   RootFinderConfig validated = base_config(16);
@@ -350,7 +355,7 @@ TEST(ParallelDriver, FallbackInputsMatchAcrossEntryPoints) {
   mod.modular.enabled = true;
   Prng rng(5);
   const Poly sq = random_jacobi_poly(8, 9, rng);
-  const std::vector<Case> cases = {
+  std::vector<Case> cases = {
       {"(x-1)^2 (x-2)^3 (x-5)", poly_from_integer_roots({1, 1, 2, 2, 2, 5}),
        validated},
       {"(x^2+1)^2 (x-1)", c2 * c2 * Poly{-1, 1}, base_config(24)},
@@ -362,16 +367,28 @@ TEST(ParallelDriver, FallbackInputsMatchAcrossEntryPoints) {
       {"modular jacobi-8^2 x jacobi-40",
        sq * sq * random_jacobi_poly(40, 9, rng), mod},
   };
+  Prng draws(7);
+  for (int degree = 16; degree < 20; ++degree) {
+    const Poly p = random_squarefree_poly(degree, 20, draws);
+    const std::string name = "random-squarefree-" + std::to_string(degree);
+    cases.push_back({name, p, base_config(53), true});
+    cases.push_back({"modular " + name, p, mod, true});
+  }
   for (const auto& c : cases) {
     const auto ref = test::replay_layers(c.poly, c.cfg);
     test::expect_same_report(ref, find_real_roots(c.poly, c.cfg), c.name);
-    for (int threads : {1, 4}) {
+    if (c.squarefree) {
+      EXPECT_TRUE(ref.used_sturm_fallback) << c.name;
+      EXPECT_EQ(ref.roots,
+                sturm_find_roots(c.poly, c.cfg.mu_bits, c.cfg.solver, nullptr))
+          << c.name;
+    }
+    for (int threads : {1, 2, 4}) {
       ParallelConfig pc;
       pc.num_threads = threads;
       const auto run = find_real_roots_parallel(c.poly, c.cfg, pc);
       test::expect_same_report(
-          ref, run.report,
-          std::string(c.name) + " threads=" + std::to_string(threads));
+          ref, run.report, c.name + " threads=" + std::to_string(threads));
       EXPECT_EQ(run.used_sequential_fallback, ref.used_sturm_fallback)
           << c.name;
     }
