@@ -1,6 +1,7 @@
-// Isolation-strategy bench: the paper pipeline vs the root-radii
-// preconditioned isolator (src/isolate/) on the workloads each was built
-// for, plus the QIR refinement's quadratic-convergence signature.
+// Isolation-strategy bench: the paper pipeline vs the kRadii strategy
+// (src/isolate/: Descartes isolation over the root bound interval, then QIR
+// refinement) on the workloads each was built for, plus the QIR
+// refinement's quadratic-convergence signature.
 //
 // Three sections:
 //  * clustered squarefree inputs (all roots real, pathologically close):
@@ -8,12 +9,12 @@
 //    comparable at 1/2/4 threads.
 //  * Mignotte polynomials (mostly complex roots): outside the paper
 //    algorithm's domain, so the paper column is its Sturm-bisection
-//    fallback -- the radii column is the subsystem earning its keep.
-//  * QIR refinement ladder: refining sqrt(2) cells to growing precision,
-//    logging iterations/evaluations and the largest subdivision exponent
-//    reached.  max_subdiv_log2 doubling per success step while iteration
-//    counts stay O(log mu) is the observable quadratic-convergence
-//    signature.
+//    fallback and the radii column is the general-input path.
+//  * QIR refinement ladder: refining the sqrt(2) cell (22/16, 23/16) to
+//    growing precision, logging iterations/evaluations and the largest
+//    subdivision exponent reached.  max_subdiv_log2 doubling per success
+//    step while iteration counts stay O(log mu) is the observable
+//    quadratic-convergence signature.
 //
 // Writes a machine-readable BENCH_isolate.json (override with
 // `--out <path>`).
@@ -108,7 +109,7 @@ void write_json(const char* path, std::size_t mu,
 int main(int argc, char** argv) {
   using namespace prbench;
   const bool full = has_flag(argc, argv, "--full");
-  print_header("Isolation strategies: paper pipeline vs root-radii + QIR",
+  print_header("Isolation strategies: paper pipeline vs Descartes + QIR",
                "isolate subsystem extension (not in the paper)");
 
   const std::size_t mu = digits_to_bits(16);
@@ -148,14 +149,14 @@ int main(int argc, char** argv) {
   // precisions.  Quadratic convergence shows up as max_subdiv_log2
   // roughly doubling with each extra precision doubling while the
   // iteration count grows only logarithmically.
-  std::cout << "\nQIR refine of sqrt(2) from mu=4:\n"
+  std::cout << "\nQIR refine of sqrt(2) from (22/16, 23/16):\n"
             << "   mu_to  iters  evals  success  fail  max_log2N\n";
   const pr::Poly sqrt2{-2, 0, 1};
   std::vector<QirRow> qir;
   for (const std::size_t mu_to : {64u, 256u, 1024u, 4096u}) {
     pr::isolate::QirStats stats;
-    const pr::BigInt k = pr::isolate::refine_root_qir(
-        sqrt2, pr::BigInt(23), 4, mu_to, {}, &stats);
+    const pr::BigInt k = pr::isolate::qir_solve(
+        sqrt2, pr::BigInt(22), pr::BigInt(23), -1, 1, 4, mu_to, {}, &stats);
     // Sanity: (k-1)^2 < 2*2^(2 mu_to) <= k^2.
     if (!((k - pr::BigInt(1)) * (k - pr::BigInt(1)) <
               (pr::BigInt(2) << (2 * mu_to)) &&

@@ -46,8 +46,8 @@ void usage() {
       "  --threads T   run the task graph on T threads (default 1)\n"
       "                (--parallel T is accepted as an alias)\n"
       "  --finder F    isolation pipeline: \"paper\" (interleaving tree,\n"
-      "                default) or \"radii\" (root-radii + Descartes + QIR;\n"
-      "                accepts square-free inputs with complex roots)\n"
+      "                default) or \"radii\" (Descartes isolation + QIR\n"
+      "                refinement; accepts inputs with complex roots)\n"
       "  --batch FILE  serve every request line of FILE (\"-\" = stdin)\n"
       "                through the batching RootService\n"
       "  --serve       read request lines from stdin, answer each\n"

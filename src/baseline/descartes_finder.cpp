@@ -4,137 +4,34 @@
 
 #include "core/scaled_point.hpp"
 #include "instr/phase.hpp"
-#include "poly/bounds.hpp"
-#include "poly/sturm.hpp"
 #include "support/error.hpp"
 
 namespace pr {
-
-int descartes_sign_variations(const Poly& p) {
-  int count = 0;
-  int prev = 0;
-  for (int i = 0; i <= p.degree(); ++i) {
-    const int s = p.coeff(static_cast<std::size_t>(i)).signum();
-    if (s == 0) continue;
-    if (prev != 0 && s != prev) ++count;
-    prev = s;
-  }
-  return count;
-}
-
-int descartes_bound_01(const Poly& q) {
-  check_arg(!q.is_zero(), "descartes_bound_01: zero polynomial");
-  // (1+x)^n q(1/(1+x)) == reversed(q) shifted by 1.
-  return descartes_sign_variations(q.reversed().taylor_shift(BigInt(1)));
-}
-
-namespace {
-
-/// q(x/2) * 2^deg, keeping integer coefficients.
-Poly left_half(const Poly& q) {
-  std::vector<BigInt> c;
-  const int d = q.degree();
-  c.reserve(static_cast<std::size_t>(d) + 1);
-  for (int i = 0; i <= d; ++i) {
-    c.push_back(q.coeff(static_cast<std::size_t>(i))
-                << static_cast<std::size_t>(d - i));
-  }
-  return Poly(std::move(c));
-}
-
-struct Isolator {
-  const Poly& p;           // original polynomial (x-space)
-  std::size_t r;           // roots within (-2^R, 2^R)
-  std::size_t mu;
-  const IntervalSolverConfig& config;
-  IntervalStats* stats;
-  std::vector<BigInt> out;
-
-  /// x-space value of the t-space dyadic point c / 2^k under
-  /// x = 2^(R+1) t - 2^R, returned as a scaled integer at scale k.
-  BigInt to_x_scaled(const BigInt& c, std::size_t k) const {
-    return (c << (r + 1)) - BigInt::pow2(r + k);
-  }
-
-  /// mu-approximation of the exact root at t = c / 2^k.
-  void emit_exact(const BigInt& c, std::size_t k) {
-    const BigInt num = to_x_scaled(c, k);  // root == num / 2^k
-    out.push_back(k <= mu ? (num << (mu - k)) : ceil_shift(num, k - mu));
-  }
-
-  /// One isolated root in the t-interval (c/2^k, (c+1)/2^k): refine.
-  void emit_isolated(const BigInt& c, std::size_t k) {
-    const BigInt lo = to_x_scaled(c, k);
-    const BigInt hi = to_x_scaled(c + BigInt(1), k);
-    // Exactly one root lies strictly inside; an endpoint may still be an
-    // exact (already-emitted) root of a neighbouring interval, so use
-    // one-sided sign limits.
-    const int s_lo = sign_right_limit(p, lo, k);
-    const int s_hi = sign_left_limit(p, hi, k);
-    check_internal(s_lo * s_hi == -1,
-                   "descartes_find_roots: isolated interval lost its root");
-    if (k <= mu) {
-      out.push_back(solve_isolated_interval(p, lo << (mu - k),
-                                            hi << (mu - k), s_lo, s_hi, mu,
-                                            config, stats));
-    } else {
-      const BigInt fine =
-          solve_isolated_interval(p, lo, hi, s_lo, s_hi, k, config, stats);
-      out.push_back(ceil_shift(fine, k - mu));
-    }
-  }
-
-  /// Collins-Akritas recursion: q is p transformed so that the t-interval
-  /// (c/2^k, (c+1)/2^k) corresponds to q's (0, 1).
-  void isolate(const Poly& q, const BigInt& c, std::size_t k) {
-    const int bound = [&] {
-      instr::PhaseScope phase(instr::Phase::kBaseline);
-      return descartes_bound_01(q);
-    }();
-    if (bound == 0) return;
-    if (bound == 1) {
-      emit_isolated(c, k);
-      return;
-    }
-    instr::PhaseScope phase(instr::Phase::kBaseline);
-    Poly ql = left_half(q);                     // (0, 1/2)
-    Poly qr = ql.taylor_shift(BigInt(1));       // (1/2, 1)
-    const BigInt mid = (c << 1) + BigInt(1);
-    if (qr.coeff(0).is_zero()) {
-      // Exact root at the midpoint t = mid / 2^(k+1); peel it off so both
-      // halves keep non-root endpoints.
-      emit_exact(mid, k + 1);
-      qr = Poly::divexact(qr, Poly{0, 1});
-      ql = Poly::divexact(ql, Poly{-1, 1});
-    }
-    isolate(ql, c << 1, k + 1);
-    isolate(qr, mid, k + 1);
-  }
-
-  void run() {
-    // Map x in (-2^R, 2^R) to t in (0, 1): q0(t) = p(2^(R+1) t - 2^R).
-    Poly q = p.taylor_shift(-BigInt::pow2(r));  // p(x - 2^R)
-    std::vector<BigInt> c;
-    c.reserve(static_cast<std::size_t>(q.degree()) + 1);
-    for (int i = 0; i <= q.degree(); ++i) {
-      c.push_back(q.coeff(static_cast<std::size_t>(i))
-                  << static_cast<std::size_t>(i) * (r + 1));
-    }
-    isolate(Poly(std::move(c)), BigInt(0), 0);
-    std::sort(out.begin(), out.end());
-  }
-};
-
-}  // namespace
 
 std::vector<BigInt> descartes_find_roots(const Poly& p, std::size_t mu,
                                          const IntervalSolverConfig& config,
                                          IntervalStats* stats) {
   check_arg(p.degree() >= 1, "descartes_find_roots: degree >= 1 required");
-  const std::size_t r = root_bound_pow2(p);
-  Isolator iso{p, r, mu, config, stats, {}};
-  iso.run();
-  return iso.out;
+  const isolate::IsolationOutput iso = [&] {
+    instr::PhaseScope phase(instr::Phase::kBaseline);
+    return isolate::isolate_roots(p);
+  }();
+  // The cells are sorted, so the roots come out nondecreasing.
+  std::vector<BigInt> out;
+  out.reserve(iso.cells.size());
+  for (const auto& cell : iso.cells) {
+    // Solve at scale w >= mu (the solver reports at its input's scale),
+    // then round up to mu.
+    const std::size_t w = std::max(cell.scale, mu);
+    const std::size_t up = w - cell.scale;
+    const BigInt at_w =
+        cell.exact ? cell.lo << up
+                   : solve_isolated_interval(iso.stripped, cell.lo << up,
+                                             cell.hi << up, cell.s_lo,
+                                             cell.s_hi, w, config, stats);
+    out.push_back(ceil_shift(at_w, w - mu));
+  }
+  return out;
 }
 
 }  // namespace pr

@@ -2,31 +2,19 @@
 // modern sequential comparator alongside the Sturm baseline.
 //
 // The method the paper compared against (PARI 1991) predates the modern
-// standard for real-root isolation; this module implements that standard:
-// map [-2^R, 2^R] affinely onto (0, 1), then bisect, bounding the number
-// of roots in each interval by Descartes' rule of signs applied to the
-// Moebius-transformed polynomial (1+x)^n q(1/(1+x)).  Vincent's theorem
-// guarantees the bound becomes 0 or 1 after finitely many splits for
-// squarefree input.  Isolated intervals are refined with the same hybrid
-// interval solver the tree algorithm uses.
+// standard for real-root isolation; this module applies that standard:
+// the library's one Collins-Akritas isolator (isolate/descartes_isolate)
+// isolates the roots in (-2^R, 2^R), and the same hybrid interval solver
+// the tree algorithm uses refines each cell.
 #pragma once
 
 #include <vector>
 
 #include "core/interval_solver.hpp"
+#include "isolate/descartes_isolate.hpp"
 #include "poly/poly.hpp"
 
 namespace pr {
-
-/// Number of sign variations in the coefficient sequence (Descartes' rule
-/// of signs: the number of positive roots is at most this, and equal to
-/// it modulo 2).
-int descartes_sign_variations(const Poly& p);
-
-/// Upper bound, via Descartes' rule on the Moebius transform, for the
-/// number of roots of q in the open interval (0, 1).  Exact when it
-/// returns 0 or 1 (for squarefree q).
-int descartes_bound_01(const Poly& q);
 
 /// Computes the mu-approximations ceil(2^mu x) of every distinct real
 /// root x of the squarefree polynomial p, by Collins-Akritas isolation +

@@ -42,29 +42,6 @@ class ExtendedSequence : public NonNormalSequence {
   Poly gcd;
 };
 
-/// Sturm cross-check of a finished report (RootFinderConfig::validate):
-/// every root of the squarefree `work` is real and each group of equal
-/// values sits in a cell holding exactly that many roots.
-void validate_roots(const Poly& squarefree, const std::vector<BigInt>& roots,
-                    std::size_t mu) {
-  SturmChain chain(squarefree);
-  const int total = chain.distinct_real_roots();
-  check_internal(total == squarefree.degree(),
-                 "validate: input has non-real roots");
-  check_internal(static_cast<int>(roots.size()) == total,
-                 "validate: wrong number of roots returned");
-  std::size_t i = 0;
-  while (i < roots.size()) {
-    std::size_t jend = i + 1;
-    while (jend < roots.size() && roots[jend] == roots[i]) ++jend;
-    const BigInt lo = roots[i] - BigInt(1);
-    const int cnt = chain.count_half_open(lo, roots[i], mu);
-    check_internal(cnt == static_cast<int>(jend - i),
-                   "validate: cell does not contain its claimed roots");
-    i = jend;
-  }
-}
-
 /// All shared mutable state of one parallel run.  Every field is written
 /// by exactly one task and read only by tasks ordered after it, so no
 /// locking is needed beyond the pool's queue synchronization.
@@ -722,7 +699,7 @@ ParallelRunResult run_graph(const Poly& work, const RootFinderConfig& config,
   for (const auto& sc : state.scratch) {
     for (const auto& st : sc.stats) r.stats += st;
   }
-  if (config.validate) validate_roots(work, r.roots, state.mu);
+  if (config.validate) detail::validate_roots(work, r.roots, state.mu);
   out.trace = TaskTrace::from_graph(graph);
   return out;
 }
@@ -788,7 +765,7 @@ ParallelRunResult find_real_roots_parallel(const Poly& p,
     out.report.mu = mu;
     out.report.bound_pow2 = root_bound_pow2(work);
     out.report.distinct_roots = work.degree();
-    if (config.validate) validate_roots(work, out.report.roots, mu);
+    if (config.validate) detail::validate_roots(work, out.report.roots, mu);
   }
   out.isolated = std::move(work);
   out.report.degree = p.degree();

@@ -6,6 +6,7 @@
 #include "core/scaled_point.hpp"
 #include "poly/certified_sign.hpp"
 #include "poly/sturm.hpp"
+#include "support/error.hpp"
 
 namespace pr {
 
@@ -70,6 +71,23 @@ std::vector<unsigned> assign_multiplicities(
     i = jend;
   }
   return mult;
+}
+
+void validate_roots(const Poly& work, const std::vector<BigInt>& roots,
+                    std::size_t mu) {
+  SturmChain chain(work);
+  check_internal(static_cast<int>(roots.size()) == chain.distinct_real_roots(),
+                 "validate: wrong number of roots returned");
+  std::size_t i = 0;
+  while (i < roots.size()) {
+    std::size_t jend = i + 1;
+    while (jend < roots.size() && roots[jend] == roots[i]) ++jend;
+    const BigInt lo = roots[i] - BigInt(1);
+    const int cnt = chain.count_half_open(lo, roots[i], mu);
+    check_internal(cnt == static_cast<int>(jend - i),
+                   "validate: cell does not contain its claimed roots");
+    i = jend;
+  }
 }
 
 }  // namespace detail

@@ -27,9 +27,9 @@ struct RootFinderConfig {
   /// Output precision: roots are reported as ceil(2^mu x) at scale mu.
   std::size_t mu_bits = 53;
   /// Which isolation pipeline runs: the paper's interleaving tree
-  /// (default) or the root-radii + Descartes + QIR subsystem
-  /// (src/isolate/), which also accepts square-free inputs with complex
-  /// roots.  Mu-approximations are bit-identical where both apply.
+  /// (default) or kRadii, Descartes isolation + QIR refinement
+  /// (src/isolate/), which also accepts inputs with complex roots.
+  /// Mu-approximations are bit-identical where both apply.
   FinderStrategy strategy = FinderStrategy::kPaper;
   /// Interval-problem solver settings (hybrid by default).
   IntervalSolverConfig solver;
@@ -38,9 +38,10 @@ struct RootFinderConfig {
   /// If the remainder sequence is not normal, silently use the Sturm
   /// baseline instead of throwing NonNormalSequence.
   bool allow_sturm_fallback = true;
-  /// Cross-checks every returned cell against a Sturm count (expensive;
-  /// for tests and debugging).  Applies to every entry point, and so to
-  /// every cold solve of the RootService.
+  /// Cross-checks the report against a Sturm count of the real roots
+  /// (detail::validate_roots; expensive, for tests and debugging).  Applies
+  /// to every entry point and strategy, the Sturm fallback included, and
+  /// so to every cold solve of the RootService.
   bool validate = false;
   /// Multimodular fast paths (remainder sequence + tree polynomials); off by
   /// default, bit-identical results when enabled.
@@ -71,9 +72,10 @@ class RealRootFinder {
   explicit RealRootFinder(RootFinderConfig config = {}) : config_(config) {}
 
   /// Finds all real roots of p: find_real_roots_parallel at one thread.
-  /// Preconditions: p is non-constant and all its roots are real (checked
-  /// via a Sturm count when validate is on; otherwise a violation surfaces
-  /// as an exception from the internal consistency checks).
+  /// Precondition: p is non-constant.  Under kPaper, an input with
+  /// non-real roots takes the Sturm fallback (or throws NonNormalSequence
+  /// when allow_sturm_fallback is off); validate checks the returned roots
+  /// against a Sturm count of the real roots.
   RootReport find(const Poly& p) const;
 
   const RootFinderConfig& config() const { return config_; }
@@ -99,6 +101,17 @@ namespace detail {
 std::vector<unsigned> assign_multiplicities(
     const std::vector<BigInt>& roots, std::size_t mu,
     const std::vector<SquarefreeFactor>& factors);
+
+/// Sturm cross-check of a finished report (RootFinderConfig::validate):
+/// `roots` holds one value per distinct real root of the squarefree
+/// `work`, and each group of equal values sits in a cell
+/// ((k-1)/2^mu, k/2^mu] holding exactly that many roots.  Non-real roots
+/// of `work` are allowed, but a report that counts them fails: a graph
+/// report returns deg(work) values, more than the Sturm count.  Throws
+/// InternalError on a mismatch.  Shared by the graph path, the Sturm
+/// fallback and kRadii.
+void validate_roots(const Poly& work, const std::vector<BigInt>& roots,
+                    std::size_t mu);
 
 }  // namespace detail
 }  // namespace pr

@@ -2,7 +2,8 @@
 // root-isolation subsystem (src/isolate/, FinderStrategy::kRadii).  The
 // paper's interleaving tree requires every root real; mignotte() and (in
 // general) random_squarefree_poly() violate that precondition on purpose,
-// so the paper path rejects them with NonNormalSequence while the radii
+// so the paper path answers them through its Sturm fallback (or throws
+// NonNormalSequence when allow_sturm_fallback is off) while the radii
 // path isolates their real roots with a certificate.
 #pragma once
 

@@ -3,9 +3,31 @@
 #include <algorithm>
 #include <utility>
 
-#include "baseline/descartes_finder.hpp"
+#include "poly/bounds.hpp"
 #include "poly/sturm.hpp"
 #include "support/error.hpp"
+
+namespace pr {
+
+int descartes_sign_variations(const Poly& p) {
+  int count = 0;
+  int prev = 0;
+  for (int i = 0; i <= p.degree(); ++i) {
+    const int s = p.coeff(static_cast<std::size_t>(i)).signum();
+    if (s == 0) continue;
+    if (prev != 0 && s != prev) ++count;
+    prev = s;
+  }
+  return count;
+}
+
+int descartes_bound_01(const Poly& q) {
+  check_arg(!q.is_zero(), "descartes_bound_01: zero polynomial");
+  // (1+x)^n q(1/(1+x)) == reversed(q) shifted by 1.
+  return descartes_sign_variations(q.reversed().taylor_shift(BigInt(1)));
+}
+
+}  // namespace pr
 
 namespace pr::isolate {
 
@@ -151,19 +173,18 @@ std::vector<IsolatingCell> isolate_in_band(const Poly& p, const BigInt& a,
   return cells;
 }
 
-IsolationOutput isolate_roots_radii(const Poly& p, const RadiiConfig& config) {
-  check_arg(p.degree() >= 1, "isolate_roots_radii: degree >= 1 required");
+IsolationOutput isolate_roots(const Poly& p) {
+  check_arg(p.degree() >= 1, "isolate_roots: degree >= 1 required");
   IsolationOutput out;
 
-  // A root at zero is exact; divide it out so the radii estimator sees
-  // p(0) != 0.  A second x factor would mean the input is not squarefree.
+  // A root at zero is exact; divide it out so the subdivision never meets
+  // it.  A second x factor would mean the input is not squarefree.
   out.stripped = p;
   const bool zero_root = out.stripped.coeff(0).is_zero();
   if (zero_root) {
     out.stripped = Poly::divexact(out.stripped, Poly{0, 1});
     check_arg(!out.stripped.coeff(0).is_zero(),
-              "isolate_roots_radii: repeated root at zero "
-              "(input not squarefree)");
+              "isolate_roots: repeated root at zero (input not squarefree)");
     IsolatingCell zero;
     zero.exact = true;
     zero.scale = 0;
@@ -171,33 +192,20 @@ IsolationOutput isolate_roots_radii(const Poly& p, const RadiiConfig& config) {
   }
   if (out.stripped.degree() == 0) return out;  // input was c * x
 
-  out.radii = estimate_root_radii(out.stripped, config);
-  const std::size_t g = out.radii.guard_bits;
-
-  // Reflect each annulus onto the real line and merge overlapping or
-  // touching bands -- mandatory, or a root near a shared outward-rounded
-  // boundary could be isolated twice.
-  std::vector<Band> bands;
-  bands.reserve(2 * out.radii.annuli.size());
-  for (const Annulus& ann : out.radii.annuli) {
-    bands.push_back({ann.inner, ann.outer});
-    bands.push_back({-ann.outer, -ann.inner});
-  }
-  std::sort(bands.begin(), bands.end(),
-            [](const Band& x, const Band& y) { return x.lo < y.lo; });
-  for (const Band& band : bands) {
-    if (!out.bands.empty() && band.lo <= out.bands.back().hi) {
-      if (out.bands.back().hi < band.hi) out.bands.back().hi = band.hi;
-    } else {
-      out.bands.push_back(band);
-    }
-  }
-
-  for (const Band& band : out.bands) {
-    auto cells = isolate_in_band(out.stripped, band.lo, band.hi, g);
-    out.cells.insert(out.cells.end(),
-                     std::make_move_iterator(cells.begin()),
+  // Every root lies in (-2^R, 2^R).  With zero divided out, a cell of the
+  // stripped polynomial must not straddle it, so the two halves run apart
+  // (the whole-interval subdivision would split there first anyway).
+  const BigInt r = BigInt::pow2(root_bound_pow2(p));
+  const auto add = [&](const BigInt& a, const BigInt& b) {
+    auto cells = isolate_in_band(out.stripped, a, b, 0);
+    out.cells.insert(out.cells.end(), std::make_move_iterator(cells.begin()),
                      std::make_move_iterator(cells.end()));
+  };
+  if (zero_root) {
+    add(-r, BigInt(0));
+    add(BigInt(0), r);
+  } else {
+    add(-r, r);
   }
   std::sort(out.cells.begin(), out.cells.end(), cell_less);
   return out;

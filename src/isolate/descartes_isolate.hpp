@@ -1,23 +1,37 @@
-// Descartes (Collins-Akritas) subdivision restricted to certified bands.
+// Descartes (Collins-Akritas) real-root isolation: the library's one
+// sign-variation subdivision.
 //
-// The root-radii stage certifies annuli containing every root; reflecting
-// each annulus onto the real line gives closed dyadic *bands*
-// [lo/2^g, hi/2^g] outside of which the input has no real root.  The
-// isolator runs the classic sign-variation subdivision independently inside
-// each band -- everything between bands is skipped without a single sign
-// evaluation, which is the whole point of the preconditioning.
+// An interval is mapped affinely onto (0, 1) and bisected; Descartes' rule
+// of signs on the Moebius transform (1+x)^n q(1/(1+x)) bounds the number
+// of roots in each piece, and Vincent's theorem guarantees the bound
+// reaches 0 or 1 after finitely many splits for a squarefree input.
+// isolate_roots runs it over the root bound interval (-2^R, 2^R); the
+// kRadii strategy refines its cells with QIR, and the Descartes baseline
+// (baseline/descartes_finder) with the paper's interval solver.
 //
-// Output cells use the same open-interval-with-one-sided-endpoint-signs
-// structure as the baseline Descartes finder, so the refinement layer
-// (interval solver or QIR) consumes them unchanged.
+// Cells are open intervals with their one-sided endpoint signs recorded,
+// or exact dyadic roots, so either refinement consumes them unchanged.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "bigint/bigint.hpp"
-#include "isolate/root_radii.hpp"
 #include "poly/poly.hpp"
+
+namespace pr {
+
+/// Number of sign variations in the coefficient sequence (Descartes' rule
+/// of signs: the number of positive roots is at most this, and equal to
+/// it modulo 2).
+int descartes_sign_variations(const Poly& p);
+
+/// Upper bound, via Descartes' rule on the Moebius transform, for the
+/// number of roots of q in the open interval (0, 1).  Exact when it
+/// returns 0 or 1 (for squarefree q).
+int descartes_bound_01(const Poly& q);
+
+}  // namespace pr
 
 namespace pr::isolate {
 
@@ -38,13 +52,6 @@ struct IsolatingCell {
 /// positions across scales; cells never overlap, so left endpoints order).
 bool cell_less(const IsolatingCell& a, const IsolatingCell& b);
 
-/// A closed dyadic interval [lo/2^scale, hi/2^scale] the isolator will
-/// subdivide (a merged real reflection of the certified annuli).
-struct Band {
-  BigInt lo;
-  BigInt hi;
-};
-
 struct IsolationOutput {
   /// All real-root cells of the input, sorted left to right.
   std::vector<IsolatingCell> cells;
@@ -53,22 +60,20 @@ struct IsolationOutput {
   /// Refinement of the isolated cells must evaluate THIS polynomial; the
   /// zero root, if any, appears as an exact cell.
   Poly stripped;
-  /// The annuli the bands came from (instrumentation + certification).
-  RootRadiiResult radii;
-  /// The merged bands actually subdivided, at scale radii.guard_bits.
-  std::vector<Band> bands;
 };
 
-/// Collins-Akritas subdivision of p restricted to the closed band
-/// [a/2^w, b/2^w] (a < b).  Roots at the band endpoints are emitted as
-/// exact cells.  Throws InvalidArgument if the subdivision exceeds the
+/// Collins-Akritas subdivision of p over the closed interval
+/// [a/2^w, b/2^w] (a < b).  Roots at the interval's endpoints are emitted
+/// as exact cells.  Throws InvalidArgument if the subdivision exceeds the
 /// squarefree depth bound (i.e. the input has a repeated root).
 std::vector<IsolatingCell> isolate_in_band(const Poly& p, const BigInt& a,
                                            const BigInt& b, std::size_t w);
 
-/// Full radii-preconditioned isolation of a squarefree polynomial with
-/// p.degree() >= 1.  Handles a root at zero exactly.  Complex roots are
-/// fine; only the real ones produce cells.
-IsolationOutput isolate_roots_radii(const Poly& p, const RadiiConfig& config);
+/// Isolation of every real root of a squarefree polynomial with
+/// p.degree() >= 1: a root at zero becomes an exact cell and is divided
+/// out, then the subdivision covers (-2^R, 2^R), R = root_bound_pow2(p),
+/// split at zero when zero was a root so no cell straddles it.  Complex
+/// roots are fine; only the real ones produce cells.
+IsolationOutput isolate_roots(const Poly& p);
 
 }  // namespace pr::isolate

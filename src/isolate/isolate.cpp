@@ -6,7 +6,6 @@
 #include "core/scaled_point.hpp"
 #include "poly/bounds.hpp"
 #include "poly/squarefree.hpp"
-#include "poly/sturm.hpp"
 #include "sched/task_pool.hpp"
 #include "support/error.hpp"
 
@@ -28,41 +27,20 @@ namespace pr::isolate {
 
 namespace {
 
-/// Sturm cross-check of the radii path's cells (config.validate), the
-/// analogue of the paper path's validate_roots without the all-real-roots
-/// requirement: the report must hold every distinct real root, and each
-/// group of equal values must sit in a cell with exactly that many roots.
-void validate_radii_roots(const Poly& work, const std::vector<BigInt>& roots,
-                          std::size_t mu) {
-  SturmChain chain(work);
-  check_internal(static_cast<int>(roots.size()) == chain.distinct_real_roots(),
-                 "validate: wrong number of roots returned");
-  std::size_t i = 0;
-  while (i < roots.size()) {
-    std::size_t jend = i + 1;
-    while (jend < roots.size() && roots[jend] == roots[i]) ++jend;
-    const BigInt lo = roots[i] - BigInt(1);
-    const int cnt = chain.count_half_open(lo, roots[i], mu);
-    check_internal(cnt == static_cast<int>(jend - i),
-                   "validate: cell does not contain its claimed roots");
-    i = jend;
-  }
-}
-
 BigInt linear_root(const Poly& work, std::size_t mu) {
   return BigInt::cdiv(-(work.coeff(0) << mu), work.coeff(1));
 }
 
 }  // namespace
 
-IsolationRun prepare_isolation(const Poly& p, const RootFinderConfig& config) {
+IsolationRun prepare_isolation(const Poly& p, const RootFinderConfig&) {
   check_arg(p.degree() >= 1, "RealRootFinder: degree must be >= 1");
   IsolationRun run;
   run.input_degree = p.degree();
   run.work = p.primitive_part();
 
   // Unlike the paper path -- where the remainder sequence detects repeated
-  // roots as a side effect -- the radii pipeline needs squarefreeness up
+  // roots as a side effect -- the Descartes isolator needs squarefreeness up
   // front (Descartes subdivision does not terminate otherwise), so test
   // with a gcd and reduce with that same gcd only when it is non-trivial.
   if (run.work.degree() >= 2) {
@@ -76,7 +54,7 @@ IsolationRun prepare_isolation(const Poly& p, const RootFinderConfig& config) {
   }
   run.bound_pow2 = root_bound_pow2(run.work);
   if (run.work.degree() >= 2) {
-    run.isolation = isolate_roots_radii(run.work, config.isolate.radii);
+    run.isolation = isolate_roots(run.work);
   }
   return run;
 }
@@ -121,7 +99,7 @@ RootReport assemble_report(const IsolationRun& run,
   report.stats.newton_evals = qir.evals;
   report.stats.fallback_bisects = qir.bisect_steps;
   if (config.validate) {
-    validate_radii_roots(run.work, report.roots, config.mu_bits);
+    detail::validate_roots(run.work, report.roots, config.mu_bits);
   }
   return report;
 }

@@ -1,5 +1,5 @@
-// The kRadii finder pipeline: squarefree reduction -> root-radii
-// annuli -> band-restricted Descartes isolation -> QIR refinement.
+// The kRadii finder pipeline: squarefree reduction -> Descartes
+// isolation over the root bound interval -> QIR refinement.
 //
 // Produces RootReports with the exact shape and values of the paper path
 // (ceiling-convention mu-approximations, multiplicities from the
@@ -29,12 +29,14 @@ struct IsolationRun {
   std::vector<SquarefreeFactor> factors;  ///< non-empty iff reduced
   bool reduced = false;
   std::size_t bound_pow2 = 0;
-  /// Cells + radii + bands.  Left empty when work.degree() == 1 (callers
+  /// The cells of `work`.  Left empty when work.degree() == 1 (callers
   /// solve the linear case exactly, as the paper path does).
   IsolationOutput isolation;
 };
 
-/// Runs the sequential isolation stages (reduction, radii, Descartes).
+/// Runs the sequential isolation stages (reduction, Descartes).  No
+/// setting of `config` applies to them; the QIR settings apply to
+/// cell_mu_approx.
 IsolationRun prepare_isolation(const Poly& p, const RootFinderConfig& config);
 
 /// ceil(2^mu x) for the root x in `cell` (of the stripped polynomial).
@@ -44,7 +46,7 @@ BigInt cell_mu_approx(const Poly& stripped, const IsolatingCell& cell,
                       QirStats* stats);
 
 /// Assembles the final RootReport from refined roots (multiplicities,
-/// stats mapping, optional Sturm validation).
+/// stats mapping, optional Sturm validation: detail::validate_roots).
 RootReport assemble_report(const IsolationRun& run,
                            const RootFinderConfig& config,
                            std::vector<BigInt> roots, const QirStats& qir);

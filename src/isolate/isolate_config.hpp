@@ -14,11 +14,12 @@ enum class FinderStrategy {
   /// The paper's interleaving-tree algorithm (all-real-rooted inputs;
   /// non-real roots take the Sturm fallback or throw).
   kPaper,
-  /// Root-radii preconditioning (Dandelin-Graeffe + exact Pellet tests)
-  /// followed by Descartes subdivision inside the surviving annuli and
-  /// quadratic (QIR) refinement.  Handles any square-free real input,
-  /// including ones with complex roots; bit-identical mu-approximations
-  /// to the paper path where both apply.
+  /// Squarefree reduction, Descartes (Collins-Akritas) subdivision of the
+  /// root bound interval (-2^R, 2^R), and quadratic (QIR) refinement of
+  /// the cells.  Handles every integer input, complex roots included;
+  /// bit-identical mu-approximations to the paper path where both apply.
+  /// The name is historical (a root-radii stage once narrowed the
+  /// interval); it keys service cache entries and the CLI's --finder.
   kRadii,
 };
 
@@ -26,22 +27,6 @@ enum class FinderStrategy {
 const char* finder_strategy_name(FinderStrategy s);
 
 namespace isolate {
-
-/// Root-radii estimator settings (Dandelin-Graeffe + Pellet).
-struct RadiiConfig {
-  /// Number of Graeffe root-squaring iterations N.  Radii of the iterate
-  /// are the 2^N-th powers of the input's; every certified dyadic split
-  /// radius 2^e of the iterate maps back to 2^(e / 2^N), so larger N gives
-  /// finer annulus resolution at the cost of coefficient bit-length
-  /// doubling per iteration.  Clamped to [0, 12].
-  int graeffe_iters = 4;
-  /// Fractional bits kept when the 2^N-th roots of the certified radii are
-  /// rounded outward to dyadic annulus endpoints.
-  std::size_t guard_bits = 4;
-  /// Exact Pellet tests attempted per Newton-polygon corner before the
-  /// corner's split radius is given up (adjacent annuli then merge).
-  int pellet_tries = 8;
-};
 
 /// Quadratic interval refinement (QIR) settings, after Abbott and
 /// Kerber-Sagraloff (arXiv:1104.1362).
@@ -56,7 +41,6 @@ struct QirConfig {
 
 /// Bundled configuration for the kRadii strategy.
 struct IsolateConfig {
-  RadiiConfig radii;
   QirConfig qir;
 };
 

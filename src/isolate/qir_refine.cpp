@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/scaled_point.hpp"
-#include "poly/sturm.hpp"
 #include "support/error.hpp"
 
 namespace pr::isolate {
@@ -158,24 +157,6 @@ BigInt qir_solve(const Poly& p, const BigInt& lo, const BigInt& hi, int s_lo,
       }
     }
   }
-}
-
-BigInt refine_root_qir(const Poly& p, const BigInt& k, std::size_t mu_from,
-                       std::size_t mu_to, const QirConfig& config,
-                       QirStats* stats) {
-  check_arg(mu_to >= mu_from, "refine_root_qir: mu_to must be >= mu_from");
-  check_arg(p.degree() >= 1,
-            "refine_root_qir: non-constant polynomial required");
-  if (mu_to == mu_from) return k;
-  const std::size_t d = mu_to - mu_from;
-  BigInt lo = (k - BigInt(1)) << d;
-  BigInt hi = k << d;
-  const int s_hi = p.sign_at_scaled(hi, mu_to);
-  if (s_hi == 0) return hi;
-  const int s_lo = sign_right_limit(p, lo, mu_to);
-  check_arg(s_lo * s_hi == -1,
-            "refine_root_qir: cell does not isolate a single root");
-  return qir_solve(p, lo, hi, s_lo, s_hi, mu_to, mu_to, config, stats);
 }
 
 }  // namespace pr::isolate

@@ -46,12 +46,4 @@ BigInt qir_solve(const Poly& p, const BigInt& lo, const BigInt& hi, int s_lo,
                  int s_hi, std::size_t w, std::size_t mu,
                  const QirConfig& config, QirStats* stats);
 
-/// Drop-in alternative to refine_root: given the mu_from-approximation
-/// k = ceil(2^mu_from x) of a root x of p, returns ceil(2^mu_to x)
-/// (mu_to >= mu_from) by QIR over the cell ((k-1)/2^mu_from, k/2^mu_from].
-/// Throws InvalidArgument if the cell does not isolate a single root.
-BigInt refine_root_qir(const Poly& p, const BigInt& k, std::size_t mu_from,
-                       std::size_t mu_to, const QirConfig& config = {},
-                       QirStats* stats = nullptr);
-
 }  // namespace pr::isolate

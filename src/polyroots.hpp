@@ -37,7 +37,6 @@
 #include "gen/hard_polys.hpp"                 // IWYU pragma: export
 #include "gen/matrix_polys.hpp"               // IWYU pragma: export
 #include "isolate/isolate.hpp"                // IWYU pragma: export
-#include "isolate/root_radii.hpp"             // IWYU pragma: export
 #include "instr/counters.hpp"                 // IWYU pragma: export
 #include "instr/phase.hpp"                    // IWYU pragma: export
 #include "instr/sched_stats.hpp"              // IWYU pragma: export

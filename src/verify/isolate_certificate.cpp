@@ -122,9 +122,8 @@ IsolationCertificate certify_cells_isolated(
   return certify_impl(p, p, cells);
 }
 
-IsolationCertificate certify_isolation(const Poly& p,
-                                       const isolate::IsolateConfig& config) {
-  const auto out = isolate::isolate_roots_radii(p, config.radii);
+IsolationCertificate certify_isolation(const Poly& p) {
+  const auto out = isolate::isolate_roots(p);
   return certify_impl(out.stripped, p, out.cells);
 }
 

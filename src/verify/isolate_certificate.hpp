@@ -1,4 +1,5 @@
-// Post-hoc certification of the root-isolation subsystem's output.
+// Post-hoc certification of the Descartes isolator's output
+// (isolate/descartes_isolate), which the kRadii strategy refines.
 //
 // The interleaving-tree certificate (verify/certificate.hpp) leans on the
 // all-roots-real structure the paper assumes.  The kRadii strategy accepts
@@ -45,9 +46,8 @@ struct IsolationCertificate {
 IsolationCertificate certify_cells_isolated(
     const Poly& p, const std::vector<isolate::IsolatingCell>& cells);
 
-/// Runs the root-radii isolation stage on `p` and certifies its output
-/// (handles the zero-root stripping the pipeline performs internally).
-IsolationCertificate certify_isolation(const Poly& p,
-                                       const isolate::IsolateConfig& config = {});
+/// Runs isolate::isolate_roots on the square-free `p` and certifies its
+/// output (handles the zero-root stripping the isolator performs).
+IsolationCertificate certify_isolation(const Poly& p);
 
 }  // namespace pr

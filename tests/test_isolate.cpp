@@ -1,18 +1,23 @@
-// The root-isolation subsystem (src/isolate/): Graeffe/Pellet root-radii
-// estimation, band-restricted Descartes isolation, QIR refinement, the
-// kRadii finder strategy (sequential + parallel, bit-identical to the
-// paper path on its domain), and the independent isolation certificate.
+// The root-isolation subsystem (src/isolate/): Descartes isolation, QIR
+// refinement, the kRadii finder strategy (sequential + parallel,
+// bit-identical to the paper path on its domain), and the independent
+// isolation certificate.
 #include "isolate/isolate.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
-#include "core/refine.hpp"
+#include "baseline/descartes_finder.hpp"
+#include "baseline/sturm_finder.hpp"
+#include "core/interval_solver.hpp"
+#include "core/scaled_point.hpp"
 #include "gen/classic_polys.hpp"
 #include "gen/hard_polys.hpp"
 #include "gen/matrix_polys.hpp"
-#include "isolate/root_radii.hpp"
+#include "poly/squarefree.hpp"
 #include "poly/sturm.hpp"
 #include "sched/task_pool.hpp"
 #include "support/error.hpp"
@@ -22,14 +27,10 @@
 namespace pr {
 namespace {
 
-using isolate::estimate_root_radii;
-using isolate::graeffe_iteration;
 using isolate::isolate_in_band;
-using isolate::isolate_roots_radii;
-using isolate::isqrt_floor;
+using isolate::isolate_roots;
 using isolate::QirConfig;
 using isolate::QirStats;
-using isolate::RadiiConfig;
 
 RootFinderConfig radii_config(std::size_t mu = 53) {
   RootFinderConfig cfg;
@@ -47,100 +48,59 @@ void expect_same_report(const RootReport& a, const RootReport& b,
   EXPECT_EQ(a.distinct_roots, b.distinct_roots) << label;
 }
 
-// --- root radii -------------------------------------------------------------
+/// The product of polynomials given by their low-to-high coefficients.
+Poly product_of(const std::vector<std::vector<BigInt>>& factors) {
+  Poly p{1};
+  for (const auto& f : factors) p = p * Poly(f);
+  return p;
+}
 
-TEST(RootRadii, IsqrtFloorExactAndBetween) {
-  EXPECT_EQ(isqrt_floor(BigInt(0)), BigInt(0));
-  EXPECT_EQ(isqrt_floor(BigInt(1)), BigInt(1));
-  EXPECT_EQ(isqrt_floor(BigInt(2)), BigInt(1));
-  EXPECT_EQ(isqrt_floor(BigInt(3)), BigInt(1));
-  EXPECT_EQ(isqrt_floor(BigInt(4)), BigInt(2));
-  EXPECT_EQ(isqrt_floor(BigInt(99)), BigInt(9));
-  EXPECT_EQ(isqrt_floor(BigInt(100)), BigInt(10));
-  // Exhaustive floor invariant r^2 <= x < (r+1)^2 on a big random value.
-  Prng rng(7);
-  for (int trial = 0; trial < 20; ++trial) {
-    BigInt x = BigInt::pow2(130) + BigInt(static_cast<long long>(rng.below(1u << 30)));
-    const BigInt r = isqrt_floor(x);
-    EXPECT_LE(r * r, x);
-    EXPECT_GT((r + BigInt(1)) * (r + BigInt(1)), x);
+struct NamedPoly {
+  std::string name;
+  Poly poly;
+};
+
+/// Square-free inputs with complex, clustered, widely spread, zero and
+/// integer roots, plus the degree and Mignotte ladders of service-mixed's
+/// kRadii members.
+std::vector<NamedPoly> general_inputs() {
+  Prng rng(4242);
+  std::vector<NamedPoly> out;
+  out.push_back({"clustered(24, 53)", clustered_squarefree(24, 53, 3, rng)});
+  out.push_back({"mignotte(32, 9)", mignotte(32, 9)});
+  // Roots 2^-j and 3 * 2^j for j = 1..8, then the same with a complex
+  // pair of modulus 2^-2j in place of each 2^-j.
+  std::vector<std::vector<BigInt>> spread;
+  std::vector<std::vector<BigInt>> pairs;
+  for (std::size_t j = 1; j <= 8; ++j) {
+    const std::vector<BigInt> big{-(BigInt(3) << j), BigInt(1)};
+    spread.push_back({BigInt(-1), BigInt::pow2(j)});
+    spread.push_back(big);
+    pairs.push_back({BigInt(1), BigInt(0), BigInt::pow2(4 * j)});
+    pairs.push_back(big);
   }
-}
-
-TEST(RootRadii, GraeffeSquaresTheRoots) {
-  // (x-1)(x-2): the iterate must vanish at 1 and 4.
-  const Poly p = poly_from_integer_roots({1, 2});
-  const Poly q = graeffe_iteration(p);
-  EXPECT_EQ(q.degree(), 2);
-  EXPECT_GT(q.leading().signum(), 0);
-  EXPECT_EQ(q.eval(BigInt(1)).signum(), 0);
-  EXPECT_EQ(q.eval(BigInt(4)).signum(), 0);
-  // Odd degree keeps the leading coefficient positive too.
-  const Poly odd = poly_from_integer_roots({0, 2, -2});
-  const Poly qo = graeffe_iteration(odd);
-  EXPECT_EQ(qo.degree(), 3);
-  EXPECT_GT(qo.leading().signum(), 0);
-  EXPECT_EQ(qo.eval(BigInt(0)).signum(), 0);
-  EXPECT_EQ(qo.eval(BigInt(4)).signum(), 0);
-}
-
-TEST(RootRadii, GraeffeIteratedOnWilkinson) {
-  Poly q = wilkinson(6);
-  for (int i = 0; i < 2; ++i) q = graeffe_iteration(q);
-  // After two iterations the roots are r^4 for r = 1..6.
-  for (long long r = 1; r <= 6; ++r) {
-    EXPECT_EQ(q.eval(BigInt(r * r * r * r)).signum(), 0) << r;
+  out.push_back({"spread real", product_of(spread)});
+  out.push_back({"spread complex pairs", product_of(pairs)});
+  // Zero and integer roots, some of them bisection midpoints.
+  out.push_back({"x wilkinson(8)", Poly{0, 1} * wilkinson(8)});
+  out.push_back({"roots -8 -1 0 2 16",
+                 poly_from_integer_roots({-8, -1, 0, 2, 16})});
+  out.push_back({"x (x^2 + 1) (x - 1)",
+                 Poly{0, 1} * Poly{1, 0, 1} * Poly{-1, 1}});
+  // One real root besides zero: a single cell over (-2^R, 2^R) would
+  // straddle the divided-out zero root.
+  out.push_back({"x (x - 3)", poly_from_integer_roots({0, 3})});
+  for (int degree : {16, 23, 31}) {
+    out.push_back({"random(" + std::to_string(degree) + ", 20)",
+                   random_squarefree_poly(degree, 20, rng)});
   }
+  out.push_back({"mignotte(16, 3)", mignotte(16, 3)});
+  out.push_back({"mignotte(21, 5)", mignotte(21, 5)});
+  out.push_back({"mignotte(25, 9)", mignotte(25, 9)});
+  return out;
 }
 
-TEST(RootRadii, AnnuliCountsAndContainment) {
-  // Roots of magnitude 1, 100 and 10000: three well-separated annuli.
-  const Poly p = poly_from_integer_roots({1, -100, 10000});
-  RadiiConfig cfg;
-  const auto r = estimate_root_radii(p, cfg);
-  ASSERT_EQ(r.annuli.size(), 3u);
-  const BigInt scale = BigInt::pow2(r.guard_bits);
-  const long long mags[] = {1, 100, 10000};
-  int total = 0;
-  for (std::size_t i = 0; i < r.annuli.size(); ++i) {
-    const auto& a = r.annuli[i];
-    EXPECT_EQ(a.count, 1);
-    total += a.count;
-    // inner/2^g <= |root| <= outer/2^g (outward dyadic rounding).
-    EXPECT_LE(a.inner, BigInt(mags[i]) * scale);
-    EXPECT_GE(a.outer, BigInt(mags[i]) * scale);
-    if (i > 0) {
-      EXPECT_LT(r.annuli[i - 1].outer, a.outer);
-    }
-  }
-  EXPECT_EQ(total, p.degree());
-  EXPECT_GT(r.pellet_tests, 0);
-  EXPECT_GE(r.certified_splits, 2);  // at least the inner and outer bounds
-}
-
-TEST(RootRadii, ComplexRootsAreCounted) {
-  // x^2 + 1: both roots on |z| = 1; one annulus, count 2.
-  const Poly p{1, 0, 1};
-  const auto r = estimate_root_radii(p, RadiiConfig{});
-  int total = 0;
-  for (const auto& a : r.annuli) total += a.count;
-  EXPECT_EQ(total, 2);
-  const BigInt one = BigInt::pow2(r.guard_bits);
-  ASSERT_FALSE(r.annuli.empty());
-  EXPECT_LE(r.annuli.front().inner, one);
-  EXPECT_GE(r.annuli.back().outer, one);
-}
-
-TEST(RootRadii, NonSquarefreeInputsAreFine) {
-  // (x-2)^3: count 3 in the annulus around |z| = 2 (multiplicity included).
-  const Poly p = Poly{-2, 1} * Poly{-2, 1} * Poly{-2, 1};
-  const auto r = estimate_root_radii(p, RadiiConfig{});
-  int total = 0;
-  for (const auto& a : r.annuli) total += a.count;
-  EXPECT_EQ(total, 3);
-}
-
-// --- band-restricted Descartes ----------------------------------------------
+// --- Descartes isolation --------------------------------------------------
 
 TEST(Isolate, BandIsolatesInteriorAndEndpointRoots) {
   // Roots 1 and 3 inside [0, 4]; band endpoints 0 and 4 are roots of
@@ -182,7 +142,7 @@ TEST(Isolate, FullPipelineHandlesZeroRoot) {
   // x(x-1)(x+1): zero root becomes an exact cell, the others isolate
   // against the stripped polynomial.
   const Poly p = poly_from_integer_roots({0, 1, -1});
-  const auto out = isolate_roots_radii(p, RadiiConfig{});
+  const auto out = isolate_roots(p);
   ASSERT_EQ(out.cells.size(), 3u);
   EXPECT_EQ(out.stripped.degree(), 2);
   bool has_zero = false;
@@ -198,13 +158,20 @@ TEST(Isolate, FullPipelineHandlesZeroRoot) {
 
 TEST(Isolate, ComplexRootsProduceNoCells) {
   const Poly p{-1, 0, 0, 1};  // x^3 - 1: one real root
-  const auto out = isolate_roots_radii(p, RadiiConfig{});
+  const auto out = isolate_roots(p);
   EXPECT_EQ(out.cells.size(), 1u);
   const Poly q{1, 0, 1};  // x^2 + 1: none
-  EXPECT_TRUE(isolate_roots_radii(q, RadiiConfig{}).cells.empty());
+  EXPECT_TRUE(isolate_roots(q).cells.empty());
 }
 
 TEST(Isolate, CertificateValidOnGenerators) {
+  for (const auto& in : general_inputs()) {
+    const auto cert = certify_isolation(in.poly);
+    EXPECT_TRUE(cert.valid) << in.name << "\n" << cert.to_string();
+    EXPECT_EQ(cert.distinct_real_roots,
+              SturmChain(in.poly).distinct_real_roots())
+        << in.name;
+  }
   Prng rng(42);
   const Poly clustered = clustered_squarefree(6, 8, 3, rng);
   auto cert = certify_isolation(clustered);
@@ -225,13 +192,13 @@ TEST(Isolate, CertificateValidOnGenerators) {
 
 TEST(Isolate, CertificateRejectsTamperedCells) {
   const Poly p = poly_from_integer_roots({1, 3, 5});
-  auto out = isolate_roots_radii(p, RadiiConfig{});
+  auto out = isolate_roots(p);
   ASSERT_EQ(out.cells.size(), 3u);
   // Drop a cell: totality fails.
   auto dropped = out.cells;
   dropped.pop_back();
   EXPECT_FALSE(certify_cells_isolated(p, dropped).valid);
-  // Duplicate an exact cell: disjointness fails.
+  // Duplicate a cell: disjointness fails.
   auto duped = out.cells;
   duped.push_back(duped.back());
   EXPECT_FALSE(certify_cells_isolated(p, duped).valid);
@@ -267,30 +234,44 @@ TEST(Qir, QuadraticConvergenceDoublesTheGrid) {
 }
 
 TEST(Qir, RefineMatchesIntervalSolverBitForBit) {
+  // QIR and the paper's hybrid interval solver compute the same
+  // mu-approximation from the same isolator cell.
   Prng rng(2026);
   const auto input = paper_input(12, rng);
-  RootFinderConfig lo_cfg;
-  lo_cfg.mu_bits = 8;
-  const auto lo = find_real_roots(input.poly, lo_cfg);
-  for (const auto& k : lo.roots) {
-    EXPECT_EQ(isolate::refine_root_qir(input.poly, k, 8, 120),
-              refine_root(input.poly, k, 8, 120));
+  const auto out = isolate_roots(input.poly);
+  ASSERT_EQ(out.cells.size(), 12u);
+  for (std::size_t mu : {8u, 120u}) {
+    for (const auto& c : out.cells) {
+      ASSERT_FALSE(c.exact);
+      const BigInt qir = isolate::qir_solve(out.stripped, c.lo, c.hi, c.s_lo,
+                                            c.s_hi, c.scale, mu, QirConfig{},
+                                            nullptr);
+      // solve_isolated_interval takes its cell at the output scale.
+      const std::size_t w = std::max(c.scale, mu);
+      const BigInt hybrid = solve_isolated_interval(
+          out.stripped, c.lo << (w - c.scale), c.hi << (w - c.scale), c.s_lo,
+          c.s_hi, w, IntervalSolverConfig{}, nullptr);
+      EXPECT_EQ(qir, ceil_shift(hybrid, w - mu)) << "mu " << mu;
+    }
   }
-}
-
-TEST(Qir, ExactRootStaysExact) {
-  const Poly p = poly_from_integer_roots({3, 7});
-  EXPECT_EQ(isolate::refine_root_qir(p, BigInt(3) << 4, 4, 10),
-            BigInt(3) << 10);
-  EXPECT_EQ(isolate::refine_root_qir(p, BigInt(3) << 4, 4, 4),
-            BigInt(3) << 4);
 }
 
 TEST(Qir, RejectsNonIsolatingCell) {
   const Poly p{-2, 0, 1};
-  EXPECT_THROW(isolate::refine_root_qir(p, BigInt(100) << 4, 4, 10),
+  const QirConfig cfg;
+  // Empty or reversed interval.
+  EXPECT_THROW(isolate::qir_solve(p, BigInt(2), BigInt(2), -1, 1, 0, 10, cfg,
+                                  nullptr),
                InvalidArgument);
-  EXPECT_THROW(isolate::refine_root_qir(p, BigInt(1), 10, 5),
+  EXPECT_THROW(isolate::qir_solve(p, BigInt(2), BigInt(1), -1, 1, 0, 10, cfg,
+                                  nullptr),
+               InvalidArgument);
+  // Endpoint signs that do not change.
+  EXPECT_THROW(isolate::qir_solve(p, BigInt(2), BigInt(3), 1, 1, 0, 10, cfg,
+                                  nullptr),
+               InvalidArgument);
+  EXPECT_THROW(isolate::qir_solve(p, BigInt(1), BigInt(2), 0, 1, 0, 10, cfg,
+                                  nullptr),
                InvalidArgument);
 }
 
@@ -348,6 +329,19 @@ TEST(IsolateStrategy, GeneralSquarefreeInputsCrossCheckedBySturm) {
     EXPECT_EQ(static_cast<int>(report.roots.size()),
               SturmChain(p).distinct_real_roots())
         << "degree " << degree;
+  }
+  // Every root, bit for bit, against both sequential baselines.
+  for (const auto& in : general_inputs()) {
+    const Poly sf = squarefree_part(in.poly);
+    for (std::size_t mu : {53u, 256u}) {
+      cfg.mu_bits = mu;
+      const auto report = find_real_roots(in.poly, cfg);
+      const IntervalSolverConfig solver;
+      EXPECT_EQ(report.roots, sturm_find_roots(sf, mu, solver, nullptr))
+          << in.name << " mu " << mu;
+      EXPECT_EQ(report.roots, descartes_find_roots(sf, mu, solver, nullptr))
+          << in.name << " mu " << mu;
+    }
   }
 }
 

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gen/classic_polys.hpp"
 #include "gen/hard_polys.hpp"
@@ -367,6 +370,21 @@ TEST(ParallelDriver, FallbackInputsMatchAcrossEntryPoints) {
       {"modular jacobi-8^2 x jacobi-40",
        sq * sq * random_jacobi_poly(40, 9, rng), mod},
   };
+  // Non-real inputs answered by the Sturm fallback, validated: the
+  // cross-check counts real roots only.
+  RootFinderConfig validated53 = base_config(53);
+  validated53.validate = true;
+  RootFinderConfig validated_mod = validated53;
+  validated_mod.modular.enabled = true;
+  const std::vector<std::pair<std::string, Poly>> non_real = {
+      {"x^3-2", Poly{-2, 0, 0, 1}},
+      {"mignotte(9,5)", mignotte(9, 5)},
+      {"x^5-4x+2", Poly{2, -4, 0, 0, 0, 1}},
+  };
+  for (const auto& [name, p] : non_real) {
+    cases.push_back({"validated " + name, p, validated53, true});
+    cases.push_back({"validated modular " + name, p, validated_mod, true});
+  }
   Prng draws(7);
   for (int degree = 16; degree < 20; ++degree) {
     const Poly p = random_squarefree_poly(degree, 20, draws);
