@@ -8,8 +8,8 @@
 //    both strategies apply, so the wall-time columns are directly
 //    comparable at 1/2/4 threads.
 //  * Mignotte polynomials (mostly complex roots): outside the paper
-//    algorithm's domain, so the paper column is its Sturm-bisection
-//    fallback and the radii column is the general-input path.
+//    algorithm's domain, so the paper column is a stage-1 attempt plus
+//    its fallback, which is the general-input path the radii column runs.
 //  * QIR refinement ladder: refining the sqrt(2) cell (22/16, 23/16) to
 //    growing precision, logging iterations/evaluations and the largest
 //    subdivision exponent reached.  max_subdiv_log2 doubling per success
@@ -34,7 +34,7 @@ struct Row {
   int threads;
   double paper_wall;
   double radii_wall;
-  bool paper_fallback;  ///< paper column used the Sturm fallback
+  bool paper_fallback;  ///< paper column took the fallback
   std::size_t real_roots;
 };
 
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
       rows.push_back(r);
       std::printf("%-9s  %3d  %7d  %8.3f  %8.3f  %s\n", name.c_str(), n,
                   threads, r.paper_wall, r.radii_wall,
-                  r.paper_fallback ? "sturm" : "-");
+                  r.paper_fallback ? "yes" : "-");
     }
   };
 

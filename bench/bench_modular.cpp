@@ -17,12 +17,7 @@
 //               multimodular subsystem accelerates;
 //   * pipeline: the full parallel root finder at equal thread counts with
 //               the subsystem off vs on (the graph shares one table and
-//               basis across the nodes);
-//   * *-batch:  degree-128/256 ablation rows where both arms are modular
-//               and only the batching of stage 1's image tasks differs
-//               (the exact pipeline is too slow to serve as a baseline at
-//               those degrees).  The tree stage, which batching does not
-//               touch, is timed once and shared by both stage-batch arms.
+//               basis across the nodes).
 //
 // Every modular result is checked bit-identical against the exact one
 // before its timing is reported.  Writes BENCH_modular.json at the repo
@@ -88,28 +83,14 @@ double stage1_seconds(const pr::ParallelRunResult& run) {
   return done;
 }
 
-/// Best stage-1 span and best whole-run time over `repeats` graph runs,
-/// plus the last run's report for the bit-identity check.
-struct GraphTimes {
-  double stage1 = 1e100;
-  double pipeline = 1e100;
-  pr::RootReport report;
-  bool fell_back = false;
-};
-
-GraphTimes time_graph(int repeats, const pr::Poly& p,
-                      const pr::RootFinderConfig& cfg,
-                      const pr::ParallelConfig& par) {
-  GraphTimes best;
+/// Best stage-1 span over `repeats` graph runs.
+double best_stage1_seconds(int repeats, const pr::Poly& p,
+                           const pr::RootFinderConfig& cfg,
+                           const pr::ParallelConfig& par) {
+  double best = 1e100;
   for (int r = 0; r < repeats; ++r) {
-    const auto t0 = Clock::now();
-    const auto run = pr::find_real_roots_parallel(p, cfg, par);
-    const auto t1 = Clock::now();
-    best.pipeline = std::min(
-        best.pipeline, std::chrono::duration<double>(t1 - t0).count());
-    best.stage1 = std::min(best.stage1, stage1_seconds(run));
-    best.report = run.report;
-    best.fell_back = run.used_sequential_fallback;
+    best = std::min(
+        best, stage1_seconds(pr::find_real_roots_parallel(p, cfg, par)));
   }
   return best;
 }
@@ -220,7 +201,8 @@ int main(int argc, char** argv) {
     for (int threads : {1, 2, 4}) {
       pr::ParallelConfig par;
       par.num_threads = threads;
-      const double mod_prs = time_graph(repeats, in.poly, prs_cfg, par).stage1;
+      const double mod_prs =
+          best_stage1_seconds(repeats, in.poly, prs_cfg, par);
       emit({"prs", in.name, n, threads, exact_prs, mod_prs});
       emit({"stage", in.name, n, threads, exact_prs + exact_tree,
             mod_prs + mod_tree});
@@ -253,64 +235,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- image-batching ablation at large degree ----------------------------
-  // Degrees 128/256.  The exact pipeline is unaffordable as a baseline
-  // here; the "exact" column is the modular subsystem itself with one
-  // task per image, so these rows isolate what image batching buys.  The
-  // prs and pipeline columns come from the same graph runs (one per arm
-  // for the huge input), and both arms' roots are checked identical.
-  std::vector<Input> big;
-  {
-    pr::Prng rng(0x17a);
-    big.push_back({"jacobi-128", pr::random_jacobi_poly(128, 9, rng)});
-    big.push_back({"jacobi-256", pr::random_jacobi_poly(256, 9, rng)});
-  }
-  const int big_repeats = full ? 3 : 1;
-  for (const auto& in : big) {
-    const int n = in.poly.degree();
-    const bool huge = n >= 200;  // single-run, P=4-only cells
-
-    pr::RootFinderConfig pipe_old;
-    pipe_old.mu_bits = digits_to_bits(4);
-    pipe_old.modular = modular_cfg();
-    pipe_old.modular.batch_images = false;
-    pr::RootFinderConfig pipe_new = pipe_old;
-    pipe_new.modular = modular_cfg();
-    double tree = 0.0;  // shared by both stage-batch arms
-    if (!huge) {
-      const auto rs = pr::modular::compute_remainder_sequence_multimodular(
-          in.poly, pipe_new.modular);
-      if (!rs) {
-        std::cerr << "ablation fell back to exact for " << in.name << "\n";
-        return 1;
-      }
-      tree = timed_best(big_repeats, [&] {
-        build_tree_polys(in.poly, *rs, &pipe_new.modular);
-      });
-    }
-
-    for (int threads : {1, 4}) {
-      if (huge && threads == 1) continue;
-      pr::ParallelConfig par;
-      par.num_threads = threads;
-      const GraphTimes old_t = time_graph(big_repeats, in.poly, pipe_old, par);
-      const GraphTimes new_t = time_graph(big_repeats, in.poly, pipe_new, par);
-      if (old_t.fell_back || new_t.fell_back ||
-          old_t.report.roots != new_t.report.roots) {
-        std::cerr << "ablation pipeline mismatch for " << in.name
-                  << " P=" << threads << "\n";
-        return 1;
-      }
-      emit({"prs-batch", in.name, n, threads, old_t.stage1, new_t.stage1});
-      if (!huge) {
-        emit({"stage-batch", in.name, n, threads, old_t.stage1 + tree,
-              new_t.stage1 + tree});
-      }
-      emit({"pipeline-batch", in.name, n, threads, old_t.pipeline,
-            new_t.pipeline});
-    }
-  }
-
   // Volume counters for one representative run (largest input, serial),
   // stage 1 holding the levels the task graph holds.
   pr::instr::reset_modular();
@@ -330,9 +254,6 @@ int main(int argc, char** argv) {
                "equal thread count;\nprs scales with threads: the images "
                "and the per-level tasks fan out,\nonly the leading-pair "
                "chain is serial;\n"
-               "bad_primes and fallbacks both 0 on these inputs.\n"
-               "*-batch rows compare image batching off vs on (both arms "
-               "modular); thread\ncolumns only separate on multi-core "
-               "hosts.\n";
+               "bad_primes and fallbacks both 0 on these inputs.\n";
   return 0;
 }

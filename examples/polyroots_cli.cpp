@@ -330,8 +330,8 @@ int main(int argc, char** argv) {
     }
   }
   if (report.used_sturm_fallback) {
-    std::cout << "(used the Sturm fallback: the input has non-real roots "
-                 "or a degenerate sequence)\n";
+    std::cout << "(answered by the Descartes isolator: the input has "
+                 "non-real roots or a degenerate sequence)\n";
   }
   if (stats) {
     std::cout << "\n" << pr::instr::format(pr::instr::aggregate());

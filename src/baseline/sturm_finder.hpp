@@ -5,8 +5,9 @@
 // routine, 1991): a classical isolate-and-refine method whose isolation
 // cost is insensitive to the output precision mu -- exactly the behaviour
 // the paper observed ("the PARI algorithm seemed insensitive to this
-// parameter").  It is also the fallback path for inputs whose remainder
-// sequence is not normal.
+// parameter").  The tests also use it as an independent oracle for the
+// general-input path (src/isolate/), which answers the inputs the tree
+// rejects; no solve runs it.
 #pragma once
 
 #include <vector>

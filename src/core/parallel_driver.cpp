@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "baseline/sturm_finder.hpp"
 #include "core/interval_stage.hpp"
 #include "core/scaled_point.hpp"
 #include "core/tree.hpp"
@@ -17,8 +16,6 @@
 #include "modular/tree_poly.hpp"
 #include "poly/bounds.hpp"
 #include "poly/remainder_sequence.hpp"
-#include "poly/squarefree.hpp"
-#include "poly/sturm.hpp"
 #include "support/error.hpp"
 
 namespace pr {
@@ -183,7 +180,7 @@ class GraphBuilder {
     q_ready_[static_cast<std::size_t>(i)] = q;
   }
 
-  /// Stage 1 on the multimodular engine: batched per-prime image tasks
+  /// Stage 1 on the multimodular engine: one task per eager prime image
   /// and the held-out image fan out with no dependencies at all, a prep
   /// task builds the CRT basis, a serial chain of one small task per level
   /// sizes it from the leading pairs and reconstructs those, and each
@@ -198,23 +195,19 @@ class GraphBuilder {
     RunState& st = st_;
     const int n = st.n;
     auto& prs = *st.mprs;
-    const int threads = std::max(1, pc_.num_threads);
 
     const TaskId prep =
         g_.add(TaskKind::kModPrep, -1, [&prs] { prs.prepare_crt(); });
-    const std::size_t image_tasks = prs.num_image_tasks(threads);
-    for (std::size_t t = 0; t < image_tasks; ++t) {
+    for (std::size_t s = 0; s < prs.num_slots(); ++s) {
       const TaskId img =
-          g_.add(TaskKind::kPrimeImage, static_cast<std::int32_t>(t),
-                 [&prs, t, threads] { prs.run_image_batch(t, threads); });
+          g_.add(TaskKind::kPrimeImage, static_cast<std::int32_t>(s),
+                 [&prs, s] { prs.run_image(s); });
       g_.add_edge(img, prep);
     }
-    if (st.modular.paranoid_check) {
-      const TaskId holdout =
-          g_.add(TaskKind::kPrimeImage, static_cast<std::int32_t>(image_tasks),
-                 [&prs] { prs.run_holdout(); });
-      g_.add_edge(holdout, prep);
-    }
+    const TaskId holdout = g_.add(
+        TaskKind::kPrimeImage, static_cast<std::int32_t>(prs.num_slots()),
+        [&prs] { prs.run_holdout(); });
+    g_.add_edge(holdout, prep);
     const TaskId publish = g_.add(TaskKind::kModPublish, -1, [&st] {
       auto rs = st.mprs->finalize();
       st.mprs.reset();
@@ -663,14 +656,22 @@ class GraphBuilder {
   }
 };
 
-/// Builds the full two-stage graph for `work` (primitive, degree >= 2)
-/// and runs it on a pool of parallel.num_threads workers; TaskPool(1)
-/// executes inline on the caller.  Tasks hold references into `state`,
-/// which outlives the run.
-ParallelRunResult run_graph(const Poly& work, const RootFinderConfig& config,
-                            const ParallelConfig& parallel) {
+/// What a solve's task graph hands the report: one root per distinct real
+/// root of the polynomial it ran on, and their interval statistics.
+struct Solved {
+  std::vector<BigInt> roots;
+  IntervalStats stats;
+};
+
+/// Builds the full two-stage graph for `work` (primitive, degree >= 2,
+/// all roots in (-2^bound, 2^bound)) and runs it on a pool of
+/// parallel.num_threads workers; TaskPool(1) executes inline on the
+/// caller.  Tasks hold references into `state`, which outlives the run.
+/// Records the execution in out.pool and out.trace.
+Solved run_graph(const Poly& work, std::size_t bound,
+                 const RootFinderConfig& config,
+                 const ParallelConfig& parallel, ParallelRunResult& out) {
   RunState state(work);
-  const std::size_t bound = root_bound_pow2(work);
   state.mu = config.mu_bits;
   state.solver = config.solver;
   state.modular = config.modular;
@@ -687,21 +688,45 @@ ParallelRunResult run_graph(const Poly& work, const RootFinderConfig& config,
   GraphBuilder(state, graph, parallel).build();
   graph.validate();
   TaskPool pool(parallel.num_threads);
-  ParallelRunResult out;
   out.pool = pool.run(graph);
-
-  RootReport& r = out.report;
-  r.mu = state.mu;
-  r.distinct_roots = work.degree();
-  r.bound_pow2 = bound;
-  r.roots = state.tree.node(state.tree.root_index()).roots;
-  r.multiplicities.assign(r.roots.size(), 1);
-  for (const auto& sc : state.scratch) {
-    for (const auto& st : sc.stats) r.stats += st;
-  }
-  if (config.validate) detail::validate_roots(work, r.roots, state.mu);
   out.trace = TaskTrace::from_graph(graph);
-  return out;
+
+  Solved solved;
+  solved.roots = state.tree.node(state.tree.root_index()).roots;
+  for (const auto& sc : state.scratch) {
+    for (const auto& st : sc.stats) solved.stats += st;
+  }
+  return solved;
+}
+
+/// The general path's parallel stage: one kRefine task per cell of
+/// run.isolation, each writing its root positionally (the cells are
+/// sorted, so the roots are too).  Isolation itself is sequential; the
+/// cells are not known until it finishes.  Records the execution in
+/// out.pool and out.trace when there is a cell to refine.
+Solved refine_cells(const isolate::IsolationRun& run,
+                    const RootFinderConfig& config,
+                    const ParallelConfig& parallel, ParallelRunResult& out) {
+  const auto& cells = run.isolation.cells;
+  std::vector<BigInt> roots(cells.size());
+  std::vector<isolate::QirStats> stats(cells.size());
+  isolate::QirStats totals;
+  if (!cells.empty()) {
+    TaskGraph graph;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      graph.add(TaskKind::kRefine, static_cast<std::int32_t>(i), [&, i] {
+        roots[i] = isolate::cell_mu_approx(run.isolation.stripped, cells[i],
+                                           config.mu_bits, config.isolate.qir,
+                                           &stats[i]);
+      });
+    }
+    graph.validate();
+    TaskPool pool(parallel.num_threads);
+    out.pool = pool.run(graph);
+    out.trace = TaskTrace::from_graph(graph);
+    for (const auto& st : stats) totals += st;
+  }
+  return {std::move(roots), isolate::qir_interval_stats(run.isolation, totals)};
 }
 
 }  // namespace
@@ -712,70 +737,58 @@ ParallelRunResult find_real_roots_parallel(const Poly& p,
   check_arg(p.degree() >= 1, "find_real_roots_parallel: degree >= 1");
   check_arg(parallel.grain_chunk >= 1,
             "find_real_roots_parallel: grain_chunk >= 1");
-  if (config.strategy == FinderStrategy::kRadii) {
-    return isolate::find_real_roots_radii_parallel(p, config, parallel);
-  }
-  const std::size_t mu = config.mu_bits;
   ParallelRunResult out;
-
   // Work on the primitive part; scaling by a positive rational constant
-  // changes no root.  Repeated roots are detected by the remainder
-  // sequence itself (it terminates early, Section 2.3), which also hands
-  // over g = gcd(work, work'); only then is a squarefree decomposition
-  // paid for, seeded with that g: the graph reruns on the squarefree part
-  // (see DESIGN.md for why this realizes the paper's extended-sequence
-  // stage) and the factors give the multiplicities.
-  Poly work = p.primitive_part();
-  std::vector<SquarefreeFactor> factors;
-  bool reduced = false;
-  const auto reduce_to_squarefree = [&](const Poly& g) {
-    SquarefreeReduction sf = squarefree_reduce(work, g);
-    factors = std::move(sf.factors);
-    work = std::move(sf.part);
-    reduced = true;
-  };
+  // changes no root.
+  isolate::IsolationRun run;
+  run.input_degree = p.degree();
+  run.work = p.primitive_part();
+  Solved solved;
   bool from_graph = false;
-  try {
-    while (work.degree() >= 2 && !from_graph) {
-      try {
-        out = run_graph(work, config, parallel);
-        from_graph = true;
-      } catch (const ExtendedSequence& e) {
-        check_internal(!reduced,
-                       "squarefree input yielded an extended sequence");
-        reduce_to_squarefree(e.gcd);
+  bool fallback = false;
+  if (config.strategy == FinderStrategy::kPaper) {
+    // The interleaving tree first.  Repeated roots are detected by the
+    // remainder sequence itself (it terminates early, Section 2.3), which
+    // also hands over g = gcd(work, work'); only then is a squarefree
+    // decomposition paid for, seeded with that g: the graph reruns on the
+    // squarefree part (see DESIGN.md for why this realizes the paper's
+    // extended-sequence stage) and the factors give the multiplicities.
+    try {
+      while (run.work.degree() >= 2 && !from_graph) {
+        try {
+          run.bound_pow2 = root_bound_pow2(run.work);
+          solved = run_graph(run.work, run.bound_pow2, config, parallel, out);
+          from_graph = true;
+        } catch (const ExtendedSequence& e) {
+          check_internal(!run.reduced,
+                         "squarefree input yielded an extended sequence");
+          run.reduce(e.gcd);
+        }
       }
+    } catch (const NonNormalSequence&) {
+      // A non-normal sequence or non-real roots: the tree does not apply,
+      // so the general path answers (when allowed), starting from any
+      // reduction stage 1 already made.
+      if (!config.allow_sturm_fallback) throw;
+      fallback = true;
     }
-    if (!from_graph) {
-      // A linear input or squarefree part: one exact ceiling division.
-      out.report.roots = {BigInt::cdiv(-(work.coeff(0) << mu), work.coeff(1))};
-    }
-  } catch (const NonNormalSequence&) {
-    // A non-normal sequence or non-real roots: the tree algorithm does not
-    // apply, so the Sturm baseline answers (when allowed).
-    if (!config.allow_sturm_fallback) throw;
-    if (!reduced) reduce_to_squarefree(poly_gcd(work, work.derivative()));
-    out.report.used_sturm_fallback = true;
-    out.report.roots =
-        sturm_find_roots(work, mu, config.solver, &out.report.stats);
   }
-  out.used_sequential_fallback = !from_graph;
   if (!from_graph) {
-    // run_graph fills these in for graph runs.
-    out.report.mu = mu;
-    out.report.bound_pow2 = root_bound_pow2(work);
-    out.report.distinct_roots = work.degree();
-    if (config.validate) detail::validate_roots(work, out.report.roots, mu);
+    // kRadii, kPaper's fallback, and a linear input or squarefree part.
+    isolate::isolate_run(run);
+    if (run.work.degree() == 1) {
+      // One exact ceiling division.
+      solved.roots = {BigInt::cdiv(-(run.work.coeff(0) << config.mu_bits),
+                                   run.work.coeff(1))};
+    } else {
+      solved = refine_cells(run, config, parallel, out);
+    }
+    out.used_sequential_fallback = run.isolation.cells.empty();
   }
-  out.isolated = std::move(work);
-  out.report.degree = p.degree();
-  out.report.squarefree_reduced = reduced;
-  if (reduced) {
-    out.report.multiplicities =
-        detail::assign_multiplicities(out.report.roots, mu, factors);
-  } else {
-    out.report.multiplicities.assign(out.report.roots.size(), 1);
-  }
+  out.report = isolate::assemble_report(run, config, std::move(solved.roots),
+                                        solved.stats);
+  out.report.used_sturm_fallback = fallback;
+  out.isolated = std::move(run.work);
   return out;
 }
 

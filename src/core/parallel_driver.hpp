@@ -15,14 +15,19 @@
 // TaskTrace with deterministic per-task costs, which the discrete-event
 // simulator (src/sim/) replays under arbitrary simulated processor counts.
 //
-// find_real_roots_parallel wraps the graph with what lies outside the
-// paper's path: the primitive part, the linear case, the squarefree
-// reduction when stage 1 finds an extended sequence (stage 1 hands over
-// gcd(p, p') with it, so the reduction is one exact division plus
-// Musser's loop, and the squarefree part then runs on the graph), the
-// Sturm fallback for non-normal or non-real sequences, multiplicities
-// (detail::assign_multiplicities: cell-end signs, Sturm counts only where
-// those do not decide), and RootFinderConfig::validate.
+// find_real_roots_parallel is the one wrapper of both strategies; the
+// strategy only decides whether the graph is tried first.  It owns what
+// lies off the paper's path: the primitive part, the squarefree reduction
+// when stage 1 finds an extended sequence (stage 1 hands over gcd(p, p')
+// with it, so the reduction is one exact division plus Musser's loop, and
+// the squarefree part then runs on the graph), and the general-input path
+// (src/isolate/) for kRadii and for kPaper's non-normal or non-real
+// sequences: a gcd test only when stage 1 did not reduce, so no solve
+// computes gcd(p, p') twice, then Descartes isolation and one kRefine task
+// per cell.  isolate::assemble_report then fills in every report: the
+// linear case, multiplicities (detail::assign_multiplicities: cell-end
+// signs, Sturm counts only where those do not decide) and
+// RootFinderConfig::validate.
 //
 // Every call builds its own graph and runs it on its own pool; no other
 // run shares either.  Results are identical for every thread count and
@@ -73,21 +78,23 @@ struct ParallelRunResult {
   /// The polynomial whose distinct real roots report.roots isolates:
   /// primitive, squarefree, positive leading coefficient.  The primitive
   /// part of the input, or its squarefree part when the run reduced
-  /// (report.squarefree_reduced, which every Sturm fallback sets).  It is
-  /// what a refinement of report's cells sharpens, and both strategies
-  /// fill it in.
+  /// (report.squarefree_reduced).  It is what a refinement of report's
+  /// cells sharpens, and both strategies fill it in.
   Poly isolated;
   TaskTrace trace;          ///< replayable DAG with per-task costs
   TaskPoolStats pool;       ///< the execution that produced `trace`
   /// True when no task graph produced this report: a linear input or
-  /// squarefree part, or the Sturm fallback.  `trace` is then empty.
+  /// squarefree part (one exact division), or a general-path input with
+  /// no real root (no cell to refine).  `trace` is then empty.
   bool used_sequential_fallback = false;
 };
 
-/// Finds all real roots of p on parallel.num_threads workers.  Inputs
-/// with repeated roots run their squarefree part on the graph (the trace
-/// and pool stats describe that run); non-normal or non-real sequences
-/// take the Sturm fallback.  find_real_roots() is this at one thread.
+/// Finds all real roots of p on parallel.num_threads workers.  Under
+/// kPaper, inputs with repeated roots run their squarefree part on the
+/// graph (the trace and pool stats describe that run), and non-normal or
+/// non-real sequences take the general-input path; under kRadii every
+/// input takes it (the trace and pool stats then describe the kRefine
+/// tasks).  find_real_roots() is this at one thread.
 ParallelRunResult find_real_roots_parallel(const Poly& p,
                                            const RootFinderConfig& config,
                                            const ParallelConfig& parallel);

@@ -5,7 +5,9 @@
 // the interleaving-tree algorithm of Narendran & Tiwari (after Ben-Or &
 // Tiwari).  Repeated roots are reduced away by squarefree decomposition
 // and reported through per-root multiplicities; inputs whose remainder
-// sequence is not normal fall back to the Sturm baseline (configurable).
+// sequence is not normal, or shows non-real roots, fall back to the
+// general-input path of the kRadii strategy, Descartes isolation + QIR
+// (src/isolate/; configurable).
 //
 // There is one implementation: find_real_roots is find_real_roots_parallel
 // (core/parallel_driver.hpp) at one thread, whose task graph then runs
@@ -33,14 +35,15 @@ struct RootFinderConfig {
   FinderStrategy strategy = FinderStrategy::kPaper;
   /// Interval-problem solver settings (hybrid by default).
   IntervalSolverConfig solver;
-  /// Settings for the kRadii strategy (ignored by kPaper).
+  /// Settings of the general-input path (kRadii and kPaper's fallback).
   isolate::IsolateConfig isolate;
-  /// If the remainder sequence is not normal, silently use the Sturm
-  /// baseline instead of throwing NonNormalSequence.
+  /// kPaper only: if the remainder sequence is not normal or shows a
+  /// non-real root, answer through kRadii's general-input path instead of
+  /// throwing NonNormalSequence.  The name is historical.
   bool allow_sturm_fallback = true;
   /// Cross-checks the report against a Sturm count of the real roots
   /// (detail::validate_roots; expensive, for tests and debugging).  Applies
-  /// to every entry point and strategy, the Sturm fallback included, and
+  /// to every entry point and strategy, kPaper's fallback included, and
   /// so to every cold solve of the RootService.
   bool validate = false;
   /// Multimodular fast paths (remainder sequence + tree polynomials); off by
@@ -58,9 +61,13 @@ struct RootReport {
   std::size_t mu = 0;          ///< scale of `roots`
   std::size_t bound_pow2 = 0;  ///< R: all roots lie in (-2^R, 2^R)
   int degree = 0;              ///< degree of the input
-  int distinct_roots = 0;      ///< n*
+  int distinct_roots = 0;      ///< roots.size(): the distinct real roots
+  /// gcd(p, p') is non-constant; `roots` are the squarefree part's.
   bool squarefree_reduced = false;
+  /// kPaper's tree rejected the input (a non-normal or non-real sequence)
+  /// and kRadii's general-input path answered.  The name is historical.
   bool used_sturm_fallback = false;
+  /// Interval statistics; on the general-input path, the QIR counters.
   IntervalStats stats;
 
   /// Root i as a double (for reporting).
@@ -73,8 +80,9 @@ class RealRootFinder {
 
   /// Finds all real roots of p: find_real_roots_parallel at one thread.
   /// Precondition: p is non-constant.  Under kPaper, an input with
-  /// non-real roots takes the Sturm fallback (or throws NonNormalSequence
-  /// when allow_sturm_fallback is off); validate checks the returned roots
+  /// non-real roots takes the fallback through the Descartes isolator and
+  /// QIR, and gets kRadii's report (or throws NonNormalSequence when
+  /// allow_sturm_fallback is off); validate checks the returned roots
   /// against a Sturm count of the real roots.
   RootReport find(const Poly& p) const;
 
@@ -108,8 +116,8 @@ std::vector<unsigned> assign_multiplicities(
 /// ((k-1)/2^mu, k/2^mu] holding exactly that many roots.  Non-real roots
 /// of `work` are allowed, but a report that counts them fails: a graph
 /// report returns deg(work) values, more than the Sturm count.  Throws
-/// InternalError on a mismatch.  Shared by the graph path, the Sturm
-/// fallback and kRadii.
+/// InternalError on a mismatch.  Run once for every report, by
+/// isolate::assemble_report.
 void validate_roots(const Poly& work, const std::vector<BigInt>& roots,
                     std::size_t mu);
 

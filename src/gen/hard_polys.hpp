@@ -2,9 +2,10 @@
 // root-isolation subsystem (src/isolate/, FinderStrategy::kRadii).  The
 // paper's interleaving tree requires every root real; mignotte() and (in
 // general) random_squarefree_poly() violate that precondition on purpose,
-// so the paper path answers them through its Sturm fallback (or throws
-// NonNormalSequence when allow_sturm_fallback is off) while the radii
-// path isolates their real roots with a certificate.
+// so the paper path answers them through its fallback, the general-input
+// path the radii strategy runs (or throws NonNormalSequence when
+// allow_sturm_fallback is off), which isolates their real roots with a
+// certificate.
 #pragma once
 
 #include "poly/poly.hpp"

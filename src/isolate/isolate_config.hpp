@@ -12,7 +12,7 @@ namespace pr {
 /// Which isolation pipeline a RealRootFinder runs.
 enum class FinderStrategy {
   /// The paper's interleaving-tree algorithm (all-real-rooted inputs;
-  /// non-real roots take the Sturm fallback or throw).
+  /// non-real roots fall back to kRadii's pipeline or throw).
   kPaper,
   /// Squarefree reduction, Descartes (Collins-Akritas) subdivision of the
   /// root bound interval (-2^R, 2^R), and quadratic (QIR) refinement of
@@ -39,7 +39,8 @@ struct QirConfig {
   std::size_t max_subdiv_log2 = 64;
 };
 
-/// Bundled configuration for the kRadii strategy.
+/// Bundled configuration for the general-input path: the kRadii strategy
+/// and kPaper's fallback.
 struct IsolateConfig {
   QirConfig qir;
 };

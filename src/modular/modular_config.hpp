@@ -2,12 +2,13 @@
 //
 // The exact BigInt pipeline remains the default; the multimodular paths
 // are opt-in (enabled flag) and produce bit-identical results -- every
-// reconstruction is exact under a proven coefficient bound.  In the
-// remainder sequence any irregularity (repeated roots, exhausted prime
-// replacements, a failed held-out-prime check) abandons the fast path and
-// recomputes exactly; the tree polynomials have none to meet, since the
-// sequence is exact by then and a prime dividing one of the c_t they
-// invert is skipped.
+// reconstruction is exact under a proven coefficient bound, and every
+// level of the remainder sequence is also checked against one held-out
+// prime.  In the remainder sequence any irregularity (repeated roots,
+// exhausted prime replacements, a failed or impossible held-out check)
+// abandons the fast path and recomputes exactly; the tree polynomials have
+// none to meet, since the sequence is exact by then and a prime dividing
+// one of the c_t they invert is skipped.
 #pragma once
 
 #include <cstdint>
@@ -30,18 +31,6 @@ struct ModularConfig {
   /// Degrees below this use the exact remainder sequence (word-sized
   /// coefficients do not amortize the CRT setup).
   int min_degree = 24;
-
-  /// Batch several per-prime PRS images into one TaskPool task when the
-  /// per-image cost model says a single image is too small to amortize
-  /// dispatch (below ~degree 40).  Purely a scheduling change; the task
-  /// work floor is kImageBatchMinTaskUnits (modular/modular_prs.hpp).
-  bool batch_images = true;
-
-  /// Check every reconstructed level against the image at one held-out
-  /// prime (cost ~1/k of the total); a mismatch, or a held-out image that
-  /// cannot be computed, falls back to the exact path instead of
-  /// surfacing an unchecked result.
-  bool paranoid_check = true;
 
   /// Test seam: moduli to try *before* the deterministic table (each must
   /// be an odd prime below 2^62).  Lets tests force a known-bad first

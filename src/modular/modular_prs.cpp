@@ -69,10 +69,8 @@ MultimodularPrs::MultimodularPrs(const Poly& f0, const ModularConfig& cfg,
   replacement_cap_ = 16 + static_cast<int>(slots_.size() / 4);
   // Drawn here, after the slots, so the held-out primes do not depend on
   // how concurrent image tasks happen to draw replacements.
-  if (cfg_.paranoid_check) {
-    for (int c = 0; c < kHoldoutCandidates; ++c) {
-      holdout_primes_.push_back(take_prime());
-    }
+  for (int c = 0; c < kHoldoutCandidates; ++c) {
+    holdout_primes_.push_back(take_prime());
   }
 
   // Eager-image prefix (see num_slots()): enough primes for ~60% of the
@@ -204,7 +202,6 @@ void MultimodularPrs::run_image(std::size_t slot) {
 }
 
 void MultimodularPrs::run_holdout() {
-  if (!cfg_.paranoid_check) return;
   for (std::uint64_t p : holdout_primes_) {
     if (fallback_.load(std::memory_order_acquire)) return;
     holdout_.prime = p;
@@ -223,36 +220,6 @@ void MultimodularPrs::run_holdout() {
   latch_fallback();
 }
 
-std::size_t MultimodularPrs::image_batch(int threads) const {
-  if (!cfg_.batch_images || eager_ == 0) return 1;
-  // Per-image cost in word-multiply units (one 64x64 MAC each): the
-  // recurrence touches ~sum_d 12 d ~ 6 n^2 units of field MACs, one field
-  // inverse per level (~150 units each), and the input reduction pays ~2
-  // units per limb of every coefficient.  Batch until a task clears
-  // kImageBatchMinTaskUnits, but keep at least ~2 tasks per worker so
-  // batching never serializes a wide pool.
-  const double dn = static_cast<double>(n_);
-  const double in_limbs = static_cast<double>(f0_.max_coeff_bits() / 64 + 1);
-  const double cost =
-      6.0 * dn * dn + 150.0 * dn + 2.0 * (2.0 * dn + 2.0) * in_limbs;
-  auto batch = static_cast<std::size_t>(kImageBatchMinTaskUnits / cost) + 1;
-  const auto workers = static_cast<std::size_t>(std::max(1, threads));
-  const std::size_t cap = std::max<std::size_t>(1, eager_ / (2 * workers));
-  return std::min(std::max<std::size_t>(1, batch), cap);
-}
-
-std::size_t MultimodularPrs::num_image_tasks(int threads) const {
-  const std::size_t b = image_batch(threads);
-  return (eager_ + b - 1) / b;
-}
-
-void MultimodularPrs::run_image_batch(std::size_t task, int threads) {
-  const std::size_t b = image_batch(threads);
-  const std::size_t first = task * b;
-  const std::size_t last = std::min(first + b, eager_);
-  for (std::size_t s = first; s < last; ++s) run_image(s);
-}
-
 std::shared_ptr<const CrtBasis> MultimodularPrs::basis_over(
     std::size_t count) const {
   std::vector<std::uint64_t> primes;
@@ -267,8 +234,7 @@ void MultimodularPrs::prepare_crt() {
     check_internal(slots_[s].ok,
                    "prepare_crt: not all eager images completed");
   }
-  check_internal(!cfg_.paranoid_check || holdout_.ok,
-                 "prepare_crt: the held-out image did not run");
+  check_internal(holdout_.ok, "prepare_crt: the held-out image did not run");
   basis_ = basis_over(eager_);
   images_done_ = eager_;
   const auto un = static_cast<std::size_t>(n_);
@@ -395,15 +361,13 @@ void MultimodularPrs::reconstruct_level(int i) {
   if (d > 0) kept[len - 2] = lead.next;
   kept[len - 1] = lead.lc;
 
-  if (cfg_.paranoid_check) {
-    // Certify the level against the held-out prime: its image of what
-    // F_{i+1} keeps must equal the reduction of the reconstructed values.
-    const std::uint64_t* h = row(holdout_, ui);
-    for (std::size_t j = 0; j < len; ++j) {
-      if (kept[j].mod_u64(holdout_.prime) != h[j]) {
-        latch_fallback();
-        return;
-      }
+  // Certify the level against the held-out prime: its image of what
+  // F_{i+1} keeps must equal the reduction of the reconstructed values.
+  const std::uint64_t* h = row(holdout_, ui);
+  for (std::size_t j = 0; j < len; ++j) {
+    if (kept[j].mod_u64(holdout_.prime) != h[j]) {
+      latch_fallback();
+      return;
     }
   }
 

@@ -73,12 +73,6 @@
 
 namespace pr::modular {
 
-/// Per-prime PRS images are fused into one task until it clears this much
-/// modeled work, in word-multiply units (one raw 64x64 multiply-accumulate
-/// each).  Task dispatch is ~2500 units, so dispatch stays under ~12% of
-/// a task.
-inline constexpr double kImageBatchMinTaskUnits = 20000.0;
-
 class MultimodularPrs {
  public:
   /// Chooses the prime slots and the held-out candidates deterministically
@@ -109,28 +103,11 @@ class MultimodularPrs {
   /// (irregularities latch the fallback flag instead).
   void run_image(std::size_t slot);
 
-  /// Images the held-out prime that reconstruct_level checks against
-  /// (cfg.paranoid_check; a no-op otherwise), trying up to three
-  /// candidates.  When none images, the check cannot run and the fallback
-  /// latches.  May run concurrently with the slot images.
+  /// Images the held-out prime that reconstruct_level checks against,
+  /// trying up to three candidates.  When none images, the check cannot
+  /// run and the fallback latches.  May run concurrently with the slot
+  /// images.
   void run_holdout();
-
-  // --- image batching (cfg.batch_images) -----------------------------------
-  // One task per prime is too fine below ~degree 40: a single image costs
-  // ~6 n^2 word multiplies, which rivals task dispatch (~2500 units).
-  // The driver asks for a batch
-  // size, schedules num_image_tasks() tasks, and each one images a
-  // contiguous run of slots.  Purely a scheduling regrouping: the same
-  // run_image calls happen in the same per-slot order within a batch.
-
-  /// Slots per image task for the given worker count: enough images to
-  /// clear the dispatch-amortization floor, but never so many that fewer
-  /// than ~2 tasks per worker remain.  1 when batching is disabled.
-  std::size_t image_batch(int threads) const;
-  /// ceil(num_slots / image_batch).
-  std::size_t num_image_tasks(int threads) const;
-  /// Images slots [t*B, min((t+1)*B, num_slots)), B = image_batch(threads).
-  void run_image_batch(std::size_t task, int threads);
 
   // --- CRT reconstruction ---------------------------------------------------
   // After every eager image and the held-out image, the driver chains

@@ -1,9 +1,9 @@
 // Sturm chains and exact real-root counting.
 //
 // Used by (a) the baseline sequential root finder (the paper's Figure-8
-// comparator), (b) the fallback path for inputs whose remainder sequence is
-// not normal, and (c) test oracles that validate every root cell the tree
-// algorithm returns.
+// comparator), (b) RootFinderConfig::validate and the multiplicities of
+// shared cells, and (c) test oracles that validate every root cell the
+// tree algorithm returns.
 //
 // Evaluation points are dyadic rationals a / 2^w.  Queries are exact even
 // when an endpoint coincides with a root: one-sided sign limits are

@@ -220,8 +220,8 @@ ServiceResult RootService::finalize_cold(const CanonicalRequest& req,
     auto entry = std::make_shared<CacheEntry>();
     entry->canonical = req.canonical;
     // What a later refine sharpens: the polynomial the cold run isolated
-    // -- the squarefree part when it reduced (or Sturm-fell-back, which
-    // reduces first), the canonical input itself otherwise.
+    // -- the squarefree part when it reduced, the canonical input itself
+    // otherwise.
     entry->refine_poly = std::move(run.isolated);
     entry->report = run.report;
     entry->strategy = req.strategy;

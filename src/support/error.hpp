@@ -30,8 +30,9 @@ class DivisionByZero : public Error {
 
 /// Thrown when the subresultant remainder sequence of the input is not
 /// *normal* (some quotient has degree != 1).  The tree algorithm of the
-/// paper requires a normal sequence; RealRootFinder catches this and falls
-/// back to the Sturm baseline when allowed.
+/// paper requires a normal sequence; find_real_roots_parallel catches this
+/// (and stage 1's non-real diagnostic) and falls back to the general-input
+/// path, Descartes isolation + QIR, when allowed.
 class NonNormalSequence : public Error {
  public:
   explicit NonNormalSequence(const std::string& what) : Error(what) {}

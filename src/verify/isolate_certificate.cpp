@@ -32,18 +32,26 @@ bool dyadic_le(const BigInt& a, std::size_t wa, const BigInt& b,
   return !((b << (w - wb)) < (a << (w - wa)));
 }
 
+bool squarefree(const Poly& p) {
+  return poly_gcd(p, p.derivative()).degree() == 0;
+}
+
+/// The certificate of an input that is not squarefree: the simple-root
+/// reasoning of certify_impl would be unsound.
+IsolationCertificate not_squarefree(std::size_t cells_checked) {
+  IsolationCertificate cert;
+  cert.cells_checked = cells_checked;
+  fail(cert, "input is not squarefree (gcd(p, p') is nonconstant)");
+  return cert;
+}
+
 /// Certifies `cells` against `p`, whose roots the non-exact cells bracket.
-/// `exact_poly` is the polynomial exact cells must be roots of (the
-/// unstripped input); for certify_cells_isolated the two coincide.
+/// `exact_poly` is the squarefree polynomial exact cells must be roots of
+/// (the unstripped input); for certify_cells_isolated the two coincide.
 IsolationCertificate certify_impl(const Poly& p, const Poly& exact_poly,
                                   const std::vector<isolate::IsolatingCell>& cells) {
   IsolationCertificate cert;
   cert.cells_checked = cells.size();
-
-  if (poly_gcd(exact_poly, exact_poly.derivative()).degree() != 0) {
-    fail(cert, "input is not squarefree (gcd(p, p') is nonconstant)");
-    return cert;  // simple-root reasoning below would be unsound
-  }
 
   const SturmChain chain(exact_poly);
   cert.distinct_real_roots = chain.distinct_real_roots();
@@ -119,10 +127,14 @@ std::string IsolationCertificate::to_string() const {
 
 IsolationCertificate certify_cells_isolated(
     const Poly& p, const std::vector<isolate::IsolatingCell>& cells) {
+  if (!squarefree(p)) return not_squarefree(cells.size());
   return certify_impl(p, p, cells);
 }
 
 IsolationCertificate certify_isolation(const Poly& p) {
+  // Before the isolator runs: its subdivision does not terminate on a
+  // repeated root.
+  if (!squarefree(p)) return not_squarefree(0);
   const auto out = isolate::isolate_roots(p);
   return certify_impl(out.stripped, p, out.cells);
 }

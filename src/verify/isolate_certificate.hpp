@@ -1,5 +1,6 @@
 // Post-hoc certification of the Descartes isolator's output
-// (isolate/descartes_isolate), which the kRadii strategy refines.
+// (isolate/descartes_isolate), which the general-input path refines for
+// kRadii and for kPaper's fallback.
 //
 // The interleaving-tree certificate (verify/certificate.hpp) leans on the
 // all-roots-real structure the paper assumes.  The kRadii strategy accepts
@@ -46,8 +47,9 @@ struct IsolationCertificate {
 IsolationCertificate certify_cells_isolated(
     const Poly& p, const std::vector<isolate::IsolatingCell>& cells);
 
-/// Runs isolate::isolate_roots on the square-free `p` and certifies its
-/// output (handles the zero-root stripping the isolator performs).
+/// Runs isolate::isolate_roots on `p` and certifies its output (handles
+/// the zero-root stripping the isolator performs).  An input that is not
+/// square-free gets an invalid certificate, without running the isolator.
 IsolationCertificate certify_isolation(const Poly& p);
 
 }  // namespace pr

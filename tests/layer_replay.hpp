@@ -6,9 +6,11 @@
 // public layer calls e2ebench/layers.cpp times -- stage 1 (multimodular
 // when enabled, exact otherwise), then compute_node_poly and
 // compute_node_roots in postorder -- plus the squarefree reduction, the
-// Sturm fallback and the multiplicities.  Its multimodular stage 1 holds
-// only the tree's spine levels in full, as the graph's does, so both
-// reconstruct the same values.  It never validates.  Its
+// general-input fallback and the multiplicities.  Its multimodular stage 1
+// holds only the tree's spine levels in full, as the graph's does, so both
+// reconstruct the same values.  The fallback replays the general path one
+// call at a time: a gcd test unless stage 1 reduced, isolate_roots,
+// cell_mu_approx per cell, then assemble_report.  It never validates.  Its
 // squarefree reduction computes gcd(p, p') itself (the one-argument
 // squarefree_decompose and squarefree_part), and its multiplicities come
 // from sturm_count_multiplicities below, so neither leans on the
@@ -21,10 +23,10 @@
 #include <string>
 #include <vector>
 
-#include "baseline/sturm_finder.hpp"
 #include "core/root_finder.hpp"
 #include "core/tree.hpp"
 #include "core/tree_builder.hpp"
+#include "isolate/isolate.hpp"
 #include "modular/modular_prs.hpp"
 #include "poly/bounds.hpp"
 #include "poly/remainder_sequence.hpp"
@@ -124,14 +126,32 @@ inline RootReport replay_layers(const Poly& p, const RootFinderConfig& cfg) {
     } else {
       report.roots = {BigInt::cdiv(-(work.coeff(0) << mu), work.coeff(1))};
     }
+    report.distinct_roots = work.degree();
   } catch (const NonNormalSequence&) {
     if (!cfg.allow_sturm_fallback) throw;
-    if (!report.squarefree_reduced) reduce();
+    // The tree rejected a polynomial of degree >= 2, and a squarefree
+    // part of a non-normal or non-real input is never linear.
+    if (!report.squarefree_reduced &&
+        poly_gcd(work, work.derivative()).degree() > 0) {
+      reduce();
+    }
+    isolate::IsolationRun run;
+    run.input_degree = p.degree();
+    run.work = work;
+    run.reduced = report.squarefree_reduced;
+    run.bound_pow2 = root_bound_pow2(work);
+    run.isolation = isolate::isolate_roots(work);
+    std::vector<BigInt> roots;
+    isolate::QirStats qir;
+    for (const auto& cell : run.isolation.cells) {
+      roots.push_back(isolate::cell_mu_approx(run.isolation.stripped, cell,
+                                              mu, cfg.isolate.qir, &qir));
+    }
+    RootFinderConfig unvalidated = cfg;
+    unvalidated.validate = false;
+    report = isolate::assemble_report(run, unvalidated, std::move(roots), qir);
     report.used_sturm_fallback = true;
-    report.bound_pow2 = root_bound_pow2(work);
-    report.roots = sturm_find_roots(work, mu, cfg.solver, &report.stats);
   }
-  report.distinct_roots = work.degree();
   report.multiplicities =
       report.squarefree_reduced
           ? sturm_count_multiplicities(report.roots, mu, factors)

@@ -216,7 +216,7 @@ TEST(Gen, RandomSquarefreePolyProperties) {
 
 TEST(Gen, PaperPathRejectsGeneralInputsWithClearDiagnostic) {
   // The generators deliberately produce inputs outside the paper
-  // algorithm's all-real-roots domain; without the Sturm fallback the
+  // algorithm's all-real-roots domain; without the fallback the
   // finder must say so, not return a wrong answer.  Mignotte's sparsity
   // breaks the normal-sequence assumption before the real-root count is
   // even consulted; a dense complex-rooted input reaches that check.

@@ -13,6 +13,7 @@
 #include "baseline/descartes_finder.hpp"
 #include "baseline/sturm_finder.hpp"
 #include "core/interval_solver.hpp"
+#include "core/parallel_driver.hpp"
 #include "core/scaled_point.hpp"
 #include "gen/classic_polys.hpp"
 #include "gen/hard_polys.hpp"
@@ -187,6 +188,21 @@ TEST(Isolate, CertificateValidOnGenerators) {
     cert = certify_isolation(p);
     EXPECT_TRUE(cert.valid) << "degree " << degree << "\n"
                             << cert.to_string();
+  }
+}
+
+// The isolator needs a square-free input; the certificate tests that
+// first and records the failure instead of running it.
+TEST(Isolate, CertificateRejectsNonSquarefreeWithoutThrowing) {
+  const Poly s2{-2, 0, 1};
+  const Poly inputs[] = {s2 * s2, s2 * s2 * Poly{-3, 1} * Poly{1, 0, 1}};
+  for (const Poly& p : inputs) {
+    IsolationCertificate cert;
+    ASSERT_NO_THROW(cert = certify_isolation(p)) << p.to_string();
+    EXPECT_FALSE(cert.valid) << p.to_string();
+    ASSERT_EQ(cert.failures.size(), 1u) << p.to_string();
+    EXPECT_NE(cert.failures[0].find("not squarefree"), std::string::npos)
+        << cert.to_string();
   }
 }
 

@@ -355,7 +355,7 @@ ModularConfig forced_on() {
 /// find_real_roots_parallel on `pc`: a run with the multimodular stage 1
 /// minus one with the exact stage 1 (sequential_remainder), whose tree
 /// stage sees the same sequence.  Inputs with non-real roots stop at the
-/// stage-1 publish in both runs (no Sturm fallback here).  *report
+/// stage-1 publish in both runs (no fallback here).  *report
 /// receives the first run's report when there is one.
 instr::ModularCounts graph_stage1_counts(const Poly& f0,
                                          const ModularConfig& mod,
@@ -531,14 +531,6 @@ TEST(MultimodularPrs, HeldOutCheckThatCannotRunFallsBack) {
   EXPECT_EQ(instr::modular_counts().fallbacks, 1u);
   EXPECT_EQ(instr::modular_counts().bad_primes, 0u);  // every slot imaged
 
-  // Without the check the same slots reconstruct the exact sequence.
-  ModularConfig unchecked = cfg;
-  unchecked.paranoid_check = false;
-  const auto fast =
-      modular::compute_remainder_sequence_multimodular(f0, unchecked);
-  ASSERT_TRUE(fast.has_value());
-  expect_sequences_equal(exact, *fast, "unchecked");
-
   // Through the graph the exact path answers instead.
   RootFinderConfig off;
   const RootReport want = find_real_roots(f0, off);
@@ -624,12 +616,12 @@ TEST(MultimodularPrs, ChainBoundCoversEveryLevel) {
   }
 }
 
-TEST(MultimodularPrs, BatchDeterminismMatrix) {
+TEST(MultimodularPrs, ThreadDeterminismMatrix) {
   Prng rng(0xba7c4);
-  // Batched vs per-image tasks at 1/2/4 threads on the task graph: the
+  // One task per prime image at 1/2/4 threads on the task graph: the
   // same values are reconstructed as by the one-call form given the
   // graph's level set, and a real-rooted input keeps its exact report.
-  // Partitioning is scheduling, never arithmetic.
+  // The thread count is scheduling, never arithmetic.
   const Poly inputs[] = {random_poly(30, 1000000LL, rng),
                          random_jacobi_poly(40, 6, rng)};
   for (const Poly& f0 : inputs) {
@@ -647,19 +639,15 @@ TEST(MultimodularPrs, BatchDeterminismMatrix) {
     RootReport want;
     if (real_rooted) want = find_real_roots(f0, RootFinderConfig{});
     for (int threads : {1, 2, 4}) {
-      for (bool batch : {false, true}) {
-        ModularConfig cfg = forced_on();
-        cfg.batch_images = batch;
-        ParallelConfig pc;
-        pc.num_threads = threads;
-        const std::string where = "n=" + std::to_string(f0.degree()) +
-                                  " P=" + std::to_string(threads) +
-                                  (batch ? " batched" : " per-image");
-        RootReport got;
-        expect_same_counts(inline_counts,
-                           graph_stage1_counts(f0, cfg, pc, &got), where);
-        if (real_rooted) test::expect_same_report(want, got, where);
-      }
+      ParallelConfig pc;
+      pc.num_threads = threads;
+      const std::string where = "n=" + std::to_string(f0.degree()) +
+                                " P=" + std::to_string(threads);
+      RootReport got;
+      expect_same_counts(inline_counts,
+                         graph_stage1_counts(f0, forced_on(), pc, &got),
+                         where);
+      if (real_rooted) test::expect_same_report(want, got, where);
     }
   }
 }
@@ -726,27 +714,6 @@ TEST(MultimodularPrs, GraphReconstructsLessThanEveryLevel) {
   EXPECT_EQ(every.images, graph.images);
   EXPECT_GT(every.crt_values, graph.crt_values);
   EXPECT_GT(every.crt_limbs, graph.crt_limbs);
-}
-
-TEST(MultimodularPrs, ImageBatchSizingCoversEverySlot) {
-  Prng rng(0xbb);
-  // Degree 26 with wide coefficients: many cheap images, so batching
-  // groups them; more workers shrink the batch to keep the pool fed.
-  const Poly f0 = random_poly(26, 1000000000000LL, rng);
-  ModularConfig cfg = forced_on();
-  modular::MultimodularPrs prs(f0, cfg);
-  ASSERT_TRUE(prs.worthwhile());
-  for (int threads : {1, 2, 8}) {
-    const std::size_t b = prs.image_batch(threads);
-    ASSERT_GE(b, 1u);
-    EXPECT_EQ(prs.num_image_tasks(threads), (prs.num_slots() + b - 1) / b);
-  }
-  EXPECT_GE(prs.image_batch(1), prs.image_batch(8));
-  EXPECT_GT(prs.image_batch(1), 1u) << "cheap images should batch";
-  cfg.batch_images = false;
-  modular::MultimodularPrs unbatched(f0, cfg);
-  EXPECT_EQ(unbatched.image_batch(8), 1u);
-  EXPECT_EQ(unbatched.num_image_tasks(1), unbatched.num_slots());
 }
 
 // --- partial sequences -----------------------------------------------------

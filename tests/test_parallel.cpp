@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "baseline/sturm_finder.hpp"
 #include "gen/classic_polys.hpp"
 #include "gen/hard_polys.hpp"
 #include "gen/matrix_polys.hpp"
@@ -343,7 +344,8 @@ TEST(ParallelDriver, PerPhaseCountsMatchLayerReplay) {
 // any thread count, and the same as the layer replay.  The random draws
 // have complex roots and normal sequences: stage 1 must reject each at the
 // first leading coefficient whose sign differs from c_0, before a tree
-// task reads that level, and the Sturm baseline must answer.
+// task reads that level, and the general-input path must answer, with the
+// roots of the independent Sturm baseline.
 TEST(ParallelDriver, FallbackInputsMatchAcrossEntryPoints) {
   struct Case {
     std::string name;
@@ -370,8 +372,8 @@ TEST(ParallelDriver, FallbackInputsMatchAcrossEntryPoints) {
       {"modular jacobi-8^2 x jacobi-40",
        sq * sq * random_jacobi_poly(40, 9, rng), mod},
   };
-  // Non-real inputs answered by the Sturm fallback, validated: the
-  // cross-check counts real roots only.
+  // Non-real inputs answered by the fallback, validated: the cross-check
+  // counts real roots only.
   RootFinderConfig validated53 = base_config(53);
   validated53.validate = true;
   RootFinderConfig validated_mod = validated53;
@@ -407,8 +409,64 @@ TEST(ParallelDriver, FallbackInputsMatchAcrossEntryPoints) {
       const auto run = find_real_roots_parallel(c.poly, c.cfg, pc);
       test::expect_same_report(
           ref, run.report, c.name + " threads=" + std::to_string(threads));
-      EXPECT_EQ(run.used_sequential_fallback, ref.used_sturm_fallback)
+      // The flag marks exactly the solves no task graph answered: here
+      // x^4 + 1, which has no real root for the general path to refine.
+      EXPECT_EQ(run.used_sequential_fallback, run.trace.size() == 0)
           << c.name;
+    }
+  }
+}
+
+// kPaper's fallback is the general-input path kRadii runs: for an input
+// the tree rejects, every report field equals kRadii's except
+// used_sturm_fallback, whatever the thread count, stage-1 arithmetic or
+// precision, and both isolate the same squarefree part.
+TEST(ParallelDriver, GeneralInputsMatchAcrossStrategies) {
+  std::vector<std::pair<std::string, Poly>> inputs = {
+      {"x^3-2", Poly{-2, 0, 0, 1}},
+      {"mignotte(9,5)", mignotte(9, 5)},
+      {"x^5-4x+2", Poly{2, -4, 0, 0, 0, 1}},
+      {"x^4+1", Poly{1, 0, 0, 0, 1}},
+      {"(x^2+1)(x^2-2)(x^2-x-1)",
+       Poly{1, 0, 1} * Poly{-2, 0, 1} * Poly{-1, -1, 1}},
+      {"(x^2-2)^2 (x^2+1)", Poly{-2, 0, 1} * Poly{-2, 0, 1} * Poly{1, 0, 1}},
+  };
+  Prng draws(7);
+  for (int degree = 16; degree < 24; ++degree) {
+    inputs.emplace_back("random-squarefree-" + std::to_string(degree),
+                        random_squarefree_poly(degree, 20, draws));
+  }
+  for (int n = 16; n <= 25; ++n) {
+    const int a = 3 + (n - 16) % 7;
+    inputs.emplace_back(
+        "mignotte(" + std::to_string(n) + "," + std::to_string(a) + ")",
+        mignotte(n, a));
+  }
+  for (const auto& [name, p] : inputs) {
+    for (std::size_t mu : {53u, 256u}) {
+      for (bool modular : {false, true}) {
+        for (int threads : {1, 2, 4}) {
+          const std::string where =
+              name + " mu=" + std::to_string(mu) +
+              (modular ? " modular" : "") + " P=" + std::to_string(threads);
+          RootFinderConfig cfg = base_config(mu);
+          cfg.modular.enabled = modular;
+          ParallelConfig pc;
+          pc.num_threads = threads;
+          const auto paper = find_real_roots_parallel(p, cfg, pc);
+          cfg.strategy = FinderStrategy::kRadii;
+          const auto radii = find_real_roots_parallel(p, cfg, pc);
+          EXPECT_TRUE(paper.report.used_sturm_fallback) << where;
+          EXPECT_FALSE(radii.report.used_sturm_fallback) << where;
+          RootReport want = radii.report;
+          want.used_sturm_fallback = true;
+          test::expect_same_report(want, paper.report, where);
+          EXPECT_EQ(radii.isolated, paper.isolated) << where;
+          EXPECT_EQ(radii.used_sequential_fallback,
+                    paper.used_sequential_fallback)
+              << where;
+        }
+      }
     }
   }
 }

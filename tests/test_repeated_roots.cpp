@@ -274,6 +274,72 @@ TEST(RepeatedRoots, RadiiPrepareComputesTheGcdOnce) {
   EXPECT_TRUE(isolate::prepare_isolation(p, cfg).reduced);
 }
 
+// kPaper's fallback runs the general-input path from whatever stage 1
+// left: after the graph gives up -- the same arithmetic as a solve with
+// the fallback disabled, which throws there -- it costs what a kRadii
+// solve costs after the primitive part, minus the gcd and the reduction
+// when stage 1 already made them.  So each route computes gcd(p, p') once.
+TEST(RepeatedRoots, PaperFallbackComputesTheGcdOnce) {
+  const Poly c2{1, 0, 1};
+  const Poly s2{-2, 0, 1};
+  Prng rng(17);
+  struct Case {
+    const char* name;
+    Poly poly;
+    bool modular;
+    bool sequential;
+    bool stage1_reduces;  // the reduction comes before the non-real test
+  };
+  const Case cases[] = {
+      // The per-level exact chain meets a c_t of the wrong sign before
+      // F_{n*+1} vanishes, so the general path tests and reduces.
+      {"exact chain (x^2-2)^2 (x-3) (x^2+1)",
+       s2 * s2 * Poly{-3, 1} * c2, false, false, false},
+      // One-task stage 1 and the modular publish check the whole
+      // sequence for a vanishing remainder first: the graph reruns on the
+      // squarefree part, which is the one the fallback isolates.
+      {"sequential stage 1 (x^2-2)^2 (x-3) (x^2+1)",
+       s2 * s2 * Poly{-3, 1} * c2, false, true, true},
+      {"modular (x^2-2)^2 (x^2+1) jacobi-22",
+       s2 * s2 * c2 * random_jacobi_poly(22, 9, rng), true, false, true},
+  };
+  for (const Case& c : cases) {
+    RootFinderConfig cfg;
+    cfg.mu_bits = 53;
+    cfg.modular.enabled = c.modular;
+    ParallelConfig pc;
+    pc.sequential_remainder = c.sequential;
+    const Poly a = c.poly.primitive_part();
+    Poly g;
+    const std::uint64_t gcd_cost =
+        mults_of([&] { g = poly_gcd(a, a.derivative()); });
+    const std::uint64_t reduce_cost =
+        mults_of([&] { (void)squarefree_reduce(a, g); });
+    ASSERT_GT(g.degree(), 0) << c.name;
+
+    RootReport report;
+    const std::uint64_t paper = mults_of(
+        [&] { report = find_real_roots_parallel(c.poly, cfg, pc).report; });
+    ASSERT_TRUE(report.used_sturm_fallback) << c.name;
+    ASSERT_TRUE(report.squarefree_reduced) << c.name;
+    RootFinderConfig strict = cfg;
+    strict.allow_sturm_fallback = false;
+    const std::uint64_t tree = mults_of([&] {
+      EXPECT_THROW(find_real_roots_parallel(c.poly, strict, pc),
+                   NonNormalSequence)
+          << c.name;
+    });
+    RootFinderConfig radii = cfg;
+    radii.strategy = FinderStrategy::kRadii;
+    const std::uint64_t general =
+        mults_of([&] { (void)find_real_roots_parallel(c.poly, radii, pc); }) -
+        mults_of([&] { (void)c.poly.primitive_part(); });
+    const std::uint64_t taken_by_stage1 =
+        c.stage1_reduces ? gcd_cost + reduce_cost : 0;
+    EXPECT_EQ(paper - tree, general - taken_by_stage1) << c.name;
+  }
+}
+
 // What a repeated-root input costs over its squarefree part: the exact
 // sequence the modular publish task reruns (4,784 multiplications), the
 // CRT work of the declined engine, Musser's loop from the stage-1 gcd and

@@ -200,7 +200,7 @@ TEST_P(ServiceThreads, RefineUpgradeOfReducedAndFallbackInputs) {
   // Repeated roots: the cold run reduces to the squarefree part, so the
   // cached cells isolate roots of that part, not of the input itself.
   const Poly repeated = poly_from_integer_roots({-3, 1, 1, 4});
-  // Non-real roots: the Sturm fallback (which also reduces first).
+  // Non-real roots: kPaper's fallback through the Descartes isolator.
   const Poly complexish = Poly::parse("x^4 + x^2 + 1") * Poly::parse("x - 2");
   // The radii strategy reduces up front: its cells isolate the same
   // squarefree part, so the upgrade matches the paper path's cold report.
@@ -458,14 +458,14 @@ TEST(Service, BatchRepeatsHitTheCache) {
 
 TEST(Service, BatchHandlesDegenerateAndInvalidLines) {
   // One line per special case a cold solve takes (the linear case, the
-  // squarefree reduction, the Sturm fallback) plus the two the batch
+  // squarefree reduction, the Descartes fallback) plus the two the batch
   // owns: parse errors carry their line number and position, and a
   // duplicate line is answered by the first.
   const std::vector<std::string> lines = {
       "x^2 - 2",
       "2x - 3",                                 // linear: direct solve
       poly_from_integer_roots({2, 2, -1}).to_string(),  // repeated roots
-      "x^2 + 1",                                // non-real: Sturm fallback
+      "x^2 + 1",                                // non-real: fallback
       "3*",                                     // parse error
       "x^2 - 2",                                // batch duplicate
   };
@@ -577,7 +577,7 @@ TEST(Service, StrategyTaggedRequestsKeepSeparateCacheEntries) {
 
 TEST(Service, RadiiStrategyServesGeneralInputsAndBatches) {
   // A radii-configured service accepts complex-rooted requests that the
-  // paper strategy would push onto the Sturm fallback, in batches too.
+  // paper strategy would push onto its fallback, in batches too.
   ServiceConfig cfg = config_for(2, 40);
   cfg.finder.strategy = FinderStrategy::kRadii;
   cfg.finder.allow_sturm_fallback = false;
