@@ -16,6 +16,7 @@
 #include "modular/tree_poly.hpp"
 #include "poly/bounds.hpp"
 #include "poly/remainder_sequence.hpp"
+#include "poly/sturm.hpp"
 #include "support/error.hpp"
 
 namespace pr {
@@ -699,15 +700,14 @@ Solved run_graph(const Poly& work, std::size_t bound,
   return solved;
 }
 
-/// The general path's parallel stage: one kRefine task per cell of
-/// run.isolation, each writing its root positionally (the cells are
-/// sorted, so the roots are too).  Isolation itself is sequential; the
-/// cells are not known until it finishes.  Records the execution in
+/// The kRefine stage of the general path and of refine_roots_parallel:
+/// one task per cell of `p`, each writing its root positionally (the
+/// cells are sorted, so the roots are too).  Records the execution in
 /// out.pool and out.trace when there is a cell to refine.
-Solved refine_cells(const isolate::IsolationRun& run,
+Solved refine_cells(const Poly& p,
+                    const std::vector<isolate::IsolatingCell>& cells,
                     const RootFinderConfig& config,
                     const ParallelConfig& parallel, ParallelRunResult& out) {
-  const auto& cells = run.isolation.cells;
   std::vector<BigInt> roots(cells.size());
   std::vector<isolate::QirStats> stats(cells.size());
   isolate::QirStats totals;
@@ -715,9 +715,8 @@ Solved refine_cells(const isolate::IsolationRun& run,
     TaskGraph graph;
     for (std::size_t i = 0; i < cells.size(); ++i) {
       graph.add(TaskKind::kRefine, static_cast<std::int32_t>(i), [&, i] {
-        roots[i] = isolate::cell_mu_approx(run.isolation.stripped, cells[i],
-                                           config.mu_bits, config.isolate.qir,
-                                           &stats[i]);
+        roots[i] = isolate::cell_mu_approx(p, cells[i], config.mu_bits,
+                                           config.isolate.qir, &stats[i]);
       });
     }
     graph.validate();
@@ -726,7 +725,13 @@ Solved refine_cells(const isolate::IsolationRun& run,
     out.trace = TaskTrace::from_graph(graph);
     for (const auto& st : stats) totals += st;
   }
-  return {std::move(roots), isolate::qir_interval_stats(run.isolation, totals)};
+  return {std::move(roots), isolate::qir_interval_stats(cells, totals)};
+}
+
+/// ceil(2^mu x) for the root x of a linear polynomial: one exact ceiling
+/// division.
+BigInt linear_root(const Poly& p, std::size_t mu) {
+  return BigInt::cdiv(-(p.coeff(0) << mu), p.coeff(1));
 }
 
 }  // namespace
@@ -777,11 +782,10 @@ ParallelRunResult find_real_roots_parallel(const Poly& p,
     // kRadii, kPaper's fallback, and a linear input or squarefree part.
     isolate::isolate_run(run);
     if (run.work.degree() == 1) {
-      // One exact ceiling division.
-      solved.roots = {BigInt::cdiv(-(run.work.coeff(0) << config.mu_bits),
-                                   run.work.coeff(1))};
+      solved.roots = {linear_root(run.work, config.mu_bits)};
     } else {
-      solved = refine_cells(run, config, parallel, out);
+      solved = refine_cells(run.isolation.stripped, run.isolation.cells,
+                            config, parallel, out);
     }
     out.used_sequential_fallback = run.isolation.cells.empty();
   }
@@ -789,6 +793,62 @@ ParallelRunResult find_real_roots_parallel(const Poly& p,
                                         solved.stats);
   out.report.used_sturm_fallback = fallback;
   out.isolated = std::move(run.work);
+  return out;
+}
+
+ParallelRunResult refine_roots_parallel(const Poly& isolated,
+                                        const RootReport& stored,
+                                        const RootFinderConfig& config,
+                                        const ParallelConfig& parallel) {
+  const std::size_t mu = config.mu_bits;
+  check_arg(mu >= stored.mu,
+            "refine_roots_parallel: target precision below the stored mu");
+  check_arg(isolated.degree() >= 1,
+            "refine_roots_parallel: non-constant polynomial required");
+  const std::vector<BigInt>& ks = stored.roots;
+  // Two distinct roots closer than 2^-stored.mu share a stored value, and
+  // their cell then holds two roots; only a cold run separates them.
+  check_arg(std::adjacent_find(ks.begin(), ks.end()) == ks.end(),
+            "refine_roots_parallel: two roots share a stored cell");
+  ParallelRunResult out;
+  std::vector<isolate::IsolatingCell> cells;
+  Solved solved;
+  if (isolated.degree() == 1) {
+    // No bracket needed: the division find_real_roots_parallel answers a
+    // linear input with, kept only if it lands in the stored cell.
+    solved.roots = {linear_root(isolated, mu)};
+    check_arg(ks.size() == 1 &&
+                  ceil_shift(solved.roots[0], mu - stored.mu) == ks[0],
+              "refine_roots_parallel: a stored cell holds no single root");
+  } else {
+    // Stored value k is the cell ((k-1)/2^mu, k/2^mu] at mu = stored.mu:
+    // exact when the root is its right end, otherwise open with the
+    // one-sided sign at k-1 (a zero there is a neighbouring root).
+    cells.reserve(ks.size());
+    for (const BigInt& k : ks) {
+      isolate::IsolatingCell& cell = cells.emplace_back();
+      cell.scale = stored.mu;
+      cell.hi = k;
+      cell.s_hi = isolated.sign_at_scaled(k, stored.mu);
+      if (cell.s_hi == 0) {
+        cell.lo = k;
+        cell.exact = true;
+        continue;
+      }
+      cell.lo = k - BigInt(1);
+      cell.s_lo = sign_right_limit(isolated, cell.lo, stored.mu);
+      check_arg(cell.s_lo * cell.s_hi == -1,
+                "refine_roots_parallel: a stored cell holds no single root");
+    }
+    solved = refine_cells(isolated, cells, config, parallel, out);
+  }
+  out.report = stored;
+  out.report.roots = std::move(solved.roots);
+  out.report.mu = mu;
+  out.report.stats = solved.stats;
+  if (config.validate) detail::validate_roots(isolated, out.report.roots, mu);
+  out.isolated = isolated;
+  out.used_sequential_fallback = cells.empty();
   return out;
 }
 

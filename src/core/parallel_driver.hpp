@@ -29,6 +29,10 @@
 // signs, Sturm counts only where those do not decide) and
 // RootFinderConfig::validate.
 //
+// refine_roots_parallel raises a finished report to a higher precision
+// (RootService's refined hits): the stored cells go through the same
+// kRefine stage, so outside the tree every cell is refined by QIR.
+//
 // Every call builds its own graph and runs it on its own pool; no other
 // run shares either.  Results are identical for every thread count and
 // grain: each task is a pure function of its dependencies' outputs.  So
@@ -98,5 +102,21 @@ struct ParallelRunResult {
 ParallelRunResult find_real_roots_parallel(const Poly& p,
                                            const RootFinderConfig& config,
                                            const ParallelConfig& parallel);
+
+/// Raises `stored` to config.mu_bits without rerunning either stage.  Each
+/// stored value k names the cell ((k-1)/2^mu, k/2^mu], mu = stored.mu, of
+/// one root of `isolated` (the ParallelRunResult::isolated of the run that
+/// produced `stored`): an exact cell when that root is k/2^mu, otherwise
+/// an open one, and every cell is one kRefine task of the general path's
+/// QIR stage on parallel.num_threads workers.  A linear `isolated` is one
+/// exact division instead.  The report keeps every field of `stored` but
+/// roots, mu and stats (the QIR counters, as on the general path), and
+/// config.validate applies.  Throws InvalidArgument when config.mu_bits
+/// is below stored.mu, when two stored roots share a cell, or when a cell
+/// holds no single root of `isolated`.
+ParallelRunResult refine_roots_parallel(const Poly& isolated,
+                                        const RootReport& stored,
+                                        const RootFinderConfig& config,
+                                        const ParallelConfig& parallel);
 
 }  // namespace pr

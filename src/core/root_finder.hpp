@@ -43,8 +43,9 @@ struct RootFinderConfig {
   bool allow_sturm_fallback = true;
   /// Cross-checks the report against a Sturm count of the real roots
   /// (detail::validate_roots; expensive, for tests and debugging).  Applies
-  /// to every entry point and strategy, kPaper's fallback included, and
-  /// so to every cold solve of the RootService.
+  /// to every entry point and strategy, kPaper's fallback and
+  /// refine_roots_parallel included, and so to every cold solve and
+  /// refined hit of the RootService.
   bool validate = false;
   /// Multimodular fast paths (remainder sequence + tree polynomials); off by
   /// default, bit-identical results when enabled.
@@ -67,7 +68,8 @@ struct RootReport {
   /// kPaper's tree rejected the input (a non-normal or non-real sequence)
   /// and kRadii's general-input path answered.  The name is historical.
   bool used_sturm_fallback = false;
-  /// Interval statistics; on the general-input path, the QIR counters.
+  /// Interval statistics; on the general-input path and after
+  /// refine_roots_parallel, the QIR counters.
   IntervalStats stats;
 
   /// Root i as a double (for reporting).
@@ -116,8 +118,8 @@ std::vector<unsigned> assign_multiplicities(
 /// ((k-1)/2^mu, k/2^mu] holding exactly that many roots.  Non-real roots
 /// of `work` are allowed, but a report that counts them fails: a graph
 /// report returns deg(work) values, more than the Sturm count.  Throws
-/// InternalError on a mismatch.  Run once for every report, by
-/// isolate::assemble_report.
+/// InternalError on a mismatch.  Run once for every report: by
+/// isolate::assemble_report, and by refine_roots_parallel for a raised one.
 void validate_roots(const Poly& work, const std::vector<BigInt>& roots,
                     std::size_t mu);
 

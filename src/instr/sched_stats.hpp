@@ -14,8 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
-#include <vector>
 
 namespace pr::instr {
 
@@ -28,15 +26,6 @@ struct WorkerCounters {
   double exec_seconds = 0;      ///< total time inside task bodies
   std::size_t queue_high_water = 0;  ///< max depth of the central queue
                                      ///< this worker observed
-
-  WorkerCounters& operator+=(const WorkerCounters& o);
 };
-
-/// Sums a per-worker vector into one WorkerCounters (queue_high_water is
-/// the max, not the sum).
-WorkerCounters sum_workers(const std::vector<WorkerCounters>& workers);
-
-/// Renders the per-worker table plus a totals row.
-std::string format_workers(const std::vector<WorkerCounters>& workers);
 
 }  // namespace pr::instr

@@ -55,21 +55,21 @@ IsolationRun prepare_isolation(const Poly& p, const RootFinderConfig&) {
   return run;
 }
 
-BigInt cell_mu_approx(const Poly& stripped, const IsolatingCell& cell,
+BigInt cell_mu_approx(const Poly& p, const IsolatingCell& cell,
                       std::size_t mu, const QirConfig& config,
                       QirStats* stats) {
   if (cell.exact) {
     return cell.scale <= mu ? cell.lo << (mu - cell.scale)
                             : ceil_shift(cell.lo, cell.scale - mu);
   }
-  return qir_solve(stripped, cell.lo, cell.hi, cell.s_lo, cell.s_hi,
+  return qir_solve(p, cell.lo, cell.hi, cell.s_lo, cell.s_hi,
                    cell.scale, mu, config, stats);
 }
 
-IntervalStats qir_interval_stats(const IsolationOutput& isolation,
+IntervalStats qir_interval_stats(const std::vector<IsolatingCell>& cells,
                                  const QirStats& qir) {
   IntervalStats stats;
-  for (const auto& cell : isolation.cells) {
+  for (const auto& cell : cells) {
     if (!cell.exact) stats.intervals_solved += 1;
   }
   stats.newton_iters = qir.iters;
@@ -107,7 +107,7 @@ RootReport assemble_report(const IsolationRun& run,
                            const RootFinderConfig& config,
                            std::vector<BigInt> roots, const QirStats& qir) {
   return assemble_report(run, config, std::move(roots),
-                         qir_interval_stats(run.isolation, qir));
+                         qir_interval_stats(run.isolation.cells, qir));
 }
 
 }  // namespace pr::isolate

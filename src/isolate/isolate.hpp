@@ -10,7 +10,8 @@
 // (core/parallel_driver.hpp) runs the stages below, refines the cells as
 // one kRefine task per cell on its TaskPool, so the trace/simulator
 // machinery applies unchanged, and assembles every report, the tree's
-// included, with assemble_report.
+// included, with assemble_report.  refine_roots_parallel runs the same
+// per-cell stage on the cells of a finished report.
 #pragma once
 
 #include <cstddef>
@@ -52,16 +53,18 @@ void isolate_run(IsolationRun& run);
 /// applies to these stages; the QIR settings apply to cell_mu_approx.
 IsolationRun prepare_isolation(const Poly& p, const RootFinderConfig& config);
 
-/// ceil(2^mu x) for the root x in `cell` (of the stripped polynomial).
-/// Exact cells cost zero evaluations; isolated cells run QIR.
-BigInt cell_mu_approx(const Poly& stripped, const IsolatingCell& cell,
+/// ceil(2^mu x) for the root x of p in `cell`, whose endpoint signs refer
+/// to p: the isolation's stripped polynomial on the general path, the
+/// isolated polynomial in refine_roots_parallel.  Exact cells cost zero
+/// evaluations; isolated cells run QIR.
+BigInt cell_mu_approx(const Poly& p, const IsolatingCell& cell,
                       std::size_t mu, const QirConfig& config,
                       QirStats* stats);
 
 /// QIR counters in the closest IntervalStats fields, so existing reporting
 /// (service stats, CLI summaries) stays meaningful; intervals_solved
 /// counts the non-exact cells.
-IntervalStats qir_interval_stats(const IsolationOutput& isolation,
+IntervalStats qir_interval_stats(const std::vector<IsolatingCell>& cells,
                                  const QirStats& qir);
 
 /// The RootReport of one root per distinct real root of run.work, for

@@ -27,7 +27,6 @@
 #include "core/interval_solver.hpp"           // IWYU pragma: export
 #include "core/interval_stage.hpp"            // IWYU pragma: export
 #include "core/parallel_driver.hpp"           // IWYU pragma: export
-#include "core/refine.hpp"                    // IWYU pragma: export
 #include "eigen/symmetric.hpp"                // IWYU pragma: export
 #include "core/root_finder.hpp"               // IWYU pragma: export
 #include "core/scaled_point.hpp"              // IWYU pragma: export

@@ -53,7 +53,8 @@ enum class TaskKind : std::uint8_t {
   // traces) and because callers may still name them in switches.
   kPieceSend,
   kPieceRecv,
-  kRefine,       ///< refine one isolating cell (kRadii finder strategy)
+  kRefine,       ///< QIR on one isolating cell (the general path, and
+                 ///< refine_roots_parallel for RootService's refined hits)
   kGeneric,
 };
 

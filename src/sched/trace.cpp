@@ -202,61 +202,4 @@ TaskTrace TaskTrace::load(std::istream& is) {
   return tr;
 }
 
-double ExecutionTimeline::span() const {
-  double max_finish = 0;
-  for (const auto& e : entries) max_finish = std::max(max_finish, e.finish);
-  return max_finish;
-}
-
-double ExecutionTimeline::busy_seconds() const {
-  double sum = 0;
-  for (const auto& e : entries) sum += e.finish - e.start;
-  return sum;
-}
-
-double ExecutionTimeline::busy_seconds_for(int worker) const {
-  double sum = 0;
-  for (const auto& e : entries) {
-    if (e.worker == worker) sum += e.finish - e.start;
-  }
-  return sum;
-}
-
-void ExecutionTimeline::save(std::ostream& os) const {
-  os << workers << ' ' << entries.size() << '\n';
-  os.precision(9);
-  for (const auto& e : entries) {
-    os << e.task << ' ' << e.worker << ' ' << e.start << ' ' << e.finish
-       << '\n';
-  }
-}
-
-ExecutionTimeline ExecutionTimeline::load(std::istream& is) {
-  static constexpr const char* kWho = "ExecutionTimeline::load";
-  std::size_t lineno = 0;
-  std::istringstream header(next_line(is, lineno, kWho));
-  int workers = 0;
-  long long count = -1;
-  if (!(header >> workers >> count) || workers < 1 || count < 0) {
-    malformed(kWho, lineno, "expected 'workers entry-count' header");
-  }
-  ExecutionTimeline tl;
-  tl.workers = workers;
-  for (long long i = 0; i < count; ++i) {
-    auto& e = tl.entries.emplace_back();
-    std::istringstream ls(next_line(is, lineno, kWho));
-    if (!(ls >> e.task >> e.worker >> e.start >> e.finish)) {
-      malformed(kWho, lineno, "truncated entry (need task worker start "
-                              "finish)");
-    }
-    if (e.task < 0) malformed(kWho, lineno, "negative task id");
-    if (e.worker < 0 || e.worker >= workers) {
-      malformed(kWho, lineno,
-                "worker " + std::to_string(e.worker) + " out of range");
-    }
-    if (e.finish < e.start) malformed(kWho, lineno, "finish before start");
-  }
-  return tl;
-}
-
 }  // namespace pr

@@ -65,29 +65,14 @@ struct TimelineEntry {
 };
 
 /// Per-worker execution timeline of a real TaskPool run: which worker ran
-/// which task, and when.  Together with the TaskTrace (deterministic
-/// per-task bit costs) this lets the discrete-event simulator calibrate
-/// its dispatch-overhead knob against *measured* scheduler overhead
-/// instead of a guessed constant (see calibrated_dispatch_overhead in
-/// sim/des.hpp), and lets benches chart per-worker activity over time.
+/// which task, and when.  Joined with the TaskTrace's task kinds, it lets
+/// benches time a stage inside one run (bench_modular's stage-1 span) and
+/// chart per-worker activity over time (the end-to-end benchmark's span
+/// trace).
 struct ExecutionTimeline {
   int workers = 0;
   /// Entries in completion order (the order workers finished tasks).
   std::vector<TimelineEntry> entries;
-
-  /// Wall span covered by the entries (max finish; 0 when empty).
-  double span() const;
-  /// Sum of task durations across all workers.
-  double busy_seconds() const;
-  /// Sum of task durations attributed to one worker.
-  double busy_seconds_for(int worker) const;
-
-  /// Line-oriented serialization: a "workers entry-count" header, then
-  /// one "task worker start finish" line per entry.  load() validates
-  /// like TaskTrace::load, throws InvalidArgument with line context, and
-  /// likewise appends entries as it reads them.
-  void save(std::ostream& os) const;
-  static ExecutionTimeline load(std::istream& is);
 };
 
 }  // namespace pr

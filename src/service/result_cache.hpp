@@ -28,18 +28,17 @@
 namespace pr::service {
 
 /// One memoized result: the full report at entry-report precision plus
-/// the partial artifacts a higher-precision repeat re-enters at
-/// refine_root with (the polynomial whose simple roots the report's
-/// cells isolate, the cold run's ParallelRunResult::isolated -- the
-/// squarefree part when it reduced, otherwise the canonical input
-/// itself).  report.roots at scale
+/// what a higher-precision repeat hands refine_roots_parallel (the
+/// polynomial whose simple roots the report's cells isolate, the cold
+/// run's ParallelRunResult::isolated -- the squarefree part when it
+/// reduced, otherwise the canonical input itself).  report.roots at scale
 /// report.mu ARE the isolating cells ((k-1)/2^mu, k/2^mu], so storing the
 /// report stores the isolating intervals; the remainder sequence is
-/// deliberately not retained (refine_root never reads it, and it is
+/// deliberately not retained (refinement never reads it, and it is
 /// O(n^2) coefficients of dead weight per entry).
 struct CacheEntry {
   Poly canonical;     ///< the cache key's exact identity
-  Poly refine_poly;   ///< squarefree: what refine_root sharpens
+  Poly refine_poly;   ///< squarefree: whose cells refinement sharpens
   RootReport report;  ///< cold-path report at precision report.mu
   /// Strategy the report was computed under; part of the exact identity
   /// (the strategies accept different input classes).

@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "core/refine.hpp"
 #include "support/error.hpp"
 
 namespace pr::service {
@@ -170,22 +169,11 @@ bool RootService::try_refine_upgrade(
     const CanonicalRequest& req, ServiceResult& out) {
   const RootReport& stored = entry->report;
   if (stored.mu >= req.mu_bits) return false;
-  // Two distinct roots closer than 2^-mu share a stored value; their cell
-  // then holds two roots and refine_root's one-root-per-cell precondition
-  // does not hold.  Only a cold run can separate them.
-  for (std::size_t i = 1; i < stored.roots.size(); ++i) {
-    if (stored.roots[i] == stored.roots[i - 1]) {
-      stats_->refine_fallbacks += 1;
-      return false;
-    }
-  }
   try {
-    RootReport upgraded = stored;
-    upgraded.stats = IntervalStats{};
-    upgraded.roots =
-        refine_roots(entry->refine_poly, stored.roots, stored.mu,
-                     req.mu_bits, config_.finder.solver, &upgraded.stats);
-    upgraded.mu = req.mu_bits;
+    RootFinderConfig cfg = config_.finder;
+    cfg.mu_bits = req.mu_bits;
+    ParallelRunResult run = refine_roots_parallel(entry->refine_poly, stored,
+                                                  cfg, config_.parallel);
     out = ServiceResult{};
     out.ok = true;
     out.outcome = CacheOutcome::kHitRefined;
@@ -194,16 +182,17 @@ bool RootService::try_refine_upgrade(
     if (config_.cache_enabled) {
       auto next = std::make_shared<CacheEntry>();
       next->canonical = entry->canonical;
-      next->refine_poly = entry->refine_poly;
-      next->report = upgraded;
+      next->refine_poly = std::move(run.isolated);
+      next->report = run.report;
       next->strategy = entry->strategy;
       cache_->insert(req.hash, std::move(next));
     }
-    out.report = std::move(upgraded);
+    out.report = std::move(run.report);
     return true;
   } catch (const Error&) {
-    // Defensive: a cell that fails to refine (no sign change under the
-    // stored bracketing) is recomputed cold rather than answered wrong.
+    // The stored cells do not isolate: two roots closer than 2^-mu share
+    // a stored value, or a cell has no sign change.  Only a cold run can
+    // answer.
     stats_->refine_fallbacks += 1;
     return false;
   }

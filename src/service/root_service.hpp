@@ -20,13 +20,15 @@
 //   * derived hit   -- same polynomial, LOWER mu: ceil(2^a x) is derived
 //                      exactly from the stored ceil(2^b x), b > a, via
 //                      ceil(ceil(y)/m) == ceil(y/m).
-//   * refine upgrade -- same polynomial, HIGHER mu: re-enters at
-//                      refine_root on the stored isolating cells instead
-//                      of recomputing the remainder sequence and tree;
-//                      falls back to a cold run when the stored cells do
-//                      not isolate (two roots sharing a cell at the old
-//                      precision).  The upgraded report replaces the
-//                      cache entry.
+//   * refine upgrade -- same polynomial, HIGHER mu: refine_roots_parallel
+//                      runs the stored isolating cells through the
+//                      general path's QIR stage, one kRefine task per
+//                      cell on config().parallel, instead of recomputing
+//                      the remainder sequence and tree; falls back to a
+//                      cold run when the stored cells do not isolate (two
+//                      roots sharing a cell at the old precision).  The
+//                      upgraded report replaces the cache entry; its
+//                      `stats` hold the QIR counters.
 #pragma once
 
 #include <cstddef>
@@ -50,7 +52,7 @@ struct ServiceConfig {
   /// Per-request solver settings; finder.mu_bits is the default precision
   /// for requests that do not specify their own.
   RootFinderConfig finder;
-  /// Cold-solve execution: thread count and grain.
+  /// Execution of cold solves and refine upgrades: thread count and grain.
   ParallelConfig parallel;
   bool cache_enabled = true;
   std::size_t cache_capacity = 1024;
@@ -62,7 +64,7 @@ enum class CacheOutcome {
   kMiss,        ///< cold solve (remainder sequence + tree)
   kHitFull,     ///< stored report returned as-is
   kHitDerived,  ///< exact ceiling-division downgrade of a stored report
-  kHitRefined,  ///< refine_root upgrade of stored isolating cells
+  kHitRefined,  ///< refine_roots_parallel upgrade of the stored cells
 };
 
 struct ServiceResult {

@@ -6,7 +6,6 @@
 
 #include "baseline/sturm_finder.hpp"
 #include "core/parallel_driver.hpp"
-#include "core/refine.hpp"
 #include "core/root_finder.hpp"
 #include "core/tree.hpp"
 #include "core/tree_builder.hpp"
@@ -204,7 +203,8 @@ TEST(Integration, RefineAfterParallelRun) {
   RootFinderConfig hi_cfg;
   hi_cfg.mu_bits = 90;
   const auto direct = test::replay_layers(input.poly, hi_cfg);
-  EXPECT_EQ(refine_roots(input.poly, run.report.roots, 6, 90),
+  EXPECT_EQ(refine_roots_parallel(run.isolated, run.report, hi_cfg, pc)
+                .report.roots,
             direct.roots);
 }
 

@@ -274,9 +274,6 @@ TEST(TaskPoolStats, WorkerCountersAccountForEveryTask) {
     high_water = std::max(high_water, w.queue_high_water);
   }
   EXPECT_GE(high_water, 100u);
-  const std::string table = instr::format_workers(stats.workers);
-  EXPECT_NE(table.find("worker"), std::string::npos);
-  EXPECT_NE(table.find("total"), std::string::npos);
 }
 
 // TaskPoolStats::steals survives only as the end-to-end benchmark's
@@ -310,6 +307,7 @@ TEST(TaskPoolStats, TimelineCoversEveryTaskOnce) {
   EXPECT_EQ(stats.timeline.workers, 2);
   std::vector<bool> seen(40, false);
   double prev_finish = 0;
+  double span = 0;
   for (const auto& e : stats.timeline.entries) {
     ASSERT_GE(e.task, 0);
     ASSERT_LT(e.task, 40);
@@ -318,62 +316,11 @@ TEST(TaskPoolStats, TimelineCoversEveryTaskOnce) {
     EXPECT_LE(e.start, e.finish);
     EXPECT_GE(e.finish, prev_finish);  // completion order
     prev_finish = e.finish;
+    span = std::max(span, e.finish);
     EXPECT_GE(e.worker, 0);
     EXPECT_LT(e.worker, 2);
   }
-  EXPECT_LE(stats.timeline.span(), stats.wall_seconds + 1e-3);
-  EXPECT_NEAR(stats.timeline.busy_seconds(),
-              stats.timeline.busy_seconds_for(0) +
-                  stats.timeline.busy_seconds_for(1),
-              1e-12);
-}
-
-TEST(Timeline, SaveLoadRoundTrip) {
-  ExecutionTimeline tl;
-  tl.workers = 3;
-  tl.entries = {{0, 0, 0.0, 0.5}, {2, 1, 0.1, 0.7}, {1, 2, 0.5, 0.9}};
-  std::stringstream ss;
-  tl.save(ss);
-  const ExecutionTimeline back = ExecutionTimeline::load(ss);
-  ASSERT_EQ(back.entries.size(), 3u);
-  EXPECT_EQ(back.workers, 3);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(back.entries[i].task, tl.entries[i].task);
-    EXPECT_EQ(back.entries[i].worker, tl.entries[i].worker);
-    EXPECT_NEAR(back.entries[i].start, tl.entries[i].start, 1e-9);
-    EXPECT_NEAR(back.entries[i].finish, tl.entries[i].finish, 1e-9);
-  }
-}
-
-TEST(Timeline, LoadRejectsMalformedInput) {
-  {
-    std::stringstream ss("0 1\n0 0 0 1");  // zero workers
-    EXPECT_THROW(ExecutionTimeline::load(ss), InvalidArgument);
-  }
-  {
-    std::stringstream ss("2 2\n0 0 0.0 1.0\n");  // truncated entry list
-    EXPECT_THROW(ExecutionTimeline::load(ss), InvalidArgument);
-  }
-  {
-    std::stringstream ss("2 1\n0 5 0.0 1.0\n");  // worker out of range
-    EXPECT_THROW(ExecutionTimeline::load(ss), InvalidArgument);
-  }
-  {
-    std::stringstream ss("2 1\n0 0 2.0 1.0\n");  // finish before start
-    EXPECT_THROW(ExecutionTimeline::load(ss), InvalidArgument);
-  }
-  {
-    // A huge declared entry count must be rejected as truncated, not
-    // allocated up front (std::bad_alloc, or gigabytes before the error).
-    std::stringstream ss("2 100000000000000\n0 0 0.0 1.0\n");
-    try {
-      (void)ExecutionTimeline::load(ss);
-      FAIL() << "accepted a 10^14-entry header with one entry";
-    } catch (const InvalidArgument& e) {
-      EXPECT_NE(std::string(e.what()).find("line"), std::string::npos)
-          << e.what();
-    }
-  }
+  EXPECT_LE(span, stats.wall_seconds + 1e-3);
 }
 
 TEST(Trace, FromGraphAndBreakdown) {

@@ -173,7 +173,8 @@ TEST_P(ServiceThreads, CacheHitsAreBitIdenticalToColdRuns) {
   EXPECT_EQ(derived.outcome, CacheOutcome::kHitDerived);
   expect_same_report(derived.report, cold_lo, "derived hit");
 
-  // Higher precision: re-enters at refine_root, replaces the entry.
+  // Higher precision: refine_roots_parallel on the stored cells, which
+  // replaces the entry.
   cold_cfg.mu_bits = 90;
   const RootReport cold_hi = find_real_roots(input.poly, cold_cfg);
   const auto refined = service.solve(input.poly, 90);
