@@ -11,8 +11,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -274,6 +276,68 @@ void BM_SignProbe(benchmark::State& state) {
 BENCHMARK(BM_SignProbe)
     ->ArgNames({"method", "near_root"})
     ->ArgsProduct({{0, 1, 2}, {0, 1}});
+
+/// BM_QirEval's inputs: a degree-n paper input with its roots at mu = w -
+/// 8 (kRadii), and points within two units of each root at QIR's working
+/// scale w, where QIR's last iterations evaluate.
+struct QirEvalCase {
+  pr::Poly poly;
+  std::vector<pr::BigInt> points;
+};
+
+const QirEvalCase& qir_eval_case(std::size_t n, std::size_t w) {
+  static std::map<std::pair<std::size_t, std::size_t>, QirEvalCase> cases;
+  QirEvalCase& c = cases[{n, w}];
+  if (c.points.empty()) {
+    pr::Prng rng(0x9e7a + n);
+    pr::RootFinderConfig cfg;
+    cfg.strategy = pr::FinderStrategy::kRadii;
+    cfg.mu_bits = w - 8;
+    const auto run = pr::find_real_roots_parallel(pr::paper_input(n, rng).poly,
+                                                  cfg, pr::ParallelConfig{});
+    c.poly = run.isolated;
+    int k = 0;
+    for (const pr::BigInt& r : run.report.roots) {
+      c.points.push_back((r << 8) + pr::BigInt(k++ % 5 - 2));
+    }
+  }
+  return c;
+}
+
+void BM_QirEval(benchmark::State& state) {
+  // Exact eval_scaled (method 0) against bounded_eval_scaled (1) at the
+  // precision QIR starts its last iterations with (w + ||p|| + 64 bits),
+  // for degree n at w = mu + 8, mu = 107, 256 and 1024.  certified_share
+  // counts the evaluations the bounds decided.
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto w = static_cast<std::size_t>(state.range(2));
+  const QirEvalCase& c = qir_eval_case(n, w);
+  const std::size_t prec = w + c.poly.max_coeff_bits() + 64;
+  const bool exact = state.range(0) == 0;
+  std::size_t next = 0;
+  std::uint64_t certified = 0;
+  const pr::instr::OpCounts before = pr::instr::aggregate().total();
+  for (auto _ : state) {
+    const pr::BigInt& t = c.points[next];
+    next = (next + 1) % c.points.size();
+    if (exact) {
+      benchmark::DoNotOptimize(c.poly.eval_scaled(t, w));
+    } else {
+      const pr::ValueBounds v = pr::bounded_eval_scaled(c.poly, t, w, prec);
+      certified += v.sign != 0 ? 1 : 0;
+      benchmark::DoNotOptimize(v);
+    }
+  }
+  report_allocs(state, before, pr::instr::aggregate().total());
+  if (!exact) {
+    state.counters["certified_share"] = benchmark::Counter(
+        static_cast<double>(certified) /
+        static_cast<double>(state.iterations()));
+  }
+}
+BENCHMARK(BM_QirEval)
+    ->ArgNames({"method", "n", "w"})
+    ->ArgsProduct({{0, 1}, {16, 40, 64}, {115, 264, 1032}});
 
 void BM_RemainderSequence(benchmark::State& state) {
   pr::Prng rng(5);

@@ -15,6 +15,7 @@
 #include "modular/modular_prs.hpp"
 #include "modular/tree_poly.hpp"
 #include "poly/bounds.hpp"
+#include "poly/certified_sign.hpp"
 #include "poly/remainder_sequence.hpp"
 #include "poly/sturm.hpp"
 #include "support/error.hpp"
@@ -702,12 +703,14 @@ Solved run_graph(const Poly& work, std::size_t bound,
 
 /// The kRefine stage of the general path and of refine_roots_parallel:
 /// one task per cell of `p`, each writing its root positionally (the
-/// cells are sorted, so the roots are too).  Records the execution in
+/// cells are sorted, so the roots are too).  When given, `prepare` first
+/// completes a task's cell on the pool.  Records the execution in
 /// out.pool and out.trace when there is a cell to refine.
-Solved refine_cells(const Poly& p,
-                    const std::vector<isolate::IsolatingCell>& cells,
+Solved refine_cells(const Poly& p, std::vector<isolate::IsolatingCell>& cells,
                     const RootFinderConfig& config,
-                    const ParallelConfig& parallel, ParallelRunResult& out) {
+                    const ParallelConfig& parallel, ParallelRunResult& out,
+                    void (*prepare)(const Poly&, isolate::IsolatingCell&) =
+                        nullptr) {
   std::vector<BigInt> roots(cells.size());
   std::vector<isolate::QirStats> stats(cells.size());
   isolate::QirStats totals;
@@ -715,6 +718,7 @@ Solved refine_cells(const Poly& p,
     TaskGraph graph;
     for (std::size_t i = 0; i < cells.size(); ++i) {
       graph.add(TaskKind::kRefine, static_cast<std::int32_t>(i), [&, i] {
+        if (prepare) prepare(p, cells[i]);
         roots[i] = isolate::cell_mu_approx(p, cells[i], config.mu_bits,
                                            config.isolate.qir, &stats[i]);
       });
@@ -726,6 +730,24 @@ Solved refine_cells(const Poly& p,
     for (const auto& st : stats) totals += st;
   }
   return {std::move(roots), isolate::qir_interval_stats(cells, totals)};
+}
+
+/// Completes a stored cell, given its scale and its right end k: the cell
+/// ((k-1)/2^mu, k/2^mu] is exact when k is a root, otherwise open with the
+/// one-sided sign at k-1 (a zero there is a neighbouring root).  Throws
+/// InvalidArgument when the cell shows no sign change.
+void stored_cell_signs(const Poly& p, isolate::IsolatingCell& cell) {
+  cell.s_hi = filtered_sign_scaled(p, cell.hi, cell.scale);
+  if (cell.s_hi == 0) {
+    cell.lo = cell.hi;
+    cell.exact = true;
+    return;
+  }
+  cell.lo = cell.hi - BigInt(1);
+  cell.s_lo = filtered_sign_scaled(p, cell.lo, cell.scale);
+  if (cell.s_lo == 0) cell.s_lo = sign_right_limit(p, cell.lo, cell.scale);
+  check_arg(cell.s_lo * cell.s_hi == -1,
+            "refine_roots_parallel: a stored cell holds no single root");
 }
 
 /// ceil(2^mu x) for the root x of a linear polynomial: one exact ceiling
@@ -821,26 +843,15 @@ ParallelRunResult refine_roots_parallel(const Poly& isolated,
                   ceil_shift(solved.roots[0], mu - stored.mu) == ks[0],
               "refine_roots_parallel: a stored cell holds no single root");
   } else {
-    // Stored value k is the cell ((k-1)/2^mu, k/2^mu] at mu = stored.mu:
-    // exact when the root is its right end, otherwise open with the
-    // one-sided sign at k-1 (a zero there is a neighbouring root).
-    cells.reserve(ks.size());
-    for (const BigInt& k : ks) {
-      isolate::IsolatingCell& cell = cells.emplace_back();
-      cell.scale = stored.mu;
-      cell.hi = k;
-      cell.s_hi = isolated.sign_at_scaled(k, stored.mu);
-      if (cell.s_hi == 0) {
-        cell.lo = k;
-        cell.exact = true;
-        continue;
-      }
-      cell.lo = k - BigInt(1);
-      cell.s_lo = sign_right_limit(isolated, cell.lo, stored.mu);
-      check_arg(cell.s_lo * cell.s_hi == -1,
-                "refine_roots_parallel: a stored cell holds no single root");
+    // Stored value k is the cell ((k-1)/2^mu, k/2^mu] at mu = stored.mu;
+    // each task finds its cell's signs before refining it.
+    cells.resize(ks.size());
+    for (std::size_t i = 0; i < ks.size(); ++i) {
+      cells[i].scale = stored.mu;
+      cells[i].hi = ks[i];
     }
-    solved = refine_cells(isolated, cells, config, parallel, out);
+    solved = refine_cells(isolated, cells, config, parallel, out,
+                          stored_cell_signs);
   }
   out.report = stored;
   out.report.roots = std::move(solved.roots);

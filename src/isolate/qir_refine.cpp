@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/scaled_point.hpp"
+#include "poly/certified_sign.hpp"
 #include "support/error.hpp"
 
 namespace pr::isolate {
@@ -16,8 +17,85 @@ QirStats& QirStats::operator+=(const QirStats& o) {
   failures += o.failures;
   bisect_steps += o.bisect_steps;
   max_subdiv_log2 = std::max(max_subdiv_log2, o.max_subdiv_log2);
+  exact_evals += o.exact_evals;
   return *this;
 }
+
+namespace {
+
+/// Extra bits beyond the distance and coefficient terms of the starting
+/// precision.
+constexpr std::size_t kGuardBits = 64;
+
+/// The values of p at points of the working scale w: certified by
+/// bounded_eval_scaled at a precision P that doubles while a sign stays
+/// undecided, and exact (eval_scaled) once P reaches the point where the
+/// exact value costs no more.
+class PointValues {
+ public:
+  PointValues(const Poly& p, std::size_t w, QirStats& st)
+      : p_(p), w_(w), st_(st) {}
+
+  /// p at t, with its sign certified, for a point about 2^-l of a
+  /// `width`-unit bracket away from the root: the starting precision is
+  /// the bits that distance takes below the unit, plus the coefficient
+  /// size and a guard.
+  ValueBounds at(const BigInt& t, const BigInt& width, std::size_t l) {
+    const auto coeff_bits = static_cast<std::int64_t>(p_.max_coeff_bits());
+    const std::int64_t below_unit =
+        static_cast<std::int64_t>(w_ + l) -
+        static_cast<std::int64_t>(width.bit_length());
+    std::size_t prec = static_cast<std::size_t>(
+        std::max<std::int64_t>(below_unit, 0) + coeff_bits) + kGuardBits;
+    // Exact Horner costs about d^2/2 * max(w, bits(t)) * bits(t) bit
+    // operations, the P-bit one d * P * bits(t).
+    const std::size_t limit =
+        p_.max_coeff_bits() + static_cast<std::size_t>(p_.degree()) *
+                                  std::max(w_, t.bit_length()) / 2;
+    for (; prec < limit; prec *= 2) {
+      ValueBounds v = bounded_eval_scaled(p_, t, w_, prec);
+      if (v.sign != 0) return v;
+    }
+    return exact(t);
+  }
+
+  /// The exact value 2^(dw) p(t / 2^w) as bounds lo == hi.
+  ValueBounds exact(const BigInt& t) {
+    st_.exact_evals += 1;
+    BigInt v = p_.eval_scaled(t, w_);
+    ValueBounds out;
+    out.sign = v.signum();
+    out.lo = v.abs();
+    out.hi = out.lo;
+    out.exp = -static_cast<std::int64_t>(w_) * p_.degree();
+    return out;
+  }
+
+ private:
+  const Poly& p_;
+  std::size_t w_;
+  QirStats& st_;
+};
+
+/// The secant index floor(|fa| 2^l / (|fa| + |fb|)), clamped below 2^l,
+/// when the bounds fix it.  The ratio grows with |fa| and falls with |fb|,
+/// so the bounds' corners give the least and the greatest index.
+std::optional<BigInt> secant_index(const ValueBounds& fa,
+                                   const ValueBounds& fb, std::size_t l) {
+  const std::int64_t e = std::min(fa.exp, fb.exp);
+  const auto at_e = [e](const BigInt& v, std::int64_t ex) {
+    return v << static_cast<std::size_t>(ex - e);
+  };
+  const BigInt la = at_e(fa.lo, fa.exp), ua = at_e(fa.hi, fa.exp);
+  const BigInt lb = at_e(fb.lo, fb.exp), ub = at_e(fb.hi, fb.exp);
+  const BigInt last = BigInt::pow2(l) - BigInt(1);
+  const BigInt jlo = std::min((la << l) / (la + ub), last);
+  BigInt jhi = std::min((ua << l) / (ua + lb), last);
+  if (jlo != jhi) return std::nullopt;
+  return jhi;
+}
+
+}  // namespace
 
 BigInt qir_solve(const Poly& p, const BigInt& lo, const BigInt& hi, int s_lo,
                  int s_hi, std::size_t w, std::size_t mu,
@@ -35,6 +113,7 @@ BigInt qir_solve(const Poly& p, const BigInt& lo, const BigInt& hi, int s_lo,
   BigInt a = lo << up;
   BigInt b = hi << up;
   const int sa = s_lo;
+  PointValues values(p, big, st);
 
   // Bracket invariant: the root is in (a/2^W, b/2^W), sign(p) just right
   // of a is sa, just left of b is -sa.
@@ -52,27 +131,27 @@ BigInt qir_solve(const Poly& p, const BigInt& lo, const BigInt& hi, int s_lo,
   const BigInt a0 = a;
   const BigInt b0 = b;
   st.evals += 1;
-  BigInt fa = p.eval_scaled(a, big);
-  while (fa.is_zero()) {
+  ValueBounds fa = values.at(a, b - a, 0);
+  while (fa.sign == 0) {
     if (a != a0) return exact_hit(a);
     if (auto k = pinned()) return *k;
     a += BigInt(1);
     st.evals += 1;
-    fa = p.eval_scaled(a, big);
+    fa = values.at(a, b - a, 0);
   }
   // Sign flipped within one unit of the original endpoint: the root is in
   // (a-1, a), and for consecutive integers ceil_shift(a) is its mu-cell.
-  if (fa.signum() != sa) return exact_hit(a);
+  if (fa.sign != sa) return exact_hit(a);
   st.evals += 1;
-  BigInt fb = p.eval_scaled(b, big);
-  while (fb.is_zero()) {
+  ValueBounds fb = values.at(b, b - a, 0);
+  while (fb.sign == 0) {
     if (b != b0) return exact_hit(b);
     if (auto k = pinned()) return *k;
     b -= BigInt(1);
     st.evals += 1;
-    fb = p.eval_scaled(b, big);
+    fb = values.at(b, b - a, 0);
   }
-  if (fb.signum() == sa) return floor_shift(b, down) + BigInt(1);
+  if (fb.sign == sa) return floor_shift(b, down) + BigInt(1);
 
   std::size_t subdiv_log2 = std::max<std::size_t>(config.initial_subdiv_log2,
                                                   1);
@@ -86,37 +165,36 @@ BigInt qir_solve(const Poly& p, const BigInt& lo, const BigInt& hi, int s_lo,
     const std::size_t l =
         std::min({subdiv_log2, cap, config.max_subdiv_log2});
 
-    // Secant prediction: the root's grid cell if f were linear.
-    BigInt j = (fa.abs() << l) / (fa.abs() + fb.abs());
-    const BigInt n_cells = BigInt::pow2(l);
-    if (j >= n_cells) j = n_cells - BigInt(1);  // defensive clamp
+    // Secant prediction: the root's grid cell if f were linear.  Bounds
+    // that straddle a cell boundary are replaced by the exact values.
+    std::optional<BigInt> jj = secant_index(fa, fb, l);
+    if (!jj) {
+      if (fa.lo != fa.hi) fa = values.exact(a);
+      if (fb.lo != fb.hi) fb = values.exact(b);
+      jj = secant_index(fa, fb, l);
+    }
+    const BigInt& j = *jj;
     BigInt g0 = a + ((width * j) >> l);
     BigInt g1 = a + ((width * (j + BigInt(1))) >> l);
 
-    int sg0;
-    int sg1;
-    BigInt f0;
-    BigInt f1;
+    ValueBounds f0;
+    ValueBounds f1;
     if (g0 == a) {
-      sg0 = sa;
       f0 = fa;
     } else {
       st.evals += 1;
-      f0 = p.eval_scaled(g0, big);
-      sg0 = f0.signum();
-      if (sg0 == 0) return exact_hit(g0);
+      f0 = values.at(g0, width, l);
+      if (f0.sign == 0) return exact_hit(g0);
     }
     if (g1 == b) {
-      sg1 = -sa;
       f1 = fb;
     } else {
       st.evals += 1;
-      f1 = p.eval_scaled(g1, big);
-      sg1 = f1.signum();
-      if (sg1 == 0) return exact_hit(g1);
+      f1 = values.at(g1, width, l);
+      if (f1.sign == 0) return exact_hit(g1);
     }
 
-    if (sg0 == sa && sg1 == -sa) {
+    if (f0.sign == sa && f1.sign == -sa) {
       // Prediction confirmed: bracket shrinks by ~2^l, N := N^2.
       a = std::move(g0);
       fa = std::move(f0);
@@ -132,7 +210,7 @@ BigInt qir_solve(const Poly& p, const BigInt& lo, const BigInt& hi, int s_lo,
     // left of g0 or right of g1); demote N := sqrt(N) and take one
     // guaranteed bisection step so worst-case progress stays linear.
     st.failures += 1;
-    if (sg0 != sa) {
+    if (f0.sign != sa) {
       b = std::move(g0);
       fb = std::move(f0);
     } else {
@@ -146,9 +224,9 @@ BigInt qir_solve(const Poly& p, const BigInt& lo, const BigInt& hi, int s_lo,
     if (mid > a && mid < b) {
       st.bisect_steps += 1;
       st.evals += 1;
-      BigInt fm = p.eval_scaled(mid, big);
-      if (fm.is_zero()) return exact_hit(mid);
-      if (fm.signum() == sa) {
+      ValueBounds fm = values.at(mid, b - a, 1);
+      if (fm.sign == 0) return exact_hit(mid);
+      if (fm.sign == sa) {
         a = std::move(mid);
         fa = std::move(fm);
       } else {

@@ -9,9 +9,15 @@
 // iteration quadratically convergent once the secant model is accurate); on
 // failure the sign information still shrinks the bracket, N falls back to
 // sqrt(N), and a guaranteed bisection step keeps worst-case progress linear.
-// Every step is certified by exact sign evaluations at dyadic points, so
-// the bracket invariant (sign change across it) never depends on the
-// convergence theory.
+// Every step is certified by exact signs at dyadic points, so the bracket
+// invariant (sign change across it) never depends on the convergence
+// theory.  The signs and the secant's magnitudes come from
+// bounded_eval_scaled (poly/certified_sign.hpp) at a precision P derived
+// from the bracket width, log2 N and the coefficient size, doubled while a
+// sign stays undecided; the exact scaled Horner value is computed only
+// when P reaches the exact value's cost, at an exact zero, or when the
+// magnitude bounds straddle a grid-cell boundary of the secant index.
+// Every iterate is therefore the one the exact evaluation would give.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +39,9 @@ struct QirStats {
   std::uint64_t failures = 0;        ///< prediction missed; N demoted
   std::uint64_t bisect_steps = 0;    ///< guaranteed-progress bisections
   std::uint64_t max_subdiv_log2 = 0; ///< largest log2 N a success used
+  /// Exact scaled Horner values computed (the rest came from the bounded
+  /// evaluation); not a count of points, so not part of `evals`.
+  std::uint64_t exact_evals = 0;
 
   QirStats& operator+=(const QirStats& o);
 };

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 namespace pr {
 
@@ -75,19 +76,26 @@ double scale_err(double err, std::int64_t k) {
 }
 
 /// (err + units) rounded up; exactly 0 when both are.
-double add_units(double err, int units) {
+double add_units(double err, double units) {
   if (err == 0 && units == 0) return 0;
   return (err + units) * kRoundUp;
 }
 
-/// An upper bound on t as a double.
-double upper_double(u128 t) {
-  const int bits = bit_length(t);
-  if (bits <= 53) return static_cast<double>(static_cast<u64>(t));
-  const int k = bits - 53;
-  auto top = static_cast<u64>(t >> k);
-  if ((t & ((u128{1} << k) - 1)) != 0) ++top;  // top <= 2^53: exact
-  return std::ldexp(static_cast<double>(top), k);
+/// |t| <= mant * 2^exp, mant an integer of at most 53 bits (2^53 after
+/// rounding up): the top 53 bits of the magnitude limbs[0..n), rounded up.
+struct UpperBound {
+  double mant = 0;
+  std::int64_t exp = 0;
+};
+
+UpperBound upper_bound(const u64* limbs, std::size_t n) {
+  if (n == 0) return {};
+  const std::size_t bits = 64 * n - std::countl_zero(limbs[n - 1]);
+  if (bits <= 53) return {static_cast<double>(limbs[0]), 0};
+  const std::size_t k = bits - 53;
+  auto top = static_cast<u64>(bits_at(limbs, n, k));
+  if (low_bits_set(limbs, n, k)) ++top;  // top <= 2^53: exact
+  return {static_cast<double>(top), static_cast<std::int64_t>(k)};
 }
 
 /// a * b as four little-endian limbs.
@@ -201,14 +209,243 @@ struct Approx {
   }
 };
 
+/// A bound err * 2^exp >= 0 with its exponent kept apart from the value's,
+/// so that no point size and no cancellation can overflow it.  err is
+/// rescaled (exactly) only once it leaves [2^-512, 2^512].
+struct ErrBound {
+  double err = 0;
+  std::int64_t exp = 0;
+
+  void normalize() {
+    if (err != 0 && (err > 0x1p512 || err < 0x1p-512)) {
+      int k = 0;
+      err = std::frexp(err, &k);
+      exp += k;
+    }
+  }
+
+  /// bound <- bound * mant * 2^k, mant >= 0.
+  void scale(double mant, std::int64_t k) {
+    if (err == 0) return;
+    err = err * mant * kRoundUp;
+    exp += k;
+    normalize();
+  }
+
+  /// bound <- bound + 2^k.
+  void add_unit(std::int64_t k) {
+    const std::int64_t top = err == 0 ? k : std::max(exp, k);
+    err = add_units(scale_err(err, exp - top), scale_err(1.0, k - top));
+    exp = top;
+    normalize();
+  }
+};
+
+using Limbs = std::vector<u64>;
+
+void trim(Limbs& a) {
+  while (!a.empty() && a.back() == 0) a.pop_back();
+}
+
+std::size_t bit_length(const Limbs& a) {
+  return a.empty() ? 0 : 64 * a.size() - std::countl_zero(a.back());
+}
+
+/// out <- a[0..n) << k.
+void shift_left(const u64* a, std::size_t n, std::size_t k, Limbs& out) {
+  const std::size_t q = k / 64;
+  const auto r = static_cast<unsigned>(k % 64);
+  out.assign(n + q + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i + q] |= a[i] << r;
+    if (r != 0) out[i + q + 1] = a[i] >> (64 - r);
+  }
+  trim(out);
+}
+
+/// out <- a[0..n) >> k (toward zero).
+void shift_right(const u64* a, std::size_t n, std::size_t k, Limbs& out) {
+  const std::size_t q = k / 64;
+  const auto r = static_cast<unsigned>(k % 64);
+  if (q >= n) {
+    out.clear();
+    return;
+  }
+  out.resize(n - q);
+  for (std::size_t i = 0; i + q < n; ++i) {
+    u64 v = a[i + q] >> r;
+    if (r != 0 && i + q + 1 < n) v |= a[i + q + 1] << (64 - r);
+    out[i] = v;
+  }
+  trim(out);
+}
+
+/// out <- a * b[0..nb), schoolbook (the operands are a few limbs).
+void mul(const Limbs& a, const u64* b, std::size_t nb, Limbs& out) {
+  out.assign(a.size() + nb, 0);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    u64 carry = 0;
+    for (std::size_t j = 0; j < nb; ++j) {
+      const u128 cur = static_cast<u128>(a[i]) * b[j] + out[i + j] + carry;
+      out[i + j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
+    }
+    out[i + nb] = carry;
+  }
+  trim(out);
+}
+
+int compare(const Limbs& a, const Limbs& b) {
+  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
+  for (std::size_t i = a.size(); i-- > 0;) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  return 0;
+}
+
+/// a <- a + b.
+void add_to(Limbs& a, const Limbs& b) {
+  if (a.size() < b.size()) a.resize(b.size(), 0);
+  u64 carry = 0;
+  for (std::size_t i = 0; i < a.size() && (i < b.size() || carry != 0);
+       ++i) {
+    const u128 sum = static_cast<u128>(a[i]) + (i < b.size() ? b[i] : 0) +
+                     carry;
+    a[i] = static_cast<u64>(sum);
+    carry = static_cast<u64>(sum >> 64);
+  }
+  if (carry != 0) a.push_back(carry);
+}
+
+/// a <- |a - b|; true when b was the larger.
+bool subtract_from(Limbs& a, const Limbs& b) {
+  const bool flip = compare(a, b) < 0;
+  if (a.size() < b.size()) a.resize(b.size(), 0);
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const u64 bi = i < b.size() ? b[i] : 0;
+    const u64 x = flip ? bi : a[i];
+    const u64 y = flip ? a[i] : bi;
+    a[i] = x - y - borrow;
+    borrow = (x < y) | (x - y < borrow);
+  }
+  trim(a);
+  return flip;
+}
+
+/// The P-bit Horner accumulator, in word arithmetic on reused buffers:
+/// p's partial value within bound of +-mag * 2^e.  Each step runs exactly
+/// in `sum` and truncates once, so mag < 2^prec between steps.
+struct LimbApprox {
+  Limbs mag, sum, term;
+  bool neg = false;
+  std::int64_t e = 0;
+  ErrBound bound;
+  std::size_t prec = 0;
+
+  /// value <- value * t / 2^w + c, |t| <= tb.
+  void step(const BigInt& t, const UpperBound& tb, std::size_t w,
+            const BigInt& c) {
+    const auto sw = static_cast<std::int64_t>(w);
+    mul(mag, t.limbs(), t.limb_count(), sum);
+    neg = neg != t.negative();
+    e -= sw;
+    bound.scale(tb.mant, tb.exp - sw);
+    add(c);
+  }
+
+  /// value <- value + c, then the mantissa truncated (toward zero) to prec
+  /// bits.  c joins exactly at the sum's exponent when that is at most 0;
+  /// above it c's low bits are dropped, for at most one more unit.
+  void add(const BigInt& c) {
+    if (sum.empty()) e = 0;
+    if (!c.is_zero()) {
+      if (e <= 0) {
+        shift_left(c.limbs(), c.limb_count(), static_cast<std::size_t>(-e),
+                   term);
+      } else {
+        const auto s = static_cast<std::size_t>(e);
+        if (low_bits_set(c.limbs(), c.limb_count(), s)) bound.add_unit(e);
+        shift_right(c.limbs(), c.limb_count(), s, term);
+      }
+      if (sum.empty()) {
+        sum.swap(term);
+        neg = c.negative();
+      } else if (neg == c.negative()) {
+        add_to(sum, term);
+      } else if (subtract_from(sum, term)) {
+        neg = c.negative();
+      }
+    }
+    const std::size_t bits = bit_length(sum);
+    if (bits <= prec) {
+      mag.swap(sum);
+    } else {
+      const std::size_t s = bits - prec;
+      const bool inexact = low_bits_set(sum.data(), sum.size(), s);
+      shift_right(sum.data(), sum.size(), s, mag);
+      e += static_cast<std::int64_t>(s);
+      if (inexact) bound.add_unit(e);
+    }
+    if (mag.empty()) neg = false;
+  }
+};
+
 }  // namespace
+
+ValueBounds bounded_eval_scaled(const Poly& p, const BigInt& t, std::size_t w,
+                                std::size_t prec) {
+  ValueBounds out;
+  const std::vector<BigInt>& c = p.coeffs();
+  if (c.empty() || prec == 0) return out;
+  const UpperBound tb = upper_bound(t.limbs(), t.limb_count());
+  // One accumulator per thread: its buffers keep their capacity.
+  thread_local LimbApprox v;
+  v.mag.clear();
+  v.sum.clear();
+  v.neg = false;
+  v.e = 0;
+  v.bound = ErrBound{};
+  v.prec = prec;
+  v.add(c.back());
+  for (std::size_t i = c.size() - 1; i-- > 0;) v.step(t, tb, w, c[i]);
+  // The bound in units of 2^e, rounded up to an integer r; certified iff
+  // |m| > r, so a zero value (|m| <= r then) is never certified.
+  const std::size_t bits = bit_length(v.mag);
+  BigInt r;
+  if (v.bound.err != 0) {
+    int shift = 0;
+    const double frac = std::frexp(v.bound.err, &shift);  // in [0.5, 1)
+    const std::int64_t k = v.bound.exp + shift - v.e;  // bound >= 2^(k-1)
+    if (k - 1 >= static_cast<std::int64_t>(bits)) return out;
+    // frac = mant * 2^-53 exactly, mant < 2^53.
+    const auto mant = static_cast<u64>(std::ldexp(frac, 53));
+    if (k >= 53) {
+      r = BigInt(static_cast<unsigned long long>(mant))
+          << static_cast<std::size_t>(k - 53);
+    } else if (53 - k >= 64) {
+      r = BigInt(1);
+    } else {
+      const u64 den = u64{1} << (53 - k);
+      r = BigInt(static_cast<unsigned long long>((mant + den - 1) >> (53 - k)));
+    }
+  }
+  BigInt mag = BigInt::from_limbs(v.mag.data(), v.mag.size(), false);
+  if (mag <= r) return out;
+  out.sign = v.neg ? -1 : 1;
+  out.lo = mag - r;
+  out.hi = std::move(mag) + r;
+  out.exp = v.e;
+  return out;
+}
 
 std::optional<int> certified_sign_scaled(const Poly& p, const BigInt& t,
                                          std::size_t w) {
   const std::vector<BigInt>& c = p.coeffs();
   if (c.empty() || t.limb_count() > 2 || w > kMaxScale) return std::nullopt;
   const u128 tmag = bits_at(t.limbs(), t.limb_count(), 0);
-  const double t_up = upper_double(tmag);
+  const UpperBound tb = upper_bound(t.limbs(), t.limb_count());
+  const double t_up = std::ldexp(tb.mant, static_cast<int>(tb.exp));
   Approx v;
   v.add_coeff(c.back());
   for (std::size_t i = c.size() - 1; i-- > 0;) {

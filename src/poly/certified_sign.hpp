@@ -22,9 +22,19 @@
 //
 // Word arithmetic only: nothing is reported to the instrumentation
 // counters (as for the modular word arithmetic) and nothing allocates.
+//
+// bounded_eval_scaled is the same Horner rule at a caller-chosen precision
+// of P bits, for points of any size: each step multiplies and adds exactly
+// and then truncates the mantissa to P bits, and the error bound is a
+// double with its own exponent, so that neither a point far beyond 2^1024
+// nor a cancellation of thousands of bits can overflow it.  It returns the
+// certified sign with bounds on the magnitude, which is what QIR's secant
+// step needs (isolate/qir_refine).  It too runs on words, in per-thread
+// buffers, and reports nothing to the instrumentation counters.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 
 #include "bigint/bigint.hpp"
@@ -42,5 +52,22 @@ std::optional<int> certified_sign_scaled(const Poly& p, const BigInt& t,
 /// Exact sign(p(t / 2^w)): the certified sign when certified_sign_scaled
 /// decides it, otherwise p.sign_at_scaled(t, w).
 int filtered_sign_scaled(const Poly& p, const BigInt& t, std::size_t w);
+
+/// What bounded_eval_scaled certified about v = p(t / 2^w).
+struct ValueBounds {
+  /// sign(v), or 0 when the evaluation did not decide it; a zero value
+  /// always leaves it undecided.
+  int sign = 0;
+  /// lo * 2^exp <= |v| <= hi * 2^exp, 0 < lo <= hi, when sign != 0.
+  BigInt lo;
+  BigInt hi;
+  std::int64_t exp = 0;
+};
+
+/// Horner evaluation of p(t / 2^w) with a mantissa of at most `prec` bits
+/// and a rigorous error bound.  Any |t| and w; the bounds are exact (lo ==
+/// hi) when no step had to round.
+ValueBounds bounded_eval_scaled(const Poly& p, const BigInt& t, std::size_t w,
+                                std::size_t prec);
 
 }  // namespace pr

@@ -2,11 +2,15 @@
 // differential against the exact scaled Horner value, the certified share
 // on the tree-node polynomials the pipeline probes, and the gate in the
 // interval layer (modular arithmetic on: same reports, cheaper probes).
+// BoundedEval fuzzes the P-bit evaluation QIR uses: every exact value lies
+// inside its bounds, at any point size, scale and precision, and a zero is
+// never certified.
 #include "poly/certified_sign.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <utility>
@@ -244,6 +248,153 @@ TEST(CertifiedSign, CertifiesMostJacobi96TreeNodeProbes) {
   EXPECT_GE(random_pts.share(), 0.99) << random_pts.probes << " probes";
   EXPECT_GE(near_53.share(), 0.80) << near_53.probes << " probes";
   EXPECT_GE(near_61.share(), 0.80) << near_61.probes << " probes";
+}
+
+/// One bounded evaluation against the exact value E = 2^(dw) p(t / 2^w):
+/// when certified, the sign is E's and lo * 2^exp <= |p(t / 2^w)| <= hi *
+/// 2^exp; a zero is never certified.
+void check_bounds(const Poly& p, const BigInt& t, std::size_t w,
+                  std::size_t prec, Tally& tally) {
+  const BigInt exact = p.eval_scaled(t, w);
+  const ValueBounds got = bounded_eval_scaled(p, t, w, prec);
+  ++tally.probes;
+  if (exact.is_zero()) ++tally.zeros;
+  const auto where = [&] {
+    return "degree " + std::to_string(p.degree()) + ", ||p|| " +
+           std::to_string(p.max_coeff_bits()) + " bits, t of " +
+           std::to_string(t.bit_length()) + " bits, w " + std::to_string(w) +
+           ", prec " + std::to_string(prec);
+  };
+  if (got.sign == 0) return;
+  ++tally.certified;
+  ASSERT_NE(exact.signum(), 0) << "certified an exact zero: " << where();
+  EXPECT_EQ(got.sign, exact.signum()) << where();
+  ASSERT_GT(got.lo.signum(), 0) << where();
+  ASSERT_LE(got.lo, got.hi) << where();
+  // |E| = |p(t / 2^w)| * 2^(dw): compare lo * 2^k and hi * 2^k with |E|,
+  // k = exp + dw, shifting whichever side keeps both integral.
+  const std::int64_t k =
+      got.exp + static_cast<std::int64_t>(w) * p.degree();
+  const BigInt mag = exact.abs();
+  if (k >= 0) {
+    EXPECT_LE(got.lo << static_cast<std::size_t>(k), mag) << where();
+    EXPECT_GE(got.hi << static_cast<std::size_t>(k), mag) << where();
+  } else {
+    const BigInt up = mag << static_cast<std::size_t>(-k);
+    EXPECT_LE(got.lo, up) << where();
+    EXPECT_GE(got.hi, up) << where();
+  }
+}
+
+/// Precisions from one bit to beyond the exact value's size, limb edges
+/// included.
+std::size_t random_prec(Prng& rng) {
+  static const std::size_t kEdges[] = {1, 2, 53, 63, 64, 65, 128, 300, 5000};
+  return rng.coin() ? kEdges[rng.below(9)] : 1 + rng.below(2000);
+}
+
+TEST(BoundedEval, EdgeCases) {
+  EXPECT_EQ(bounded_eval_scaled(Poly(), BigInt(3), 5, 64).sign, 0);
+  EXPECT_EQ(bounded_eval_scaled(Poly{0, 1}, BigInt(0), 9, 64).sign, 0);
+  EXPECT_EQ(bounded_eval_scaled(Poly{1, 1}, BigInt(5), 2, 0).sign, 0);
+  // A constant is exact at any precision that holds it, and bounded
+  // (lo < hi) below that.
+  const Poly big = Poly::constant(-BigInt::pow2(5000) - BigInt(1));
+  const ValueBounds whole = bounded_eval_scaled(big, BigInt(7), 3, 5001);
+  EXPECT_EQ(whole.sign, -1);
+  EXPECT_EQ(whole.lo, whole.hi);
+  EXPECT_EQ(whole.lo, BigInt::pow2(5000) + BigInt(1));
+  EXPECT_EQ(whole.exp, 0);
+  const ValueBounds cut = bounded_eval_scaled(big, BigInt(7), 3, 100);
+  EXPECT_EQ(cut.sign, -1);
+  EXPECT_LT(cut.lo, cut.hi);
+  // x + 1 at t = +-2^5000, w = 4100: +-2^900 + 1, far beyond a double's
+  // range on the way.  One or two bits leave a unit of error against a
+  // mantissa of 1 or 2; from 64 bits on it certifies.
+  Tally low, wide;
+  for (std::size_t prec : {1u, 2u}) {
+    check_bounds(Poly{1, 1}, BigInt::pow2(5000), 4100, prec, low);
+    check_bounds(Poly{1, 1}, -BigInt::pow2(5000), 4100, prec, low);
+  }
+  for (std::size_t prec : {64u, 901u, 4000u}) {
+    check_bounds(Poly{1, 1}, BigInt::pow2(5000), 4100, prec, wide);
+    check_bounds(Poly{1, 1}, -BigInt::pow2(5000), 4100, prec, wide);
+  }
+  EXPECT_EQ(wide.certified, wide.probes);
+  // 4x^2 - 1 at its roots +-1/2, at scales up to 4100: never certified.
+  const Poly q{-1, 0, 4};
+  for (std::size_t w : {1u, 64u, 1025u, 4100u}) {
+    for (std::size_t prec : {1u, 64u, 5000u, 10000u}) {
+      EXPECT_EQ(bounded_eval_scaled(q, BigInt::pow2(w - 1), w, prec).sign, 0);
+      EXPECT_EQ(bounded_eval_scaled(q, -BigInt::pow2(w - 1), w, prec).sign,
+                0);
+    }
+  }
+}
+
+TEST(BoundedEval, RandomPolynomialsStayInsideTheBounds) {
+  // Degrees 0-64, coefficients of either sign up to a few hundred bits;
+  // points up to 300 bits, one in six far beyond 2^1024 (to about 4,500
+  // bits), at scales up to 4,100.
+  Prng rng(0xb0d5);
+  static const std::size_t kMaxBits[] = {8, 64, 130, 400};
+  Tally tally;
+  for (int iter = 0; iter < 240; ++iter) {
+    const int degree = static_cast<int>(rng.below(65));
+    const Poly p = random_test_poly(rng, degree, kMaxBits[rng.below(4)]);
+    for (int k = 0; k < 3; ++k) {
+      const bool huge = rng.below(6) == 0 && degree <= 24;
+      const BigInt t = random_bigint(
+          rng, huge ? 1025 + rng.below(3500) : rng.below(300));
+      const std::size_t w = rng.coin() ? rng.below(300) : rng.below(4101);
+      check_bounds(p, t, w, random_prec(rng), tally);
+      check_bounds(p, -t, w, random_prec(rng), tally);
+    }
+    check_bounds(p, BigInt(0), rng.below(4101), random_prec(rng), tally);
+  }
+  // Correct but useless would pass the checks above: most probes, drawn
+  // far from any root, must certify.
+  EXPECT_GT(tally.certified, tally.probes * 3 / 4);
+}
+
+TEST(BoundedEval, DyadicRootsAndPointsNearThem) {
+  // prod (2^a x - b), b odd, some factors repeated: the root b / 2^a is the
+  // point (b << (w - a)) / 2^w at every scale w >= a, and never certifies.
+  // Points 2^-k away (k up to w) certify once prec covers the cancellation.
+  Prng rng(0xd1ad2);
+  Tally exact_roots, near, near_wide;
+  for (int iter = 0; iter < 60; ++iter) {
+    Poly p{1};
+    std::vector<std::pair<std::size_t, BigInt>> roots;
+    const int count = 1 + static_cast<int>(rng.below(10));
+    for (int i = 0; i < count; ++i) {
+      const std::size_t a = rng.below(41);
+      BigInt b = random_bigint(rng, 1 + rng.below(60));
+      if (b.is_even()) b += BigInt(1);
+      const Poly factor(std::vector<BigInt>{-b, BigInt::pow2(a)});
+      p *= factor;
+      if (rng.below(4) == 0) p *= factor;
+      roots.emplace_back(a, std::move(b));
+    }
+    for (const auto& [a, b] : roots) {
+      const std::size_t w = a + (rng.coin() ? rng.below(200) : rng.below(4060));
+      const BigInt t = b << (w - a);
+      for (std::size_t prec : {64u, 1000u, 20000u}) {
+        check_bounds(p, t, w, prec, exact_roots);
+      }
+      for (int j = 0; j < 3; ++j) {
+        const std::size_t k = rng.below(w + 1);  // distance 2^-k
+        BigInt delta = BigInt::pow2(w - k);
+        if (rng.coin()) delta = -delta;
+        check_bounds(p, t + delta, w, random_prec(rng), near);
+        check_bounds(p, t + delta, w, 2 * w + 1000, near_wide);
+      }
+    }
+  }
+  EXPECT_EQ(exact_roots.certified, 0u);
+  EXPECT_EQ(exact_roots.zeros, exact_roots.probes);
+  EXPECT_GT(near_wide.certified, near_wide.probes * 9 / 10)
+      << near_wide.zeros << " zeros";
 }
 
 TEST(CertifiedSign, ModularRunsKeepReportsAndCutProbeCosts) {

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/descartes_finder.hpp"
@@ -289,6 +292,187 @@ TEST(Qir, RejectsNonIsolatingCell) {
   EXPECT_THROW(isolate::qir_solve(p, BigInt(1), BigInt(2), 0, 1, 0, 10, cfg,
                                   nullptr),
                InvalidArgument);
+}
+
+/// p(3x): every root divided by 3, so that dyadic roots become
+/// non-dyadic and stored cells stay open.
+Poly roots_over_3(const Poly& p) {
+  std::vector<BigInt> c = p.coeffs();
+  BigInt f(1);
+  for (BigInt& v : c) {
+    v *= f;
+    f *= BigInt(3);
+  }
+  return Poly(std::move(c));
+}
+
+/// The golden corpus: hard and classic inputs, fixed draws.
+std::vector<std::pair<std::string, Poly>> golden_corpus() {
+  Prng rng(25);
+  const BigInt m = BigInt(3) << 12;
+  const Poly integer_roots = poly_from_integer_roots({0, -7, 3, 5, 11, -2, 1});
+  std::vector<std::pair<std::string, Poly>> out;
+  out.emplace_back("paper_input(24)", paper_input(24, rng).poly);
+  out.emplace_back("jacobi(64)", random_jacobi_poly(64, 9, rng));
+  out.emplace_back("chebyshev_t(30)", chebyshev_t(30));
+  out.emplace_back("laguerre(24)", laguerre_scaled(24));
+  out.emplace_back("wilkinson(20)", wilkinson(20));
+  out.emplace_back("mignotte(16,7)", mignotte(16, 7));
+  out.emplace_back("random_squarefree(24)",
+                   random_squarefree_poly(24, 16, rng));
+  out.emplace_back("clustered(2^-40)", clustered_squarefree(6, 40, 1, rng));
+  out.emplace_back("clustered(2^-100)",
+                   clustered_squarefree(6, 100, -3, rng));
+  out.emplace_back("clustered(2^-40) at 3x",
+                   roots_over_3(clustered_squarefree(6, 40, 1, rng)));
+  out.emplace_back("wilkinson(20) at 3x", roots_over_3(wilkinson(20)));
+  out.emplace_back("integer roots with 0", integer_roots);
+  out.emplace_back("integer roots with 0 at 3x", roots_over_3(integer_roots));
+  out.emplace_back("neighbour on open end",
+                   Poly{-1, 1} * Poly(std::vector<BigInt>{-(m + BigInt(1)), m}));
+  return out;
+}
+
+/// The open cells ((k-1)/2^mu, k/2^mu] of p's kRadii report at mu that hold
+/// one root, shaped as refine_roots_parallel shapes them.
+std::vector<isolate::IsolatingCell> stored_open_cells(const Poly& p,
+                                                      std::size_t mu,
+                                                      Poly& isolated) {
+  const ParallelRunResult run =
+      find_real_roots_parallel(p, radii_config(mu), ParallelConfig{});
+  isolated = run.isolated;
+  const std::vector<BigInt>& ks = run.report.roots;
+  std::vector<isolate::IsolatingCell> cells;
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    if (std::count(ks.begin(), ks.end(), ks[i]) > 1) continue;
+    isolate::IsolatingCell c;
+    c.scale = mu;
+    c.hi = ks[i];
+    c.s_hi = isolated.sign_at_scaled(c.hi, mu);
+    if (c.s_hi == 0) continue;
+    c.lo = c.hi - BigInt(1);
+    c.s_lo = sign_right_limit(isolated, c.lo, mu);
+    cells.push_back(std::move(c));
+  }
+  return cells;
+}
+
+/// 64-bit FNV-1a, fed one field at a time.
+void fnv_mix(std::uint64_t& h, const std::string& field) {
+  for (unsigned char ch : field) {
+    h ^= ch;
+    h *= 1099511628211ULL;
+  }
+  h ^= 0xff;
+  h *= 1099511628211ULL;
+}
+
+TEST(Qir, GoldenIteratesMatchTheExactEvaluation) {
+  // The gate on QIR's bounded evaluation: every root and all six QirStats
+  // fields equal those of the exact-evaluation QIR, recorded before the
+  // evaluation changed.  Cells are the isolator's (from = -1) and stored
+  // cells at mu 0, 20 and 53; each is raised to 107, 256 and 1024 bits and
+  // the results are folded, in order, into one digest per row.  A secant
+  // index taken from the approximations without the bounds check changes
+  // iterates here.  Exact values stay rare: a bounded evaluation that
+  // silently never certified would keep every iterate too.
+  struct Golden {
+    const char* name;
+    int from;
+    std::size_t cells;
+    std::uint64_t evals;
+    std::uint64_t digest;
+  };
+  static const Golden kGolden[] = {
+      {"paper_input(24)", -1, 24, 2174, 0x3d19155542a737c5ull},
+      {"paper_input(24)", 0, 3, 292, 0x4cc23179cc9e0f6cull},
+      {"paper_input(24)", 20, 24, 1737, 0xbdf5b6b4c2e80509ull},
+      {"paper_input(24)", 53, 24, 1686, 0x665e0c740a25d2c8ull},
+      {"jacobi(64)", -1, 64, 5747, 0x9130c7283db187ccull},
+      {"jacobi(64)", 0, 15, 1411, 0x148e13c3213a229dull},
+      {"jacobi(64)", 20, 64, 4610, 0x0f1388792e2c0488ull},
+      {"jacobi(64)", 53, 64, 4488, 0x22c0b77071185544ull},
+      {"chebyshev_t(30)", -1, 30, 2396, 0xf1b3213ebf29c9aaull},
+      {"chebyshev_t(30)", 20, 30, 2172, 0x308a974b008d96b8ull},
+      {"chebyshev_t(30)", 53, 30, 2106, 0x977451e2fd9e9826ull},
+      {"laguerre(24)", -1, 24, 2154, 0x878730bf8d5c9aa7ull},
+      {"laguerre(24)", 0, 21, 1791, 0x4cb2c1369a93333eull},
+      {"laguerre(24)", 20, 24, 1731, 0x310435c40fe2aee9ull},
+      {"laguerre(24)", 53, 24, 1680, 0x082cdd344c04ec70ull},
+      {"wilkinson(20)", -1, 10, 759, 0x6c46364c503ada84ull},
+      {"mignotte(16,7)", -1, 4, 393, 0xda7d6c0c28878eabull},
+      {"mignotte(16,7)", 0, 2, 196, 0x6b3c1b7021334dcbull},
+      {"mignotte(16,7)", 20, 2, 142, 0x56fedcf66b5fb85bull},
+      {"mignotte(16,7)", 53, 4, 282, 0xfab3b5c395eb8212ull},
+      {"random_squarefree(24)", -1, 2, 157, 0x343e1ae0f0e31ae9ull},
+      {"random_squarefree(24)", 20, 2, 145, 0x7e4df5fe7f51e6b9ull},
+      {"random_squarefree(24)", 53, 2, 138, 0x547c9c6aba3afec8ull},
+      {"clustered(2^-40)", -1, 3, 273, 0xccbf8aa540f98bbaull},
+      {"clustered(2^-100)", -1, 5, 191, 0xae172cc5e486962eull},
+      {"clustered(2^-40) at 3x", -1, 4, 376, 0x949362b482773961ull},
+      {"clustered(2^-40) at 3x", 53, 4, 288, 0x342a038fce4bd682ull},
+      {"wilkinson(20) at 3x", -1, 14, 1237, 0x9fc8950a85d5d680ull},
+      {"wilkinson(20) at 3x", 20, 14, 1036, 0x1971953c8aec5316ull},
+      {"wilkinson(20) at 3x", 53, 14, 1008, 0xe40b040de8dfb058ull},
+      {"integer roots with 0", -1, 6, 311, 0x8bb525ac15eef42eull},
+      {"integer roots with 0 at 3x", -1, 5, 445, 0x89401360c049fbc2ull},
+      {"integer roots with 0 at 3x", 0, 3, 273, 0xf8da10ca247a9e37ull},
+      {"integer roots with 0 at 3x", 20, 5, 370, 0xe4d5181e38f3a902ull},
+      {"integer roots with 0 at 3x", 53, 5, 360, 0x4076628ec3ada119ull},
+      {"neighbour on open end", -1, 1, 113, 0x2c1bfb6835cfb526ull},
+      {"neighbour on open end", 0, 1, 113, 0x2c1bfb6835cfb526ull},
+      {"neighbour on open end", 20, 1, 74, 0xf34d772864640bf2ull},
+      {"neighbour on open end", 53, 1, 72, 0x1b3e78e897edac2full},
+  };
+  std::size_t row = 0;
+  std::uint64_t all_evals = 0;
+  std::uint64_t exact_evals = 0;
+  for (const auto& [name, p] : golden_corpus()) {
+    for (int from : {-1, 0, 20, 53}) {
+      Poly isolated;
+      std::vector<isolate::IsolatingCell> cells;
+      if (from < 0) {
+        const auto iso = isolate_roots(p.primitive_part());
+        isolated = iso.stripped;
+        for (const auto& c : iso.cells) {
+          if (!c.exact) cells.push_back(c);
+        }
+      } else {
+        cells = stored_open_cells(p, static_cast<std::size_t>(from), isolated);
+      }
+      if (cells.empty()) continue;
+      const std::string where = name + " from " + std::to_string(from);
+      ASSERT_LT(row, std::size(kGolden)) << where;
+      const Golden& want = kGolden[row++];
+      ASSERT_EQ(want.name, name);
+      ASSERT_EQ(want.from, from) << where;
+      ASSERT_EQ(want.cells, cells.size()) << where;
+      std::uint64_t evals = 0;
+      std::uint64_t digest = 14695981039346656037ULL;
+      for (std::size_t mu : {107u, 256u, 1024u}) {
+        for (const auto& c : cells) {
+          QirStats st;
+          const BigInt k = isolate::qir_solve(isolated, c.lo, c.hi, c.s_lo,
+                                              c.s_hi, c.scale, mu,
+                                              QirConfig{}, &st);
+          evals += st.evals;
+          exact_evals += st.exact_evals;
+          fnv_mix(digest, k.to_hex());
+          for (std::uint64_t v : {st.iters, st.evals, st.successes,
+                                  st.failures, st.bisect_steps,
+                                  st.max_subdiv_log2}) {
+            fnv_mix(digest, std::to_string(v));
+          }
+        }
+      }
+      EXPECT_EQ(evals, want.evals) << where;
+      EXPECT_EQ(digest, want.digest) << where;
+      all_evals += evals;
+    }
+  }
+  EXPECT_EQ(row, std::size(kGolden));
+  EXPECT_LT(exact_evals * 20, all_evals)
+      << exact_evals << " exact values for " << all_evals << " evaluations";
 }
 
 // --- the kRadii strategy, sequential ----------------------------------------
