@@ -242,14 +242,39 @@ const SignProbeCase& sign_probe_case() {
   return c;
 }
 
+/// BM_SignProbe's third point set: Jacobi-128 itself (the tree's root
+/// node) at w = 61, one to two units (2^-61 to 2^-60) from each of its
+/// roots, where the two-limb rung declines about three probes in four and
+/// the filter's next rung, 248 bits, decides them.
+const SignProbeCase& sign_probe_case_jacobi128() {
+  static const SignProbeCase c = [] {
+    pr::Prng rng(9);
+    SignProbeCase out;
+    out.poly = pr::random_jacobi_poly(128, 9, rng).primitive_part();
+    out.w = 61;
+    pr::RootFinderConfig cfg;
+    cfg.mu_bits = out.w;
+    cfg.modular.enabled = true;
+    for (const pr::BigInt& r : pr::find_real_roots(out.poly, cfg).roots) {
+      out.near_points.push_back(r + pr::BigInt(1));
+      out.near_points.push_back(r - pr::BigInt(2));
+    }
+    return out;
+  }();
+  return c;
+}
+
 void BM_SignProbe(benchmark::State& state) {
   // Exact sign_at_scaled (method 0) against certified_sign_scaled alone
-  // (1) and the filter with its exact fallback (2), at random (points 0)
-  // and near-root (1) points.  certified_share counts the probes the
-  // fixed-precision evaluation decided.
-  const SignProbeCase& c = sign_probe_case();
+  // (1) and filtered_sign_scaled, the two-limb rung followed by the
+  // precision ladder (2), at random (near_root 0) and near-root (1) points
+  // of a Jacobi-96 node, and at Jacobi-128's points 2^-61 from its roots
+  // (2).  certified_share counts the probes the two-limb rung decided.
+  const auto set = state.range(1);
+  const SignProbeCase& c =
+      set == 2 ? sign_probe_case_jacobi128() : sign_probe_case();
   const auto method = state.range(0);
-  const auto& points = state.range(1) == 0 ? c.random_points : c.near_points;
+  const auto& points = set == 0 ? c.random_points : c.near_points;
   std::size_t next = 0;
   std::uint64_t certified = 0;
   const pr::instr::OpCounts before = pr::instr::aggregate().total();
@@ -275,7 +300,7 @@ void BM_SignProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_SignProbe)
     ->ArgNames({"method", "near_root"})
-    ->ArgsProduct({{0, 1, 2}, {0, 1}});
+    ->ArgsProduct({{0, 1, 2}, {0, 1, 2}});
 
 /// BM_QirEval's inputs: a degree-n paper input with its roots at mu = w -
 /// 8 (kRadii), and points within two units of each root at QIR's working

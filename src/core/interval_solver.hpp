@@ -17,9 +17,10 @@
 // Results are exact: points are integers at a working scale w = mu +
 // guard, and p is evaluated with the scaled Horner rule
 // (Poly::eval_scaled).  With modular arithmetic on, the sign-only probes
-// of the sieve and of bisection try a certified fixed-precision sign
-// first (poly/certified_sign.hpp) and fall back to the exact value; a
-// certified sign is the exact sign, so every decision is the same.
+// of the sieve and of bisection climb the precision ladder of
+// poly/certified_sign.hpp (filtered_sign_scaled), which evaluates exactly
+// only at a zero or at its cost limit; a certified sign is the exact
+// sign, so every decision is the same.
 // Newton and regula falsi always use the exact value.  Pure-bisection and
 // no-sieve modes exist for the ablation bench (Eq. 38 vs Eq. 41).
 #pragma once
@@ -69,8 +70,8 @@ struct IntervalSolverConfig {
 /// sign(p(hi/2^mu)) == s_hi, s_lo * s_hi == -1 (for a point that is itself
 /// a root of p, pass the appropriate one-sided sign).  `stats` may be null.
 /// `certified_probes` (ModularConfig::enabled on the pipeline's path)
-/// decides the sieve and bisection signs by certified_sign_scaled when it
-/// can: the same result and IntervalStats, lower bit-cost counters.
+/// takes the sieve and bisection signs from filtered_sign_scaled: the
+/// same result and IntervalStats, lower bit-cost counters.
 BigInt solve_isolated_interval(const Poly& p, const BigInt& lo,
                                const BigInt& hi, int s_lo, int s_hi,
                                std::size_t mu,

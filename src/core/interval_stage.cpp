@@ -1,7 +1,5 @@
 #include "core/interval_stage.hpp"
 
-#include <optional>
-
 #include "instr/phase.hpp"
 #include "poly/certified_sign.hpp"
 #include "poly/sturm.hpp"
@@ -14,10 +12,16 @@ InterleavePointInfo analyze_interleave_point(const Poly& p, const BigInt& k,
                                              bool certified_probes) {
   instr::PhaseScope phase(instr::Phase::kPreInterval);
   InterleavePointInfo info;
-  // A certified sign is nonzero, so it is also the right limit at k.
-  const std::optional<int> at_k =
-      certified_probes ? certified_sign_scaled(p, k, mu) : std::nullopt;
-  info.sign_right_at = at_k ? *at_k : sign_right_limit(p, k, mu);
+  if (certified_probes) {
+    // A nonzero sign at k is also the right limit there.  At a root of p
+    // the right limit is the derivative's, as sign_right_limit finds it,
+    // without a second exact value of p at k.
+    const int at_k = filtered_sign_scaled(p, k, mu);
+    info.sign_right_at =
+        at_k != 0 ? at_k : sign_right_limit(p.derivative(), k, mu);
+  } else {
+    info.sign_right_at = sign_right_limit(p, k, mu);
+  }
   const BigInt km = k - BigInt(1);
   info.sign_at_minus = certified_probes ? filtered_sign_scaled(p, km, mu)
                                         : p.sign_at_scaled(km, mu);

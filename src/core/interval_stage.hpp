@@ -15,9 +15,9 @@
 //
 // The trailing `certified_probes` flag carries ModularConfig::enabled:
 // when set, every sign-only probe (the pre-interval signs, the sieve and
-// bisection) is first decided by the certified fixed-precision sign of
-// poly/certified_sign.hpp and only an uncertified one is evaluated
-// exactly.  A certified nonzero sign at K is also its right limit.  The
+// bisection) comes from filtered_sign_scaled, the precision ladder of
+// poly/certified_sign.hpp, which evaluates exactly only at a zero or at
+// its cost limit.  A nonzero sign at K is also its right limit.  The
 // results and IntervalStats are the same either way; only the
 // pre-interval, sieve and bisection bit-cost counters fall.
 //

@@ -123,6 +123,21 @@ void finish_iteration(RunState& st, int i) {
   st.rs.F[static_cast<std::size_t>(i + 1)] = std::move(next);
 }
 
+/// Iteration i's quotient step: Q_i, the squared leading coefficients
+/// c_i^2 and c_{i-1}^2, and an empty staging row for F_{i+1}.
+void form_quotient(RunState& st, int i) {
+  const auto ui = static_cast<std::size_t>(i);
+  const Poly& fprev = st.rs.F[ui - 1];
+  const Poly& fcur = st.rs.F[ui];
+  quotient_coeffs(fprev, fcur, st.q1[ui], st.q0[ui]);
+  st.rs.Q[ui] = Poly(std::vector<BigInt>{st.q0[ui], st.q1[ui]});
+  const BigInt& ci = st.rs.c[ui];
+  const BigInt& cp = st.rs.c[ui - 1];
+  st.ci_sq[ui] = ci * ci;
+  st.cprev_sq[ui] = cp * cp;
+  st.fstage[ui + 1].assign(static_cast<std::size_t>(st.n - i), BigInt());
+}
+
 /// Installs a whole stage-1 sequence computed by one task, with the same
 /// diagnostics finish_iteration raises one level at a time.
 void publish_sequence(RunState& st, RemainderSequence full) {
@@ -167,16 +182,7 @@ class GraphBuilder {
     RunState& st = st_;
     const TaskId q = g_.add(TaskKind::kQuotient, i, [&st, i] {
       instr::PhaseScope phase(instr::Phase::kRemainder);
-      const auto ui = static_cast<std::size_t>(i);
-      const Poly& fprev = st.rs.F[ui - 1];
-      const Poly& fcur = st.rs.F[ui];
-      quotient_coeffs(fprev, fcur, st.q1[ui], st.q0[ui]);
-      st.rs.Q[ui] = Poly(std::vector<BigInt>{st.q0[ui], st.q1[ui]});
-      const BigInt& ci = st.rs.c[ui];
-      const BigInt& cp = st.rs.c[ui - 1];
-      st.ci_sq[ui] = ci * ci;
-      st.cprev_sq[ui] = cp * cp;
-      st.fstage[ui + 1].assign(static_cast<std::size_t>(st.n - i), BigInt());
+      form_quotient(st, i);
     });
     g_.add_edge(mark_[static_cast<std::size_t>(i)], q);
     q_ready_[static_cast<std::size_t>(i)] = q;
@@ -278,21 +284,12 @@ class GraphBuilder {
       if (pc_.grain == RemainderGrain::kPerIteration) {
         const TaskId it = g_.add(TaskKind::kCoeff, i, [&st, i] {
           instr::PhaseScope phase(instr::Phase::kRemainder);
+          form_quotient(st, i);
           const auto uidx = static_cast<std::size_t>(i);
-          const Poly& fprev = st.rs.F[uidx - 1];
-          const Poly& fcur = st.rs.F[uidx];
-          quotient_coeffs(fprev, fcur, st.q1[uidx], st.q0[uidx]);
-          st.rs.Q[uidx] = Poly(std::vector<BigInt>{st.q0[uidx], st.q1[uidx]});
-          const BigInt& ci = st.rs.c[uidx];
-          const BigInt& cp = st.rs.c[uidx - 1];
-          st.ci_sq[uidx] = ci * ci;
-          st.cprev_sq[uidx] = cp * cp;
-          st.fstage[uidx + 1].assign(static_cast<std::size_t>(st.n - i),
-                                     BigInt());
           for (int j = 0; j <= st.n - i - 1; ++j) {
             st.fstage[uidx + 1][static_cast<std::size_t>(j)] = next_f_coeff(
-                fprev, fcur, st.q1[uidx], st.q0[uidx], st.ci_sq[uidx],
-                st.cprev_sq[uidx], static_cast<std::size_t>(j));
+                st.rs.F[uidx - 1], st.rs.F[uidx], st.q1[uidx], st.q0[uidx],
+                st.ci_sq[uidx], st.cprev_sq[uidx], static_cast<std::size_t>(j));
           }
           finish_iteration(st, i);
         });
@@ -465,43 +462,17 @@ class GraphBuilder {
     TreeNode& nd = tree.node(idx);
     const int n = st.n;
 
-    if (nd.empty()) {
+    if (nd.empty() || nd.spine(n) || nd.leaf()) {
+      // The one-node step.  An empty or spine node reads c_{i-1} or
+      // F_{i-1}; a leaf reads Q_i -- except the rightmost leaf [n, n],
+      // which is a spine node too (q_ready_ has no entry n).
       const TaskId t = g_.add(TaskKind::kSetPoly, idx, [&st, idx] {
-        instr::PhaseScope phase(instr::Phase::kTreePoly);
-        TreeNode& node = st.tree.node(idx);
-        const BigInt& cp = st.rs.c[static_cast<std::size_t>(node.i - 1)];
-        const BigInt sq = cp * cp;
-        node.poly = Poly{1};
-        node.t.e[0][0] = Poly::constant(sq);
-        node.t.e[0][1] = Poly{};
-        node.t.e[1][0] = Poly{};
-        node.t.e[1][1] = Poly::constant(sq);
-        node.has_t = true;
+        compute_node_poly(st.tree, idx, st.rs);
       });
-      g_.add_edge(f_available(nd.i - 1), t);
-      t_ready_[static_cast<std::size_t>(idx)] = t;
-      return;
-    }
-    if (nd.spine(n)) {
-      const TaskId t = g_.add(TaskKind::kSetPoly, idx, [&st, idx] {
-        instr::PhaseScope phase(instr::Phase::kTreePoly);
-        TreeNode& node = st.tree.node(idx);
-        node.poly = st.rs.level(node.i - 1);
-        node.has_t = false;
-      });
-      g_.add_edge(f_available(nd.i - 1), t);
-      t_ready_[static_cast<std::size_t>(idx)] = t;
-      return;
-    }
-    if (nd.leaf()) {
-      const TaskId t = g_.add(TaskKind::kSetPoly, idx, [&st, idx] {
-        instr::PhaseScope phase(instr::Phase::kTreePoly);
-        TreeNode& node = st.tree.node(idx);
-        node.t = t_leaf(st.rs, node.i);
-        node.has_t = true;
-        node.poly = node.t.at(1, 1);
-      });
-      g_.add_edge(q_ready_[static_cast<std::size_t>(nd.i)], t);
+      g_.add_edge(nd.leaf() && !nd.spine(n)
+                      ? q_ready_[static_cast<std::size_t>(nd.i)]
+                      : f_available(nd.i - 1),
+                  t);
       t_ready_[static_cast<std::size_t>(idx)] = t;
       return;
     }
@@ -594,8 +565,7 @@ class GraphBuilder {
     if (nd.length() == 1) {
       const TaskId t = g_.add(TaskKind::kLinRoot, idx, [&st, idx] {
         TreeNode& node = st.tree.node(idx);
-        node.roots = {BigInt::cdiv(-(node.poly.coeff(0) << st.mu),
-                                   node.poly.coeff(1))};
+        node.roots = {linear_root_approx(node.poly, st.mu)};
       });
       g_.add_edge(poly_ready, t);
       roots_ready_[static_cast<std::size_t>(idx)] = t;
@@ -750,12 +720,6 @@ void stored_cell_signs(const Poly& p, isolate::IsolatingCell& cell) {
             "refine_roots_parallel: a stored cell holds no single root");
 }
 
-/// ceil(2^mu x) for the root x of a linear polynomial: one exact ceiling
-/// division.
-BigInt linear_root(const Poly& p, std::size_t mu) {
-  return BigInt::cdiv(-(p.coeff(0) << mu), p.coeff(1));
-}
-
 }  // namespace
 
 ParallelRunResult find_real_roots_parallel(const Poly& p,
@@ -804,7 +768,7 @@ ParallelRunResult find_real_roots_parallel(const Poly& p,
     // kRadii, kPaper's fallback, and a linear input or squarefree part.
     isolate::isolate_run(run);
     if (run.work.degree() == 1) {
-      solved.roots = {linear_root(run.work, config.mu_bits)};
+      solved.roots = {linear_root_approx(run.work, config.mu_bits)};
     } else {
       solved = refine_cells(run.isolation.stripped, run.isolation.cells,
                             config, parallel, out);
@@ -838,7 +802,7 @@ ParallelRunResult refine_roots_parallel(const Poly& isolated,
   if (isolated.degree() == 1) {
     // No bracket needed: the division find_real_roots_parallel answers a
     // linear input with, kept only if it lands in the stored cell.
-    solved.roots = {linear_root(isolated, mu)};
+    solved.roots = {linear_root_approx(isolated, mu)};
     check_arg(ks.size() == 1 &&
                   ceil_shift(solved.roots[0], mu - stored.mu) == ks[0],
               "refine_roots_parallel: a stored cell holds no single root");

@@ -23,14 +23,12 @@ PolyMat22 t_empty(const RemainderSequence& rs, int i) {
   return t;
 }
 
-/// mu-approximation of the root of a linear polynomial c1*x + c0:
-/// ceil(2^mu * (-c0 / c1)).
+}  // namespace
+
 BigInt linear_root_approx(const Poly& p, std::size_t mu) {
   check_internal(p.degree() == 1, "linear_root_approx: degree != 1");
   return BigInt::cdiv(-(p.coeff(0) << mu), p.coeff(1));
 }
-
-}  // namespace
 
 void compute_node_poly(Tree& tree, int idx, const RemainderSequence& rs,
                        const modular::ModularConfig* modular) {

@@ -28,6 +28,10 @@ namespace pr {
 void compute_node_poly(Tree& tree, int idx, const RemainderSequence& rs,
                        const modular::ModularConfig* modular = nullptr);
 
+/// mu-approximation of the root of a linear polynomial c1*x + c0:
+/// ceil(2^mu * (-c0 / c1)), one exact ceiling division.
+BigInt linear_root_approx(const Poly& p, std::size_t mu);
+
 /// Merges the children's sorted root vectors into the interleaving-point
 /// sequence for `idx` (the SORT task).  Children must be done.
 std::vector<BigInt> merge_child_roots(const Tree& tree, int idx);

@@ -27,55 +27,16 @@ namespace {
 /// precision.
 constexpr std::size_t kGuardBits = 64;
 
-/// The values of p at points of the working scale w: certified by
-/// bounded_eval_scaled at a precision P that doubles while a sign stays
-/// undecided, and exact (eval_scaled) once P reaches the point where the
-/// exact value costs no more.
-class PointValues {
- public:
-  PointValues(const Poly& p, std::size_t w, QirStats& st)
-      : p_(p), w_(w), st_(st) {}
-
-  /// p at t, with its sign certified, for a point about 2^-l of a
-  /// `width`-unit bracket away from the root: the starting precision is
-  /// the bits that distance takes below the unit, plus the coefficient
-  /// size and a guard.
-  ValueBounds at(const BigInt& t, const BigInt& width, std::size_t l) {
-    const auto coeff_bits = static_cast<std::int64_t>(p_.max_coeff_bits());
-    const std::int64_t below_unit =
-        static_cast<std::int64_t>(w_ + l) -
-        static_cast<std::int64_t>(width.bit_length());
-    std::size_t prec = static_cast<std::size_t>(
-        std::max<std::int64_t>(below_unit, 0) + coeff_bits) + kGuardBits;
-    // Exact Horner costs about d^2/2 * max(w, bits(t)) * bits(t) bit
-    // operations, the P-bit one d * P * bits(t).
-    const std::size_t limit =
-        p_.max_coeff_bits() + static_cast<std::size_t>(p_.degree()) *
-                                  std::max(w_, t.bit_length()) / 2;
-    for (; prec < limit; prec *= 2) {
-      ValueBounds v = bounded_eval_scaled(p_, t, w_, prec);
-      if (v.sign != 0) return v;
-    }
-    return exact(t);
-  }
-
-  /// The exact value 2^(dw) p(t / 2^w) as bounds lo == hi.
-  ValueBounds exact(const BigInt& t) {
-    st_.exact_evals += 1;
-    BigInt v = p_.eval_scaled(t, w_);
-    ValueBounds out;
-    out.sign = v.signum();
-    out.lo = v.abs();
-    out.hi = out.lo;
-    out.exp = -static_cast<std::int64_t>(w_) * p_.degree();
-    return out;
-  }
-
- private:
-  const Poly& p_;
-  std::size_t w_;
-  QirStats& st_;
-};
+/// The first rung for a point of scale w about 2^-l of a `width`-unit
+/// bracket away from the root: the bits that distance takes below the
+/// unit, plus the coefficient size and a guard.
+std::size_t start_prec(const Poly& p, std::size_t w, const BigInt& width,
+                       std::size_t l) {
+  const std::int64_t below_unit = static_cast<std::int64_t>(w + l) -
+                                  static_cast<std::int64_t>(width.bit_length());
+  return static_cast<std::size_t>(std::max<std::int64_t>(below_unit, 0)) +
+         p.max_coeff_bits() + kGuardBits;
+}
 
 /// The secant index floor(|fa| 2^l / (|fa| + |fb|)), clamped below 2^l,
 /// when the bounds fix it.  The ratio grows with |fa| and falls with |fb|,
@@ -113,7 +74,11 @@ BigInt qir_solve(const Poly& p, const BigInt& lo, const BigInt& hi, int s_lo,
   BigInt a = lo << up;
   BigInt b = hi << up;
   const int sa = s_lo;
-  PointValues values(p, big, st);
+  const auto value_at = [&](const BigInt& t, const BigInt& width,
+                            std::size_t l) {
+    return certified_eval_scaled(p, t, big, start_prec(p, big, width, l),
+                                 &st.exact_evals);
+  };
 
   // Bracket invariant: the root is in (a/2^W, b/2^W), sign(p) just right
   // of a is sa, just left of b is -sa.
@@ -131,25 +96,25 @@ BigInt qir_solve(const Poly& p, const BigInt& lo, const BigInt& hi, int s_lo,
   const BigInt a0 = a;
   const BigInt b0 = b;
   st.evals += 1;
-  ValueBounds fa = values.at(a, b - a, 0);
+  ValueBounds fa = value_at(a, b - a, 0);
   while (fa.sign == 0) {
     if (a != a0) return exact_hit(a);
     if (auto k = pinned()) return *k;
     a += BigInt(1);
     st.evals += 1;
-    fa = values.at(a, b - a, 0);
+    fa = value_at(a, b - a, 0);
   }
   // Sign flipped within one unit of the original endpoint: the root is in
   // (a-1, a), and for consecutive integers ceil_shift(a) is its mu-cell.
   if (fa.sign != sa) return exact_hit(a);
   st.evals += 1;
-  ValueBounds fb = values.at(b, b - a, 0);
+  ValueBounds fb = value_at(b, b - a, 0);
   while (fb.sign == 0) {
     if (b != b0) return exact_hit(b);
     if (auto k = pinned()) return *k;
     b -= BigInt(1);
     st.evals += 1;
-    fb = values.at(b, b - a, 0);
+    fb = value_at(b, b - a, 0);
   }
   if (fb.sign == sa) return floor_shift(b, down) + BigInt(1);
 
@@ -165,12 +130,17 @@ BigInt qir_solve(const Poly& p, const BigInt& lo, const BigInt& hi, int s_lo,
     const std::size_t l =
         std::min({subdiv_log2, cap, config.max_subdiv_log2});
 
-    // Secant prediction: the root's grid cell if f were linear.  Bounds
-    // that straddle a cell boundary are replaced by the exact values.
+    // Secant prediction: the root's grid cell if f were linear.  While the
+    // bounds straddle a cell boundary, both ends climb to the next rung;
+    // exact values (lo == hi) always fix the index.
     std::optional<BigInt> jj = secant_index(fa, fb, l);
-    if (!jj) {
-      if (fa.lo != fa.hi) fa = values.exact(a);
-      if (fb.lo != fb.hi) fb = values.exact(b);
+    while (!jj) {
+      if (fa.lo != fa.hi) {
+        fa = certified_eval_scaled(p, a, big, 2 * fa.prec, &st.exact_evals);
+      }
+      if (fb.lo != fb.hi) {
+        fb = certified_eval_scaled(p, b, big, 2 * fb.prec, &st.exact_evals);
+      }
       jj = secant_index(fa, fb, l);
     }
     const BigInt& j = *jj;
@@ -183,14 +153,14 @@ BigInt qir_solve(const Poly& p, const BigInt& lo, const BigInt& hi, int s_lo,
       f0 = fa;
     } else {
       st.evals += 1;
-      f0 = values.at(g0, width, l);
+      f0 = value_at(g0, width, l);
       if (f0.sign == 0) return exact_hit(g0);
     }
     if (g1 == b) {
       f1 = fb;
     } else {
       st.evals += 1;
-      f1 = values.at(g1, width, l);
+      f1 = value_at(g1, width, l);
       if (f1.sign == 0) return exact_hit(g1);
     }
 
@@ -224,7 +194,7 @@ BigInt qir_solve(const Poly& p, const BigInt& lo, const BigInt& hi, int s_lo,
     if (mid > a && mid < b) {
       st.bisect_steps += 1;
       st.evals += 1;
-      ValueBounds fm = values.at(mid, b - a, 1);
+      ValueBounds fm = value_at(mid, b - a, 1);
       if (fm.sign == 0) return exact_hit(mid);
       if (fm.sign == sa) {
         a = std::move(mid);

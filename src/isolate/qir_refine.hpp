@@ -11,13 +11,15 @@
 // sqrt(N), and a guaranteed bisection step keeps worst-case progress linear.
 // Every step is certified by exact signs at dyadic points, so the bracket
 // invariant (sign change across it) never depends on the convergence
-// theory.  The signs and the secant's magnitudes come from
-// bounded_eval_scaled (poly/certified_sign.hpp) at a precision P derived
-// from the bracket width, log2 N and the coefficient size, doubled while a
-// sign stays undecided; the exact scaled Horner value is computed only
-// when P reaches the exact value's cost, at an exact zero, or when the
-// magnitude bounds straddle a grid-cell boundary of the secant index.
-// Every iterate is therefore the one the exact evaluation would give.
+// theory.  The signs and the secant's magnitudes come from the precision
+// ladder of poly/certified_sign.hpp (certified_eval_scaled), entered at a
+// precision P derived from the bracket width, log2 N and the coefficient
+// size; it doubles P while a sign stays undecided and computes the exact
+// scaled Horner value only at an exact zero or once P reaches the exact
+// value's cost.  The secant index is taken only when the magnitude bounds'
+// corners agree on it; while they straddle a grid-cell boundary, both
+// bracket ends climb to the next rung.  Every iterate is therefore the one
+// the exact evaluation would give.
 #pragma once
 
 #include <cstddef>
@@ -39,8 +41,8 @@ struct QirStats {
   std::uint64_t failures = 0;        ///< prediction missed; N demoted
   std::uint64_t bisect_steps = 0;    ///< guaranteed-progress bisections
   std::uint64_t max_subdiv_log2 = 0; ///< largest log2 N a success used
-  /// Exact scaled Horner values computed (the rest came from the bounded
-  /// evaluation); not a count of points, so not part of `evals`.
+  /// Exact scaled Horner values the ladder computed (at zeros and at its
+  /// cost limit); not a count of points, so not part of `evals`.
   std::uint64_t exact_evals = 0;
 
   QirStats& operator+=(const QirStats& o);

@@ -1,6 +1,7 @@
 #include "modular/crt.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "instr/counters.hpp"
@@ -41,11 +42,10 @@ CrtBasis::CrtBasis(std::vector<std::uint64_t> primes) {
     prefix_bits_[i + 1] = prefix_bits_[i] + fields_[i].floor_log2();
   }
 
-  // Prefix products as word x limbs sweeps (as in horner_limbs): building
-  // a basis is set-up, not arithmetic of the algorithm, so it reports
-  // nothing to the OpCounts.
-  products_.assign(k + 1, BigInt(1));
-  half_products_.assign(k + 1, BigInt());
+  // Bit lengths of the prefix products, from one product grown by word x
+  // limbs sweeps (as in horner_limbs): building a basis is set-up, not
+  // arithmetic of the algorithm, so it reports nothing to the OpCounts.
+  product_bits_.assign(k + 1, 1);
   std::vector<std::uint64_t> prod{1};
   for (std::size_t i = 0; i < k; ++i) {
     std::uint64_t carry = 0;
@@ -56,20 +56,21 @@ CrtBasis::CrtBasis(std::vector<std::uint64_t> primes) {
       carry = static_cast<std::uint64_t>(t >> 64);
     }
     if (carry != 0) prod.push_back(carry);
-    products_[i + 1] = BigInt::from_limbs(prod.data(), prod.size(), false);
-    half_products_[i + 1] = products_[i + 1] >> 1;
+    product_bits_[i + 1] =
+        64 * prod.size() -
+        static_cast<std::size_t>(std::countl_zero(prod.back()));
   }
 
-  w_.resize(k);
+  w_.assign(k * (k - 1) / 2, Zp{});
   inv_.assign(k, Zp{});
   for (std::size_t j = 1; j < k; ++j) {
     const PrimeField& f = fields_[j];
-    w_[j].assign(j, Zp{});
-    w_[j][0] = f.one();  // P_0 == 1 (empty prefix product)
+    Zp* row = w_.data() + j * (j - 1) / 2;
+    row[0] = f.one();  // P_0 == 1 (empty prefix product)
     Zp m = f.one();
     for (std::size_t i = 0; i < j; ++i) {
       m = f.mul(m, f.from_u64(primes[i]));  // m = (p_0...p_i) mod p_j
-      if (i + 1 < j) w_[j][i + 1] = m;
+      if (i + 1 < j) row[i + 1] = m;
     }
     inv_[j] = f.inv(m);
   }
@@ -95,7 +96,7 @@ void CrtBasis::garner_digits(const std::uint64_t* residues, std::size_t k,
     // folded once -- the j dependent Montgomery reductions of the
     // schoolbook form collapse into a single fold, which is what makes
     // this loop multiply-bound instead of latency-bound.
-    const Zp* w = w_[j].data();
+    const Zp* w = w_row(j);
     Acc192 acc;
     simd::active().acc192_dot(digits, w, j, acc);
     const std::uint64_t s = f.fold192_shr64(acc.lo, acc.hi, acc.carry);
@@ -117,10 +118,45 @@ void CrtBasis::garner_digits_batch(const std::uint64_t* residues,
   for (std::size_t j = 1; j < k; ++j) {
     // Row j for all `count` values at once: the lane-parallel form of the
     // single-value loop above (same fold, same conditional subtract).
-    kern.garner_stage(digits, dstride, j, w_[j].data(), inv_[j],
+    kern.garner_stage(digits, dstride, j, w_row(j), inv_[j],
                       residues + j * rstride, digits + j * dstride, count,
                       fields_[j].ctx());
   }
+}
+
+BigInt CrtBasis::lift_digits(std::uint64_t* digits, std::size_t stride,
+                             std::size_t k, std::uint64_t* buf) const {
+  // x > floor(M/2) iff its digits exceed (p_i - 1)/2 lexicographically,
+  // most significant first.
+  bool negative = false;
+  for (std::size_t i = k; i-- > 0;) {
+    const std::uint64_t d = digits[i * stride];
+    const std::uint64_t half = fields_[i].prime() >> 1;
+    if (d != half) {
+      negative = d > half;
+      break;
+    }
+  }
+  // Then x - M = -((M - 1 - x) + 1), and M - 1 - x has the digits
+  // p_i - 1 - d_i.
+  if (negative) {
+    for (std::size_t i = 0; i < k; ++i) {
+      digits[i * stride] = fields_[i].prime() - 1 - digits[i * stride];
+    }
+  }
+  std::size_t used = horner_limbs(digits, stride, k, buf);
+  if (negative) {
+    // (M - 1 - x) + 1 < M/2 < 2^{62k}: a carry out of the top limb still
+    // fits in buf's k limbs.
+    std::size_t l = 0;
+    while (l < used && ++buf[l] == 0) ++l;
+    if (l == used) buf[used++] = 1;
+    // Counted as the subtraction x - M it stands for.
+    instr::on_add(product_bits_[k], product_bits_[k]);
+  }
+  BigInt x = BigInt::from_limbs(buf, used, negative);
+  instr::on_modular_crt(1, x.limb_count());
+  return x;
 }
 
 std::size_t CrtBasis::horner_limbs(const std::uint64_t* digits,
@@ -156,11 +192,7 @@ BigInt CrtBasis::reconstruct(const std::uint64_t* residues,
   garner_digits(residues, k, digits.data());
   thread_local std::vector<std::uint64_t> buf;
   buf.resize(k);
-  const std::size_t used = horner_limbs(digits.data(), 1, k, buf.data());
-  BigInt x = BigInt::from_limbs(buf.data(), used, false);
-  if (x > half_products_[k]) x -= products_[k];
-  instr::on_modular_crt(1, x.limb_count());
-  return x;
+  return lift_digits(digits.data(), 1, k, buf.data());
 }
 
 void CrtBasis::reconstruct_batch(const std::uint64_t* residues,
@@ -175,12 +207,7 @@ void CrtBasis::reconstruct_batch(const std::uint64_t* residues,
   thread_local std::vector<std::uint64_t> buf;
   buf.resize(k);
   for (std::size_t c = 0; c < count; ++c) {
-    const std::size_t used = horner_limbs(digits.data() + c, count, k,
-                                          buf.data());
-    BigInt x = BigInt::from_limbs(buf.data(), used, false);
-    if (x > half_products_[k]) x -= products_[k];
-    instr::on_modular_crt(1, x.limb_count());
-    out[c] = std::move(x);
+    out[c] = lift_digits(digits.data() + c, count, k, buf.data());
   }
 }
 

@@ -16,6 +16,15 @@
 // system (M odd, so no tie exists), which is what makes CRT of signed
 // subresultant coefficients exact.
 //
+// The symmetric lift reads the digits, never M itself: floor(M/2) has
+// every digit (p_i - 1)/2, so a value is above it exactly when its digits,
+// most significant first, are; and M - 1 - x has the digits p_i - 1 - d_i.
+// The basis therefore stores no prefix product, which with their halves
+// would take twice the memory of w (w is 7.9 MiB for the 1,437 primes of
+// a degree-128 Jacobi tree), and keeps the k(k-1)/2 words of w in one
+// block: a large short-lived table in many pieces stays behind, free, in
+// the malloc arena of the worker thread that built it.
+//
 // The prime-count decision is a Hadamard bound on subresultant
 // coefficients: F_i in the normal remainder sequence equals +/- the
 // subresultant S_{n-i} of (F_0, F_1), whose coefficients are determinants
@@ -85,26 +94,32 @@ class CrtBasis {
                          std::size_t k, BigInt* out, std::size_t count) const;
 
  private:
-  // Garner mixed-radix digit extraction (digits[0..k)) and the fused
-  // Horner limb assembly shared by the single and batched forms;
-  // horner_limbs returns the number of limbs written (<= k).  The digit
-  // stream may be strided (batch layouts store digit i of a value at
-  // digits[i * stride]).
+  // Garner mixed-radix digit extraction (digits[0..k)); the symmetric
+  // value of a digit stream, which rewrites the digits of a value above
+  // M/2 in place and assembles it in buf (k limbs); and the fused Horner
+  // limb assembly, which returns the number of limbs written (<= k).  The
+  // last two serve the single and batched forms, so a digit stream may be
+  // strided (batch layouts store digit i of a value at digits[i * stride]).
   void garner_digits(const std::uint64_t* residues, std::size_t k,
                      std::uint64_t* digits) const;
+  BigInt lift_digits(std::uint64_t* digits, std::size_t stride,
+                     std::size_t k, std::uint64_t* buf) const;
   std::size_t horner_limbs(const std::uint64_t* digits, std::size_t stride,
                            std::size_t k, std::uint64_t* buf) const;
 
+  /// Row j of w: j entries, w[j][0] .. w[j][j-1].
+  const Zp* w_row(std::size_t j) const { return w_.data() + j * (j - 1) / 2; }
+
   std::vector<PrimeField> fields_;
-  // w_[j][i], 1 <= i < j: Montgomery form of (p_0...p_{i-1}) mod p_j.
-  std::vector<std::vector<Zp>> w_;
+  // Rows 1 .. k-1 of w back to back: w[j][i] = Montgomery form of
+  // (p_0...p_{i-1}) mod p_j, 0 <= i < j, at w_row(j)[i].
+  std::vector<Zp> w_;
   // inv_[j]: Montgomery form of (p_0...p_{j-1})^{-1} mod p_j.
   std::vector<Zp> inv_;
-  // half_products_[k] = floor((p_0*...*p_{k-1}) / 2), k >= 1: the
-  // symmetric-lift thresholds.  products_[k] = p_0*...*p_{k-1}.
-  std::vector<BigInt> products_;
-  std::vector<BigInt> half_products_;
   std::vector<std::size_t> prefix_bits_;  // prefix sums of floor(log2 p)
+  // product_bits_[k]: bit length of p_0*...*p_{k-1}, the size of the
+  // subtraction a negative lift is counted as.
+  std::vector<std::size_t> product_bits_;
 };
 
 /// Exact-norm Hadamard bound for the subresultant coefficients of the

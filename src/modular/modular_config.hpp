@@ -22,10 +22,10 @@ struct ModularConfig {
   /// comes from the three-term recurrence modulo primes
   /// (modular/tree_poly.hpp).  It also selects the certified sign probes
   /// of the interval stage: the pre-interval, sieve and bisection signs
-  /// try the fixed-precision certified_sign_scaled first and fall back to
-  /// the exact value (poly/certified_sign.hpp; same results, lower
-  /// bit-cost counters).  Off by default: the exact path is the verified
-  /// baseline.
+  /// come from filtered_sign_scaled, which climbs the precision ladder of
+  /// poly/certified_sign.hpp and evaluates exactly only at a zero or at
+  /// the ladder's cost limit (same results, lower bit-cost counters).
+  /// Off by default: the exact path is the verified baseline.
   bool enabled = false;
 
   /// Degrees below this use the exact remainder sequence (word-sized

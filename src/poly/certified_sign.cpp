@@ -436,6 +436,7 @@ ValueBounds bounded_eval_scaled(const Poly& p, const BigInt& t, std::size_t w,
   out.lo = mag - r;
   out.hi = std::move(mag) + r;
   out.exp = v.e;
+  out.prec = prec;
   return out;
 }
 
@@ -459,9 +460,31 @@ std::optional<int> certified_sign_scaled(const Poly& p, const BigInt& t,
   return v.neg ? -1 : 1;
 }
 
+ValueBounds certified_eval_scaled(const Poly& p, const BigInt& t,
+                                  std::size_t w, std::size_t prec,
+                                  std::uint64_t* exact_evals) {
+  // Exact Horner costs about d^2/2 * max(w, bits(t)) * bits(t) bit
+  // operations, the P-bit one d * P * bits(t).
+  const auto d = static_cast<std::size_t>(std::max(p.degree(), 0));
+  const std::size_t limit =
+      p.max_coeff_bits() + d * std::max(w, t.bit_length()) / 2;
+  for (prec = std::max<std::size_t>(prec, 1); prec < limit; prec *= 2) {
+    ValueBounds v = bounded_eval_scaled(p, t, w, prec);
+    if (v.sign != 0) return v;
+  }
+  if (exact_evals != nullptr) *exact_evals += 1;
+  BigInt v = p.eval_scaled(t, w);
+  ValueBounds out;
+  out.sign = v.signum();
+  out.hi = v.abs();
+  out.lo = std::move(v).abs();
+  out.exp = -static_cast<std::int64_t>(w * d);
+  return out;
+}
+
 int filtered_sign_scaled(const Poly& p, const BigInt& t, std::size_t w) {
   if (const auto s = certified_sign_scaled(p, t, w)) return *s;
-  return p.sign_at_scaled(t, w);
+  return certified_eval_scaled(p, t, w, 2 * kMantBits, nullptr).sign;
 }
 
 }  // namespace pr

@@ -1,36 +1,46 @@
-// Certified sign of a polynomial at a dyadic point, at fixed precision.
+// Certified evaluation of a polynomial at a dyadic point, on one
+// precision ladder.
 //
 // The interval problem (Section 2.2) decides every sieve step, bisection
 // step and pre-interval case from the sign of a node polynomial at a
-// dyadic point t / 2^w.  Poly::sign_at_scaled gets it from the exact
-// scaled Horner value, whose size grows to the full d * (w + bits(t)) +
-// ||p|| bits, while the value usually cancels only a few dozen bits.
-// certified_sign_scaled runs the same Horner rule at a fixed two-limb
-// working precision with a rigorous running error bound, in the spirit of
+// dyadic point t / 2^w, and QIR's steps need such signs and magnitudes
+// too (isolate/qir_refine).  Poly::eval_scaled gives the exact scaled
+// Horner value, whose size grows to the full d * (w + bits(t)) + ||p||
+// bits, while the value usually cancels only a few dozen bits.  Following
 // the adaptive-precision evaluation Kerber and Sagraloff use for certified
-// root refinement (arXiv:1104.1362), and answers only when the
-// approximation clears the bound.  A certified sign is the exact sign by
-// construction; an uncertified probe is left to the exact evaluation.
+// root refinement (arXiv:1104.1362), this module takes the answer from
+// approximate Horner evaluations with rigorous running error bounds and
+// raises the precision until the answer is certain:
 //
-// The value is kept as m * 2^e with 2^123 <= |m| < 2^124 (or m = 0) and
-// an error bound delta * 2^e, delta a double that is rounded up after
-// every step.  Each operation runs exactly on the approximations and is
-// then truncated; each truncation, including reading only the top bits of
-// a coefficient, adds at most one unit, and the inherited error scales
-// exactly as the operation scales the value.  The sign is certified only
-// when |m| > delta, so an exact zero is never certified.
+//   - certified_sign_scaled, the first sign rung: a fixed two-limb
+//     working precision (124 bits) for points |t| < 2^128.  The value is
+//     kept as m * 2^e with 2^123 <= |m| < 2^124 (or m = 0) and an error
+//     bound delta * 2^e, delta a double rounded up after every step; the
+//     sign is certified only when |m| > delta.  It stays a separate
+//     kernel because it is measurably faster on the tree's probes than
+//     the general one at the same precision.
+//   - bounded_eval_scaled, the general rung: a mantissa of P bits for any
+//     |t| and w.  Each step multiplies and adds exactly and truncates the
+//     mantissa to P bits, and the error bound is a double with its own
+//     exponent, so neither a point far beyond 2^1024 nor a cancellation
+//     of thousands of bits can overflow it.  It returns the certified
+//     sign with bounds on the magnitude.
+//   - certified_eval_scaled, the ladder: bounded_eval_scaled from a given
+//     P, doubling P while the sign stays undecided, and the exact value
+//     once P reaches the exact value's cost -- which an exact zero always
+//     does, since a zero is never certified.
+//   - filtered_sign_scaled: the first rung, then the ladder from 248 bits.
+//     This is every certified sign of the pipeline: the pre-interval,
+//     sieve and bisection probes (modular arithmetic on), the stored-cell
+//     signs of refined hits and the multiplicity signs.
 //
-// Word arithmetic only: nothing is reported to the instrumentation
-// counters (as for the modular word arithmetic) and nothing allocates.
-//
-// bounded_eval_scaled is the same Horner rule at a caller-chosen precision
-// of P bits, for points of any size: each step multiplies and adds exactly
-// and then truncates the mantissa to P bits, and the error bound is a
-// double with its own exponent, so that neither a point far beyond 2^1024
-// nor a cancellation of thousands of bits can overflow it.  It returns the
-// certified sign with bounds on the magnitude, which is what QIR's secant
-// step needs (isolate/qir_refine).  It too runs on words, in per-thread
-// buffers, and reports nothing to the instrumentation counters.
+// Each truncation, including reading only the top bits of a coefficient,
+// adds at most one unit to the bound, and the inherited error scales
+// exactly as the operation scales the value.  A certified sign is the
+// exact sign by construction.  The rungs run on words (the general one in
+// per-thread buffers), as the modular word arithmetic does, so the
+// instrumentation counters see only the two BigInt additions that form a
+// general rung's bounds and the exact value's Horner steps.
 #pragma once
 
 #include <cstddef>
@@ -49,10 +59,6 @@ namespace pr {
 std::optional<int> certified_sign_scaled(const Poly& p, const BigInt& t,
                                          std::size_t w);
 
-/// Exact sign(p(t / 2^w)): the certified sign when certified_sign_scaled
-/// decides it, otherwise p.sign_at_scaled(t, w).
-int filtered_sign_scaled(const Poly& p, const BigInt& t, std::size_t w);
-
 /// What bounded_eval_scaled certified about v = p(t / 2^w).
 struct ValueBounds {
   /// sign(v), or 0 when the evaluation did not decide it; a zero value
@@ -62,6 +68,9 @@ struct ValueBounds {
   BigInt lo;
   BigInt hi;
   std::int64_t exp = 0;
+  /// The precision P that certified the sign; an exact value (lo == hi)
+  /// from certified_eval_scaled has 0.
+  std::size_t prec = 0;
 };
 
 /// Horner evaluation of p(t / 2^w) with a mantissa of at most `prec` bits
@@ -69,5 +78,19 @@ struct ValueBounds {
 /// hi) when no step had to round.
 ValueBounds bounded_eval_scaled(const Poly& p, const BigInt& t, std::size_t w,
                                 std::size_t prec);
+
+/// p(t / 2^w) with its sign decided: bounded_eval_scaled from `prec` bits,
+/// doubling P while the sign stays undecided, and the exact value
+/// 2^(dw) p(t / 2^w) as bounds lo == hi at exp = -dw once P reaches the
+/// exact value's cost, about ||p|| + d * max(w, bits(t)) / 2 bits.  Its
+/// sign is 0 only at a zero.  Each exact value adds one to *exact_evals
+/// when that is given.
+ValueBounds certified_eval_scaled(const Poly& p, const BigInt& t,
+                                  std::size_t w, std::size_t prec,
+                                  std::uint64_t* exact_evals);
+
+/// Exact sign(p(t / 2^w)): certified_sign_scaled when it decides, else
+/// certified_eval_scaled from 248 bits.
+int filtered_sign_scaled(const Poly& p, const BigInt& t, std::size_t w);
 
 }  // namespace pr

@@ -1,6 +1,6 @@
 #include "sched/task_graph.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -78,35 +78,6 @@ void TaskGraph::validate() const {
   }
   check_internal(seen == tasks_.size(),
                  "TaskGraph::validate: cycle or disconnected dependency");
-}
-
-std::uint64_t TaskGraph::critical_path_cost(
-    std::uint64_t per_task_overhead) const {
-  std::vector<std::uint64_t> dist(tasks_.size(), 0);
-  std::vector<std::int32_t> indeg(tasks_.size());
-  for (std::size_t i = 0; i < tasks_.size(); ++i) indeg[i] = tasks_[i].num_deps;
-  std::vector<TaskId> queue = initial_tasks();
-  std::uint64_t best = 0;
-  while (!queue.empty()) {
-    const TaskId id = queue.back();
-    queue.pop_back();
-    const auto& t = tasks_[static_cast<std::size_t>(id)];
-    const std::uint64_t finish =
-        dist[static_cast<std::size_t>(id)] + t.cost + per_task_overhead;
-    best = std::max(best, finish);
-    for (TaskId dep : t.dependents) {
-      auto& d = dist[static_cast<std::size_t>(dep)];
-      d = std::max(d, finish);
-      if (--indeg[static_cast<std::size_t>(dep)] == 0) queue.push_back(dep);
-    }
-  }
-  return best;
-}
-
-std::uint64_t TaskGraph::total_cost() const {
-  std::uint64_t sum = 0;
-  for (const auto& t : tasks_) sum += t.cost;
-  return sum;
 }
 
 }  // namespace pr

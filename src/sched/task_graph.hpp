@@ -96,13 +96,6 @@ class TaskGraph {
   /// InternalError otherwise.  (Cheap; used by tests and the driver.)
   void validate() const;
 
-  /// Longest path length through the DAG weighted by task cost: the
-  /// critical-path lower bound on any schedule (infinite processors).
-  std::uint64_t critical_path_cost(std::uint64_t per_task_overhead = 0) const;
-
-  /// Sum of all task costs: the single-processor work.
-  std::uint64_t total_cost() const;
-
  private:
   std::vector<Task> tasks_;
 };

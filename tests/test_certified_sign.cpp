@@ -2,9 +2,12 @@
 // differential against the exact scaled Horner value, the certified share
 // on the tree-node polynomials the pipeline probes, and the gate in the
 // interval layer (modular arithmetic on: same reports, cheaper probes).
-// BoundedEval fuzzes the P-bit evaluation QIR uses: every exact value lies
-// inside its bounds, at any point size, scale and precision, and a zero is
-// never certified.
+// BoundedEval fuzzes the P-bit evaluation and the precision ladder built
+// on it: every exact value lies inside its bounds, at any point size,
+// scale and precision, a zero is never certified, and the ladder takes an
+// exact value only at a zero or at its cost limit.  filtered_sign_scaled,
+// the two-limb rung followed by the ladder from 248 bits, must equal the
+// exact sign on every probe.
 #include "poly/certified_sign.hpp"
 
 #include <gtest/gtest.h>
@@ -71,6 +74,7 @@ struct Tally {
   std::size_t probes = 0;
   std::size_t certified = 0;
   std::size_t zeros = 0;
+  std::size_t wide = 0;  ///< points with |t| >= 2^128
   double share() const {
     return probes == 0 ? 0.0
                        : static_cast<double>(certified) /
@@ -78,13 +82,15 @@ struct Tally {
   }
 };
 
-/// One probe against the exact sign: a certified sign must equal it, and
-/// an exact zero must never be certified.
+/// One probe against the exact sign: a certified sign must equal it, an
+/// exact zero must never be certified, and filtered_sign_scaled must give
+/// the exact sign -- at a zero through the ladder's exact value.
 void check_probe(const Poly& p, const BigInt& t, std::size_t w, Tally& tally) {
   const int exact = p.sign_at_scaled(t, w);
   const std::optional<int> got = certified_sign_scaled(p, t, w);
   ++tally.probes;
   if (exact == 0) ++tally.zeros;
+  if (t.bit_length() > 128) ++tally.wide;
   const auto where = [&] {
     return "degree " + std::to_string(p.degree()) + ", ||p|| " +
            std::to_string(p.max_coeff_bits()) + " bits, t " + t.to_hex() +
@@ -99,6 +105,13 @@ void check_probe(const Poly& p, const BigInt& t, std::size_t w, Tally& tally) {
     EXPECT_FALSE(got.has_value()) << "|t| >= 2^128 must fall back: " << where();
   }
   EXPECT_EQ(filtered_sign_scaled(p, t, w), exact) << where();
+  if (exact == 0) {
+    std::uint64_t exact_evals = 0;
+    const ValueBounds z = certified_eval_scaled(p, t, w, 248, &exact_evals);
+    EXPECT_EQ(z.sign, 0) << where();
+    EXPECT_EQ(exact_evals, 1u) << "a zero reaches the exact value: " << where();
+    EXPECT_TRUE(z.lo.is_zero() && z.hi.is_zero()) << where();
+  }
 }
 
 /// The tree-node polynomials (degree >= 2) of `input` with their
@@ -163,6 +176,7 @@ TEST(CertifiedSign, RandomPolynomialsMatchTheExactSign) {
     check_probe(p, BigInt(0), random_scale(rng), tally);
   }
   EXPECT_GT(tally.certified, tally.probes / 2);
+  EXPECT_GT(tally.wide, tally.probes / 20);
 }
 
 TEST(CertifiedSign, ExactDyadicRootsAreNeverCertified) {
@@ -250,6 +264,69 @@ TEST(CertifiedSign, CertifiesMostJacobi96TreeNodeProbes) {
   EXPECT_GE(near_61.share(), 0.80) << near_61.probes << " probes";
 }
 
+TEST(CertifiedSign, SecondRungDecidesJacobi128ProbesNearRoots) {
+  // Jacobi-128, the tree's root node, at the interval tasks' scale
+  // w = 61, probed one to two units (2^-61 to 2^-60) from each root: the
+  // two-limb rung certifies only about a quarter of these probes, and the
+  // ladder's first rung of 248 bits decides every one it declines, so
+  // filtered_sign_scaled takes no exact value there.
+  Prng rng(9);
+  const std::size_t w = 61;
+  const Poly poly = random_jacobi_poly(128, 9, rng).primitive_part();
+  RootFinderConfig cfg;
+  cfg.mu_bits = w;
+  cfg.modular.enabled = true;
+  const std::vector<BigInt> roots = find_real_roots(poly, cfg).roots;
+  ASSERT_EQ(roots.size(), 128u);
+  Tally first;
+  for (const BigInt& r : roots) {
+    // r = ceil(2^61 x), so r + 1 and r - 2 lie one to two units from x.
+    for (const BigInt& t : {r + BigInt(1), r - BigInt(2)}) {
+      const int exact = poly.sign_at_scaled(t, w);
+      ASSERT_NE(exact, 0);
+      ++first.probes;
+      if (certified_sign_scaled(poly, t, w)) {
+        ++first.certified;
+      } else {
+        std::uint64_t exact_evals = 0;
+        const ValueBounds v =
+            certified_eval_scaled(poly, t, w, 248, &exact_evals);
+        EXPECT_EQ(exact_evals, 0u) << t.to_hex();
+        EXPECT_EQ(v.prec, 248u) << t.to_hex();
+        EXPECT_EQ(v.sign, exact) << t.to_hex();
+      }
+      // An exact value would count the Horner rule's d multiplications.
+      const std::uint64_t muls = instr::thread_counts().total().mul_count;
+      EXPECT_EQ(filtered_sign_scaled(poly, t, w), exact);
+      EXPECT_EQ(instr::thread_counts().total().mul_count, muls) << t.to_hex();
+    }
+  }
+  EXPECT_LT(first.share(), 0.5) << first.probes << " probes";
+}
+
+/// lo * 2^exp <= |p(t / 2^w)| <= hi * 2^exp for E = 2^(dw) p(t / 2^w), with
+/// the sign of E.
+void expect_inside(const Poly& p, std::size_t w, const BigInt& exact,
+                   const ValueBounds& got, const std::string& where) {
+  EXPECT_EQ(got.sign, exact.signum()) << where;
+  if (got.sign == 0) return;
+  ASSERT_GT(got.lo.signum(), 0) << where;
+  ASSERT_LE(got.lo, got.hi) << where;
+  // |E| = |p(t / 2^w)| * 2^(dw): compare lo * 2^k and hi * 2^k with |E|,
+  // k = exp + dw, shifting whichever side keeps both integral.
+  const std::int64_t k =
+      got.exp + static_cast<std::int64_t>(w) * p.degree();
+  const BigInt mag = exact.abs();
+  if (k >= 0) {
+    EXPECT_LE(got.lo << static_cast<std::size_t>(k), mag) << where;
+    EXPECT_GE(got.hi << static_cast<std::size_t>(k), mag) << where;
+  } else {
+    const BigInt up = mag << static_cast<std::size_t>(-k);
+    EXPECT_LE(got.lo, up) << where;
+    EXPECT_GE(got.hi, up) << where;
+  }
+}
+
 /// One bounded evaluation against the exact value E = 2^(dw) p(t / 2^w):
 /// when certified, the sign is E's and lo * 2^exp <= |p(t / 2^w)| <= hi *
 /// 2^exp; a zero is never certified.
@@ -268,22 +345,8 @@ void check_bounds(const Poly& p, const BigInt& t, std::size_t w,
   if (got.sign == 0) return;
   ++tally.certified;
   ASSERT_NE(exact.signum(), 0) << "certified an exact zero: " << where();
-  EXPECT_EQ(got.sign, exact.signum()) << where();
-  ASSERT_GT(got.lo.signum(), 0) << where();
-  ASSERT_LE(got.lo, got.hi) << where();
-  // |E| = |p(t / 2^w)| * 2^(dw): compare lo * 2^k and hi * 2^k with |E|,
-  // k = exp + dw, shifting whichever side keeps both integral.
-  const std::int64_t k =
-      got.exp + static_cast<std::int64_t>(w) * p.degree();
-  const BigInt mag = exact.abs();
-  if (k >= 0) {
-    EXPECT_LE(got.lo << static_cast<std::size_t>(k), mag) << where();
-    EXPECT_GE(got.hi << static_cast<std::size_t>(k), mag) << where();
-  } else {
-    const BigInt up = mag << static_cast<std::size_t>(-k);
-    EXPECT_LE(got.lo, up) << where();
-    EXPECT_GE(got.hi, up) << where();
-  }
+  EXPECT_EQ(got.prec, prec) << where();
+  expect_inside(p, w, exact, got, where());
 }
 
 /// Precisions from one bit to beyond the exact value's size, limb edges
@@ -395,6 +458,94 @@ TEST(BoundedEval, DyadicRootsAndPointsNearThem) {
   EXPECT_EQ(exact_roots.zeros, exact_roots.probes);
   EXPECT_GT(near_wide.certified, near_wide.probes * 9 / 10)
       << near_wide.zeros << " zeros";
+}
+
+/// One certified_eval_scaled against the exact value and against the rungs
+/// it should have tried: the first of prec, 2 prec, 4 prec, ... below the
+/// documented cost limit ||p|| + d * max(w, bits(t)) / 2 that certifies
+/// answers; only when none does is the exact value taken and counted.
+/// `certified` tallies rung answers, and the exact values that are not
+/// zeros are the cost limit's.
+void check_ladder(const Poly& p, const BigInt& t, std::size_t w,
+                  std::size_t prec, Tally& tally) {
+  const BigInt exact = p.eval_scaled(t, w);
+  std::uint64_t exact_evals = 0;
+  const ValueBounds got = certified_eval_scaled(p, t, w, prec, &exact_evals);
+  const std::string where = "degree " + std::to_string(p.degree()) +
+                            ", t of " + std::to_string(t.bit_length()) +
+                            " bits, w " + std::to_string(w) + ", prec " +
+                            std::to_string(prec);
+  const auto d = static_cast<std::size_t>(std::max(p.degree(), 0));
+  const std::size_t limit =
+      p.max_coeff_bits() + d * std::max(w, t.bit_length()) / 2;
+  std::size_t rung = 0;
+  for (std::size_t r = std::max<std::size_t>(prec, 1); r < limit; r *= 2) {
+    if (bounded_eval_scaled(p, t, w, r).sign != 0) {
+      rung = r;
+      break;
+    }
+  }
+  expect_inside(p, w, exact, got, where);
+  ++tally.probes;
+  if (rung != 0) {
+    ++tally.certified;
+    EXPECT_EQ(exact_evals, 0u) << where;
+    EXPECT_EQ(got.prec, rung) << where;
+    return;
+  }
+  if (exact.is_zero()) ++tally.zeros;
+  EXPECT_EQ(exact_evals, 1u) << where;
+  EXPECT_EQ(got.prec, 0u) << where;
+  EXPECT_EQ(got.lo, exact.abs()) << where;
+  EXPECT_EQ(got.hi, exact.abs()) << where;
+  EXPECT_EQ(got.exp, -static_cast<std::int64_t>(w * d)) << where;
+}
+
+TEST(BoundedEval, LadderBoundsHoldAtEveryStartPrecision) {
+  // Random polynomials of degree 0-40 at points up to 300 bits (one in
+  // six beyond 2^1024), and products of dyadic factors at their roots and
+  // 2^-k from them, each entered at start precisions from one bit to
+  // beyond the cost limit.
+  Prng rng(0x1add);
+  static const std::size_t kMaxBits[] = {8, 64, 130, 400};
+  static const std::size_t kStarts[] = {1, 2, 64, 124, 248, 1000, 20000};
+  Tally tally;
+  for (int iter = 0; iter < 120; ++iter) {
+    const int degree = static_cast<int>(rng.below(41));
+    const Poly p = random_test_poly(rng, degree, kMaxBits[rng.below(4)]);
+    for (int k = 0; k < 2; ++k) {
+      const bool huge = rng.below(6) == 0 && degree <= 24;
+      const BigInt t = random_bigint(
+          rng, huge ? 1025 + rng.below(3500) : rng.below(300));
+      const std::size_t w = rng.coin() ? rng.below(300) : rng.below(4101);
+      check_ladder(p, t, w, kStarts[rng.below(7)], tally);
+      check_ladder(p, -t, w, kStarts[rng.below(7)], tally);
+    }
+  }
+  for (int iter = 0; iter < 30; ++iter) {
+    Poly p{1};
+    std::vector<std::pair<std::size_t, BigInt>> roots;
+    const int count = 1 + static_cast<int>(rng.below(8));
+    for (int i = 0; i < count; ++i) {
+      const std::size_t a = rng.below(41);
+      BigInt b = random_bigint(rng, 1 + rng.below(60));
+      if (b.is_even()) b += BigInt(1);
+      p *= Poly(std::vector<BigInt>{-b, BigInt::pow2(a)});
+      roots.emplace_back(a, std::move(b));
+    }
+    for (const auto& [a, b] : roots) {
+      const std::size_t w = a + rng.below(400);
+      const BigInt t = b << (w - a);
+      const BigInt delta = BigInt::pow2(rng.below(w - a + 1));
+      for (std::size_t prec : kStarts) {
+        check_ladder(p, t, w, prec, tally);
+        check_ladder(p, t + delta, w, prec, tally);
+      }
+    }
+  }
+  EXPECT_GT(tally.certified, 0u);
+  EXPECT_GT(tally.zeros, 0u);
+  EXPECT_GT(tally.probes, tally.certified + tally.zeros);  // the cost limit
 }
 
 TEST(CertifiedSign, ModularRunsKeepReportsAndCutProbeCosts) {

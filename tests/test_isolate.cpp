@@ -375,7 +375,12 @@ TEST(Qir, GoldenIteratesMatchTheExactEvaluation) {
   // the results are folded, in order, into one digest per row.  A secant
   // index taken from the approximations without the bounds check changes
   // iterates here.  Exact values stay rare: a bounded evaluation that
-  // silently never certified would keep every iterate too.
+  // silently never certified would keep every iterate too.  And the secant
+  // index takes no exact value of its own: when its corner bounds
+  // disagree, both ends climb the precision ladder, which evaluates
+  // exactly only at zeros and at its cost limit.  The corpus then takes
+  // 264 exact values; evaluating both ends exactly at each undecided
+  // secant index instead would take 498.
   struct Golden {
     const char* name;
     int from;
@@ -473,6 +478,7 @@ TEST(Qir, GoldenIteratesMatchTheExactEvaluation) {
   EXPECT_EQ(row, std::size(kGolden));
   EXPECT_LT(exact_evals * 20, all_evals)
       << exact_evals << " exact values for " << all_evals << " evaluations";
+  EXPECT_EQ(exact_evals, 264u);
 }
 
 // --- the kRadii strategy, sequential ----------------------------------------

@@ -288,6 +288,51 @@ TEST(CrtTest, RoundTripsSignedValues) {
   }
 }
 
+TEST(CrtTest, SymmetricLiftAtTheHalfModulus) {
+  // The lift decides the sign from the mixed-radix digits alone: check it
+  // at +-floor(M/2) and their neighbours, at zero, and at -2^64 and
+  // -2^128, whose complement digits carry out of the top limb.  A
+  // negative value is counted as one addition of M's size, the exact
+  // subtraction x - M it stands for; a non-negative one as none.
+  std::vector<std::uint64_t> primes;
+  for (std::size_t i = 0; i < 40; ++i) primes.push_back(modular::nth_modulus(i));
+  const CrtBasis basis(primes);
+  for (std::size_t k : {1u, 2u, 3u, 7u, 40u}) {
+    BigInt m(1);
+    for (std::size_t j = 0; j < k; ++j) {
+      m *= BigInt(static_cast<unsigned long long>(primes[j]));
+    }
+    const BigInt half = m >> 1;
+    std::vector<BigInt> values = {BigInt(0),        BigInt(1),
+                                  BigInt(-1),       half,
+                                  -half,            half - BigInt(1),
+                                  -(half - BigInt(1))};
+    for (std::size_t e : {64u, 128u}) {
+      if (BigInt::pow2(e) < half) values.push_back(-BigInt::pow2(e));
+    }
+    std::vector<std::uint64_t> batch(k * values.size());
+    for (std::size_t c = 0; c < values.size(); ++c) {
+      const BigInt& x = values[c];
+      std::vector<std::uint64_t> residues(k);
+      for (std::size_t j = 0; j < k; ++j) {
+        residues[j] = x.mod_u64(primes[j]);
+        batch[j * values.size() + c] = residues[j];
+      }
+      instr::reset_all();
+      const BigInt got = basis.reconstruct(residues.data(), k);
+      const instr::OpCounts counts = instr::aggregate().total();
+      EXPECT_EQ(got, x) << "k=" << k << " c=" << c;
+      EXPECT_EQ(counts.add_count, x.signum() < 0 ? 1u : 0u);
+      EXPECT_EQ(counts.add_bits, x.signum() < 0 ? m.bit_length() : 0u);
+      EXPECT_EQ(counts.mul_count + counts.div_count, 0u);
+    }
+    std::vector<BigInt> out(values.size());
+    basis.reconstruct_batch(batch.data(), values.size(), k, out.data(),
+                            values.size());
+    EXPECT_EQ(out, values) << "k=" << k;
+  }
+}
+
 TEST(CrtTest, PrimesForBitsIsMonotoneAndSufficient) {
   std::vector<std::uint64_t> primes;
   for (std::size_t i = 0; i < 8; ++i) primes.push_back(modular::nth_modulus(i));
@@ -305,8 +350,8 @@ TEST(CrtTest, PrimesForBitsIsMonotoneAndSufficient) {
 TEST(CrtTest, BasisSetupReportsNoOpCounts) {
   // One run shares a basis across the task graph while the one-node layer
   // call builds one per node, so set-up must not show in the per-phase
-  // operation counts.  (BigInt storage still allocates the prefix
-  // products; the allocation counters are outside the cost model.)
+  // operation counts.  (Its tables are still allocated; the allocation
+  // counters are outside the cost model.)
   std::vector<std::uint64_t> primes;
   for (std::size_t i = 0; i < 300; ++i) primes.push_back(modular::nth_modulus(i));
   instr::reset_all();

@@ -60,9 +60,10 @@ TEST(TaskGraph, CriticalPathAndTotalCost) {
   g.task(b).cost = 10;
   g.task(c).cost = 2;
   g.task(d).cost = 5;
-  EXPECT_EQ(g.total_cost(), 18u);
-  EXPECT_EQ(g.critical_path_cost(), 16u);  // a + b + d
-  EXPECT_EQ(g.critical_path_cost(1), 19u);
+  const TaskTrace tr = TaskTrace::from_graph(g);
+  EXPECT_EQ(tr.total_cost(), 18u);
+  EXPECT_EQ(tr.critical_path(), 16u);  // a + b + d
+  EXPECT_EQ(tr.critical_path(1), 19u);
 }
 
 TEST(TaskPool, RunsEveryTaskOnce) {
