@@ -302,6 +302,40 @@ BENCHMARK(BM_SignProbe)
     ->ArgNames({"method", "near_root"})
     ->ArgsProduct({{0, 1, 2}, {0, 1, 2}});
 
+void BM_NewtonStep(benchmark::State& state) {
+  // One Newton step's quotient e / d at a near-root point: the exact
+  // values of p and p' and one division (method 0), against their values
+  // from the precision ladder, entered at w + 192 bits as the interval
+  // solver enters it with modular arithmetic on, and the quotient from
+  // their bounds (newton_step_scaled, 1).  Set 0 is the Jacobi-96 node's
+  // near-root points, set 1 Jacobi-128's points 2^-61 from its roots.
+  const SignProbeCase& c =
+      state.range(1) == 1 ? sign_probe_case_jacobi128() : sign_probe_case();
+  const pr::Poly dp = c.poly.derivative();
+  const std::size_t prec = c.w + 192;
+  const bool exact = state.range(0) == 0;
+  std::size_t next = 0;
+  const pr::instr::OpCounts before = pr::instr::aggregate().total();
+  for (auto _ : state) {
+    const pr::BigInt& t = c.near_points[next];
+    next = (next + 1) % c.near_points.size();
+    if (exact) {
+      const pr::BigInt e = c.poly.eval_scaled(t, c.w);
+      const pr::BigInt d = dp.eval_scaled(t, c.w);
+      benchmark::DoNotOptimize(e / d);
+    } else {
+      benchmark::DoNotOptimize(pr::newton_step_scaled(
+          c.poly, dp, t, c.w,
+          pr::certified_eval_scaled(c.poly, t, c.w, prec, nullptr),
+          pr::certified_eval_scaled(dp, t, c.w, prec, nullptr)));
+    }
+  }
+  report_allocs(state, before, pr::instr::aggregate().total());
+}
+BENCHMARK(BM_NewtonStep)
+    ->ArgNames({"method", "set"})
+    ->ArgsProduct({{0, 1}, {0, 1}});
+
 /// BM_QirEval's inputs: a degree-n paper input with its roots at mu = w -
 /// 8 (kRadii), and points within two units of each root at QIR's working
 /// scale w, where QIR's last iterations evaluate.

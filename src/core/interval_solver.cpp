@@ -35,6 +35,15 @@ std::size_t renegar_shift(int degree) {
   return static_cast<std::size_t>(std::ceil(std::log2(v)));
 }
 
+/// Bits beyond the scale w at which Newton's values enter the precision
+/// ladder.  At distance 2^-k from the root the step has about w - k bits
+/// and p(x) cancels about k bits of its Horner terms, so w bits and a
+/// margin for the node's conditioning fix the quotient at the first rung.
+/// On tree-large's seed-1 inputs (Jacobi-64/96/128, Berkowitz-64 and
+/// repeated-root inputs, one thread) this margin climbed no rung at mu
+/// 53, 256 or 1024; a margin of 128 bits climbed 12, 25 and 36.
+constexpr std::size_t kNewtonStartGuard = 192;
+
 }  // namespace
 
 BigInt solve_isolated_interval(const Poly& p, const BigInt& lo,
@@ -229,18 +238,34 @@ BigInt solve_isolated_interval(const Poly& p, const BigInt& lo,
   }
 
   // ---- Phase 3: safeguarded integer Newton -------------------------------
+  // The step is the truncated quotient e / d of the scaled values e =
+  // 2^(dw) p(x) and d = 2^((d-1)w) p'(x).  With certified probes, p(x) and
+  // p'(x) come from the precision ladder and the step from their bounds
+  // (newton_step_scaled).  The ladder's sign is 0 only at a zero, so every
+  // iterate is the one the exact values give.
   {
     instr::PhaseScope phase(instr::Phase::kNewton);
     const Poly dp = p.derivative();
+    const std::size_t prec = w + kNewtonStartGuard;
     BigInt x = a + ((b - a) >> 1);
+    BigInt e, d;         // exact values (certified probes off)
+    ValueBounds fe, fd;  // their bounds (certified probes on)
+    const auto value_sign = [&](const Poly& f, BigInt& exact,
+                                ValueBounds& bounds) {
+      if (!certified_probes) {
+        exact = f.eval_scaled(x, w);
+        return exact.signum();
+      }
+      bounds = certified_eval_scaled(f, x, w, prec, nullptr);
+      return bounds.sign;
+    };
     while (true) {
       if (auto k = pinned()) return *k;
       st.newton_iters += 1;
       st.newton_evals += 1;
-      const BigInt e = p.eval_scaled(x, w);
-      if (e.is_zero()) return exact_hit(x);
+      const int se = value_sign(p, e, fe);
+      if (se == 0) return exact_hit(x);
       // Shrink the bracket with the sign we just paid for.
-      const int se = e.signum();
       if (se == sa) {
         a = x;
       } else {
@@ -248,12 +273,14 @@ BigInt solve_isolated_interval(const Poly& p, const BigInt& lo,
       }
       if (auto k = pinned()) return *k;
       st.newton_evals += 1;
-      const BigInt d = dp.eval_scaled(x, w);
       BigInt next;
-      bool use_bisect = d.is_zero();
+      bool use_bisect = value_sign(dp, d, fd) == 0;
       if (!use_bisect) {
         // x' = x - p(x)/p'(x); in scaled units the correction is e / d.
-        const BigInt step = e / d;
+        const BigInt step =
+            certified_probes
+                ? newton_step_scaled(p, dp, x, w, std::move(fe), std::move(fd))
+                : e / d;
         if (step.is_zero()) {
           // Newton has converged to within one scale-w unit of the root
           // on this side; the far bracket side is still wide open.  Close

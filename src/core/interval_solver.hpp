@@ -20,9 +20,12 @@
 // of the sieve and of bisection climb the precision ladder of
 // poly/certified_sign.hpp (filtered_sign_scaled), which evaluates exactly
 // only at a zero or at its cost limit; a certified sign is the exact
-// sign, so every decision is the same.
-// Newton and regula falsi always use the exact value.  Pure-bisection and
-// no-sieve modes exist for the ablation bench (Eq. 38 vs Eq. 41).
+// sign, so every decision is the same.  Newton takes p(x) and p'(x) from
+// the same ladder, from w + 192 bits, and its step from their bounds
+// (newton_step_scaled), climbing while they do not fix it, so every
+// iterate is the exact one.  Regula falsi always uses the exact value.
+// Pure-bisection and no-sieve modes exist for the ablation bench (Eq. 38
+// vs Eq. 41).
 #pragma once
 
 #include <cstddef>
@@ -70,8 +73,9 @@ struct IntervalSolverConfig {
 /// sign(p(hi/2^mu)) == s_hi, s_lo * s_hi == -1 (for a point that is itself
 /// a root of p, pass the appropriate one-sided sign).  `stats` may be null.
 /// `certified_probes` (ModularConfig::enabled on the pipeline's path)
-/// takes the sieve and bisection signs from filtered_sign_scaled: the
-/// same result and IntervalStats, lower bit-cost counters.
+/// takes the sieve and bisection signs from filtered_sign_scaled and
+/// Newton's values and steps from the precision ladder: the same result
+/// and IntervalStats, lower bit-cost counters.
 BigInt solve_isolated_interval(const Poly& p, const BigInt& lo,
                                const BigInt& hi, int s_lo, int s_hi,
                                std::size_t mu,

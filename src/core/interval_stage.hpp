@@ -17,9 +17,10 @@
 // when set, every sign-only probe (the pre-interval signs, the sieve and
 // bisection) comes from filtered_sign_scaled, the precision ladder of
 // poly/certified_sign.hpp, which evaluates exactly only at a zero or at
-// its cost limit.  A nonzero sign at K is also its right limit.  The
-// results and IntervalStats are the same either way; only the
-// pre-interval, sieve and bisection bit-cost counters fall.
+// its cost limit, and Newton's steps come from the same ladder's bounds.
+// A nonzero sign at K is also its right limit.  The results and
+// IntervalStats are the same either way; only the pre-interval, sieve,
+// bisection and Newton bit-cost counters fall.
 //
 // The stage is split the same way the paper's task system splits it
 // (Section 3.2): analyze_interleave_point == one PREINTERVAL task,

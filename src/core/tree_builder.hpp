@@ -51,9 +51,10 @@ void analyze_interleave_range(const Poly& p, const std::vector<BigInt>& points,
 
 /// Computes node.roots for one node whose polynomial and children's roots
 /// are done (PREINTERVAL + INTERVAL steps).  `bound_scaled` = 2^(R+mu).
-/// When `modular` is non-null and enabled, the sign-only probes are
-/// certified first, as in the task graph (core/interval_stage.hpp): the
-/// same roots and stats, lower pre-interval/sieve/bisection bit costs.
+/// When `modular` is non-null and enabled, the sign-only probes and
+/// Newton's steps are certified first, as in the task graph
+/// (core/interval_stage.hpp): the same roots and stats, lower
+/// pre-interval/sieve/bisection/Newton bit costs.
 void compute_node_roots(Tree& tree, int idx, std::size_t mu,
                         const BigInt& bound_scaled,
                         const IntervalSolverConfig& config,

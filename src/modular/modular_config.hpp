@@ -20,11 +20,12 @@ struct ModularConfig {
   /// Master switch for both fast paths: the remainder sequence (above
   /// min_degree) and every internal non-spine tree polynomial, which then
   /// comes from the three-term recurrence modulo primes
-  /// (modular/tree_poly.hpp).  It also selects the certified sign probes
+  /// (modular/tree_poly.hpp).  It also selects the certified evaluations
   /// of the interval stage: the pre-interval, sieve and bisection signs
   /// come from filtered_sign_scaled, which climbs the precision ladder of
   /// poly/certified_sign.hpp and evaluates exactly only at a zero or at
-  /// the ladder's cost limit (same results, lower bit-cost counters).
+  /// the ladder's cost limit, and Newton's steps from the same ladder's
+  /// bounds on p(x) and p'(x) (same results, lower bit-cost counters).
   /// Off by default: the exact path is the verified baseline.
   bool enabled = false;
 

@@ -487,4 +487,34 @@ int filtered_sign_scaled(const Poly& p, const BigInt& t, std::size_t w) {
   return certified_eval_scaled(p, t, w, 2 * kMantBits, nullptr).sign;
 }
 
+std::optional<BigInt> bounded_quotient(const ValueBounds& num,
+                                       const ValueBounds& den,
+                                       std::size_t s) {
+  // floor(2^k n / d) at the bounds' exponents, k = s + num.exp - den.exp.
+  const std::int64_t k = static_cast<std::int64_t>(s) + num.exp - den.exp;
+  const auto corner = [k](const BigInt& n, const BigInt& d) {
+    return k >= 0 ? (n << static_cast<std::size_t>(k)) / d
+                  : n / (d << static_cast<std::size_t>(-k));
+  };
+  BigInt q = corner(num.hi, den.lo);
+  if (corner(num.lo, den.hi) != q) return std::nullopt;
+  if (num.sign != den.sign) q.negate();
+  return q;
+}
+
+BigInt newton_step_scaled(const Poly& p, const Poly& dp, const BigInt& t,
+                          std::size_t w, ValueBounds vp, ValueBounds vdp) {
+  std::optional<BigInt> q = bounded_quotient(vp, vdp, w);
+  while (!q) {
+    if (vp.lo != vp.hi) {
+      vp = certified_eval_scaled(p, t, w, 2 * vp.prec, nullptr);
+    }
+    if (vdp.lo != vdp.hi) {
+      vdp = certified_eval_scaled(dp, t, w, 2 * vdp.prec, nullptr);
+    }
+    q = bounded_quotient(vp, vdp, w);
+  }
+  return std::move(*q);
+}
+
 }  // namespace pr

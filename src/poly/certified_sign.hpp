@@ -3,8 +3,9 @@
 //
 // The interval problem (Section 2.2) decides every sieve step, bisection
 // step and pre-interval case from the sign of a node polynomial at a
-// dyadic point t / 2^w, and QIR's steps need such signs and magnitudes
-// too (isolate/qir_refine).  Poly::eval_scaled gives the exact scaled
+// dyadic point t / 2^w, and each Newton step from the integer part of
+// 2^w p / p' there; QIR's steps need signs and magnitudes too
+// (isolate/qir_refine).  Poly::eval_scaled gives the exact scaled
 // Horner value, whose size grows to the full d * (w + bits(t)) + ||p||
 // bits, while the value usually cancels only a few dozen bits.  Following
 // the adaptive-precision evaluation Kerber and Sagraloff use for certified
@@ -33,6 +34,11 @@
 //     This is every certified sign of the pipeline: the pre-interval,
 //     sieve and bisection probes (modular arithmetic on), the stored-cell
 //     signs of refined hits and the multiplicity signs.
+//   - bounded_quotient: the integer part of a quotient of two bounded
+//     values, when the bounds' corners fix it, as QIR fixes its secant
+//     index; newton_step_scaled climbs the ladder until it is fixed.
+//     With modular arithmetic on, the interval solver's Newton steps take
+//     p(x) and p'(x) from the ladder and the step from these.
 //
 // Each truncation, including reading only the top bits of a coefficient,
 // adds at most one unit to the bound, and the inherited error scales
@@ -40,7 +46,8 @@
 // exact sign by construction.  The rungs run on words (the general one in
 // per-thread buffers), as the modular word arithmetic does, so the
 // instrumentation counters see only the two BigInt additions that form a
-// general rung's bounds and the exact value's Horner steps.
+// general rung's bounds, the exact value's Horner steps and the corner
+// quotients' shifts and divisions.
 #pragma once
 
 #include <cstddef>
@@ -92,5 +99,22 @@ ValueBounds certified_eval_scaled(const Poly& p, const BigInt& t,
 /// Exact sign(p(t / 2^w)): certified_sign_scaled when it decides, else
 /// certified_eval_scaled from 248 bits.
 int filtered_sign_scaled(const Poly& p, const BigInt& t, std::size_t w);
+
+/// trunc(2^s u / v) for the values u and v that `num` and `den` bound
+/// (both signs nonzero), when the bounds fix it.  |u| 2^s / |v| grows with
+/// |u| and falls with |v|, so its integer part lies between the corner
+/// quotients floor(2^s lo_u / hi_v) and floor(2^s hi_u / lo_v); it is
+/// returned when they agree, nullopt while they differ.  Exact bounds
+/// (lo == hi on both) always fix it.
+std::optional<BigInt> bounded_quotient(const ValueBounds& num,
+                                       const ValueBounds& den, std::size_t s);
+
+/// Newton's step e / d (truncated), e = p.eval_scaled(t, w) and d =
+/// dp.eval_scaled(t, w) for dp = p', from the ladder's values vp of p and
+/// vdp of dp at t (both signs nonzero): bounded_quotient(vp, vdp, w), and
+/// while that is not fixed, each value that is not exact climbs to twice
+/// its P, so at worst the ladder's exact values decide.
+BigInt newton_step_scaled(const Poly& p, const Poly& dp, const BigInt& t,
+                          std::size_t w, ValueBounds vp, ValueBounds vdp);
 
 }  // namespace pr

@@ -7,7 +7,9 @@
 // scale and precision, a zero is never certified, and the ladder takes an
 // exact value only at a zero or at its cost limit.  filtered_sign_scaled,
 // the two-limb rung followed by the ladder from 248 bits, must equal the
-// exact sign on every probe.
+// exact sign on every probe.  Newton's quotient from the ladder's bounds
+// (bounded_quotient, newton_step_scaled) must equal the exact e / d
+// whenever it is fixed.
 #include "poly/certified_sign.hpp"
 
 #include <gtest/gtest.h>
@@ -548,10 +550,145 @@ TEST(BoundedEval, LadderBoundsHoldAtEveryStartPrecision) {
   EXPECT_GT(tally.probes, tally.certified + tally.zeros);  // the cost limit
 }
 
+/// The ladder's exact value of a degree-d polynomial: lo == hi == |v| at
+/// exp = -dw for v = 2^(dw) f(t / 2^w).
+ValueBounds exact_bounds(const BigInt& v, int degree, std::size_t w) {
+  ValueBounds out;
+  out.sign = v.signum();
+  out.lo = v.abs();
+  out.hi = v.abs();
+  out.exp = -static_cast<std::int64_t>(w) * degree;
+  return out;
+}
+
+struct QuotientTally {
+  std::size_t points = 0;    ///< p and p' nonzero
+  std::size_t fixed = 0;     ///< bounded pairs that fixed the quotient
+  std::size_t unfixed = 0;   ///< bounded pairs that did not
+  std::size_t dp_zeros = 0;  ///< exact zeros of p'
+};
+
+/// Newton's quotient at one point against the exact e / d, e =
+/// p.eval_scaled(t, w) and d = p'.eval_scaled(t, w).  bounded_quotient of
+/// P-bit bounds on p and p', and of either with the other's exact value,
+/// equals e / d whenever it answers; two exact values always answer; and
+/// newton_step_scaled from the ladder's values at P is e / d.  At an exact
+/// zero of p' the ladder's sign is 0 (Newton then bisects).
+void check_quotient(const Poly& p, const BigInt& t, std::size_t w,
+                    std::size_t prec, QuotientTally& tally) {
+  const Poly dp = p.derivative();
+  const BigInt e = p.eval_scaled(t, w);
+  const BigInt d = dp.eval_scaled(t, w);
+  const std::string where = "degree " + std::to_string(p.degree()) +
+                            ", t of " + std::to_string(t.bit_length()) +
+                            " bits, w " + std::to_string(w) + ", prec " +
+                            std::to_string(prec);
+  if (d.is_zero()) {
+    ++tally.dp_zeros;
+    EXPECT_EQ(certified_eval_scaled(dp, t, w, prec, nullptr).sign, 0)
+        << where;
+    return;
+  }
+  if (e.is_zero()) return;
+  ++tally.points;
+  const BigInt q = e / d;
+  const ValueBounds xe = exact_bounds(e, p.degree(), w);
+  const ValueBounds xd = exact_bounds(d, dp.degree(), w);
+  const std::optional<BigInt> exact = bounded_quotient(xe, xd, w);
+  ASSERT_TRUE(exact.has_value()) << "exact values must fix it: " << where;
+  EXPECT_EQ(*exact, q) << where;
+  const auto check = [&](const ValueBounds& fe, const ValueBounds& fd) {
+    if (fe.sign == 0 || fd.sign == 0) return;
+    const std::optional<BigInt> got = bounded_quotient(fe, fd, w);
+    if (!got) {
+      ++tally.unfixed;
+      return;
+    }
+    ++tally.fixed;
+    EXPECT_EQ(*got, q) << where;
+  };
+  const ValueBounds be = bounded_eval_scaled(p, t, w, prec);
+  const ValueBounds bd = bounded_eval_scaled(dp, t, w, prec);
+  check(be, bd);
+  check(be, xd);
+  check(xe, bd);
+  EXPECT_EQ(newton_step_scaled(p, dp, t, w,
+                               certified_eval_scaled(p, t, w, prec, nullptr),
+                               certified_eval_scaled(dp, t, w, prec, nullptr)),
+            q)
+      << where;
+}
+
+/// (2^a x - b) for a random odd b of up to 60 bits: the root b / 2^a.
+Poly dyadic_factor(Prng& rng, std::size_t a, BigInt& b) {
+  b = random_bigint(rng, 1 + rng.below(60));
+  if (b.is_even()) b += BigInt(1);
+  return Poly(std::vector<BigInt>{-b, BigInt::pow2(a)});
+}
+
+TEST(BoundedEval, QuotientIsFixedOnlyWhenTheBoundsAgree) {
+  // Newton's quotient e / d: random polynomials of degree 1-64 at random
+  // points, and times dyadic factors at points 2^-40 to 2^-61 from their
+  // roots; f^2 s + c, whose derivative vanishes exactly at f's root, at
+  // that root and near it (where d is tiny and the quotient long).  Start
+  // precisions run from one bit to 20,000.
+  Prng rng(0x9e37);
+  static const std::size_t kMaxBits[] = {8, 64, 130, 400};
+  static const std::size_t kStarts[] = {1, 2, 64, 124, 248, 1000, 20000};
+  const auto start = [&] { return kStarts[rng.below(7)]; };
+  QuotientTally tally;
+  for (int iter = 0; iter < 80; ++iter) {
+    const int degree = 1 + static_cast<int>(rng.below(64));
+    const Poly p = random_test_poly(rng, degree, kMaxBits[rng.below(4)]);
+    const BigInt t = random_bigint(rng, rng.below(300));
+    const std::size_t w = rng.below(300);
+    check_quotient(p, t, w, start(), tally);
+    check_quotient(p, -t, w, start(), tally);
+  }
+  for (int iter = 0; iter < 80; ++iter) {
+    const int roots = 1 + static_cast<int>(rng.below(6));
+    Poly p = random_test_poly(rng, static_cast<int>(rng.below(59)),
+                              kMaxBits[rng.below(4)]);
+    std::vector<std::pair<std::size_t, BigInt>> at;
+    for (int i = 0; i < roots; ++i) {
+      const std::size_t a = rng.below(41);
+      BigInt b;
+      p *= dyadic_factor(rng, a, b);
+      at.emplace_back(a, std::move(b));
+    }
+    for (const auto& [a, b] : at) {
+      const std::size_t k = 40 + rng.below(22);  // distance 2^-k
+      const std::size_t w = std::max(a, k) + rng.below(200);
+      BigInt delta = BigInt::pow2(w - k);
+      if (rng.coin()) delta = -delta;
+      check_quotient(p, (b << (w - a)) + delta, w, start(), tally);
+    }
+  }
+  for (int iter = 0; iter < 40; ++iter) {
+    const std::size_t a = rng.below(41);
+    BigInt b;
+    const Poly f = dyadic_factor(rng, a, b);
+    Poly p = f * f * random_test_poly(rng, static_cast<int>(rng.below(20)),
+                                      kMaxBits[rng.below(4)]);
+    p += Poly::constant(random_bigint(rng, 1 + rng.below(100)));
+    const std::size_t k = 40 + rng.below(22);
+    const std::size_t w = std::max(a, k) + rng.below(200);
+    const BigInt root = b << (w - a);
+    check_quotient(p, root, w, start(), tally);
+    check_quotient(p, root + BigInt::pow2(w - k), w, start(), tally);
+    check_quotient(p, root - BigInt::pow2(w - k), w, start(), tally);
+  }
+  EXPECT_GE(tally.dp_zeros, 40u);
+  // Both outcomes must occur, or the checks above prove little.
+  EXPECT_GT(tally.fixed, tally.points);
+  EXPECT_GT(tally.unfixed, 0u);
+}
+
 TEST(CertifiedSign, ModularRunsKeepReportsAndCutProbeCosts) {
   // The gate: with modular arithmetic on, the pre-interval, sieve and
-  // bisection probes go through the filter, so those phases' bit costs
-  // fall while every report field and Newton's counts stay the same.
+  // bisection probes go through the filter and Newton's steps take their
+  // values from the precision ladder, so those phases' bit costs fall
+  // while every report field stays the same.
   Prng rng(17);
   const Poly p = random_jacobi_poly(40, 9, rng);
   RootFinderConfig exact_cfg;
@@ -572,8 +709,7 @@ TEST(CertifiedSign, ModularRunsKeepReportsAndCutProbeCosts) {
     EXPECT_GT(ce[ph].bit_cost(), 0u) << instr::phase_name(ph);
     EXPECT_LT(cm[ph].bit_cost(), ce[ph].bit_cost()) << instr::phase_name(ph);
   }
-  EXPECT_EQ(cm[Phase::kNewton].mul_count, ce[Phase::kNewton].mul_count);
-  EXPECT_EQ(cm[Phase::kNewton].bit_cost(), ce[Phase::kNewton].bit_cost());
+  EXPECT_LT(cm[Phase::kNewton].bit_cost(), ce[Phase::kNewton].bit_cost());
 }
 
 }  // namespace

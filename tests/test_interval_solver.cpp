@@ -4,10 +4,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/scaled_point.hpp"
+#include "core/tree_builder.hpp"
 #include "gen/classic_polys.hpp"
+#include "gen/hard_polys.hpp"
 #include "gen/matrix_polys.hpp"
+#include "isolate/descartes_isolate.hpp"
+#include "layer_replay.hpp"
 #include "poly/bounds.hpp"
 #include "support/error.hpp"
 #include "support/prng.hpp"
@@ -56,6 +64,7 @@ class SolverModes : public ::testing::TestWithParam<
                         IntervalSolverConfig::Mode> {};
 
 TEST_P(SolverModes, AgreesWithOracleOnCharPolyRoots) {
+  // Exact evaluation, and the precision ladder (certified probes) alike.
   Prng rng(5);
   IntervalSolverConfig cfg;
   cfg.mode = GetParam();
@@ -63,10 +72,14 @@ TEST_P(SolverModes, AgreesWithOracleOnCharPolyRoots) {
     const auto input = paper_input(8 + 3 * trial, rng);
     for (const std::size_t mu : {4u, 17u, 64u}) {
       for (const auto& c : integer_bracket_cases(input.poly, 64)) {
-        IntervalStats st;
-        const BigInt got = solve_isolated_interval(
-            c.p, c.lo << mu, c.hi << mu, c.s_lo, c.s_hi, mu, cfg, &st);
-        EXPECT_EQ(got, oracle(c.p, c.lo << mu, c.hi << mu, c.s_lo, mu));
+        const BigInt want = oracle(c.p, c.lo << mu, c.hi << mu, c.s_lo, mu);
+        for (const bool certified : {false, true}) {
+          IntervalStats st;
+          const BigInt got = solve_isolated_interval(
+              c.p, c.lo << mu, c.hi << mu, c.s_lo, c.s_hi, mu, cfg, &st,
+              certified);
+          EXPECT_EQ(got, want) << "certified " << certified;
+        }
       }
     }
   }
@@ -248,6 +261,185 @@ TEST(IntervalSolver, RejectsBadArguments) {
   EXPECT_THROW(solve_isolated_interval(p, BigInt(0), BigInt(1), 0, -1, 0,
                                        cfg, nullptr),
                InvalidArgument);
+}
+
+void expect_same_stats(const IntervalStats& want, const IntervalStats& got,
+                       const std::string& where) {
+  EXPECT_EQ(want.sieve_evals, got.sieve_evals) << where;
+  EXPECT_EQ(want.bisect_evals, got.bisect_evals) << where;
+  EXPECT_EQ(want.newton_iters, got.newton_iters) << where;
+  EXPECT_EQ(want.newton_evals, got.newton_evals) << where;
+  EXPECT_EQ(want.fallback_bisects, got.fallback_bisects) << where;
+  EXPECT_EQ(want.intervals_solved, got.intervals_solved) << where;
+  EXPECT_EQ(want.case1, got.case1) << where;
+  EXPECT_EQ(want.case2a, got.case2a) << where;
+  EXPECT_EQ(want.case2b, got.case2b) << where;
+  EXPECT_EQ(want.case2c, got.case2c) << where;
+}
+
+/// An interval problem at scale mu: (lo, hi) / 2^mu holds one root of p.
+struct Problem {
+  const Poly* p;
+  BigInt lo, hi;
+  int s_lo, s_hi;
+  std::size_t mu;
+};
+
+/// Up to `limit` of `all`, evenly spread and ending with the last.
+std::vector<Problem> spread(std::vector<Problem> all, std::size_t limit) {
+  if (all.size() <= limit) return all;
+  std::vector<Problem> out;
+  for (std::size_t k = limit; k-- > 0;) {
+    out.push_back(std::move(all[all.size() - 1 - k * all.size() / limit]));
+  }
+  return out;
+}
+
+/// v / 2^from at scale `to`, rounded up.
+BigInt at_scale(const BigInt& v, std::size_t from, std::size_t to) {
+  return to >= from ? v << (to - from) : ceil_shift(v, from - to);
+}
+
+/// The interleaving tree of `input` at mu 53, as the pipeline builds it
+/// with modular arithmetic on.
+Tree replay_tree53(const Poly& input) {
+  modular::ModularConfig mod;
+  mod.enabled = true;
+  const Poly work = input.primitive_part();
+  std::optional<RemainderSequence> rs =
+      modular::compute_remainder_sequence_multimodular(work, mod);
+  if (!rs) rs = compute_remainder_sequence(work);
+  Tree tree(work.degree());
+  test::replay_tree(tree, *rs, 53, BigInt::pow2(root_bound_pow2(work) + 53),
+                    IntervalSolverConfig{}, nullptr, &mod);
+  return tree;
+}
+
+/// The tree's interval problems at scale mu: for every node of degree >=
+/// 2, each cell between consecutive interleaving points (the merged child
+/// roots, padded with the root bound) that holds exactly one of the
+/// node's roots.  Below mu 53 the points are ceil(2^mu y), as the
+/// pipeline's; above it the mu-53 points, exactly.  A node root r =
+/// ceil(2^53 x) lies in the cell (y, y') / 2^53 iff y < r <= y', when
+/// p(y' / 2^53) != 0.
+std::vector<Problem> tree_problems(const Tree& tree, const Poly& input,
+                                   std::size_t mu) {
+  const BigInt bound = BigInt::pow2(root_bound_pow2(input.primitive_part()) +
+                                    53);
+  std::vector<Problem> out;
+  for (int idx : tree.postorder()) {
+    const TreeNode& nd = tree.node(idx);
+    if (nd.empty() || nd.poly.degree() < 2) continue;
+    std::vector<BigInt> ys = merge_child_roots(tree, idx);
+    ys.insert(ys.begin(), -bound);
+    ys.push_back(bound);
+    for (std::size_t i = 0; i + 1 < ys.size(); ++i) {
+      BigInt lo = at_scale(ys[i], 53, mu);
+      BigInt hi = at_scale(ys[i + 1], 53, mu);
+      const BigInt lo53 = at_scale(lo, mu, 53);
+      const BigInt hi53 = at_scale(hi, mu, 53);
+      const auto inside = std::count_if(
+          nd.roots.begin(), nd.roots.end(),
+          [&](const BigInt& r) { return lo53 < r && r <= hi53; });
+      const int s_lo = nd.poly.sign_at_scaled(lo, mu);
+      const int s_hi = nd.poly.sign_at_scaled(hi, mu);
+      if (inside != 1 || s_lo * s_hi != -1 || lo + BigInt(1) == hi) continue;
+      out.push_back({&nd.poly, std::move(lo), std::move(hi), s_lo, s_hi, mu});
+    }
+  }
+  return out;
+}
+
+TEST(IntervalSolver, CertifiedNewtonMatchesExact) {
+  // With certified probes, Newton takes p(x) and p'(x) from the precision
+  // ladder and its step from their bounds; the answer and every
+  // IntervalStats field must be the exact evaluation's.  The problems are
+  // the tree's cells of Jacobi-64/96/128 and Berkowitz-64 inputs,
+  // Wilkinson-20 (integer roots, which iterates land on), a product of
+  // dyadic factors (likewise) and roots 2^-40 apart, and the isolator's
+  // cells of Mignotte polynomials.  Cells are sampled: fewer at high mu,
+  // where the exact side is slow.
+  Prng rng(27);
+  Poly dyadic{1};
+  for (int i = 0; i < 9; ++i) {
+    const long long b = 2 * static_cast<long long>(rng.below(1000)) + 1;
+    dyadic *= Poly{-b, 1LL << (3 * i)};
+  }
+  const std::vector<std::pair<std::string, Poly>> inputs = {
+      {"jacobi-64", random_jacobi_poly(64, 9, rng)},
+      {"jacobi-96", random_jacobi_poly(96, 9, rng)},
+      {"jacobi-128", random_jacobi_poly(128, 9, rng)},
+      {"berkowitz-64", paper_input(64, rng).poly},
+      {"wilkinson-20", wilkinson(20)},
+      {"dyadic", dyadic},
+      {"clustered", clustered_squarefree(12, 40, 3, rng)},
+  };
+  const auto limit = [](std::size_t mu) -> std::size_t {
+    return mu <= 53 ? 48 : mu <= 256 ? 16 : 4;
+  };
+  struct Entry {
+    std::string name;
+    std::size_t mu;
+    std::vector<Problem> problems;
+  };
+  std::vector<Entry> corpus;
+  std::vector<Tree> trees;
+  trees.reserve(inputs.size());  // the problems point into the trees
+  for (const auto& [name, poly] : inputs) {
+    trees.push_back(replay_tree53(poly));
+    for (const std::size_t mu : {0u, 4u, 53u, 256u, 1024u}) {
+      corpus.push_back(
+          {name, mu, spread(tree_problems(trees.back(), poly, mu), limit(mu))});
+    }
+  }
+  const std::pair<int, long long> kMignotte[] = {{9, 3}, {16, 7}, {24, 20}};
+  std::vector<isolate::IsolationOutput> isolations;
+  for (const auto& [n, a] : kMignotte) {
+    isolations.push_back(isolate::isolate_roots(mignotte(n, a)));
+  }
+  for (const std::size_t mu : {0u, 4u, 53u, 256u, 1024u}) {
+    std::vector<Problem> cells;
+    for (const auto& iso : isolations) {
+      for (const auto& c : iso.cells) {
+        if (c.exact) continue;
+        const std::size_t w = std::max(c.scale, mu);
+        cells.push_back({&iso.stripped, c.lo << (w - c.scale),
+                         c.hi << (w - c.scale), c.s_lo, c.s_hi, w});
+      }
+    }
+    corpus.push_back({"mignotte", mu, std::move(cells)});
+  }
+
+  IntervalStats total;
+  std::size_t grid_roots = 0;
+  for (const auto& [name, mu, problems] : corpus) {
+    // Roots 2^-40 apart share one cell of the coarse scales.
+    EXPECT_TRUE(!problems.empty() || mu < 53) << name << " mu " << mu;
+    for (const Problem& c : problems) {
+      for (const auto mode : {IntervalSolverConfig::Mode::kHybrid,
+                              IntervalSolverConfig::Mode::kBisectionNewton}) {
+        IntervalSolverConfig cfg;
+        cfg.mode = mode;
+        IntervalStats exact_st, cert_st;
+        const BigInt want = solve_isolated_interval(
+            *c.p, c.lo, c.hi, c.s_lo, c.s_hi, c.mu, cfg, &exact_st, false);
+        const BigInt got = solve_isolated_interval(
+            *c.p, c.lo, c.hi, c.s_lo, c.s_hi, c.mu, cfg, &cert_st, true);
+        const std::string where = name + " mu " + std::to_string(mu) +
+                                  ", degree " +
+                                  std::to_string(c.p->degree()) + ", lo " +
+                                  c.lo.to_hex() + ", mode " +
+                                  std::to_string(static_cast<int>(mode));
+        EXPECT_EQ(got, want) << where;
+        expect_same_stats(exact_st, cert_st, where);
+        total += cert_st;
+        if (c.p->sign_at_scaled(want, c.mu) == 0) ++grid_roots;
+      }
+    }
+  }
+  EXPECT_GT(total.newton_iters, 1000u);
+  EXPECT_GT(total.fallback_bisects, 0u);
+  EXPECT_GT(grid_roots, 0u) << "no root on the output grid";
 }
 
 TEST(IntervalSolver, StatsAccumulate) {
