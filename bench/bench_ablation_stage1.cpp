@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     cfg.mu_bits = mu;
     for (const bool sequential : {false, true}) {
       pr::ParallelConfig pc;
-      pc.sequential_remainder = sequential;
+      if (sequential) pc.grain = pr::RemainderGrain::kSequential;
       const auto run = pr::find_real_roots_parallel(input.poly, cfg, pc);
       const std::uint64_t overhead =
           run.trace.total_cost() / run.trace.size() / 5 + 1;

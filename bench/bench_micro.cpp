@@ -56,23 +56,6 @@ void BM_BigIntMul(benchmark::State& state) {
 }
 BENCHMARK(BM_BigIntMul)->RangeMultiplier(4)->Range(256, 65536)->Complexity();
 
-void BM_BigIntMulKaratsuba(benchmark::State& state) {
-  pr::Prng rng(1);
-  const int bits = static_cast<int>(state.range(0));
-  const pr::BigInt a = random_bigint(rng, bits);
-  const pr::BigInt b = random_bigint(rng, bits);
-  pr::BigInt::set_karatsuba_enabled(true);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a * b);
-  }
-  pr::BigInt::set_karatsuba_enabled(false);
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_BigIntMulKaratsuba)
-    ->RangeMultiplier(4)
-    ->Range(256, 65536)
-    ->Complexity();
-
 void BM_BigIntAdd(benchmark::State& state) {
   pr::Prng rng(2);
   const pr::BigInt a = random_bigint(rng, static_cast<int>(state.range(0)));

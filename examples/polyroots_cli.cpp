@@ -147,13 +147,7 @@ void print_kernel_stats() {
     std::cout << " " << simd::isa_name(isa);
   }
   std::cout << "; POLYROOTS_SIMD caps the pick)\n"
-            << "bigint mul: schoolbook"
-            << (pr::BigInt::karatsuba_enabled()
-                    ? " | karatsuba >= " +
-                          std::to_string(pr::BigInt::kKaratsubaThreshold) +
-                          " limbs"
-                    : "")
-            << "\n";
+            << "bigint mul: schoolbook\n";
 }
 
 void print_service_stats(const pr::service::RootService& service) {

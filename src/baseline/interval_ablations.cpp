@@ -11,7 +11,6 @@ const char* solver_mode_name(IntervalSolverConfig::Mode mode) {
     case IntervalSolverConfig::Mode::kHybrid: return "hybrid";
     case IntervalSolverConfig::Mode::kBisectionNewton: return "bisect+newton";
     case IntervalSolverConfig::Mode::kPureBisection: return "pure-bisection";
-    case IntervalSolverConfig::Mode::kRegulaFalsi: return "regula-falsi";
   }
   return "?";
 }
@@ -21,7 +20,6 @@ std::vector<AblationRun> compare_solver_modes(const Poly& p,
   const IntervalSolverConfig::Mode modes[] = {
       IntervalSolverConfig::Mode::kHybrid,
       IntervalSolverConfig::Mode::kBisectionNewton,
-      IntervalSolverConfig::Mode::kRegulaFalsi,
       IntervalSolverConfig::Mode::kPureBisection,
   };
   std::vector<AblationRun> out;

@@ -1,12 +1,10 @@
 // Arbitrary-precision signed integers.
 //
 // This is the reproduction's substitute for the UNIX `mp` package the paper
-// used (Section 3.3).  Like `mp`, the default configuration uses the
-// straightforward algorithms -- linear-time addition/subtraction and
-// quadratic-time (schoolbook) multiplication and division -- because the
-// paper's entire Section 4 analysis assumes that cost model.  A Karatsuba
-// multiplier is included for the ablation bench and can be switched on via
-// set_karatsuba_enabled().
+// used (Section 3.3).  Like `mp`, it uses the straightforward algorithms
+// -- linear-time addition/subtraction and quadratic-time (schoolbook)
+// multiplication and division -- because the paper's entire Section 4
+// analysis assumes that cost model.
 //
 // Representation: sign + magnitude.  The magnitude is a LimbStore of
 // little-endian 64-bit limbs with no leading zero limb; values that fit in
@@ -38,7 +36,6 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "bigint/limb_store.hpp"
 
@@ -48,12 +45,12 @@ class BigInt {
  public:
   using Limb = std::uint64_t;
 
-  /// Reusable temporary buffers for multiplication products, division
-  /// workspaces, and Karatsuba temporaries.  Operations that take a
-  /// Scratch never allocate once its buffers have warmed up to the
-  /// operand sizes in play.  Not thread-safe and not reentrant: one
-  /// Scratch must not be used by two in-flight operations.  Overloads
-  /// without a Scratch parameter use a per-thread default.
+  /// Reusable temporary buffers for multiplication products and division
+  /// workspaces.  Operations that take a Scratch never allocate once its
+  /// buffers have warmed up to the operand sizes in play.  Not thread-safe
+  /// and not reentrant: one Scratch must not be used by two in-flight
+  /// operations.  Overloads without a Scratch parameter use a per-thread
+  /// default.
   class Scratch {
    public:
     Scratch() = default;
@@ -62,12 +59,10 @@ class BigInt {
 
    private:
     friend class BigInt;
-    friend BigInt operator*(const BigInt&, const BigInt&);
     detail::LimbStore prod_;    // fused-kernel product buffer
     detail::LimbStore shift_;   // shift-accumulate staging buffer
     detail::LimbStore q_, r_;   // division quotient/remainder staging
     detail::LimbStore u_, v_;   // normalized dividend/divisor (Knuth D)
-    std::vector<Limb> arena_;   // Karatsuba temporary arena
   };
 
   /// Zero.
@@ -308,20 +303,6 @@ class BigInt {
 
   friend std::ostream& operator<<(std::ostream& os, const BigInt& v);
 
-  /// Enables/disables the Karatsuba multiplier for all threads.  The
-  /// flag is published with release and read once per multiply with
-  /// acquire, so a toggle made before work is handed to pool threads is
-  /// visible to them.  Both multipliers produce identical limbs, so the
-  /// flag changes cost, never a value.  Default: off (schoolbook, the
-  /// paper's cost model).
-  static void set_karatsuba_enabled(bool on);
-  static bool karatsuba_enabled();
-
-  /// Smaller-operand limb count at/above which Karatsuba recurses when
-  /// enabled.  At least 4: the recursion maps an n-limb operand to halves
-  /// of ceil(n/2) + 1 limbs, which is smaller only for n > 3.
-  static constexpr std::size_t kKaratsubaThreshold = 24;
-
  private:
   detail::LimbStore mag_;
   bool neg_ = false;
@@ -348,8 +329,7 @@ class BigInt {
 
   // bigint_mul.cpp: out = a * b; out must not alias a or b.
   static void mul_mag(const Limb* a, std::size_t an, const Limb* b,
-                      std::size_t bn, detail::LimbStore& out,
-                      std::vector<Limb>& arena);
+                      std::size_t bn, detail::LimbStore& out);
   // bigint_div.cpp: magnitude division; quotient into s.q_, remainder
   // into s.r_ (both trimmed).
   static void divmod_mag(const Limb* a, std::size_t an, const Limb* b,

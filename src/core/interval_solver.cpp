@@ -69,8 +69,6 @@ BigInt solve_isolated_interval(const Poly& p, const BigInt& lo,
   BigInt a = lo << g;
   BigInt b = hi << g;
   int sa = s_lo;
-  int sb = s_hi;
-  (void)sb;  // the bracket invariant only needs the left sign
 
   // The bracket invariant throughout: x in (a/2^w, b/2^w), sign at a is sa
   // (never 0), sign at b is -sa.
@@ -88,8 +86,7 @@ BigInt solve_isolated_interval(const Poly& p, const BigInt& lo,
   };
 
   // ---- Phase 1: double-exponential sieve (Section 2.2) ------------------
-  if (config.mode == IntervalSolverConfig::Mode::kHybrid ||
-      config.mode == IntervalSolverConfig::Mode::kRegulaFalsi) {
+  if (config.mode == IntervalSolverConfig::Mode::kHybrid) {
     instr::PhaseScope phase(instr::Phase::kSieve);
     while (true) {
       if (auto k = pinned()) return *k;
@@ -173,66 +170,6 @@ BigInt solve_isolated_interval(const Poly& p, const BigInt& lo,
         a = mid;
       } else {
         b = mid;
-      }
-    }
-  }
-
-  // ---- Phase 3 (regula falsi variant): Illinois false position ----------
-  // Derivative-free alternative refinement ("Other methods are described
-  // in [BT90]", Section 2.2).  One evaluation per iteration; the Illinois
-  // halving rule prevents one-sided stagnation; every step is safeguarded
-  // by the bracket, with a midpoint fallback.
-  if (config.mode == IntervalSolverConfig::Mode::kRegulaFalsi) {
-    instr::PhaseScope phase(instr::Phase::kNewton);
-    st.newton_evals += 1;
-    BigInt fa = p.eval_scaled(a, w);
-    if (fa.is_zero()) {
-      // `a` can be an adjacent root of p sitting exactly on the open
-      // endpoint; step inside until the value is usable.
-      while (fa.is_zero()) {
-        if (auto k = pinned()) return *k;
-        a += BigInt(1);
-        st.newton_evals += 1;
-        fa = p.eval_scaled(a, w);
-      }
-      if (fa.signum() != sa) return exact_hit(a);  // crossed the root
-    }
-    st.newton_evals += 1;
-    BigInt fb = p.eval_scaled(b, w);
-    if (fb.is_zero()) return exact_hit(b);
-    int last_side = 0;  // -1: updated a, +1: updated b
-    while (true) {
-      if (auto k = pinned()) return *k;
-      st.newton_iters += 1;
-      // x' = (a*fb - b*fa) / (fb - fa); exact integer secant point.
-      BigInt denom = fb - fa;
-      BigInt x;
-      bool use_bisect = denom.is_zero();
-      if (!use_bisect) {
-        // x = (a*fb - b*fa) / denom, fused: the cross product accumulates
-        // in place and the quotient reuses the same buffer.
-        x = a * fb;
-        x.submul(b, fa);
-        x /= denom;
-        if (!(x > a && x < b)) use_bisect = true;
-      }
-      if (use_bisect) {
-        st.fallback_bisects += 1;
-        x = a + ((b - a) >> 1);
-      }
-      st.newton_evals += 1;
-      const BigInt fx = p.eval_scaled(x, w);
-      if (fx.is_zero()) return exact_hit(x);
-      if (fx.signum() == sa) {
-        a = x;
-        fa = fx;
-        if (last_side == -1) fb >>= 1;  // Illinois halving
-        last_side = -1;
-      } else {
-        b = x;
-        fb = fx;
-        if (last_side == 1) fa >>= 1;
-        last_side = 1;
       }
     }
   }

@@ -23,9 +23,8 @@
 // sign, so every decision is the same.  Newton takes p(x) and p'(x) from
 // the same ladder, from w + 192 bits, and its step from their bounds
 // (newton_step_scaled), climbing while they do not fix it, so every
-// iterate is the exact one.  Regula falsi always uses the exact value.
-// Pure-bisection and no-sieve modes exist for the ablation bench (Eq. 38
-// vs Eq. 41).
+// iterate is the exact one.  Pure-bisection and no-sieve modes exist for
+// the ablation bench (Eq. 38 vs Eq. 41).
 #pragma once
 
 #include <cstddef>
@@ -58,10 +57,6 @@ struct IntervalSolverConfig {
     kHybrid,          ///< sieve + bisection + Newton (the paper's method)
     kBisectionNewton, ///< no sieve (ablation)
     kPureBisection,   ///< bisection only (ablation)
-    kRegulaFalsi,     ///< sieve + bisection + Illinois regula falsi: one of
-                      ///< the alternative refinement methods [BT90] alludes
-                      ///< to ("Other methods are described in [BT90]");
-                      ///< derivative-free, 1 evaluation per iteration
   };
   Mode mode = Mode::kHybrid;
   /// Extra guard bits added to the working scale beyond mu.

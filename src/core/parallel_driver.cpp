@@ -258,7 +258,7 @@ class GraphBuilder {
       return;
     }
 
-    if (pc_.sequential_remainder) {
+    if (pc_.grain == RemainderGrain::kSequential) {
       // One task for the whole stage (the paper's run-time option).  It
       // replaces all of st.rs, F_0 and F_1 included, so every tree task
       // waits for it.
@@ -649,9 +649,9 @@ Solved run_graph(const Poly& work, std::size_t bound,
   state.modular = config.modular;
   state.bound_scaled = BigInt::pow2(bound + config.mu_bits);
   // Stage 1 goes multimodular only when both enabled and big enough;
-  // the explicit sequential_remainder request keeps its one-task exact
-  // shape.
-  if (state.modular.enabled && !parallel.sequential_remainder) {
+  // the sequential grain keeps its one-task exact shape.
+  if (state.modular.enabled &&
+      parallel.grain != RemainderGrain::kSequential) {
     auto prs = std::make_unique<modular::MultimodularPrs>(
         work, state.modular, state.tree.spine_levels());
     if (prs->worthwhile()) state.mprs = std::move(prs);

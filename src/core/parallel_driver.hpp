@@ -58,6 +58,10 @@ enum class RemainderGrain {
   kPerCoefficient,  ///< one task per coefficient of F_{i+1} (default)
   kPerOperation,    ///< one task per multiplication of Eq. 18 (the paper's
                     ///< finest grain: "each of these 5(n-i) operations")
+  kSequential,      ///< one exact task for the whole stage, even with
+                    ///< modular arithmetic on (the paper's run-time option,
+                    ///< Section 3: "the implementation allows this stage
+                    ///< to be executed sequentially, if so desired")
 };
 
 struct ParallelConfig {
@@ -71,10 +75,6 @@ struct ParallelConfig {
   /// available parallelism, the paper's Section 3.1/5.2 granularity
   /// knob made explicit.  Results are bit-identical for every value.
   int grain_chunk = 1;
-  /// Run stage 1 as a single sequential task (the paper's run-time option,
-  /// Section 3: "the implementation allows this stage to be executed
-  /// sequentially, if so desired").
-  bool sequential_remainder = false;
 };
 
 struct ParallelRunResult {

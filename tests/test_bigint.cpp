@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -279,71 +281,6 @@ TEST(BigInt, DivisionStressAgainstReconstruction) {
   }
 }
 
-TEST(BigInt, KaratsubaMatchesSchoolbook) {
-  Prng rng(7);
-  auto random_wide = [&](int limbs) {
-    BigInt v;
-    for (int i = 0; i < limbs; ++i) {
-      v <<= 64;
-      v += BigInt(static_cast<unsigned long long>(rng.next()));
-    }
-    return rng.coin() ? -v : v;
-  };
-  const auto check = [](const BigInt& a, const BigInt& b) {
-    BigInt::set_karatsuba_enabled(false);
-    const BigInt school = a * b;
-    BigInt::set_karatsuba_enabled(true);
-    const BigInt kara = a * b;
-    BigInt::set_karatsuba_enabled(false);
-    EXPECT_EQ(school, kara) << a.limb_count() << " x " << b.limb_count()
-                            << " limbs";
-  };
-  for (int iter = 0; iter < 20; ++iter) {
-    const BigInt a = random_wide(30 + static_cast<int>(rng.below(40)));
-    const BigInt b = random_wide(25 + static_cast<int>(rng.below(40)));
-    check(a, b);
-  }
-  // Shapes around kKaratsubaThreshold (24 limbs): just below it, one
-  // recursion level (24..47), two (48..95) and three (96..), and pairs
-  // more unbalanced than 3:1, where the shorter operand has no high half.
-  static_assert(BigInt::kKaratsubaThreshold == 24);
-  const std::pair<int, int> shapes[] = {
-      {23, 23}, {23, 100}, {24, 24}, {25, 31}, {47, 47}, {48, 48},
-      {49, 60}, {95, 95}, {96, 96}, {97, 130}, {24, 73}, {24, 100},
-      {25, 76}, {30, 200}, {40, 400}};
-  for (const auto& [an, bn] : shapes) {
-    const BigInt a = random_wide(an);
-    const BigInt b = random_wide(bn);
-    for (const BigInt& x : {a, -a}) {
-      for (const BigInt& y : {b, -b}) {
-        check(x, y);
-        check(y, x);
-      }
-    }
-  }
-  // Zero and one-limb operands stay off the Karatsuba path but must give
-  // the same products with the flag on.
-  const BigInt wide = random_wide(60);
-  for (const BigInt& small :
-       {BigInt(0), BigInt(1), BigInt(-1), BigInt(12345),
-        BigInt(static_cast<unsigned long long>(rng.next()))}) {
-    check(small, wide);
-    check(wide, small);
-    check(small, small);
-  }
-}
-
-// The BigIntNtt suite once also covered an NTT rung of the multiply
-// dispatch; the rung is gone and the suite now checks the remaining
-// schoolbook/Karatsuba switch through the public operator*.
-
-/// Restores the process-wide Karatsuba flag on scope exit, so a failing
-/// assertion cannot leak an enabled multiplier into later tests.
-struct KaratsubaGuard {
-  bool saved = BigInt::karatsuba_enabled();
-  ~KaratsubaGuard() { BigInt::set_karatsuba_enabled(saved); }
-};
-
 BigInt random_bigint(std::size_t limbs, bool negative, Prng& rng) {
   std::vector<BigInt::Limb> l(limbs);
   for (auto& x : l) x = rng.next();
@@ -351,32 +288,62 @@ BigInt random_bigint(std::size_t limbs, bool negative, Prng& rng) {
   return BigInt::from_limbs(l.data(), limbs, negative);
 }
 
-TEST(BigIntNtt, DispatchLadderSweep) {
-  // Every size from one limb through three Karatsuba recursion levels,
-  // with mixed signs and unequal lengths: schoolbook and Karatsuba must
-  // give the same product on each side of kKaratsubaThreshold.
-  KaratsubaGuard guard;
+/// Checks a * b against oracles that never call the multiplier: its
+/// residues modulo three word primes (mod_u64 divides one limb at a time)
+/// and exact division by each nonzero factor (Knuth D does its own limb
+/// arithmetic).  Both see the product's sign.
+void expect_product(const BigInt& a, const BigInt& b) {
+  const BigInt ab = a * b;
+  const auto limbs = [](const BigInt& v) {
+    return (v.negative() ? "-" : "") + std::to_string(v.limb_count());
+  };
+  const std::string shape = limbs(a) + " x " + limbs(b) + " limbs";
+  // 2^64 - 59, 2^63 - 25 and 2^61 - 1.
+  for (const std::uint64_t m :
+       {18446744073709551557ull, 9223372036854775783ull,
+        2305843009213693951ull}) {
+    const auto want = static_cast<std::uint64_t>(
+        static_cast<unsigned __int128>(a.mod_u64(m)) * b.mod_u64(m) % m);
+    EXPECT_EQ(ab.mod_u64(m), want) << shape << " mod " << m;
+  }
+  if (a.is_zero() || b.is_zero()) {
+    EXPECT_TRUE(ab.is_zero()) << shape;
+    return;
+  }
+  EXPECT_EQ(BigInt::divexact(ab, a), b) << shape;
+  EXPECT_EQ(BigInt::divexact(ab, b), a) << shape;
+}
+
+TEST(BigInt, ProductsAcrossLimbCounts) {
   Prng rng(0x4321);
+  // Every size from 1 to 100 limbs, with mixed signs and unequal lengths.
   for (std::size_t n = 1; n <= 100; ++n) {
     const BigInt a = random_bigint(n, (n % 2) != 0, rng);
     const BigInt b = random_bigint(n + (n % 3), (n % 4) == 0, rng);
-    BigInt::set_karatsuba_enabled(false);
-    const BigInt ref = a * b;
-    BigInt::set_karatsuba_enabled(true);
-    EXPECT_EQ(a * b, ref) << n << " limbs";
+    expect_product(a, b);
+    expect_product(b, a);
+  }
+  // Unbalanced shapes, in both orders and every sign combination.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {23, 100}, {24, 73}, {30, 200}, {40, 400}, {1, 300}};
+  for (const auto& [an, bn] : shapes) {
+    const BigInt a = random_bigint(an, false, rng);
+    const BigInt b = random_bigint(bn, false, rng);
+    for (const BigInt& x : {a, -a}) {
+      for (const BigInt& y : {b, -b}) {
+        expect_product(x, y);
+        expect_product(y, x);
+      }
+    }
   }
 }
 
-TEST(BigIntNtt, SignZeroAndSingleLimbEdges) {
-  KaratsubaGuard guard;
+TEST(BigInt, ProductSignZeroAndSingleLimbEdges) {
   Prng rng(0x9e3779b9);
-  // Above kKaratsubaThreshold, so these products recurse.
   const BigInt x = random_bigint(30, false, rng);
   const BigInt y = random_bigint(30, false, rng);
-  BigInt::set_karatsuba_enabled(false);
   const BigInt xy = x * y;
-  BigInt::set_karatsuba_enabled(true);
-  EXPECT_EQ(x * y, xy);
+  expect_product(x, y);
   EXPECT_TRUE((x * BigInt(0)).is_zero());
   EXPECT_TRUE((BigInt(0) * x).is_zero());
   EXPECT_EQ(x * BigInt(1), x);
@@ -384,13 +351,19 @@ TEST(BigIntNtt, SignZeroAndSingleLimbEdges) {
   EXPECT_EQ((-x) * y, -xy);
   EXPECT_EQ(x * (-y), -xy);
   EXPECT_EQ((-x) * (-y), xy);
-  // Single-limb times multi-limb stays on the schoolbook path (below the
-  // threshold) but must agree with the Karatsuba-enabled setting.
-  const BigInt s(12345);
-  BigInt::set_karatsuba_enabled(false);
-  const BigInt ref = s * x;
-  BigInt::set_karatsuba_enabled(true);
-  EXPECT_EQ(s * x, ref);
+  // Zero, +-1 and one-limb operands (the one-limb fast path among them,
+  // with a one- and a two-limb product) against wide and small partners.
+  const BigInt wide = random_bigint(60, true, rng);
+  const BigInt top = BigInt::pow2(64) - BigInt(1);  // one full limb
+  for (const BigInt& small :
+       {BigInt(0), BigInt(1), BigInt(-1), BigInt(12345), BigInt(-12345),
+        random_bigint(1, false, rng), random_bigint(1, true, rng), top}) {
+    for (const BigInt& other : {wide, x, small, top, -top, BigInt(3)}) {
+      expect_product(small, other);
+      expect_product(other, small);
+    }
+  }
+  EXPECT_EQ(top * top, BigInt::pow2(128) - BigInt::pow2(65) + BigInt(1));
 }
 
 }  // namespace

@@ -101,7 +101,6 @@ TEST(Differential, SolverModesAgreeThroughWholePipeline) {
   for (auto mode :
        {IntervalSolverConfig::Mode::kHybrid,
         IntervalSolverConfig::Mode::kBisectionNewton,
-        IntervalSolverConfig::Mode::kRegulaFalsi,
         IntervalSolverConfig::Mode::kPureBisection}) {
     RootFinderConfig cfg;
     cfg.mu_bits = 61;
@@ -113,18 +112,6 @@ TEST(Differential, SolverModesAgreeThroughWholePipeline) {
       EXPECT_EQ(rep.roots, reference);
     }
   }
-}
-
-TEST(Differential, KaratsubaDoesNotChangeResults) {
-  Prng rng(6666);
-  const auto input = paper_input(16, rng);
-  RootFinderConfig cfg;
-  cfg.mu_bits = 120;
-  const auto school = find_real_roots(input.poly, cfg);
-  BigInt::set_karatsuba_enabled(true);
-  const auto kara = find_real_roots(input.poly, cfg);
-  BigInt::set_karatsuba_enabled(false);
-  EXPECT_EQ(school.roots, kara.roots);
 }
 
 TEST(Differential, GuardBitsDoNotChangeResults) {

@@ -89,14 +89,12 @@ INSTANTIATE_TEST_SUITE_P(
     AllModes, SolverModes,
     ::testing::Values(IntervalSolverConfig::Mode::kHybrid,
                       IntervalSolverConfig::Mode::kBisectionNewton,
-                      IntervalSolverConfig::Mode::kRegulaFalsi,
                       IntervalSolverConfig::Mode::kPureBisection),
     [](const auto& param_info) {
       switch (param_info.param) {
         case IntervalSolverConfig::Mode::kHybrid: return "Hybrid";
         case IntervalSolverConfig::Mode::kBisectionNewton:
           return "BisectNewton";
-        case IntervalSolverConfig::Mode::kRegulaFalsi: return "RegulaFalsi";
         default: return "PureBisection";
       }
     });

@@ -398,7 +398,7 @@ ModularConfig forced_on() {
 
 /// The modular counters of stage 1 alone, when the task graph runs
 /// find_real_roots_parallel on `pc`: a run with the multimodular stage 1
-/// minus one with the exact stage 1 (sequential_remainder), whose tree
+/// minus one with the exact stage 1 (RemainderGrain::kSequential), whose tree
 /// stage sees the same sequence.  Inputs with non-real roots stop at the
 /// stage-1 publish in both runs (no fallback here).  *report
 /// receives the first run's report when there is one.
@@ -411,7 +411,7 @@ instr::ModularCounts graph_stage1_counts(const Poly& f0,
   cfg.allow_sturm_fallback = false;
   const auto run = [&](bool sequential, RootReport* out) {
     ParallelConfig p = pc;
-    p.sequential_remainder = sequential;
+    if (sequential) p.grain = RemainderGrain::kSequential;
     instr::reset_modular();
     try {
       auto r = find_real_roots_parallel(f0, cfg, p);

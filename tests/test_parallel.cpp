@@ -56,12 +56,14 @@ INSTANTIATE_TEST_SUITE_P(
     AllGrains, GrainModes,
     ::testing::Values(RemainderGrain::kPerIteration,
                       RemainderGrain::kPerCoefficient,
-                      RemainderGrain::kPerOperation),
+                      RemainderGrain::kPerOperation,
+                      RemainderGrain::kSequential),
     [](const auto& param_info) {
       switch (param_info.param) {
         case RemainderGrain::kPerIteration: return "PerIteration";
         case RemainderGrain::kPerCoefficient: return "PerCoefficient";
-        default: return "PerOperation";
+        case RemainderGrain::kPerOperation: return "PerOperation";
+        default: return "Sequential";
       }
     });
 
@@ -70,7 +72,7 @@ TEST(ParallelDriver, SequentialRemainderOption) {
   const auto input = paper_input(10, rng);
   const RootFinderConfig cfg = base_config(24);
   ParallelConfig pc;
-  pc.sequential_remainder = true;
+  pc.grain = RemainderGrain::kSequential;
   pc.num_threads = 2;
   const auto par = find_real_roots_parallel(input.poly, cfg, pc);
   const auto seq = find_real_roots(input.poly, cfg);
@@ -314,14 +316,15 @@ TEST(ParallelDriver, PerPhaseCountsMatchLayerReplay) {
     if (!c.cfg.modular.enabled) {
       // The paper's one-task stage 1 (it always runs the exact recurrence).
       configs.push_back(configs[1]);
-      configs.back().sequential_remainder = true;
+      configs.back().grain = RemainderGrain::kSequential;
     }
     for (const ParallelConfig& pc : configs) {
       const auto [got, got_mod] = measure(
           [&] { (void)find_real_roots_parallel(c.poly, c.cfg, pc); });
       const std::string run =
           std::string(c.name) + " threads=" + std::to_string(pc.num_threads) +
-          (pc.sequential_remainder ? " sequential stage 1" : "");
+          (pc.grain == RemainderGrain::kSequential ? " sequential stage 1"
+                                                   : "");
       for (std::size_t ph = 0; ph < instr::kNumPhases; ++ph) {
         const auto& a = want.by_phase[ph];
         const auto& b = got.by_phase[ph];

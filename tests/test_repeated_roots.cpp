@@ -206,14 +206,13 @@ TEST(RepeatedRoots, EveryStageOneShapeMatchesLayerReplay) {
     const char* name;
     bool modular;
     RemainderGrain grain;
-    bool sequential;
   };
   const Shape shapes[] = {
-      {"modular", true, RemainderGrain::kPerCoefficient, false},
-      {"per-iteration", false, RemainderGrain::kPerIteration, false},
-      {"per-coefficient", false, RemainderGrain::kPerCoefficient, false},
-      {"per-operation", false, RemainderGrain::kPerOperation, false},
-      {"sequential stage 1", false, RemainderGrain::kPerCoefficient, true},
+      {"modular", true, RemainderGrain::kPerCoefficient},
+      {"per-iteration", false, RemainderGrain::kPerIteration},
+      {"per-coefficient", false, RemainderGrain::kPerCoefficient},
+      {"per-operation", false, RemainderGrain::kPerOperation},
+      {"sequential stage 1", false, RemainderGrain::kSequential},
   };
   for (const Shape& s : shapes) {
     RootFinderConfig cfg;
@@ -225,7 +224,6 @@ TEST(RepeatedRoots, EveryStageOneShapeMatchesLayerReplay) {
       ParallelConfig pc;
       pc.num_threads = threads;
       pc.grain = s.grain;
-      pc.sequential_remainder = s.sequential;
       const std::string where =
           std::string(s.name) + " threads=" + std::to_string(threads);
       instr::reset_modular();
@@ -287,28 +285,31 @@ TEST(RepeatedRoots, PaperFallbackComputesTheGcdOnce) {
     const char* name;
     Poly poly;
     bool modular;
-    bool sequential;
+    RemainderGrain grain;
     bool stage1_reduces;  // the reduction comes before the non-real test
   };
   const Case cases[] = {
       // The per-level exact chain meets a c_t of the wrong sign before
       // F_{n*+1} vanishes, so the general path tests and reduces.
       {"exact chain (x^2-2)^2 (x-3) (x^2+1)",
-       s2 * s2 * Poly{-3, 1} * c2, false, false, false},
+       s2 * s2 * Poly{-3, 1} * c2, false, RemainderGrain::kPerCoefficient,
+       false},
       // One-task stage 1 and the modular publish check the whole
       // sequence for a vanishing remainder first: the graph reruns on the
       // squarefree part, which is the one the fallback isolates.
       {"sequential stage 1 (x^2-2)^2 (x-3) (x^2+1)",
-       s2 * s2 * Poly{-3, 1} * c2, false, true, true},
+       s2 * s2 * Poly{-3, 1} * c2, false, RemainderGrain::kSequential,
+       true},
       {"modular (x^2-2)^2 (x^2+1) jacobi-22",
-       s2 * s2 * c2 * random_jacobi_poly(22, 9, rng), true, false, true},
+       s2 * s2 * c2 * random_jacobi_poly(22, 9, rng), true,
+       RemainderGrain::kPerCoefficient, true},
   };
   for (const Case& c : cases) {
     RootFinderConfig cfg;
     cfg.mu_bits = 53;
     cfg.modular.enabled = c.modular;
     ParallelConfig pc;
-    pc.sequential_remainder = c.sequential;
+    pc.grain = c.grain;
     const Poly a = c.poly.primitive_part();
     Poly g;
     const std::uint64_t gcd_cost =

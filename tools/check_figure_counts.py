@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Golden check of the paper-figure operation counts.
+"""Golden check of the paper-figure and solver-ablation operation counts.
 
 Runs the count-only paper benches with ``--full`` and compares every
 numeric row they print with the matching section of the committed
@@ -10,7 +10,10 @@ results/full_bench.txt:
 * ``bench_fig2_5_multcounts`` -- Figures 2-5: predicted vs observed
   multiplication counts;
 * ``bench_fig6_7_bisection``  -- Figures 6-7: bisection evaluations and
-  bit complexity.
+  bit complexity;
+* ``bench_ablation_interval`` -- the solver-mode ablation (Eq. 38 vs
+  Eq. 41): evaluations, Newton iterations and interval bit cost of the
+  hybrid, no-sieve and pure-bisection modes.
 
 These rows are deterministic operation counts, not timings, so any
 difference means the arithmetic the pipeline performs has changed.  A
@@ -33,6 +36,7 @@ BENCHES = [
     "bench_table1_scaling",
     "bench_fig2_5_multcounts",
     "bench_fig6_7_bisection",
+    "bench_ablation_interval",
 ]
 
 HEADER_RE = re.compile(r"^=== (\S+) --full ===$")
